@@ -62,7 +62,8 @@ let periodic_fired p = p.fired
 let rec step t =
   if Heap.is_empty t.heap then false
   else begin
-    let time, ev = Heap.pop t.heap in
+    let time = Heap.top_key t.heap in
+    let ev = Heap.pop t.heap in
     match ev.state with
     | `Cancelled -> step t
     | `Fired -> assert false
@@ -75,14 +76,16 @@ let rec step t =
   end
 
 let run ?until t =
-  let continue = ref true in
-  while !continue do
-    match (Heap.min_key t.heap, until) with
-    | None, _ -> continue := false
-    | Some key, Some limit when key > limit -> continue := false
-    | Some _, _ -> ignore (step t : bool)
-  done;
-  match until with Some limit when limit > t.now -> t.now <- limit | _ -> ()
+  match until with
+  | None ->
+      while step t do
+        ()
+      done
+  | Some limit ->
+      while (not (Heap.is_empty t.heap)) && Heap.top_key t.heap <= limit do
+        ignore (step t : bool)
+      done;
+      if limit > t.now then t.now <- limit
 
 let pending t = Heap.length t.heap
 let events_processed t = t.processed

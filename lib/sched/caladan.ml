@@ -44,35 +44,34 @@ type t = {
   mutable steals : int;
 }
 
-(* An idle worker scans for the most loaded victim and steals one job. *)
+(* An idle worker scans for the most loaded victim (the first of the
+   longest queues) and steals one job. *)
 let try_steal t (thief : Worker.t) =
-  let best = ref None and best_len = ref 0 in
-  Array.iter
-    (fun w ->
-      let len = Worker.queue_length w in
-      if len > !best_len then begin
-        best := Some w;
-        best_len := len
-      end)
-    t.workers;
-  match !best with
-  | None -> ()
-  | Some victim -> begin
-      match Worker.steal victim with
-      | None -> ()
-      | Some job ->
-          t.steals <- t.steals + 1;
-          Counters.incr t.c_steals;
-          if Trace.enabled t.trace then
-            Trace.record t.trace ~ts_ns:(Sim.now t.sim)
-              ~lane:(Event.Worker (Worker.wid thief))
-              (Event.Steal { job_id = job.Job.id; victim = Worker.wid victim });
-          Worker.note_assigned thief;
-          ignore
-            (Sim.schedule_after t.sim ~delay:t.config.steal_ns (fun () ->
-                 Worker.enqueue thief job)
-              : Sim.event)
+  let best = ref (-1) and best_len = ref 0 in
+  for i = 0 to Array.length t.workers - 1 do
+    let len = Worker.queue_length t.workers.(i) in
+    if len > !best_len then begin
+      best := i;
+      best_len := len
     end
+  done;
+  if !best >= 0 then begin
+    let victim = t.workers.(!best) in
+    match Worker.steal victim with
+    | None -> ()
+    | Some job ->
+        t.steals <- t.steals + 1;
+        Counters.incr t.c_steals;
+        if Trace.enabled t.trace then
+          Trace.record t.trace ~ts_ns:(Sim.now t.sim)
+            ~lane:(Event.Worker (Worker.wid thief))
+            (Event.Steal { job_id = job.Job.id; victim = Worker.wid victim });
+        Worker.note_assigned thief;
+        ignore
+          (Sim.schedule_after t.sim ~delay:t.config.steal_ns (fun () ->
+               Worker.enqueue thief job)
+            : Sim.event)
+  end
 
 let create sim ~rng ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
     ?(on_complete = fun (_ : Job.t) -> ()) ?(on_lost = fun (_ : Job.t) -> ()) () =
@@ -144,9 +143,12 @@ let deliver t (req : Arrivals.request) =
      an already-idle core picks the job up. *)
   Worker.enqueue worker job;
   if Worker.queue_length worker > 0 then begin
-    let idle = ref None in
-    Array.iter (fun w -> if (not (Worker.is_busy w)) && !idle = None then idle := Some w) t.workers;
-    match !idle with Some thief when thief != worker -> try_steal t thief | _ -> ()
+    let n = Array.length t.workers in
+    let i = ref 0 in
+    while !i < n && Worker.is_busy t.workers.(!i) do
+      incr i
+    done;
+    if !i < n && t.workers.(!i) != worker then try_steal t t.workers.(!i)
   end
 
 let submit t req =

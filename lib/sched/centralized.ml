@@ -120,6 +120,31 @@ let note_assign t ~(job : Job.t) ~wid =
            queue_len = Deque.length t.queue;
          })
 
+(* First worker an assignment can go to — idle when [want_idle], busy
+   otherwise — with no assignment in flight or parked and not dead; -1
+   if none.  An index loop, not a closure: it runs on every kick. *)
+let free_worker t ~want_idle =
+  let n = Array.length t.busy in
+  let w = ref 0 in
+  while
+    !w < n
+    && (t.busy.(!w) = want_idle || t.inflight.(!w) || Option.is_some t.pending.(!w)
+       || t.dead_w.(!w))
+  do
+    incr w
+  done;
+  if !w < n then !w else -1
+
+(* First worker other than [thief] holding a parked assignment; -1 if
+   none. *)
+let parked_victim t ~thief =
+  let n = Array.length t.pending in
+  let w = ref 0 in
+  while !w < n && (Option.is_none t.pending.(!w) || !w = thief) do
+    incr w
+  done;
+  if !w < n then !w else -1
+
 (* The dispatcher pipelines: it may prepare the *next* assignment for a
    worker while that worker still runs its current slice (one
    outstanding assignment per worker, like a mailbox).  The worker then
@@ -128,51 +153,40 @@ let note_assign t ~(job : Job.t) ~wid =
 let rec kick t =
   if not (Deque.is_empty t.queue) then begin
     (* Prefer idle workers, then busy ones lacking a prefetched job. *)
-    let pick want_idle =
-      let found = ref None in
-      Array.iteri
-        (fun w busy ->
-          if
-            !found = None && busy <> want_idle && (not t.inflight.(w))
-            && t.pending.(w) = None
-            && not t.dead_w.(w)
-          then found := Some w)
-        t.busy;
-      !found
+    let wid =
+      let w = free_worker t ~want_idle:true in
+      if w >= 0 then w else free_worker t ~want_idle:false
     in
-    let target = match pick true with Some w -> Some w | None -> pick false in
-    match target with
-    | None -> ()
-    | Some wid -> (
-        match Deque.pop_front t.queue with
-        | None -> ()
-        | Some job ->
-            t.inflight.(wid) <- true;
-            let cost =
-              t.config.sched_op_ns + (t.config.sched_scan_per_core_ns * t.config.cores)
-            in
-            Busy_server.submit t.dispatcher ~cost (Assign { job; wid }) ~done_:(fun op ->
-                match op with
-                | Assign { job; wid } ->
-                    t.inflight.(wid) <- false;
-                    if t.dead_w.(wid) then begin
-                      (* The core died while the assignment was being
-                         prepared: the job goes back to the head of the
-                         central queue. *)
-                      Deque.push_front t.queue job;
-                      kick t
-                    end
-                    else begin
-                      note_assign t ~job ~wid;
-                      if t.busy.(wid) then t.pending.(wid) <- Some job
-                      else start_slice t ~job ~wid;
-                      (* Keep the pipeline primed: prepare the next
-                         assignment while slices run. *)
-                      kick t
-                    end
-                | Admit _ -> assert false);
-            kick t)
+    if wid >= 0 then
+      match Deque.pop_front t.queue with
+      | None -> ()
+      | Some job ->
+          assign t ~job ~wid;
+          kick t
   end
+
+(* Sends [job] through the dispatcher core towards worker [wid]. *)
+and assign t ~job ~wid =
+  t.inflight.(wid) <- true;
+  let cost = t.config.sched_op_ns + (t.config.sched_scan_per_core_ns * t.config.cores) in
+  Busy_server.submit t.dispatcher ~cost (Assign { job; wid }) ~done_:(fun op ->
+      match op with
+      | Assign { job; wid } ->
+          t.inflight.(wid) <- false;
+          if t.dead_w.(wid) then begin
+            (* The core died while the assignment was being prepared:
+               the job goes back to the head of the central queue. *)
+            Deque.push_front t.queue job;
+            kick t
+          end
+          else begin
+            note_assign t ~job ~wid;
+            if t.busy.(wid) then t.pending.(wid) <- Some job else start_slice t ~job ~wid;
+            (* Keep the pipeline primed: prepare the next assignment
+               while slices run. *)
+            kick t
+          end
+      | Admit _ -> assert false)
 
 and start_slice t ~job ~wid =
   let now = Sim.now t.sim in
@@ -279,38 +293,13 @@ and after_slice t ~wid =
        an assignment parked at a busy worker (the dispatcher pays
        another op to re-steer it). *)
     if (not t.busy.(wid)) && not t.inflight.(wid) then begin
-      let victim = ref None in
-      Array.iteri
-        (fun w pending -> if !victim = None && pending <> None && w <> wid then victim := Some w)
-        t.pending;
-      match !victim with
-      | Some w -> (
-          match t.pending.(w) with
-          | Some job ->
-              t.pending.(w) <- None;
-              t.inflight.(wid) <- true;
-              let cost =
-                t.config.sched_op_ns
-                + (t.config.sched_scan_per_core_ns * t.config.cores)
-              in
-              Busy_server.submit t.dispatcher ~cost (Assign { job; wid })
-                ~done_:(fun op ->
-                  match op with
-                  | Assign { job; wid } ->
-                      t.inflight.(wid) <- false;
-                      if t.dead_w.(wid) then begin
-                        Deque.push_front t.queue job;
-                        kick t
-                      end
-                      else begin
-                        note_assign t ~job ~wid;
-                        if t.busy.(wid) then t.pending.(wid) <- Some job
-                        else start_slice t ~job ~wid;
-                        kick t
-                      end
-                  | Admit _ -> assert false)
-          | None -> ())
-      | None -> ()
+      let victim = parked_victim t ~thief:wid in
+      if victim >= 0 then
+        match t.pending.(victim) with
+        | Some job ->
+            t.pending.(victim) <- None;
+            assign t ~job ~wid
+        | None -> ()
     end
   end
 

@@ -87,6 +87,32 @@ let choose_filtered c workers ok =
           !best
     end
 
+(* Unfiltered JSQ-MSQ in one pass with no allocation: the least-loaded
+   core; among those, the one whose current jobs have serviced the most
+   quanta (MSQ: likely the least remaining work); among those, the
+   lowest index. *)
+let jsq_msq workers =
+  let best = ref 0 in
+  let best_load = ref (Worker.unfinished workers.(0)) in
+  let best_q = ref (Worker.current_quanta workers.(0)) in
+  for i = 1 to Array.length workers - 1 do
+    let w = workers.(i) in
+    let load = Worker.unfinished w in
+    if load < !best_load then begin
+      best := i;
+      best_load := load;
+      best_q := Worker.current_quanta w
+    end
+    else if load = !best_load then begin
+      let q = Worker.current_quanta w in
+      if q > !best_q then begin
+        best := i;
+        best_q := q
+      end
+    end
+  done;
+  !best
+
 let choose ?alive c workers =
   let n = Array.length workers in
   if n = 0 then invalid_arg "Dispatch_policy.choose: no workers";
@@ -94,43 +120,26 @@ let choose ?alive c workers =
   | Some ok -> choose_filtered c workers ok
   | None -> (
       match c.policy with
-  | Random -> Prng.int c.rng n
-  | Round_robin ->
-      let i = c.cursor in
-      c.cursor <- (c.cursor + 1) mod n;
-      i
-  | Power_of_two ->
-      let a = Prng.int c.rng n in
-      let b = if n = 1 then a else (a + 1 + Prng.int c.rng (n - 1)) mod n in
-      let load_a = Worker.unfinished workers.(a)
-      and load_b = Worker.unfinished workers.(b) in
-      if load_a < load_b then a
-      else if load_b < load_a then b
-      else if Prng.bool c.rng then a
-      else b
-  | Jsq_random -> begin
-      match min_load_set workers with
-      | [] -> assert false
-      | [ i ] -> i
-      | ties ->
-          let arr = Array.of_list ties in
-          arr.(Prng.int c.rng (Array.length arr))
-    end
-      | Jsq_msq -> begin
+      | Random -> Prng.int c.rng n
+      | Round_robin ->
+          let i = c.cursor in
+          c.cursor <- (c.cursor + 1) mod n;
+          i
+      | Power_of_two ->
+          let a = Prng.int c.rng n in
+          let b = if n = 1 then a else (a + 1 + Prng.int c.rng (n - 1)) mod n in
+          let load_a = Worker.unfinished workers.(a)
+          and load_b = Worker.unfinished workers.(b) in
+          if load_a < load_b then a
+          else if load_b < load_a then b
+          else if Prng.bool c.rng then a
+          else b
+      | Jsq_random -> begin
           match min_load_set workers with
           | [] -> assert false
           | [ i ] -> i
           | ties ->
-              (* MSQ: the core that has serviced the most quanta for its
-                 current jobs likely has the least remaining work. *)
-              let best = ref (List.hd ties) and best_q = ref min_int in
-              List.iter
-                (fun i ->
-                  let q = Worker.current_quanta workers.(i) in
-                  if q > !best_q then begin
-                    best := i;
-                    best_q := q
-                  end)
-                (List.rev ties);
-              !best
-        end)
+              let arr = Array.of_list ties in
+              arr.(Prng.int c.rng (Array.length arr))
+        end
+      | Jsq_msq -> jsq_msq workers)

@@ -93,9 +93,11 @@ let set_quantum t ?class_idx ~quantum_ns () =
       | None -> t.policy <- Ps { quantum_ns; per_class_quantum }
       | Some c ->
           if c < 0 then invalid_arg "Worker.set_quantum: negative class index";
+          (* A fresh array: the policy's array is shared with every
+             worker built from the same spec, and with the spec itself. *)
           let arr =
             match per_class_quantum with
-            | Some arr when c < Array.length arr -> arr
+            | Some arr when c < Array.length arr -> Array.copy arr
             | Some arr ->
                 let bigger = Array.make (c + 1) base in
                 Array.blit arr 0 bigger 0 (Array.length arr);

@@ -64,11 +64,13 @@ let push t ~key v =
     else continue := false
   done
 
-let min_key t = if t.len = 0 then None else Some t.keys.(0)
+let top_key t =
+  if t.len = 0 then invalid_arg "Binary_heap.top_key: empty heap";
+  t.keys.(0)
 
 let pop t =
   if t.len = 0 then invalid_arg "Binary_heap.pop: empty heap";
-  let key = t.keys.(0) and v = t.vals.(0) in
+  let v = t.vals.(0) in
   t.len <- t.len - 1;
   if t.len > 0 then begin
     t.keys.(0) <- t.keys.(t.len);
@@ -89,7 +91,7 @@ let pop t =
     end
     else continue := false
   done;
-  (key, v)
+  v
 
 let clear t =
   Array.fill t.vals 0 t.len t.dummy;

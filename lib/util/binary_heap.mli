@@ -14,11 +14,13 @@ val is_empty : 'a t -> bool
 (** [push t ~key v] inserts [v] with priority [key]. *)
 val push : 'a t -> key:int -> 'a -> unit
 
-(** [min_key t] is the smallest key, or [None] when empty. *)
-val min_key : 'a t -> int option
+(** [top_key t] is the smallest key.  Raises [Invalid_argument] when
+    empty. *)
+val top_key : 'a t -> int
 
 (** [pop t] removes and returns the minimum-key element (FIFO among
-    equal keys).  Raises [Invalid_argument] when empty. *)
-val pop : 'a t -> int * 'a
+    equal keys); read its key with {!top_key} first.  Raises
+    [Invalid_argument] when empty. *)
+val pop : 'a t -> 'a
 
 val clear : 'a t -> unit

@@ -35,10 +35,27 @@ let sample_one sampler rng =
   in
   max 1 v
 
+(* [Prng.choose_weighted] over the class ratios, scanned in place: the
+   same float sums in the same order and one draw, so the same class,
+   without building a weights array per arrival. *)
 let sample t rng =
-  let weights = Array.map (fun c -> c.ratio) t.classes in
-  let idx = Prng.choose_weighted rng weights in
-  (idx, sample_one t.classes.(idx).sampler rng)
+  let classes = t.classes in
+  let n = Array.length classes in
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    total := !total +. classes.(i).ratio
+  done;
+  let target = Prng.float rng !total in
+  let idx = ref (n - 1) and acc = ref 0.0 and i = ref 0 in
+  while !i < n - 1 do
+    acc := !acc +. classes.(!i).ratio;
+    if target < !acc then begin
+      idx := !i;
+      i := n
+    end
+    else incr i
+  done;
+  (!idx, sample_one classes.(!idx).sampler rng)
 
 let sampler_mean_ns = function
   | Fixed ns -> float_of_int ns

@@ -203,7 +203,45 @@ let test_msq_tiebreak () =
   let q0 = Worker.current_quanta w0 and q1 = Worker.current_quanta w1 in
   let expected = if q1 > q0 then 1 else 0 in
   check Alcotest.int "picks max serviced quanta" expected
-    (Dispatch_policy.choose c [| w0; w1 |])
+    (Dispatch_policy.choose c [| w0; w1 |]);
+  (* Five workers: w0 is the most loaded (and has the most quanta);
+     w1..w4 tie at least load; w2 and w3 tie at the most quanta among
+     them.  Load first, then quanta, then the lower index: w2. *)
+  let sim = Sim.create () in
+  let mk wid ~load ~running =
+    let w =
+      Worker.create sim ~wid ~rng:(Prng.create ~seed:4L)
+        ~policy:(Worker.Ps { quantum_ns = 1_000; per_class_quantum = None })
+        ~overheads:Overheads.zero ~on_finish:ignore ()
+    in
+    for _ = 1 to load do
+      Worker.note_assigned w
+    done;
+    if running then Worker.enqueue w (job ~req_id:wid ~service_ns:100_000 ());
+    w
+  in
+  let workers =
+    [|
+      mk 0 ~load:2 ~running:true;
+      mk 1 ~load:1 ~running:false;
+      mk 2 ~load:1 ~running:true;
+      mk 3 ~load:1 ~running:true;
+      mk 4 ~load:1 ~running:false;
+    |]
+  in
+  Sim.run ~until:5_500 sim;
+  let quanta = Array.map Worker.current_quanta workers in
+  Alcotest.(check bool) "w2 and w3 tie above w1 and w4" true
+    (quanta.(2) = quanta.(3) && quanta.(2) > quanta.(1) && quanta.(1) = quanta.(4));
+  check Alcotest.int "least load, most quanta, lowest index" 2
+    (Dispatch_policy.choose c workers)
+
+let test_msq_allocation_free () =
+  let sim = Sim.create () in
+  let workers = workers_with_loads sim (Array.make 16 0) in
+  let c = Dispatch_policy.make_chooser Dispatch_policy.Jsq_msq ~rng:(Prng.create ~seed:5L) in
+  check (Alcotest.float 0.0) "minor words per choice over 16 idle workers" 0.0
+    (Test_util.minor_words_per_call (fun () -> ignore (Dispatch_policy.choose c workers : int)))
 
 let test_round_robin_cycles () =
   let sim = Sim.create () in
@@ -595,6 +633,7 @@ let suite =
     Alcotest.test_case "worker steal" `Quick test_worker_steal;
     Alcotest.test_case "jsq picks min" `Quick test_jsq_picks_min;
     Alcotest.test_case "msq tiebreak" `Quick test_msq_tiebreak;
+    Alcotest.test_case "msq allocation-free" `Quick test_msq_allocation_free;
     Alcotest.test_case "round robin" `Quick test_round_robin_cycles;
     Alcotest.test_case "random in range" `Quick test_random_in_range;
     Alcotest.test_case "power of two" `Quick test_power_of_two_prefers_lighter;
@@ -659,10 +698,65 @@ let test_run_seeds_aggregation () =
   in
   Alcotest.(check bool) "seeds differ" true (List.length (List.sort_uniq compare tails) > 1)
 
+(* The simulated event stream, pinned: events, offered and measured
+   completions of every system at 50% and 90% of 16-core capacity on
+   extreme-bimodal.  A speed-up of the simulator must leave every one of
+   these numbers as it is. *)
+let test_event_stream_pinned () =
+  let workload = Table1.extreme_bimodal in
+  let capacity = Arrivals.capacity_rps ~cores:16 workload in
+  let run system load =
+    Experiment.run ~seed:1L ~system ~workload ~rate_rps:(load *. capacity)
+      ~duration_ns:(Time_unit.ms 4.0) ()
+  in
+  let counts name system load expected =
+    let r = run system load in
+    check
+      Alcotest.(triple int int int)
+      (Printf.sprintf "%s@%g events/offered/measured" name load)
+      expected
+      (r.events, r.offered, Metrics.total_completed r.metrics);
+    r
+  in
+  let short_p999 (r : Experiment.result) = Metrics.sojourn_percentile r.metrics ~class_idx:0 99.9 in
+  let tq50 = counts "tq" (Presets.tq ()) 0.5 (58926, 11095, 9955) in
+  let tq90 = counts "tq" (Presets.tq ()) 0.9 (107838, 20262, 18240) in
+  check (Alcotest.float 0.0) "tq@0.5 short p99.9 sojourn" 2195.0 (short_p999 tq50);
+  check (Alcotest.float 0.0) "tq@0.9 short p99.9 sojourn" 4638.0 (short_p999 tq90);
+  let shinjuku = Presets.shinjuku ~quantum_ns:5_000 () in
+  ignore (counts "shinjuku" shinjuku 0.5 (55902, 11095, 9955) : Experiment.result);
+  ignore (counts "shinjuku" shinjuku 0.9 (102259, 20262, 18240) : Experiment.result);
+  let caladan = Presets.caladan ~mode:Caladan.Iokernel () in
+  ignore (counts "caladan" caladan 0.5 (39333, 11095, 9955) : Experiment.result);
+  ignore (counts "caladan" caladan 0.9 (77678, 20262, 18240) : Experiment.result)
+
+(* Retuning one instance's per-class quantum must not reach into the
+   spec it was built from, nor into other instances built from it. *)
+let test_set_quantum_leaves_spec_alone () =
+  let config =
+    match Presets.tq_timing () with Experiment.Two_level c -> c | _ -> assert false
+  in
+  let build () =
+    let sim = Sim.create () in
+    let metrics = Metrics.create ~workload:Table1.extreme_bimodal ~warmup_ns:0 in
+    Two_level.create sim ~rng:(Prng.create ~seed:1L) ~config ~metrics ()
+  in
+  let quantum t ~class_idx = Worker.quantum_for_class (Two_level.workers t).(0) ~class_idx in
+  let retuned = build () in
+  Two_level.set_quantum retuned ~class_idx:0 ~quantum_ns:9_000 ();
+  check Alcotest.(option int) "retuned class 0" (Some 9_000) (quantum retuned ~class_idx:0);
+  check Alcotest.(option int) "class 1 untouched" (Some 3_000) (quantum retuned ~class_idx:1);
+  let fresh = build () in
+  check Alcotest.(option int) "fresh instance keeps the spec's class-0 quantum" (Some 1_000)
+    (quantum fresh ~class_idx:0)
+
 let determinism_suite =
   [
     Alcotest.test_case "experiment deterministic" `Quick test_experiment_deterministic;
     Alcotest.test_case "run_seeds aggregation" `Quick test_run_seeds_aggregation;
+    Alcotest.test_case "event stream pinned" `Quick test_event_stream_pinned;
+    Alcotest.test_case "set_quantum leaves the spec alone" `Quick
+      test_set_quantum_leaves_spec_alone;
   ]
 
 let suite = suite @ determinism_suite

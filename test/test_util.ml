@@ -120,6 +120,34 @@ let test_prng_gaussian_moments () =
   Alcotest.(check bool) "mean ~ 0" true (Float.abs mean < 0.01);
   Alcotest.(check bool) "var ~ 1" true (Float.abs (var -. 1.0) < 0.02)
 
+(* Golden values of the xoshiro256** stream for seed 42: any change to
+   the state layout, the step or the int/float conversions shows here,
+   and every simulated result depends on them. *)
+let test_prng_golden_vectors () =
+  let r = Prng.create ~seed:42L in
+  check Alcotest.int64 "draw 1" 0x15780B2E0C2EC716L (Prng.bits64 r);
+  check Alcotest.int64 "draw 2" 0x6104D9866D113A7EL (Prng.bits64 r);
+  check Alcotest.int64 "draw 3" 0xAE17533239E499A1L (Prng.bits64 r);
+  check Alcotest.int64 "split stream" 0x2A5A28083CF1C6E8L (Prng.bits64 (Prng.split r));
+  check Alcotest.int "int" 369 (Prng.int r 1000);
+  check (Alcotest.float 0.0) "float" 0.76973946043424246 (Prng.float r 1.0)
+
+(* Minor-heap words allocated per call of [f], over [n] warm calls. *)
+let minor_words_per_call ?(n = 10_000) f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_prng_int_allocation_free () =
+  let r = Prng.create ~seed:1L in
+  check (Alcotest.float 0.0) "power-of-two bound" 0.0
+    (minor_words_per_call (fun () -> ignore (Prng.int r 16 : int)));
+  check (Alcotest.float 0.0) "rejection-sampled bound" 0.0
+    (minor_words_per_call (fun () -> ignore (Prng.int r 101 : int)))
+
 (* --- Binary_heap --- *)
 
 let test_heap_sorts =
@@ -130,7 +158,8 @@ let test_heap_sorts =
       List.iter (fun k -> Heap.push h ~key:k k) keys;
       let out = ref [] in
       while not (Heap.is_empty h) do
-        let k, _ = Heap.pop h in
+        let k = Heap.top_key h in
+        ignore (Heap.pop h : int);
         out := k :: !out
       done;
       List.rev !out = List.sort compare keys)
@@ -140,16 +169,20 @@ let test_heap_fifo_ties () =
   Heap.push h ~key:5 "first";
   Heap.push h ~key:5 "second";
   Heap.push h ~key:5 "third";
-  check Alcotest.string "fifo 1" "first" (snd (Heap.pop h));
-  check Alcotest.string "fifo 2" "second" (snd (Heap.pop h));
-  check Alcotest.string "fifo 3" "third" (snd (Heap.pop h))
+  check Alcotest.string "fifo 1" "first" (Heap.pop h);
+  check Alcotest.string "fifo 2" "second" (Heap.pop h);
+  check Alcotest.string "fifo 3" "third" (Heap.pop h)
 
-let test_heap_min_key () =
+let test_heap_top_key () =
   let h = Heap.create ~dummy:0 () in
-  check Alcotest.(option int) "empty" None (Heap.min_key h);
-  Heap.push h ~key:9 0;
-  Heap.push h ~key:2 0;
-  check Alcotest.(option int) "min" (Some 2) (Heap.min_key h)
+  Alcotest.check_raises "empty" (Invalid_argument "Binary_heap.top_key: empty heap")
+    (fun () -> ignore (Heap.top_key h));
+  Heap.push h ~key:9 90;
+  Heap.push h ~key:2 20;
+  check Alcotest.int "min" 2 (Heap.top_key h);
+  check Alcotest.int "top_key does not remove" 2 (Heap.top_key h);
+  check Alcotest.int "pop returns the min value" 20 (Heap.pop h);
+  check Alcotest.int "next min" 9 (Heap.top_key h)
 
 let test_heap_pop_empty () =
   let h = Heap.create ~dummy:0 () in
@@ -173,9 +206,10 @@ let test_heap_interleaved =
             match !reference with
             | [] -> Heap.is_empty h
             | smallest :: rest ->
-                let k', _ = Heap.pop h in
+                let k' = Heap.top_key h in
+                let v = Heap.pop h in
                 reference := rest;
-                k' = smallest)
+                k' = smallest && v = smallest)
         ops)
 
 (* --- Fvec / Ivec --- *)
@@ -354,9 +388,11 @@ let suite =
     Alcotest.test_case "prng choose_weighted" `Quick test_prng_choose_weighted;
     Alcotest.test_case "prng shuffle" `Quick test_prng_shuffle_permutation;
     Alcotest.test_case "prng gaussian moments" `Quick test_prng_gaussian_moments;
+    Alcotest.test_case "prng golden vectors" `Quick test_prng_golden_vectors;
+    Alcotest.test_case "prng int allocation-free" `Quick test_prng_int_allocation_free;
     test_heap_sorts;
     Alcotest.test_case "heap fifo ties" `Quick test_heap_fifo_ties;
-    Alcotest.test_case "heap min_key" `Quick test_heap_min_key;
+    Alcotest.test_case "heap top_key" `Quick test_heap_top_key;
     Alcotest.test_case "heap pop empty" `Quick test_heap_pop_empty;
     test_heap_interleaved;
     Alcotest.test_case "fvec basic" `Quick test_fvec_basic;
