@@ -4,8 +4,7 @@
 
      dune exec bench/main.exe -- [--jobs N] [--no-cache] [--parallel-bench [FILE]]
                                  [--obs-bench [FILE]] [--profile-bench [FILE]]
-                                 [--serve-bench [FILE]] [--steal-bench [FILE]]
-                                 [--tail-bench [FILE]]
+                                 [--serve-bench [FILE]] [--tail-bench [FILE]]
 
    The sweep grid fans out over OCaml 5 domains (--jobs or TQ_JOBS,
    default: recommended domain count) and completed points are served
@@ -163,7 +162,7 @@ let run_serve_bench ~out () =
         let _, r, stats = run_serve_one ~lanes in
         let all = Tq_obs.Latency.recorder r.latency "all" in
         let p q = float_of_int (Tq_obs.Latency.percentile all q) /. 1e3 in
-        let p50 = p 0.50 and p99 = p 0.99 and p999 = p 0.999 in
+        let p50 = p 50.0 and p99 = p 99.0 and p999 = p 99.9 in
         Printf.printf
           "lanes=%d: %.0f rps, p50 %.0f us, p99 %.0f us, p99.9 %.0f us (%d ok, %d \
            shed, %d errors)\n\
@@ -210,124 +209,6 @@ let run_serve_bench ~out () =
   Printf.fprintf oc "  ],\n  \"p99_speedup_lanes2\": %.3f\n}\n" speedup;
   close_out oc;
   Printf.printf "wrote %s (p99 speedup lanes=1 -> lanes=2: %.3fx)\n%!" out speedup
-
-(* ------------------------------------------------------------------ *)
-(* Skewed-load steal A/B: the BENCH_steal.json emitter                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Same server, same skewed offered load, steal off vs on.  The mix is
-   heavy-tailed unkeyed echo (a few percent of requests spin ~200x the
-   common case), the shape that strands a backlog of short requests
-   behind whichever worker drew a heavy one — exactly what the idle
-   sibling's steal-half second chance redistributes.  Emits both p99s,
-   the steal counters, and the off/on p99 ratio. *)
-let steal_bench_rate = 40_000.0
-let steal_bench_workers = 2
-
-let run_steal_one ~steal =
-  let config =
-    {
-      Tq_serve.Server.default_config with
-      port = 0;
-      workers = steal_bench_workers;
-      lanes = 1;
-      rx_depth = 2048;
-      kv_keys = 1024;
-      steal;
-    }
-  in
-  let srv = Tq_serve.Server.create config in
-  let th = Thread.create (fun () -> Tq_serve.Server.serve srv) () in
-  let lcfg =
-    {
-      (Tq_serve.Load_gen.default_config ~rate_rps:steal_bench_rate
-         ~port:(Tq_serve.Server.port srv))
-      with
-      mix =
-        {
-          Tq_serve.Load_gen.default_mix with
-          echo = 0.92;
-          kv = 0.03;
-          tpcc = 0.0;
-          echo_heavy = 0.05;
-          echo_spin_ns = 1_000;
-          echo_heavy_spin_ns = 200_000;
-        };
-    }
-  in
-  let r = Tq_serve.Load_gen.run lcfg in
-  Tq_serve.Server.stop srv;
-  Thread.join th;
-  let stats = Tq_serve.Server.stats srv in
-  if stats.parsed <> stats.dispatched + stats.shed then
-    failwith
-      (Printf.sprintf "steal bench: steal=%b parsed %d <> dispatched %d + shed %d"
-         steal stats.parsed stats.dispatched stats.shed);
-  let reg = Tq_serve.Server.merged_counters srv in
-  let steals = Tq_obs.Counters.find_count reg "runtime.steals" in
-  let steal_items = Tq_obs.Counters.find_count reg "runtime.steal_items" in
-  (r, stats, steals, steal_items)
-
-let run_steal_bench ~out () =
-  hr ();
-  Printf.printf
-    "Steal A/B under a skewed offered load (%d workers, %.0f rps, 5%% heavy echoes)\n"
-    steal_bench_workers steal_bench_rate;
-  hr ();
-  let results =
-    List.map
-      (fun steal ->
-        let r, stats, steals, steal_items = run_steal_one ~steal in
-        let all = Tq_obs.Latency.recorder r.latency "all" in
-        let p q = float_of_int (Tq_obs.Latency.percentile all q) /. 1e3 in
-        let p50 = p 0.50 and p99 = p 0.99 and p999 = p 0.999 in
-        Printf.printf
-          "steal=%-3s: %.0f rps, p50 %.0f us, p99 %.0f us, p99.9 %.0f us, %d steal \
-           batches / %d moved (%d ok, %d shed)\n\
-           %!"
-          (if steal then "on" else "off")
-          r.throughput_rps p50 p99 p999 steals steal_items r.ok r.shed;
-        (steal, r, stats, steals, steal_items, (p50, p99, p999)))
-      [ false; true ]
-  in
-  let p99_of v =
-    List.find_map
-      (fun (steal, _, _, _, _, (_, p99, _)) -> if steal = v then Some p99 else None)
-      results
-  in
-  let improvement =
-    match (p99_of false, p99_of true) with
-    | Some off, Some on when on > 0.0 -> off /. on
-    | _ -> 1.0
-  in
-  let oc = open_out out in
-  output_string oc ("{\n" ^ Tq_util.Bench_meta.json_fields ());
-  Printf.fprintf oc
-    "\  \"benchmark\": \"steal A/B under skewed load (tq_serve loopback)\",\n\
-    \  \"host_cores\": %d,\n\
-    \  \"workers\": %d,\n\
-    \  \"offered_rps\": %.0f,\n\
-    \  \"mix\": {\"echo\": 0.92, \"kv\": 0.03, \"echo_heavy\": 0.05, \
-     \"echo_spin_ns\": 1000, \"echo_heavy_spin_ns\": 200000},\n\
-    \  \"sweep\": [\n"
-    (Domain.recommended_domain_count ())
-    steal_bench_workers steal_bench_rate;
-  List.iteri
-    (fun i (steal, (r : Tq_serve.Load_gen.result), (s : Tq_serve.Server.stats), steals,
-            steal_items, (p50, p99, p999)) ->
-      Printf.fprintf oc
-        "    {\"steal\": %b, \"throughput_rps\": %.0f, \"ok\": %d, \"shed\": %d, \
-         \"errors\": %d,\n\
-        \     \"parsed\": %d, \"dispatched\": %d, \"completed\": %d, \"steals\": %d, \
-         \"steal_items\": %d,\n\
-        \     \"p50_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f}%s\n"
-        steal r.throughput_rps r.ok r.shed r.errors s.parsed s.dispatched s.completed
-        steals steal_items p50 p99 p999
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ],\n  \"p99_improvement_steal\": %.3f\n}\n" improvement;
-  close_out oc;
-  Printf.printf "wrote %s (p99 steal off -> on: %.3fx)\n%!" out improvement
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the library's own primitives           *)
@@ -653,8 +534,7 @@ let make_tail_test ~name sink =
          (* sojourn 1 ns: far below any filled reservoir's floor, so the
             enabled sink exercises the reject path *)
          Tq_obs.Tail.offer sink ~now_ns:1 ~seq:!seq ~class_idx:0 ~worker:0
-           ~sojourn_ns:1 ~t0_ns:0 ~quantum_ns:100_000 ~cap:(-1) ~inject_depth:0
-           ~deque_depth:0))
+           ~sojourn_ns:1 ~t0_ns:0 ~quantum_ns:100_000 ~cap:(-1) ~inject_depth:0))
 
 let run_tail_one ~tail_on =
   let config =
@@ -693,7 +573,7 @@ let run_tail_one ~tail_on =
       (Printf.sprintf "tail bench: tail=%b parsed %d <> dispatched %d + shed %d"
          tail_on stats.parsed stats.dispatched stats.shed);
   let all = Tq_obs.Latency.recorder r.latency "all" in
-  let p99 = float_of_int (Tq_obs.Latency.percentile all 0.99) /. 1e3 in
+  let p99 = float_of_int (Tq_obs.Latency.percentile all 99.0) /. 1e3 in
   (r, p99, dossiers)
 
 let run_tail_bench ~out () =
@@ -707,7 +587,7 @@ let run_tail_bench ~out () =
   for i = 1 to 16 do
     Tq_obs.Tail.offer live_sink ~now_ns:1 ~seq:(-i) ~class_idx:0 ~worker:0
       ~sojourn_ns:1_000_000 ~t0_ns:0 ~quantum_ns:100_000 ~cap:(-1)
-      ~inject_depth:0 ~deque_depth:0
+      ~inject_depth:0
   done;
   let reject =
     print_ns_words (make_tail_test ~name:"tail offer (enabled, reject)" live_sink)
@@ -827,7 +707,6 @@ let () =
   let obs_bench = ref None in
   let profile_bench = ref None in
   let serve_bench = ref None in
-  let steal_bench = ref None in
   let tail_bench = ref None in
   let rec parse = function
     | [] -> ()
@@ -863,12 +742,6 @@ let () =
     | "--serve-bench" :: rest ->
         serve_bench := Some "BENCH_serve.json";
         parse rest
-    | "--steal-bench" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
-        steal_bench := Some path;
-        parse rest
-    | "--steal-bench" :: rest ->
-        steal_bench := Some "BENCH_steal.json";
-        parse rest
     | "--tail-bench" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
         tail_bench := Some path;
         parse rest
@@ -881,17 +754,13 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let jobs = if !jobs = 0 then Tq_par.Domain_pool.default_jobs () else !jobs in
-  match
-    ( !parallel_bench, !obs_bench, !profile_bench, !serve_bench, !steal_bench,
-      !tail_bench )
-  with
-  | Some out, _, _, _, _, _ -> run_parallel_bench ~out ()
-  | None, Some out, _, _, _, _ -> run_obs_bench ~out ()
-  | None, None, Some out, _, _, _ -> run_profile_bench ~out ()
-  | None, None, None, Some out, _, _ -> run_serve_bench ~out ()
-  | None, None, None, None, Some out, _ -> run_steal_bench ~out ()
-  | None, None, None, None, None, Some out -> run_tail_bench ~out ()
-  | None, None, None, None, None, None ->
+  match (!parallel_bench, !obs_bench, !profile_bench, !serve_bench, !tail_bench) with
+  | Some out, _, _, _, _ -> run_parallel_bench ~out ()
+  | None, Some out, _, _, _ -> run_obs_bench ~out ()
+  | None, None, Some out, _, _ -> run_profile_bench ~out ()
+  | None, None, None, Some out, _ -> run_serve_bench ~out ()
+  | None, None, None, None, Some out -> run_tail_bench ~out ()
+  | None, None, None, None, None ->
       run_experiments ~jobs ~use_cache:!use_cache ();
       run_microbenchmarks ();
       run_trace_overhead ();

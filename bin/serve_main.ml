@@ -6,11 +6,10 @@
 
 open Cmdliner
 
-let serve host port cores lanes quantum_us ring rx_depth admission steal kv_keys
-    pool_bufs pool_buf_bytes duration_s stats_out obs obs_capacity trace_out
-    gc_events adaptive ctl_latency_us ctl_interval_ms heartbeat_ms
-    missed_heartbeats faults tail_k tail_threshold_us tail_window_ms
-    tail_trace_out metrics_port =
+let serve host port cores lanes quantum_us ring rx_depth admission kv_keys pool_bufs
+    pool_buf_bytes duration_s stats_out obs obs_capacity trace_out gc_events
+    adaptive ctl_latency_us ctl_interval_ms heartbeat_ms missed_heartbeats faults
+    tail_k tail_threshold_us tail_window_ms tail_trace_out metrics_port =
   if lanes < 1 || lanes > cores then begin
     Printf.eprintf "tq_serve: --lanes must be in [1, --cores] (got %d of %d)\n" lanes
       cores;
@@ -81,7 +80,6 @@ let serve host port cores lanes quantum_us ring rx_depth admission steal kv_keys
       ring_capacity = ring;
       rx_depth;
       admission;
-      steal;
       kv_keys;
       adaptive = controller;
       heartbeat_interval_s = heartbeat_ms /. 1e3;
@@ -262,15 +260,6 @@ let () =
          & info [ "admission" ] ~docv:"POLICY"
              ~doc:"extra admission gate: accept-all | queue-limit:N | ewma:USEC")
   in
-  let steal =
-    let onoff = Arg.enum [ ("on", true); ("off", false) ] in
-    Arg.(value & opt onoff false
-         & info [ "steal" ] ~docv:"on|off"
-             ~doc:"idle-time work stealing inside each lane's worker slice: an \
-                   idle worker takes half of the most-loaded sibling's \
-                   queued-but-unstarted (unkeyed) requests; surfaces as \
-                   runtime.steals/steal_items/steal_failures and Steal spans")
-  in
   let kv_keys =
     Arg.(value & opt int 1024 & info [ "kv-keys" ] ~docv:"N" ~doc:"prepopulated keys per worker store")
   in
@@ -381,7 +370,7 @@ let () =
   let cmd =
     Cmd.v (Cmd.info "tq_serve" ~version:"1.2.0" ~doc)
       Term.(const serve $ host $ port $ cores $ lanes $ quantum $ ring $ rx_depth
-            $ admission $ steal $ kv_keys $ pool_bufs $ pool_buf_bytes $ duration $ stats_out
+            $ admission $ kv_keys $ pool_bufs $ pool_buf_bytes $ duration $ stats_out
             $ obs $ obs_capacity $ trace_out $ gc_events $ adaptive $ ctl_latency_us
             $ ctl_interval_ms $ heartbeat_ms $ missed_heartbeats $ faults
             $ tail_k $ tail_threshold_us $ tail_window_ms $ tail_trace_out

@@ -219,7 +219,7 @@ let collect_pendings ~on_accept ~on_shed records =
       | Span.Reply_flush when r.req_id >= 0 ->
           set_boundary (pending r.req_id) `Reply (r.start_ns + r.dur_ns)
       | Span.Parse | Span.Dispatch | Span.Ring_hop | Span.Quantum
-      | Span.Reply_flush | Span.Stall | Span.Steal | Span.Gc_minor
+      | Span.Reply_flush | Span.Stall | Span.Gc_minor
       | Span.Gc_major -> ())
     records;
   pendings

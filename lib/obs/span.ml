@@ -22,7 +22,6 @@ type phase =
   | Reply_flush
   | Stall
   | Shed
-  | Steal
   | Gc_minor
   | Gc_major
 
@@ -35,7 +34,6 @@ let phase_name = function
   | Reply_flush -> "reply_flush"
   | Stall -> "stall"
   | Shed -> "shed"
-  | Steal -> "steal"
   | Gc_minor -> "gc_minor"
   | Gc_major -> "gc_major"
 

@@ -16,9 +16,7 @@
 (** One step of a request's journey through the server, in pipeline
     order.  [Quantum] and [Stall] are core-level ([Stall] marks a
     wall-clock gap ≫ quantum between consecutive quanta on one domain —
-    a GC pause or an OS preemption made visible).  [Steal] marks a
-    worker-side steal: the thief records it on its own lane with the
-    victim's worker index in [arg].  [Gc_minor] and
+    a GC pause or an OS preemption made visible).  [Gc_minor] and
     [Gc_major] are per-domain collector pauses recorded by
     {!Gc_events} on the [Event.Gc] lanes. *)
 type phase =
@@ -30,7 +28,6 @@ type phase =
   | Reply_flush
   | Stall
   | Shed
-  | Steal
   | Gc_minor
   | Gc_major
 

@@ -35,7 +35,6 @@ type entry = {
   e_quantum_ns : int;
   e_cap : int;
   e_inject_depth : int;
-  e_deque_depth : int;
   e_breach : bool;
 }
 
@@ -168,7 +167,7 @@ let insert_slot s e =
   end
 
 let offer sink ~now_ns ~seq ~class_idx ~worker ~sojourn_ns ~t0_ns ~quantum_ns ~cap
-    ~inject_depth ~deque_depth =
+    ~inject_depth =
   if sink.s_k > 0 then begin
     sink.m_offered <- sink.m_offered + 1;
     if sink.window_start_ns = 0 then sink.window_start_ns <- now_ns
@@ -188,7 +187,6 @@ let offer sink ~now_ns ~seq ~class_idx ~worker ~sojourn_ns ~t0_ns ~quantum_ns ~c
           e_quantum_ns = quantum_ns;
           e_cap = cap;
           e_inject_depth = inject_depth;
-          e_deque_depth = deque_depth;
           e_breach = breach;
         }
       in
@@ -242,7 +240,6 @@ type dossier = {
   d_sojourn_ns : int;
   d_stages : (Profile.stage * int) list;
   d_quanta : int;
-  d_steals : int;
   d_stalls : int;
   d_gc_pauses : int;
   d_gc_pause_ns : int;
@@ -259,14 +256,12 @@ let dossiers t ~records ~limit =
       let overlaps (r : Span.record) =
         r.Span.start_ns < e.e_end_ns && r.Span.start_ns + r.Span.dur_ns > e.e_t0_ns
       in
-      let quanta = ref 0 and steals = ref 0 and stalls = ref 0 in
+      let quanta = ref 0 and stalls = ref 0 in
       let gc_pauses = ref 0 and gc_pause_ns = ref 0 in
       List.iter
         (fun (r : Span.record) ->
           match r.Span.phase with
           | Span.Quantum when r.Span.req_id = e.e_seq -> incr quanta
-          | Span.Steal when r.Span.lane = Event.Worker e.e_worker && overlaps r ->
-              incr steals
           | Span.Stall when r.Span.lane = Event.Worker e.e_worker && overlaps r ->
               incr stalls
           | (Span.Gc_minor | Span.Gc_major) when overlaps r ->
@@ -282,7 +277,6 @@ let dossiers t ~records ~limit =
             d_sojourn_ns = List.fold_left (fun acc (_, v) -> acc + v) 0 stages;
             d_stages = stages;
             d_quanta = !quanta;
-            d_steals = !steals;
             d_stalls = !stalls;
             d_gc_pauses = !gc_pauses;
             d_gc_pause_ns = !gc_pause_ns;
@@ -294,7 +288,6 @@ let dossiers t ~records ~limit =
             d_sojourn_ns = e.e_sojourn_ns;
             d_stages = [];
             d_quanta = !quanta;
-            d_steals = !steals;
             d_stalls = !stalls;
             d_gc_pauses = !gc_pauses;
             d_gc_pause_ns = !gc_pause_ns;
@@ -308,10 +301,10 @@ let dossier_json ~class_name d =
     (Printf.sprintf
        "{\"seq\": %d, \"class\": %S, \"lane\": %d, \"worker\": %d, \"breach\": %b, \
         \"admit_sojourn_ns\": %d, \"t0_ns\": %d, \"quantum_ns\": %d, \
-        \"admission_cap\": %d, \"inject_depth\": %d, \"deque_depth\": %d, \
+        \"admission_cap\": %d, \"inject_depth\": %d, \
         \"attributed\": %b, \"sojourn_ns\": %d, \"stage_sum_ns\": %d, "
        e.e_seq (class_name e.e_class) e.e_lane e.e_worker e.e_breach e.e_sojourn_ns
-       e.e_t0_ns e.e_quantum_ns e.e_cap e.e_inject_depth e.e_deque_depth
+       e.e_t0_ns e.e_quantum_ns e.e_cap e.e_inject_depth
        d.d_attributed d.d_sojourn_ns
        (List.fold_left (fun acc (_, v) -> acc + v) 0 d.d_stages));
   (if d.d_attributed then begin
@@ -326,10 +319,9 @@ let dossier_json ~class_name d =
    else Buffer.add_string b "\"stages_ns\": null, ");
   Buffer.add_string b
     (Printf.sprintf
-       "\"quanta\": %d, \"preemptions\": %d, \"steals\": %d, \"stalls\": %d, \
-        \"gc_pauses\": %d, \"gc_pause_ns\": %d}"
-       d.d_quanta (max 0 (d.d_quanta - 1)) d.d_steals d.d_stalls d.d_gc_pauses
-       d.d_gc_pause_ns);
+       "\"quanta\": %d, \"preemptions\": %d, \"stalls\": %d, \"gc_pauses\": %d, \
+        \"gc_pause_ns\": %d}"
+       d.d_quanta (max 0 (d.d_quanta - 1)) d.d_stalls d.d_gc_pauses d.d_gc_pause_ns);
   Buffer.contents b
 
 let dossiers_json ?(class_name = string_of_int) t ds =
@@ -358,7 +350,7 @@ let render ?(class_name = string_of_int) ds =
       ~columns:
         [
           "seq"; "class"; "lane"; "wrk"; "sojourn us"; "parse"; "disp"; "hop";
-          "wait"; "serve"; "preempt"; "flush"; "q"; "steal"; "gc"; "depth";
+          "wait"; "serve"; "preempt"; "flush"; "q"; "gc"; "depth";
         ]
   in
   List.iter
@@ -385,18 +377,17 @@ let render ?(class_name = string_of_int) ds =
           stage Profile.S_preempt_overhead;
           stage Profile.S_reply_flush;
           string_of_int d.d_quanta;
-          string_of_int d.d_steals;
           Printf.sprintf "%d/%s" d.d_gc_pauses
             (Tq_util.Text_table.cell_f (us d.d_gc_pause_ns));
-          Printf.sprintf "%d+%d" e.e_inject_depth e.e_deque_depth;
+          string_of_int e.e_inject_depth;
         ])
     ds;
   Tq_util.Text_table.render table
   ^ "sojourn '!' = threshold breach; stages in us telescope to the sojourn \
-     exactly when attributed; depth = inject+deque seen at dispatch\n"
+     exactly when attributed; depth = inject ring seen at dispatch\n"
 
 (* Outlier-only Perfetto export: the retained requests' own spans plus
-   any core-level span (steal, stall, GC pause) overlapping a retained
+   any core-level span (stall, GC pause) overlapping a retained
    request's residency — a multi-minute run collapses to a readable
    timeline of just the requests worth staring at. *)
 let filter_records t records =
@@ -414,7 +405,7 @@ let filter_records t records =
       if Hashtbl.mem ids r.Span.req_id then true
       else
         match r.Span.phase with
-        | Span.Steal | Span.Stall | Span.Gc_minor | Span.Gc_major ->
+        | Span.Stall | Span.Gc_minor | Span.Gc_major ->
             overlaps_any r
         | _ -> false)
     records

@@ -28,14 +28,13 @@ type entry = {
   e_seq : int;  (** request sequence id, = [Span.record.req_id] *)
   e_class : int;  (** request class index *)
   e_lane : int;  (** owning dispatcher lane *)
-  e_worker : int;  (** worker that executed (post-steal) *)
+  e_worker : int;  (** worker that executed *)
   e_sojourn_ns : int;  (** sojourn observed at reply pop *)
   e_t0_ns : int;  (** request arrival stamp *)
   e_end_ns : int;  (** reply pop stamp *)
   e_quantum_ns : int;  (** controller quantum for the class at dispatch *)
   e_cap : int;  (** admission cap at dispatch, -1 = unlimited *)
   e_inject_depth : int;  (** target worker's inject-ring depth at dispatch *)
-  e_deque_depth : int;  (** target worker's deque depth at dispatch *)
   e_breach : bool;
 }
 
@@ -79,7 +78,7 @@ val window_ns : t -> int
 val register : t -> lane:int -> sink
 
 (** [offer sink ~now_ns ~seq ~class_idx ~worker ~sojourn_ns ~t0_ns
-    ~quantum_ns ~cap ~inject_depth ~deque_depth] considers one
+    ~quantum_ns ~cap ~inject_depth] considers one
     completed request for retention.  All-int arguments; the disabled
     path is one branch, the enabled reject path one extra compare. *)
 val offer :
@@ -93,7 +92,6 @@ val offer :
   quantum_ns:int ->
   cap:int ->
   inject_depth:int ->
-  deque_depth:int ->
   unit
 
 (** [offered t] — requests considered across all sinks. *)
@@ -116,7 +114,7 @@ val top : t -> limit:int -> entry list
 
 (** A retained request enriched from the span stream: exact per-stage
     attribution (when the request's spans telescope — see
-    {!Profile.request_stages}) plus steal / stall / GC-pause
+    {!Profile.request_stages}) plus stall / GC-pause
     annotations from core-level spans overlapping its residency.
     When [d_attributed], [d_sojourn_ns] is the span-derived sojourn
     and equals the sum of [d_stages] exactly; otherwise it is the
@@ -127,7 +125,6 @@ type dossier = {
   d_sojourn_ns : int;
   d_stages : (Profile.stage * int) list;
   d_quanta : int;  (** quanta the request ran; preemptions = quanta - 1 *)
-  d_steals : int;  (** steals on the executing worker during residency *)
   d_stalls : int;  (** stall spans on the executing worker during residency *)
   d_gc_pauses : int;  (** GC pauses (any domain) overlapping residency *)
   d_gc_pause_ns : int;  (** total overlapping GC pause time *)
@@ -148,13 +145,13 @@ val dossier_json : class_name:(int -> string) -> dossier -> string
 val dossiers_json : ?class_name:(int -> string) -> t -> dossier list -> string
 
 (** [render ?class_name ds] — the [tq_load --outliers] table: one row
-    per dossier with sojourn, the seven stages (µs), quanta, steals,
-    GC and queue depths. *)
+    per dossier with sojourn, the seven stages (µs), quanta, GC and
+    queue depth. *)
 val render : ?class_name:(int -> string) -> dossier list -> string
 
 (** [filter_records t records] — only the spans that matter for the
     retained requests: their own spans plus any core-level span
-    (steal, stall, GC pause) overlapping a retained residency. *)
+    (stall, GC pause) overlapping a retained residency. *)
 val filter_records : t -> Span.record list -> Span.record list
 
 (** [to_chrome t records] — outlier-only Perfetto export: the

@@ -63,13 +63,10 @@ let submit t work =
            policy = "jsq-msq";
            queue_len = Task_worker.queue_length worker;
          });
-  (* The executor never steals, so jobs keep the plain [unit -> unit]
-     shape and ride pinned with the executing wid discarded. *)
   Task_worker.submit worker
     {
       Task_worker.task_id = t.next_task_id;
       class_idx = 0;
-      pinned = true;
       work = (fun ~wid:_ -> work ());
     }
 

@@ -5,8 +5,8 @@ module Event = Tq_obs.Event
 type stats = { completed : int; yields : int; per_worker_finished : int array }
 
 type worker_handle = {
-  source : Task_worker.task Work_source.t;
-  assigned : int Atomic.t;  (** written by dispatcher; adjusted on steals *)
+  inject : Task_worker.task Spsc_ring.t;  (** dispatcher -> worker *)
+  assigned : int Atomic.t;  (** written by dispatcher *)
   finished : int Atomic.t;  (** written by worker *)
   yields : int Atomic.t;
   beats : int Atomic.t;  (** liveness heartbeat: bumped once per loop pass *)
@@ -25,8 +25,8 @@ type t = {
   next_tag : int Atomic.t;  (** fallback task-id source, shared by all producers *)
 }
 
-let worker_loop handle ~handles ~wid ~quantum_ns ~base_quantum ~class_quanta
-    ~stop ~spans ~reg ~track_probes ~stall_threshold_ns ~gc_pause_ns ~steal =
+let worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta
+    ~stop ~spans ~reg ~track_probes ~stall_threshold_ns ~gc_pause_ns =
   let clock = Clock.wall () in
   let obs =
     match reg with
@@ -41,9 +41,6 @@ let worker_loop handle ~handles ~wid ~quantum_ns ~base_quantum ~class_quanta
   let c_stall_other = Counters.counter creg "runtime.stall_other" in
   let c_stall_unknown = Counters.counter creg "runtime.stall_unknown" in
   let d_stall_gap = Counters.dist creg "runtime.stall_gap_ns" in
-  let c_steals = Counters.counter creg "runtime.steals" in
-  let c_steal_items = Counters.counter creg "runtime.steal_items" in
-  let c_steal_failures = Counters.counter creg "runtime.steal_failures" in
   (* Wall-clock-gap stall detector: consecutive busy slices separated by
      much more than a quantum mean the domain lost the CPU between them
      (GC pause, OS preemption).  [last_end] resets on idle polls so time
@@ -100,41 +97,22 @@ let worker_loop handle ~handles ~wid ~quantum_ns ~base_quantum ~class_quanta
       ~on_finish:(fun _ -> Atomic.incr handle.finished)
       ()
   in
-  let source = handle.source in
-  (* Admission = handing a task to the fiber scheduler; from here on it
-     is pinned to this domain.  Ring-hop latency is invisible (no
-     enqueue stamp on the disabled-cost path); mark the pickup as an
-     instant so the trace shows when the request landed on the core. *)
-  let admit task =
-    if spans_on then begin
-      let now = Clock.now_ns clock in
-      Span.record sink ~req_id:task.Task_worker.task_id ~phase:Span.Ring_hop
-        ~start_ns:now ~dur_ns:0 ~arg:wid
-    end;
-    Task_worker.submit worker task
-  in
-  let is_pinned task = task.Task_worker.pinned in
-  let drain_source () =
-    ignore (Work_source.drain source ~is_pinned ~submit:admit)
-  in
-  let try_steal () =
-    let t0 = Clock.now_ns clock in
-    match Work_source.try_steal source with
-    | Some (victim, moved) ->
-        (* Credit the thief before debiting the victim: the transient
-           view is an overcount, never an undercount, so [drain] cannot
-           observe zero in-flight while stolen work still runs. *)
-        ignore (Atomic.fetch_and_add handle.assigned moved);
-        ignore (Atomic.fetch_and_add handles.(victim).assigned (-moved));
-        Counters.incr c_steals;
-        Counters.add c_steal_items moved;
-        if spans_on then
-          Span.record sink ~req_id:(-1) ~phase:Span.Steal ~start_ns:t0
-            ~dur_ns:(Clock.now_ns clock - t0) ~arg:victim;
-        true
-    | None ->
-        Counters.incr c_steal_failures;
-        false
+  (* Admission = handing a task to the fiber scheduler, which
+     multitasks everything admitted (per-core processor sharing).
+     Ring-hop latency is invisible (no enqueue stamp on the
+     disabled-cost path); mark the pickup as an instant so the trace
+     shows when the request landed on the core. *)
+  let rec drain_inject () =
+    match Spsc_ring.try_pop handle.inject with
+    | None -> ()
+    | Some task ->
+        if spans_on then begin
+          let now = Clock.now_ns clock in
+          Span.record sink ~req_id:task.Task_worker.task_id ~phase:Span.Ring_hop
+            ~start_ns:now ~dur_ns:0 ~arg:wid
+        end;
+        Task_worker.submit worker task;
+        drain_inject ()
   in
   (* Persistent service loop: exits only when the stop flag is up AND
      both the ring and the local run queue are empty — admitted work is
@@ -157,11 +135,7 @@ let worker_loop handle ~handles ~wid ~quantum_ns ~base_quantum ~class_quanta
         Atomic.set handle.stall_until_ns 0;
         last_end := -1
       end;
-      drain_source ();
-      (* Admit one stealable task per pass: the fiber queue multitasks
-         what has been admitted while the remainder waits in the deque,
-         where idle siblings can still see (and take) it. *)
-      (match Work_source.next source with Some task -> admit task | None -> ());
+      drain_inject ();
       let ran = Task_worker.run_slice worker in
       Atomic.set handle.yields (Task_worker.total_yields worker);
       if ran then begin
@@ -170,15 +144,7 @@ let worker_loop handle ~handles ~wid ~quantum_ns ~base_quantum ~class_quanta
       end
       else begin
         last_end := -1;
-        (* Idle (empty inject ring, empty deque, empty fiber queue):
-           second-chance load balancing — take half of the most-loaded
-           sibling's deque before parking.  Stealing stays on during
-           shutdown so an idle worker helps drain a backlogged one. *)
-        if steal && try_steal () then begin
-          Backoff.reset backoff;
-          loop ()
-        end
-        else if Atomic.get stop && Work_source.depth source = 0 then ()
+        if Atomic.get stop && Spsc_ring.length handle.inject = 0 then ()
         else begin
           Backoff.once backoff;
           loop ()
@@ -189,10 +155,9 @@ let worker_loop handle ~handles ~wid ~quantum_ns ~base_quantum ~class_quanta
   loop ()
 
 let create ?(workers = 4) ?(quantum_ns = 100_000) ?(ring_capacity = 256)
-    ?(classes = 0) ?(lanes = 1) ?(steal = false) ?(spans = Span.null)
-    ?worker_counters ?stall_threshold_ns ?gc_pause_ns () =
+    ?(classes = 0) ?(spans = Span.null) ?worker_counters ?stall_threshold_ns
+    ?gc_pause_ns () =
   if workers < 1 then invalid_arg "Parallel.create: need at least one worker";
-  if lanes < 1 then invalid_arg "Parallel.create: need at least one lane";
   (match worker_counters with
   | Some regs when Array.length regs <> workers ->
       invalid_arg "Parallel.create: worker_counters length must equal workers"
@@ -207,9 +172,9 @@ let create ?(workers = 4) ?(quantum_ns = 100_000) ?(ring_capacity = 256)
   let base_quantum = Atomic.make quantum_ns in
   let class_quanta = Array.init (max 0 classes) (fun _ -> Atomic.make 0) in
   let handles =
-    Array.init workers (fun wid ->
+    Array.init workers (fun _ ->
         {
-          source = Work_source.create ~wid ~capacity:ring_capacity;
+          inject = Spsc_ring.create ~capacity:ring_capacity;
           assigned = Atomic.make 0;
           finished = Atomic.make 0;
           yields = Atomic.make 0;
@@ -219,31 +184,13 @@ let create ?(workers = 4) ?(quantum_ns = 100_000) ?(ring_capacity = 256)
           dead = Atomic.make false;
         })
   in
-  (* Steal groups are lane slices: worker [w] may only take from
-     siblings with the same [w mod lanes], mirroring the serve plane's
-     partitioning so stolen work never crosses a lane boundary (reply
-     rings stay single-producer per lane).  [lanes = 1] is the classic
-     layout: one group spanning the whole pool. *)
-  let group_of wid =
-    let members =
-      Array.to_list handles
-      |> List.filteri (fun w _ -> w mod lanes = wid mod lanes)
-      |> List.map (fun h -> h.source)
-    in
-    Array.of_list members
-  in
-  Array.iteri (fun wid h -> Work_source.set_group h.source (group_of wid)) handles;
   let domains =
     Array.mapi
       (fun wid handle ->
         let reg = Option.map (fun regs -> regs.(wid)) worker_counters in
-        (* A lone group member has nobody to rob; skip the scan (and
-           the failure counter churn) entirely. *)
-        let steal = steal && Array.length (group_of wid) > 1 in
         Domain.spawn (fun () ->
-            worker_loop handle ~handles ~wid ~quantum_ns ~base_quantum
-              ~class_quanta ~stop ~spans ~reg ~track_probes ~stall_threshold_ns
-              ~gc_pause_ns ~steal))
+            worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta ~stop
+              ~spans ~reg ~track_probes ~stall_threshold_ns ~gc_pause_ns))
       handles
   in
   { handles; domains; stop; base_quantum; class_quanta; live = true;
@@ -291,7 +238,7 @@ let alive_in t ~workers =
       else acc)
     0 workers
 
-let submit_to t ?tag ?(class_idx = 0) ?(pinned = false) ~worker job =
+let submit_to t ?tag ?(class_idx = 0) ~worker job =
   if not t.live then invalid_arg "Parallel.submit_to: pool is shut down";
   if worker < 0 || worker >= Array.length t.handles then
     invalid_arg "Parallel.submit_to: no such worker";
@@ -301,7 +248,7 @@ let submit_to t ?tag ?(class_idx = 0) ?(pinned = false) ~worker job =
     | Some g -> g
     | None -> Atomic.fetch_and_add t.next_tag 1 + 1
   in
-  if Work_source.inject handle.source { Task_worker.task_id; class_idx; pinned; work = job }
+  if Spsc_ring.try_push handle.inject { Task_worker.task_id; class_idx; work = job }
   then begin
     Atomic.incr handle.assigned;
     true
@@ -316,9 +263,7 @@ let in_flight t =
     0 t.handles
 
 let worker_in_flight t ~worker = unfinished t.handles.(worker)
-let ring_depth t ~worker = Work_source.depth t.handles.(worker).source
-let inject_depth t ~worker = Work_source.inject_depth t.handles.(worker).source
-let deque_depth t ~worker = Work_source.stealable t.handles.(worker).source
+let ring_depth t ~worker = Spsc_ring.length t.handles.(worker).inject
 
 (* {2 Live actuation and fault hooks} *)
 
@@ -354,6 +299,8 @@ let mark_dead t ~worker =
     Atomic.set h.dead true;
     unfinished h
   end
+
+let revive t ~worker = Atomic.set t.handles.(worker).dead false
 
 let stats t =
   {

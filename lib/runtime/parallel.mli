@@ -1,18 +1,16 @@
 (** Multi-domain TQ executor: real parallelism as a persistent service.
 
     One dispatcher (the thread that created the handle) load-balances
-    jobs over worker domains through per-worker {!Work_source}s (inject
-    ring + stealable deque), using JSQ on the workers' atomic
-    assigned/finished counters; each worker domain runs the
-    forced-multitasking scheduler loop over its own fibers with a wall
-    clock.  Each worker drains its inject ring into its own deque and
-    admits one task per loop pass, so queued-but-unstarted work stays
-    visible to siblings; with [steal] on, an idle worker takes half of
-    the most-loaded deque in its lane slice — a second chance under the
-    dispatcher's first-choice placement.
+    jobs over worker domains through per-worker SPSC inject rings,
+    using JSQ on the workers' atomic assigned/finished counters; each
+    worker domain drains its ring straight into its fiber queue and
+    runs the forced-multitasking scheduler loop over those fibers with
+    a wall clock — the paper's per-core processor sharing.  As in TQ,
+    placement is the only load balancing: a job runs on the worker it
+    was submitted to (DESIGN.md explains why).
 
     The handle is persistent: workers are spawned by {!create} and keep
-    polling their sources until {!shutdown}, so a server can submit
+    polling their rings until {!shutdown}, so a server can submit
     requests for its whole lifetime instead of draining one fixed batch.
     The inject rings are single-producer {e per worker}: at any moment,
     at most one thread may {!submit_to} a given worker — either one
@@ -38,22 +36,8 @@ type t
     domains (default 4) and returns immediately.  Each worker multitasks
     its admitted jobs with forced yields every [quantum_ns] (default
     100 us) of wall-clock time; [ring_capacity] (default 256) bounds
-    each dispatcher->worker inject ring and its stealable deque — a
-    full ring is the backpressure signal {!submit} reports.
-
-    Work stealing (default off): [steal] arms idle-time stealing —
-    a worker whose inject ring, deque and fiber queue are all empty
-    takes half of the most-loaded sibling deque in its steal group
-    before parking.  [lanes] (default 1) shapes the groups: worker [w]
-    may only rob siblings with the same [w mod lanes], matching the
-    multi-lane serve plane's slices so stolen work never crosses a
-    lane.  Only unpinned tasks ({!submit_to}) are ever stolen, and only
-    while queued-but-unstarted; accounting credit moves with the task
-    (thief first), so {!in_flight} and {!drain} stay exact.  Steals
-    land in the thief's counters ([runtime.steals],
-    [runtime.steal_items], [runtime.steal_failures]) and, when spans
-    are on, as a [Steal] span on the thief's lane with the victim's
-    index in [arg].
+    each dispatcher->worker inject ring — a full ring is the
+    backpressure signal {!submit} reports.
 
     Observability hooks (all default off / zero-cost):
     - [spans] — each worker registers a {!Tq_obs.Span} sink on its lane
@@ -82,8 +66,6 @@ val create :
   ?quantum_ns:int ->
   ?ring_capacity:int ->
   ?classes:int ->
-  ?lanes:int ->
-  ?steal:bool ->
   ?spans:Tq_obs.Span.t ->
   ?worker_counters:Tq_obs.Counters.t array ->
   ?stall_threshold_ns:int ->
@@ -111,16 +93,10 @@ val pick_in : t -> workers:int array -> int
     marked dead (out-of-range indices count as dead). *)
 val alive_in : t -> workers:int array -> int
 
-(** [submit_to t ?tag ?class_idx ?pinned ~worker job] — push [job]
-    onto [worker]'s inject ring; [false] when the ring is full (shed or
-    retry — nothing was enqueued).  The job receives the id of the
-    worker that {e executes} it ([job ~wid]): with stealing off (or
-    [pinned]) that is always [worker], with stealing on an unpinned job
-    may run on another worker in the same lane slice, so per-worker
-    state must be resolved through [wid] rather than captured at
-    submission.  [pinned] (default false) exempts the job from stealing
-    — required when the job touches state only [worker] may own (the
-    server pins key-steered requests).  [tag] labels the job in
+(** [submit_to t ?tag ?class_idx ~worker job] — push [job] onto
+    [worker]'s inject ring; [false] when the ring is full (shed or
+    retry — nothing was enqueued).  The job runs on [worker] and
+    receives its id ([job ~wid]).  [tag] labels the job in
     worker-side observability (span [req_id], trace job id); the server
     passes its request id so worker quanta stitch to dispatcher spans.
     Untagged jobs get a pool-unique id.  [class_idx] (default 0)
@@ -128,8 +104,7 @@ val alive_in : t -> workers:int array -> int
     Raises [Invalid_argument] after {!shutdown} or for an out-of-range
     worker. *)
 val submit_to :
-  t -> ?tag:int -> ?class_idx:int -> ?pinned:bool -> worker:int ->
-  (wid:int -> unit) -> bool
+  t -> ?tag:int -> ?class_idx:int -> worker:int -> (wid:int -> unit) -> bool
 
 (** [submit t ?tag ?class_idx job] =
     [submit_to t ?tag ?class_idx ~worker:(pick t) job]. *)
@@ -186,7 +161,13 @@ val kill_worker : t -> worker:int -> unit
     (the jobs the caller must re-dispatch); 0 if already dead. *)
 val mark_dead : t -> worker:int -> int
 
-(** [worker_alive t ~worker] — [false] once {!mark_dead} was called. *)
+(** [revive t ~worker] — undo {!mark_dead}: the dispatcher's verdict
+    when a worker it declared dead beats again (it was only stalled).
+    The worker rejoins {!pick}, {!in_flight} and {!alive_workers}; the
+    jobs it still holds count and complete as usual. *)
+val revive : t -> worker:int -> unit
+
+(** [worker_alive t ~worker] — [false] while the worker is marked dead. *)
 val worker_alive : t -> worker:int -> bool
 
 (** Workers not marked dead. *)
@@ -200,20 +181,10 @@ val in_flight : t -> int
     and ring-depth admission control reads. *)
 val worker_in_flight : t -> worker:int -> int
 
-(** Queued-but-unstarted jobs on [worker]'s source (inject ring plus
-    stealable deque; excludes jobs already admitted to the worker's
-    fiber queue). *)
+(** Jobs on [worker]'s inject ring that the worker has not yet drained
+    into its fiber queue.  Sampled into tail dossiers as the queue state
+    a slow request saw at dispatch. *)
 val ring_depth : t -> worker:int -> int
-
-(** The inject-ring component of {!ring_depth} alone — jobs pushed by
-    the dispatcher that the worker has not yet drained.  Sampled into
-    tail dossiers as the queue state a slow request saw at dispatch. *)
-val inject_depth : t -> worker:int -> int
-
-(** The stealable-deque component of {!ring_depth} alone — drained
-    jobs visible to sibling thieves.  Sampled into tail dossiers
-    alongside {!inject_depth}. *)
-val deque_depth : t -> worker:int -> int
 
 (** Live snapshot of the pool's counters (safe from any thread). *)
 val stats : t -> stats

@@ -6,7 +6,6 @@ module Counters = Tq_obs.Counters
 type task = {
   task_id : int;
   class_idx : int;
-  pinned : bool;
   work : wid:int -> unit;
 }
 
@@ -66,9 +65,6 @@ let create ?(obs = Tq_obs.Obs.disabled ()) ?(wid = 0) ?(track_probes = false)
 
 let submit t task =
   t.assigned <- t.assigned + 1;
-  (* The fiber binds the executing worker's id, not the placed-at one:
-     a stolen task resolves per-worker state (app instance, reply ring)
-     against the core that actually runs it. *)
   Deque.push_back t.queue
     {
       task;

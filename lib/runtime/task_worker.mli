@@ -9,15 +9,10 @@
 type task = {
   task_id : int;
   class_idx : int;  (** request class, for per-class quantum lookup *)
-  pinned : bool;
-      (** pinned tasks must execute on the worker they were placed on;
-          the queue plane ({!Work_source}) never exposes them to
-          thieves.  The worker itself treats both kinds alike. *)
   work : wid:int -> unit;
-      (** called with the id of the worker that actually executes it —
-          equal to the placement target unless the task was stolen, so
-          per-worker state (app instance, reply ring) must be resolved
-          through [wid], never captured at placement time *)
+      (** called with the id of the worker that executes it, so the
+          job can resolve per-worker state (app instance, reply ring)
+          when it runs *)
 }
 
 type t

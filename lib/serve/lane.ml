@@ -134,7 +134,6 @@ type pending = {
   p_quantum_ns : int;
   p_cap : int;
   p_inject : int;
-  p_deque : int;
 }
 
 type t = {
@@ -333,13 +332,10 @@ let serve_stats t conn req_id view =
 
 (* The worker-side closure for one request: execute on the running
    worker's app, encode into a pooled buffer, push onto that worker's
-   reply ring.  The app and ring are resolved from the [wid] the pool
-   passes at execution time, never captured at placement: a stolen job
-   runs against the thief's app and pushes the thief's own reply ring,
-   which keeps every reply ring single-producer — and, because steals
-   are bounded to the lane slice, the ring is still one this lane
-   polls.  (Keyed requests are pinned at dispatch and so always run
-   where placed.) *)
+   reply ring.  The app and ring are looked up from the [wid] the pool
+   passes at execution — the worker the job was submitted to — so the
+   closure needs no placement argument and each reply ring keeps one
+   producer, its own worker. *)
 let make_job t ~sid ~cid ~class_idx ~t0 ~req_id req =
   let apps = t.sh.apps in
   let rings = t.sh.reply_rings in
@@ -414,27 +410,21 @@ let dispatch t conn ~p0 req_id req =
     let cid = conn.cid in
     (* Tail forensics samples the controller and queue state the
        request saw at dispatch — quantum in force for its class, the
-       admission cap, and the chosen worker's inject/deque depths —
-       so a slow request's dossier can say what the plane looked like
-       when it was placed.  Guarded: the disabled path reads no state. *)
-    let q_ns, cap, inj, deq =
+       admission cap, and the chosen worker's inject-ring depth — so a
+       slow request's dossier can say what the plane looked like when
+       it was placed.  Guarded: the disabled path reads no state. *)
+    let q_ns, cap, inj =
       if t.sh.tail_on then
         ( Parallel.quantum_ns t.sh.pool ~class_idx (),
           (match Admission.policy t.adm with
           | Admission.Queue_limit { max_in_system } -> max_in_system
           | Admission.Accept_all | Admission.Ewma_sojourn _ -> -1),
-          Parallel.inject_depth t.sh.pool ~worker:w,
-          Parallel.deque_depth t.sh.pool ~worker:w )
-      else (0, -1, 0, 0)
+          Parallel.ring_depth t.sh.pool ~worker:w )
+      else (0, -1, 0)
     in
     let t0 = now_ns () in
     let job = make_job t ~sid ~cid ~class_idx ~t0 ~req_id req in
-    (* Keyed requests pin: their per-worker KV store lives only on the
-       steered worker, so a thief must never relocate them. *)
-    if
-      Parallel.submit_to t.sh.pool ~tag:sid ~class_idx ~pinned:(key <> None)
-        ~worker:w job
-    then begin
+    if Parallel.submit_to t.sh.pool ~tag:sid ~class_idx ~worker:w job then begin
       t.next_sid <- sid + t.sh.lanes;
       t.tallies.t_dispatched <- t.tallies.t_dispatched + 1;
       Counters.incr t.c_dispatched;
@@ -450,7 +440,6 @@ let dispatch t conn ~p0 req_id req =
           p_quantum_ns = q_ns;
           p_cap = cap;
           p_inject = inj;
-          p_deque = deq;
         };
       if t.sh.spans_on then begin
         Span.record t.sink ~req_id:sid ~phase:Span.Parse ~start_ns:p0
@@ -541,13 +530,12 @@ let poll_replies t progress =
                     ~arg:reply.r_cid;
                 if t.sh.tail_on then
                   (* [w] is the ring owner, i.e. the worker that
-                     actually executed the request (a stolen job pushes
-                     the thief's ring) — the dossier names the real
-                     executor, not the placement choice *)
+                     executed the request — after a re-dispatch, the
+                     replacement rather than the first placement *)
                   Tail.offer t.tail_sink ~now_ns:now ~seq:reply.r_sid
                     ~class_idx:reply.r_class ~worker:w ~sojourn_ns:sojourn
                     ~t0_ns:reply.r_t0 ~quantum_ns:p.p_quantum_ns ~cap:p.p_cap
-                    ~inject_depth:p.p_inject ~deque_depth:p.p_deque;
+                    ~inject_depth:p.p_inject;
                 match Hashtbl.find_opt t.conns reply.r_cid with
                 | Some conn ->
                     Outbuf.add_bytes conn.wb reply.r_buf ~off:0 ~len:reply.r_len
@@ -626,10 +614,7 @@ let redispatch_orphans t =
           make_job t ~sid ~cid:p.p_cid ~class_idx:p.p_class ~t0:p.p_t0
             ~req_id:p.p_req_id p.p_req
         in
-        if
-          Parallel.submit_to t.sh.pool ~tag:sid ~class_idx:p.p_class
-            ~pinned:(Protocol.steering_key p.p_req <> None)
-            ~worker:w job
+        if Parallel.submit_to t.sh.pool ~tag:sid ~class_idx:p.p_class ~worker:w job
         then begin
           p.p_worker <- w;
           t.tallies.t_redispatched <- t.tallies.t_redispatched + 1;
@@ -642,26 +627,32 @@ let redispatch_orphans t =
    whole heartbeat window while holding work is suspect; after
    [missed_heartbeats] consecutive suspect windows it is declared dead
    and its pending requests move.  Idle workers always beat, so quiet
-   periods never accumulate misses. *)
+   periods never accumulate misses.  A verdict is not final: a worker
+   whose beats advance after it was declared dead was only stalled, and
+   rejoins the slice (a killed domain never beats again).  Requests it
+   still holds complete normally; any already re-dispatched elsewhere
+   are answered once, by whichever copy finishes first. *)
 let heartbeat_check t ~now =
   if t.sh.heartbeat_interval_ns > 0 && now >= t.hb_next_ns then begin
     t.hb_next_ns <- now + t.sh.heartbeat_interval_ns;
     Array.iteri
       (fun i w ->
-        if Parallel.worker_alive t.sh.pool ~worker:w then begin
-          let b = Parallel.beats t.sh.pool ~worker:w in
-          if b = t.hb_beats.(i) && Parallel.worker_in_flight t.sh.pool ~worker:w > 0
-          then begin
-            t.hb_missed.(i) <- t.hb_missed.(i) + 1;
-            if t.hb_missed.(i) >= t.sh.missed_heartbeats then begin
-              ignore (Parallel.mark_dead t.sh.pool ~worker:w : int);
-              t.tallies.t_dead_workers <- t.tallies.t_dead_workers + 1;
-              Counters.incr t.c_workers_dead
-            end
+        let b = Parallel.beats t.sh.pool ~worker:w in
+        if not (Parallel.worker_alive t.sh.pool ~worker:w) then begin
+          if b <> t.hb_beats.(i) then Parallel.revive t.sh.pool ~worker:w
+        end
+        else if b = t.hb_beats.(i) && Parallel.worker_in_flight t.sh.pool ~worker:w > 0
+        then begin
+          t.hb_missed.(i) <- t.hb_missed.(i) + 1;
+          if t.hb_missed.(i) >= t.sh.missed_heartbeats then begin
+            ignore (Parallel.mark_dead t.sh.pool ~worker:w : int);
+            t.hb_missed.(i) <- 0;
+            t.tallies.t_dead_workers <- t.tallies.t_dead_workers + 1;
+            Counters.incr t.c_workers_dead
           end
-          else t.hb_missed.(i) <- 0;
-          t.hb_beats.(i) <- b
-        end)
+        end
+        else t.hb_missed.(i) <- 0;
+        t.hb_beats.(i) <- b)
       t.slice;
     redispatch_orphans t
   end

@@ -91,7 +91,8 @@ let sample_request rng mix =
   if r < mix.echo then Protocol.Echo { spin_ns = mix.echo_spin_ns; payload = "" }
   else if r < mix.echo +. mix.echo_heavy then
     (* the heavy tail of a skewed offered load: same unkeyed echo
-       class, much longer spin — what work stealing redistributes *)
+       class, much longer spin — the backlog that piles up behind one
+       worker under skewed load *)
     Protocol.Echo { spin_ns = mix.echo_heavy_spin_ns; payload = "" }
   else if r < mix.echo +. mix.echo_heavy +. mix.kv then begin
     let key = App.kv_key (Prng.int rng (max 1 mix.kv_keys)) in

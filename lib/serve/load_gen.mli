@@ -22,8 +22,8 @@ type mix = {
       (** weight of *heavy* spin-echo requests — same unkeyed echo
           class, [echo_heavy_spin_ns] of service.  A small weight with
           a large spin makes the offered load heavy-tailed, the shape
-          that strands backlog behind one worker and that idle-time
-          work stealing ([--steal on]) redistributes *)
+          that strands backlog behind one worker (the tail A/B and the
+          heavy CI serve entry use it) *)
   echo_spin_ns : int;  (** server-side spin per echo request *)
   echo_heavy_spin_ns : int;  (** server-side spin per heavy echo request *)
   kv_set_fraction : float;  (** SETs among KV requests (rest are GETs) *)

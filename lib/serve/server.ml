@@ -34,7 +34,6 @@ type config = {
   ring_capacity : int;
   rx_depth : int;
   admission : Admission.policy;
-  steal : bool;
   kv_keys : int;
   seed : int64;
   drain_timeout_s : float;
@@ -55,7 +54,6 @@ let default_config =
     ring_capacity = 256;
     rx_depth = 1024;
     admission = Admission.Accept_all;
-    steal = false;
     kv_keys = 1024;
     seed = 42L;
     drain_timeout_s = 5.0;
@@ -112,12 +110,8 @@ let create ?(obs = Obs.disabled ()) ?(spans = Span.null) ?(tail = Tail.null) ?gc
   let listener = Listener.create ~host:config.host ~port:config.port ~lanes:config.lanes in
   let worker_regs = Array.init config.workers (fun _ -> Counters.create ()) in
   let pool =
-    (* [lanes] shapes the pool's steal groups to this plane's worker
-       slices, so a thief only ever robs workers whose reply rings its
-       own lane polls. *)
     Parallel.create ~workers:config.workers ~quantum_ns:config.quantum_ns
-      ~ring_capacity:config.ring_capacity ~classes:Protocol.class_count
-      ~lanes:config.lanes ~steal:config.steal ~spans
+      ~ring_capacity:config.ring_capacity ~classes:Protocol.class_count ~spans
       ~worker_counters:worker_regs
       ?gc_pause_ns:(Option.map (fun g () -> Gc_events.self_pause_ns g) gc)
       ()
@@ -386,15 +380,11 @@ let snapshot_json t =
   Buffer.add_string b
     (Printf.sprintf
        "  \"runtime\": {\"quanta\": %d, \"yields\": %d, \"completions\": %d, \
-        \"stalls\": %d, \"steals\": %d, \"steal_items\": %d, \
-        \"steal_failures\": %d},\n"
+        \"stalls\": %d},\n"
        (Counters.find_count merged "runtime.quanta")
        (Counters.find_count merged "runtime.yields")
        (Counters.find_count merged "runtime.completions")
-       (Counters.find_count merged "runtime.stalls")
-       (Counters.find_count merged "runtime.steals")
-       (Counters.find_count merged "runtime.steal_items")
-       (Counters.find_count merged "runtime.steal_failures"));
+       (Counters.find_count merged "runtime.stalls"));
   (match t.gc with
   | None -> ()
   | Some g ->

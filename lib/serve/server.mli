@@ -48,13 +48,6 @@ type config = {
           RX-ring-depth admission gate) *)
   admission : Tq_sched.Admission.policy;
       (** additional policy gate, fed with completion sojourns *)
-  steal : bool;
-      (** arm idle-time work stealing in the pool: a worker whose
-          queues are empty takes half of the most-loaded sibling deque
-          in its lane slice.  Key-steered requests stay pinned to
-          their home worker; only unkeyed, not-yet-started work moves.
-          Steals surface as [runtime.steals] / [runtime.steal_items] /
-          [runtime.steal_failures] and as [Steal] spans *)
   kv_keys : int;  (** prepopulated keys per worker store *)
   seed : int64;
   drain_timeout_s : float;
@@ -74,7 +67,8 @@ type config = {
   missed_heartbeats : int;
       (** consecutive no-progress windows before a worker holding work
           is declared dead and its requests are re-dispatched (each
-          lane monitors its own slice) *)
+          lane monitors its own slice); a dead worker that beats again
+          rejoins its slice *)
   pool_bufs : int;
       (** framing buffers kept on the shared reply-buffer pool's free
           list ({!Pool}); more buffers, fewer allocation misses under
@@ -85,7 +79,7 @@ type config = {
 }
 
 (** Loopback, 4 workers, 1 lane, 100 us quanta, 256-deep rings,
-    rx_depth 1024, accept-all admission, stealing off, no controller,
+    rx_depth 1024, accept-all admission, no controller,
     50 ms heartbeats with a 4-miss death verdict, 1024 pooled 4 KiB
     framing buffers. *)
 val default_config : config
@@ -115,7 +109,9 @@ type stats = {
           declared dead completed after its work was re-dispatched) *)
   redispatched : int;
       (** requests moved off a dead worker onto a living one *)
-  dead_workers : int;  (** workers declared dead by the heartbeat monitor *)
+  dead_workers : int;
+      (** death verdicts reached by the heartbeat monitor (a stalled
+          worker that revives and stalls again counts twice) *)
 }
 
 type t
@@ -237,7 +233,7 @@ val breakdown : t -> Tq_obs.Profile.t
 
 (** [outlier_dossiers t ~limit] — the [limit] slowest retained requests
     ([limit <= 0] for all), enriched against the live span merge: exact
-    per-stage attribution, quantum/steal/stall counts and overlapping
+    per-stage attribution, quantum/stall counts and overlapping
     GC pauses ({!Tq_obs.Tail.dossiers}). *)
 val outlier_dossiers : t -> limit:int -> Tq_obs.Tail.dossier list
 
@@ -250,7 +246,7 @@ val outliers_json : t -> limit:int -> string
 val outliers_text : t -> limit:int -> string
 
 (** [tail_trace t] — Chrome trace-event JSON restricted to the retained
-    outliers (their spans plus overlapping steal/stall/GC records): the
+    outliers (their spans plus overlapping stall/GC records): the
     outlier-only Perfetto timeline ([tq_serve --tail-trace-out]). *)
 val tail_trace : t -> string
 
@@ -265,7 +261,8 @@ val tail_trace : t -> string
 (** [inject_stall t ~worker ~duration_ns] — the worker busy-occupies
     its core for the duration: no service, no heartbeat, then recovers
     by itself.  A long enough stall triggers the heartbeat monitor's
-    death verdict; the duplicate filter absorbs the resulting races. *)
+    death verdict, which the worker's next beat reverses; the duplicate
+    filter absorbs the resulting races. *)
 val inject_stall : t -> worker:int -> duration_ns:int -> unit
 
 (** [kill_worker t ~worker] — the worker domain exits at its next loop
@@ -289,5 +286,5 @@ val on_tick : t -> (now_ns:int -> unit) -> unit
     RPC body); [None] without [adaptive]. *)
 val control_json : t -> string option
 
-(** Workers not declared dead. *)
+(** Workers not currently declared dead. *)
 val alive_workers : t -> int

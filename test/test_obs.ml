@@ -922,9 +922,9 @@ let suite = suite @ profile_suite
 module Tail = Tq_obs.Tail
 
 let offer ?(now = 1) ?(worker = 0) ?(t0 = 0) ?(quantum = 100_000) ?(cap = -1)
-    ?(inj = 0) ?(deq = 0) sink ~seq ~sojourn =
+    ?(inj = 0) sink ~seq ~sojourn =
   Tail.offer sink ~now_ns:now ~seq ~class_idx:0 ~worker ~sojourn_ns:sojourn
-    ~t0_ns:t0 ~quantum_ns:quantum ~cap ~inject_depth:inj ~deque_depth:deq
+    ~t0_ns:t0 ~quantum_ns:quantum ~cap ~inject_depth:inj
 
 let test_tail_disabled_is_inert () =
   Alcotest.(check bool) "null collection disabled" false (Tail.enabled Tail.null);
@@ -992,25 +992,24 @@ let test_tail_dossier_exactness () =
     synthetic_request ~req:7 ~p0:1_000 ~parse:500 ~dispatch:300 ~hop:100
       ~wait:4_000 ~d0:5_000 ~gap:250 ~d1:3_000 ~flush:600
   in
-  (* core-level context riding the same worker: one steal, one stall
-     inside the request's residency, one GC pause, plus decoys that do
-     not overlap and must not be counted *)
+  (* core-level context riding the same worker: one stall inside the
+     request's residency, one GC pause, plus decoys that do not overlap
+     and must not be counted *)
   let t_end = 1_000 + sojourn in
   let records =
     records
     @ [
-        sp ~req:(-1) ~lane:(Event.Worker 0) Span.Steal 2_000 100;
         sp ~req:(-1) ~lane:(Event.Worker 0) Span.Stall 3_000 200;
         sp ~req:(-1) ~lane:(Event.Gc 0) Span.Gc_minor 4_000 300;
-        sp ~req:(-1) ~lane:(Event.Worker 1) Span.Steal 2_000 100;
+        sp ~req:(-1) ~lane:(Event.Worker 1) Span.Stall 2_000 100;
         (* other worker *)
-        sp ~req:(-1) ~lane:(Event.Worker 0) Span.Steal (t_end + 10_000) 100;
+        sp ~req:(-1) ~lane:(Event.Worker 0) Span.Stall (t_end + 10_000) 100;
         (* after the request left *)
       ]
   in
   let t = Tail.create ~k:4 () in
   let sink = Tail.register t ~lane:0 in
-  offer sink ~now:t_end ~t0:1_000 ~seq:7 ~sojourn ~inj:3 ~deq:2;
+  offer sink ~now:t_end ~t0:1_000 ~seq:7 ~sojourn ~inj:3;
   (match Tail.dossiers t ~records ~limit:10 with
   | [ d ] ->
       Alcotest.(check bool) "attributed" true d.Tail.d_attributed;
@@ -1023,7 +1022,6 @@ let test_tail_dossier_exactness () =
             (List.assq stage d.Tail.d_stages))
         expected;
       check Alcotest.int "two quanta" 2 d.Tail.d_quanta;
-      check Alcotest.int "one overlapping steal" 1 d.Tail.d_steals;
       check Alcotest.int "one overlapping stall" 1 d.Tail.d_stalls;
       check Alcotest.int "one overlapping gc pause" 1 d.Tail.d_gc_pauses;
       check Alcotest.int "gc pause time" 300 d.Tail.d_gc_pause_ns;
@@ -1107,8 +1105,31 @@ let test_counters_merged_domains_prop =
       !mid_ok
       && Counters.find_count (Counters.merged regs) "merge.prop_total" = total)
 
+(* The disabled record paths sit on every request's hot path: a null
+   sink must cost a branch and allocate nothing. *)
+let test_span_record_null_sink_allocation_free () =
+  let seq = ref 0 in
+  check (Alcotest.float 0.0) "minor words per span record" 0.0
+    (Test_util.minor_words_per_call (fun () ->
+         incr seq;
+         Span.record Span.null_sink ~req_id:!seq ~phase:Span.Quantum ~start_ns:!seq
+           ~dur_ns:100 ~arg:0))
+
+let test_tail_offer_null_sink_allocation_free () =
+  let seq = ref 0 in
+  check (Alcotest.float 0.0) "minor words per tail offer" 0.0
+    (Test_util.minor_words_per_call (fun () ->
+         incr seq;
+         Tail.offer Tail.null_sink ~now_ns:!seq ~seq:!seq ~class_idx:0 ~worker:0
+           ~sojourn_ns:1_000_000 ~t0_ns:0 ~quantum_ns:100_000 ~cap:(-1)
+           ~inject_depth:0))
+
 let tail_suite =
   [
+    Alcotest.test_case "span record null sink allocation-free" `Quick
+      test_span_record_null_sink_allocation_free;
+    Alcotest.test_case "tail offer null sink allocation-free" `Quick
+      test_tail_offer_null_sink_allocation_free;
     Alcotest.test_case "tail disabled is inert" `Quick test_tail_disabled_is_inert;
     Alcotest.test_case "tail admit/evict/floor" `Quick test_tail_admit_evict_floor;
     Alcotest.test_case "tail window roll" `Quick test_tail_window_roll;

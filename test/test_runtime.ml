@@ -206,10 +206,10 @@ let test_worker_ps_rotation () =
       ()
   in
   Task_worker.submit w
-    { Task_worker.task_id = 1; class_idx = 0; pinned = false;
+    { Task_worker.task_id = 1; class_idx = 0;
       work = (fun ~wid:_ -> Instrumented.work_ns 5_000) };
   Task_worker.submit w
-    { Task_worker.task_id = 2; class_idx = 0; pinned = false;
+    { Task_worker.task_id = 2; class_idx = 0;
       work = (fun ~wid:_ -> Instrumented.work_ns 1_000) };
   Task_worker.run_until_idle w;
   check Alcotest.(list int) "short task finishes first" [ 2; 1 ] (List.rev !finished);
@@ -221,7 +221,7 @@ let test_worker_counters () =
   let clock = Clock.virtual_ () in
   let w = Task_worker.create ~clock ~quantum_ns:1_000 ~on_finish:(fun _ -> ()) () in
   Task_worker.submit w
-    { Task_worker.task_id = 1; class_idx = 0; pinned = false;
+    { Task_worker.task_id = 1; class_idx = 0;
       work = (fun ~wid:_ -> Instrumented.work_ns 2_500) };
   check Alcotest.int "unfinished" 1 (Task_worker.unfinished w);
   ignore (Task_worker.run_slice w);
@@ -375,67 +375,6 @@ let suite =
     Alcotest.test_case "parallel balances" `Quick test_parallel_balances;
   ]
 
-(* --- MPSC buffer pool --- *)
-
-let test_pool_alloc_all_distinct () =
-  let pool = Mpsc_pool.create ~capacity:8 in
-  let allocated = List.init 8 (fun _ -> Option.get (Mpsc_pool.alloc pool)) in
-  check Alcotest.int "all allocated" 8 (List.length (List.sort_uniq compare allocated));
-  check Alcotest.(option int) "exhausted" None (Mpsc_pool.alloc pool);
-  check Alcotest.int "free count" 0 (Mpsc_pool.free_count pool)
-
-let test_pool_release_recycles () =
-  let pool = Mpsc_pool.create ~capacity:2 in
-  let a = Option.get (Mpsc_pool.alloc pool) in
-  let b = Option.get (Mpsc_pool.alloc pool) in
-  Mpsc_pool.release pool a;
-  check Alcotest.(option int) "recycled" (Some a) (Mpsc_pool.alloc pool);
-  Mpsc_pool.release pool b;
-  Mpsc_pool.release pool a;
-  check Alcotest.int "both free" 2 (Mpsc_pool.free_count pool)
-
-let test_pool_rejects_bad_release () =
-  let pool = Mpsc_pool.create ~capacity:2 in
-  Alcotest.check_raises "oob" (Invalid_argument "Mpsc_pool.release: bad buffer id")
-    (fun () -> Mpsc_pool.release pool 2)
-
-let test_pool_multi_producer_release () =
-  (* Dispatcher allocates, two worker domains release concurrently; the
-     pool must conserve buffers. *)
-  let capacity = 64 in
-  let pool = Mpsc_pool.create ~capacity in
-  let rounds = 5_000 in
-  let to_release = Spsc_ring.create ~capacity and to_release2 = Spsc_ring.create ~capacity in
-  let stop = Atomic.make false in
-  let releaser ring =
-    Domain.spawn (fun () ->
-        let released = ref 0 in
-        while (not (Atomic.get stop)) || Spsc_ring.length ring > 0 do
-          match Spsc_ring.try_pop ring with
-          | Some buf ->
-              Mpsc_pool.release pool buf;
-              incr released
-          | None -> Domain.cpu_relax ()
-        done;
-        !released)
-  in
-  let d1 = releaser to_release and d2 = releaser to_release2 in
-  let sent = ref 0 in
-  while !sent < rounds do
-    match Mpsc_pool.alloc pool with
-    | Some buf ->
-        let ring = if !sent land 1 = 0 then to_release else to_release2 in
-        while not (Spsc_ring.try_push ring buf) do
-          Domain.cpu_relax ()
-        done;
-        incr sent
-    | None -> Domain.cpu_relax ()
-  done;
-  Atomic.set stop true;
-  let r1 = Domain.join d1 and r2 = Domain.join d2 in
-  check Alcotest.int "every buffer released" rounds (r1 + r2);
-  check Alcotest.int "pool conserved" capacity (Mpsc_pool.free_count pool)
-
 (* --- Parallel: the persistent handle API behind tq_serve --- *)
 
 let test_parallel_handle_lifecycle () =
@@ -508,10 +447,6 @@ let test_parallel_shutdown_drains_backlog () =
 (* appended to the runtime suite *)
 let pool_suite =
   [
-    Alcotest.test_case "pool alloc distinct" `Quick test_pool_alloc_all_distinct;
-    Alcotest.test_case "pool recycles" `Quick test_pool_release_recycles;
-    Alcotest.test_case "pool bad release" `Quick test_pool_rejects_bad_release;
-    Alcotest.test_case "pool multi-producer" `Quick test_pool_multi_producer_release;
     Alcotest.test_case "parallel handle lifecycle" `Quick test_parallel_handle_lifecycle;
     Alcotest.test_case "parallel shutdown fence" `Quick test_parallel_submit_after_shutdown;
     Alcotest.test_case "parallel pick" `Quick test_parallel_pick_least_loaded;
@@ -590,232 +525,65 @@ let stall_suite =
     Alcotest.test_case "stall attribution unknown" `Quick test_stall_attribution_unknown;
   ]
 
-(* --- SPMC steal deque --- *)
+(* --- Placement is execution: no job leaves the worker it was given --- *)
 
-let drain_deque d =
-  let sum = ref 0 and count = ref 0 in
-  let rec go () =
-    match Spmc_deque.pop d with
-    | Some v ->
-        sum := !sum + v;
-        incr count;
-        go ()
-    | None -> ()
-  in
-  go ();
-  (!sum, !count)
-
-let test_deque_owner_fifo () =
-  let d = Spmc_deque.create ~capacity:4 in
-  Alcotest.(check bool) "push 1" true (Spmc_deque.push d 1);
-  Alcotest.(check bool) "push 2" true (Spmc_deque.push d 2);
-  check Alcotest.int "length" 2 (Spmc_deque.length d);
-  check Alcotest.(option int) "pop oldest first" (Some 1) (Spmc_deque.pop d);
-  check Alcotest.(option int) "then next" (Some 2) (Spmc_deque.pop d);
-  check Alcotest.(option int) "empty" None (Spmc_deque.pop d);
-  (* wraparound keeps order *)
-  for round = 1 to 10 do
-    Alcotest.(check bool) "push" true (Spmc_deque.push d round);
-    check Alcotest.(option int) "pop" (Some round) (Spmc_deque.pop d)
-  done
-
-let test_deque_capacity_one () =
-  let d = Spmc_deque.create ~capacity:1 in
-  check Alcotest.int "capacity" 1 (Spmc_deque.capacity d);
-  Alcotest.(check bool) "push" true (Spmc_deque.push d 7);
-  Alcotest.(check bool) "full" false (Spmc_deque.push d 8);
-  let into = Spmc_deque.create ~capacity:1 in
-  check Alcotest.int "steal takes the lone item" 1 (Spmc_deque.steal_into d ~into);
-  check Alcotest.(option int) "victim empty" None (Spmc_deque.pop d);
-  check Alcotest.(option int) "thief has it" (Some 7) (Spmc_deque.pop into)
-
-let test_deque_steal_half_bounds () =
-  let d = Spmc_deque.create ~capacity:16 in
-  for i = 1 to 10 do
-    Alcotest.(check bool) "fill" true (Spmc_deque.push d i)
+(* A skewed backlog on worker 0 while worker 1 sits idle: every job
+   must still run on worker 0 and receive its id, and the per-worker
+   accounting must match placement exactly. *)
+let test_parallel_runs_where_placed () =
+  let pool = Parallel.create ~workers:2 ~ring_capacity:64 () in
+  let n = 48 in
+  let misplaced = Atomic.make 0 in
+  let backoff = Backoff.create () in
+  for _ = 1 to n do
+    while
+      not
+        (Parallel.submit_to pool ~worker:0 (fun ~wid ->
+             for _ = 1 to 20_000 do
+               Sys.opaque_identity ignore ()
+             done;
+             if wid <> 0 then Atomic.incr misplaced))
+    do
+      Backoff.once backoff
+    done
   done;
-  let into = Spmc_deque.create ~capacity:16 in
-  check Alcotest.int "no self steal" 0 (Spmc_deque.steal_into d ~into:d);
-  check Alcotest.int "steals ceil(half)" 5 (Spmc_deque.steal_into d ~into);
-  check Alcotest.int "victim keeps the rest" 5 (Spmc_deque.length d);
-  check Alcotest.int "thief holds the batch" 5 (Spmc_deque.length into);
-  let s1, c1 = drain_deque d and s2, c2 = drain_deque into in
-  check Alcotest.int "no loss, no duplication" (10 * 11 / 2) (s1 + s2);
-  check Alcotest.int "count conserved" 10 (c1 + c2);
-  (* an almost-full destination bounds the batch by its room *)
-  let d = Spmc_deque.create ~capacity:16 in
-  for i = 1 to 8 do
-    ignore (Spmc_deque.push d i : bool)
-  done;
-  let tight = Spmc_deque.create ~capacity:4 in
-  for i = 100 to 102 do
-    ignore (Spmc_deque.push tight i : bool)
-  done;
-  check Alcotest.int "bounded by room in into" 1 (Spmc_deque.steal_into d ~into:tight);
-  check Alcotest.int "victim debited exactly that" 7 (Spmc_deque.length d);
-  (* empty victim: nothing to take *)
-  let empty = Spmc_deque.create ~capacity:8 in
-  let into = Spmc_deque.create ~capacity:8 in
-  check Alcotest.int "empty victim" 0 (Spmc_deque.steal_into empty ~into)
+  let stats = Parallel.shutdown pool in
+  check Alcotest.int "every job ran on its worker" 0 (Atomic.get misplaced);
+  check Alcotest.(array int) "per-worker accounting follows placement" [| n; 0 |]
+    stats.Parallel.per_worker_finished
 
-(* Linearizability-style stress on real domains: one owner pushing and
-   popping, concurrent thieves stealing halves into private deques.
-   Every pushed value must be popped exactly once somewhere — checked
-   by conserving both the count and the sum (a lost value breaks the
-   sum, a duplicated one breaks it the other way). *)
-let deque_stress ~capacity ~n ~thieves =
-  let src = Spmc_deque.create ~capacity in
-  let stop = Atomic.make false in
-  let thief_doms =
-    List.init thieves (fun _ ->
-        Domain.spawn (fun () ->
-            let mine = Spmc_deque.create ~capacity in
-            let sum = ref 0 and count = ref 0 in
-            let drain () =
-              let s, c = drain_deque mine in
-              sum := !sum + s;
-              count := !count + c
-            in
-            while not (Atomic.get stop) do
-              ignore (Spmc_deque.steal_into src ~into:mine : int);
-              drain ();
-              Domain.cpu_relax ()
-            done;
-            (* final sweep: the owner has drained [src], but claims we
-               made just before [stop] may still sit in [mine] *)
-            ignore (Spmc_deque.steal_into src ~into:mine : int);
-            drain ();
-            (!sum, !count)))
-  in
-  let owner_sum = ref 0 and owner_count = ref 0 in
-  let owner_pop () =
-    match Spmc_deque.pop src with
-    | Some v ->
-        owner_sum := !owner_sum + v;
-        incr owner_count
-    | None -> Domain.cpu_relax ()
-  in
-  for i = 1 to n do
-    while not (Spmc_deque.push src i) do
-      owner_pop ()
-    done;
-    if i land 7 = 0 then owner_pop ()
+(* A death verdict is reversible: [revive] restores the worker to JSQ
+   and to the in-flight count, so work it still holds drains normally. *)
+let test_parallel_revive () =
+  let pool = Parallel.create ~workers:2 () in
+  let release = Atomic.make false in
+  let backoff = Backoff.create () in
+  assert (
+    Parallel.submit_to pool ~worker:1 (fun ~wid:_ ->
+        while not (Atomic.get release) do
+          Domain.cpu_relax ()
+        done));
+  while Parallel.worker_in_flight pool ~worker:1 = 0 do
+    Backoff.once backoff
   done;
-  let rec drain_src () =
-    match Spmc_deque.pop src with
-    | Some v ->
-        owner_sum := !owner_sum + v;
-        incr owner_count;
-        drain_src ()
-    | None -> ()
-  in
-  drain_src ();
-  Atomic.set stop true;
-  let thief_results = List.map Domain.join thief_doms in
-  let total_sum =
-    List.fold_left (fun acc (s, _) -> acc + s) !owner_sum thief_results
-  in
-  let total_count =
-    List.fold_left (fun acc (_, c) -> acc + c) !owner_count thief_results
-  in
-  total_count = n && total_sum = n * (n + 1) / 2
+  check Alcotest.int "verdict reports the held job" 1 (Parallel.mark_dead pool ~worker:1);
+  check Alcotest.int "second verdict is a no-op" 0 (Parallel.mark_dead pool ~worker:1);
+  check Alcotest.int "dead worker out of the census" 1 (Parallel.alive_workers pool);
+  check Alcotest.int "dead worker out of in-flight" 0 (Parallel.in_flight pool);
+  check Alcotest.int "JSQ skips the dead" 0 (Parallel.pick pool);
+  Parallel.revive pool ~worker:1;
+  check Alcotest.bool "alive again" true (Parallel.worker_alive pool ~worker:1);
+  check Alcotest.int "back in the census" 2 (Parallel.alive_workers pool);
+  check Alcotest.int "its job counts again" 1 (Parallel.in_flight pool);
+  Atomic.set release true;
+  let stats = Parallel.shutdown pool in
+  check Alcotest.int "held job completed" 1 stats.Parallel.per_worker_finished.(1)
 
-let deque_stress_prop =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:10
-       ~name:"spmc deque conserves every value under concurrent theft"
-       QCheck.(
-         triple (int_range 2 64) (int_range 100 20_000) (int_range 1 3))
-       (fun (capacity, n, thieves) -> deque_stress ~capacity ~n ~thieves))
-
-let deque_suite =
+let placement_suite =
   [
-    Alcotest.test_case "deque owner fifo" `Quick test_deque_owner_fifo;
-    Alcotest.test_case "deque capacity one" `Quick test_deque_capacity_one;
-    Alcotest.test_case "deque steal half" `Quick test_deque_steal_half_bounds;
-    deque_stress_prop;
+    Alcotest.test_case "parallel runs where placed" `Quick
+      test_parallel_runs_where_placed;
+    Alcotest.test_case "parallel revive" `Quick test_parallel_revive;
   ]
 
-(* --- Work_source steal groups are lane slices --- *)
-
-(* Mirrors Parallel's group construction: worker [w] may only steal
-   from siblings with the same [w mod lanes].  A thief facing an empty
-   slice must come up dry even when other lanes are loaded — crossing
-   lanes would undo the serve plane's partitioning. *)
-let test_work_source_lane_slice () =
-  let lanes = 2 and workers = 6 in
-  let sources =
-    Array.init workers (fun wid -> Work_source.create ~wid ~capacity:64)
-  in
-  let group_of wid =
-    Array.to_list sources
-    |> List.filteri (fun w _ -> w mod lanes = wid mod lanes)
-    |> Array.of_list
-  in
-  Array.iteri (fun wid s -> Work_source.set_group s (group_of wid)) sources;
-  let load wid n =
-    for i = 1 to n do
-      Alcotest.(check bool) "inject" true (Work_source.inject sources.(wid) i)
-    done;
-    ignore
-      (Work_source.drain sources.(wid)
-         ~is_pinned:(fun _ -> false)
-         ~submit:(fun _ -> Alcotest.fail "no pinned/overflow expected")
-        : int)
-  in
-  (* The other lane's deques are the most loaded overall; in-slice
-     victim selection must ignore them. *)
-  load 1 16;
-  load 3 12;
-  load 2 4;
-  load 4 8;
-  (match Work_source.try_steal sources.(0) with
-  | Some (victim, moved) ->
-      check Alcotest.int "most-loaded in-slice victim" 4 victim;
-      check Alcotest.int "took half the victim's deque" 4 moved
-  | None -> Alcotest.fail "in-slice work available, steal came up empty");
-  (* Drain lane 0's remaining stealable work; with its slice empty the
-     thief finds nothing, however loaded the other lane is. *)
-  Array.iter
-    (fun s ->
-      if Work_source.wid s mod lanes = 0 then
-        while Work_source.next s <> None do
-          ()
-        done)
-    sources;
-  check Alcotest.int "other lane untouched" 16
-    (Work_source.stealable sources.(1));
-  (match Work_source.try_steal sources.(0) with
-  | None -> ()
-  | Some (victim, moved) ->
-      Alcotest.failf "stole %d from worker %d outside the lane slice" moved
-        victim);
-  (* Every victim observed over repeated rounds shares the thief's
-     slice: [w mod lanes] is invariant between thief and victim. *)
-  load 2 32;
-  load 4 32;
-  load 1 32;
-  let rounds = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Work_source.try_steal sources.(0) with
-    | Some (victim, _) ->
-        incr rounds;
-        check Alcotest.int "victim shares the thief's slice" 0 (victim mod lanes);
-        (* consume the haul so the next round re-picks a victim *)
-        while Work_source.next sources.(0) <> None do
-          ()
-        done
-    | None -> continue := false
-  done;
-  Alcotest.(check bool) "steals happened" true (!rounds > 0);
-  check Alcotest.int "other lane still untouched" 48
-    (Work_source.stealable sources.(1))
-
-let work_source_suite =
-  [
-    Alcotest.test_case "work source lane slice boundary" `Quick
-      test_work_source_lane_slice;
-  ]
-
-let suite = suite @ stall_suite @ deque_suite @ work_source_suite
+let suite = suite @ stall_suite @ placement_suite

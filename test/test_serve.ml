@@ -570,6 +570,61 @@ let test_stall_and_pause_ride_through () =
       check Alcotest.int "zero loss" s.Server.dispatched s.Server.completed;
       Client.close client)
 
+(* A stall well past the death verdict on a lane's only worker: once
+   the worker beats again the verdict must be reversed, or the lane
+   would shed every later request for the rest of the run. *)
+let test_stalled_worker_revives () =
+  let config =
+    { base_config with Server.workers = 1; heartbeat_interval_s = 0.01;
+      missed_heartbeats = 3 }
+  in
+  let srv = Server.create config in
+  let th = Thread.create (fun () -> Server.serve srv) () in
+  let client = Client.connect ~port:(Server.port srv) () in
+  let wait_until what cond =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (cond ())) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    check Alcotest.bool what true (cond ())
+  in
+  let send_batch ~first n =
+    for i = first to first + n - 1 do
+      Client.send client ~req_id:i (Protocol.Echo { spin_ns = 10_000; payload = "" })
+    done
+  in
+  let recv_batch n =
+    let ok = ref 0 in
+    for _ = 1 to n do
+      match (Client.recv client).Protocol.status with
+      | Protocol.Ok -> incr ok
+      | Protocol.Shed -> ()
+      | Protocol.Error msg -> Alcotest.failf "handler error: %s" msg
+    done;
+    !ok
+  in
+  let n = 20 in
+  (* work sent into the stall: the worker holds it and stops beating *)
+  Server.inject_stall srv ~worker:0 ~duration_ns:300_000_000;
+  send_batch ~first:0 n;
+  wait_until "death verdict reached during the stall" (fun () ->
+      (Server.stats srv).Server.dead_workers >= 1);
+  let first_ok = recv_batch n in
+  check Alcotest.bool "the stalled worker served its backlog" true (first_ok > 0);
+  wait_until "verdict reversed once the worker beats again" (fun () ->
+      Server.alive_workers srv = 1);
+  send_batch ~first:n n;
+  check Alcotest.int "requests after the stall are served, not shed" n (recv_batch n);
+  Server.stop srv;
+  Thread.join th;
+  Client.close client;
+  let s = Server.stats srv in
+  check Alcotest.int "parsed = dispatched + shed" s.Server.parsed
+    (s.Server.dispatched + s.Server.shed);
+  check Alcotest.int "accepted = completed after drain" s.Server.dispatched
+    (s.Server.completed + s.Server.lost + s.Server.dropped);
+  check Alcotest.int "nothing lost" 0 s.Server.lost
+
 (* The fault schedule driver against the real server loop: events fire
    at their offsets through the on_tick hook. *)
 let test_live_fault_schedule () =
@@ -634,6 +689,7 @@ let fault_suite =
     Alcotest.test_case "kill worker: zero-loss recovery" `Quick test_kill_worker_recovery;
     Alcotest.test_case "stall + pause ride through" `Quick
       test_stall_and_pause_ride_through;
+    Alcotest.test_case "stalled worker revives" `Quick test_stalled_worker_revives;
     Alcotest.test_case "live fault schedule" `Quick test_live_fault_schedule;
     Alcotest.test_case "live fault spec parse" `Quick test_live_parse_errors;
   ]
@@ -874,7 +930,7 @@ let test_outlier_codec_roundtrip () =
       Protocol.Stats_outliers_text { limit = 10 };
     ]
 
-let tail_config = { base_config with lanes = 2; steal = true }
+let tail_config = { base_config with lanes = 2 }
 
 let test_outliers_rpc () =
   let spans = Tq_obs.Span.create ~capacity_per_sink:16_384 () in
