@@ -217,26 +217,40 @@ let run_serve_bench ~out () =
 open Bechamel
 open Toolkit
 
+(* The event-queue rows hold [pending] entries, the size [sim_des]
+   runs at; each run pushes one entry a varied delay past the head and
+   pops the head, so every run sifts through a real heap. *)
+let pending = 16
+let delay n = 1 + (n * 7919 land 1023)
+
 let test_heap =
-  let heap = Tq_util.Binary_heap.create ~capacity:1024 ~dummy:0 () in
-  let key = ref 0 in
+  let module Heap = Tq_util.Binary_heap in
+  let heap = Heap.create ~dummy:0 () in
+  for n = 1 to pending do
+    Heap.push heap ~key:(delay n) n
+  done;
+  let n = ref pending in
   Test.make ~name:"binary_heap push+pop"
     (Staged.stage (fun () ->
-         incr key;
-         Tq_util.Binary_heap.push heap ~key:(!key land 1023) 1;
-         ignore (Tq_util.Binary_heap.top_key heap + Tq_util.Binary_heap.pop heap)))
+         incr n;
+         Heap.push heap ~key:(Heap.top_key heap + delay !n) !n;
+         ignore (Heap.top_key heap + Heap.pop heap)))
 
 let test_prng =
   let rng = Tq_util.Prng.create ~seed:1L in
   Test.make ~name:"prng bits64" (Staged.stage (fun () -> ignore (Tq_util.Prng.bits64 rng)))
 
 let test_sim_event =
+  let sim = Tq_engine.Sim.create () in
+  for n = 1 to pending do
+    ignore (Tq_engine.Sim.schedule_after sim ~delay:(delay n) ignore)
+  done;
+  let n = ref pending in
   Test.make ~name:"sim schedule+run event"
-    (Staged.stage
-       (let sim = Tq_engine.Sim.create () in
-        fun () ->
-          ignore (Tq_engine.Sim.schedule_after sim ~delay:1 ignore);
-          ignore (Tq_engine.Sim.step sim)))
+    (Staged.stage (fun () ->
+         incr n;
+         ignore (Tq_engine.Sim.schedule_after sim ~delay:(delay !n) ignore);
+         ignore (Tq_engine.Sim.step sim)))
 
 let test_fiber =
   Test.make ~name:"fiber create+yield+finish"

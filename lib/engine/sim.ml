@@ -5,7 +5,7 @@ type event = { action : unit -> unit; mutable state : [ `Pending | `Cancelled | 
 type t = { heap : event Heap.t; mutable now : int; mutable processed : int }
 
 let dummy_event = { action = ignore; state = `Fired }
-let create () = { heap = Heap.create ~capacity:1024 ~dummy:dummy_event (); now = 0; processed = 0 }
+let create () = { heap = Heap.create ~dummy:dummy_event (); now = 0; processed = 0 }
 let now t = t.now
 
 let schedule_at t ~time f =
@@ -59,21 +59,21 @@ let stop_periodic p =
 
 let periodic_fired p = p.fired
 
-let rec step t =
-  if Heap.is_empty t.heap then false
-  else begin
-    let time = Heap.top_key t.heap in
-    let ev = Heap.pop t.heap in
-    match ev.state with
-    | `Cancelled -> step t
-    | `Fired -> assert false
-    | `Pending ->
-        t.now <- time;
-        ev.state <- `Fired;
-        t.processed <- t.processed + 1;
-        ev.action ();
-        true
-  end
+(* Pops the head and runs it unless it was cancelled; true if it ran. *)
+let fire_head t =
+  let time = Heap.top_key t.heap in
+  let ev = Heap.pop t.heap in
+  match ev.state with
+  | `Cancelled -> false
+  | `Fired -> assert false
+  | `Pending ->
+      t.now <- time;
+      ev.state <- `Fired;
+      t.processed <- t.processed + 1;
+      ev.action ();
+      true
+
+let rec step t = (not (Heap.is_empty t.heap)) && (fire_head t || step t)
 
 let run ?until t =
   match until with
@@ -82,8 +82,10 @@ let run ?until t =
         ()
       done
   | Some limit ->
+      (* One head per test against [limit]: [step] would skip a
+         cancelled head and then run the next event, however late. *)
       while (not (Heap.is_empty t.heap)) && Heap.top_key t.heap <= limit do
-        ignore (step t : bool)
+        ignore (fire_head t : bool)
       done;
       if limit > t.now then t.now <- limit
 

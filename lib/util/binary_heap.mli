@@ -1,9 +1,11 @@
 (** Array-backed binary min-heap, parameterized by an integer priority.
 
     The simulator's event queue is the hottest structure in every
-    experiment; keys are kept unboxed in a flat int array alongside the
-    payload array, and ties are broken by insertion sequence so that
-    same-timestamp events run in FIFO order (a determinism requirement). *)
+    experiment.  Keys and insertion sequences sit in flat int arrays and
+    each payload in a fixed slot, so a sift moves only ints; a payload
+    is stored once by [push] and read once by [pop].  Ties are broken by
+    insertion sequence so that same-timestamp events run in FIFO order
+    (a determinism requirement). *)
 
 type 'a t
 

@@ -65,6 +65,21 @@ let test_run_until () =
   Sim.run sim;
   check Alcotest.(list int) "rest runs" [ 100; 10 ] !log
 
+(* A cancelled head before the limit must not let [run ~until] reach
+   past it to the next live event. *)
+let test_run_until_cancelled_head () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let early = Sim.schedule_at sim ~time:10 (fun () -> log := 10 :: !log) in
+  ignore (Sim.schedule_at sim ~time:100 (fun () -> log := 100 :: !log));
+  Sim.cancel early;
+  Sim.run ~until:50 sim;
+  check Alcotest.(list int) "nothing fires" [] !log;
+  check Alcotest.int "clock stops at the limit" 50 (Sim.now sim);
+  check Alcotest.int "live event still pending" 1 (Sim.pending sim);
+  Sim.run sim;
+  check Alcotest.(list int) "late event runs on the next run" [ 100 ] !log
+
 let test_step () =
   let sim = Sim.create () in
   ignore (Sim.schedule_at sim ~time:1 ignore);
@@ -196,6 +211,7 @@ let suite =
     Alcotest.test_case "schedule past rejected" `Quick test_schedule_past_rejected;
     Alcotest.test_case "cancel" `Quick test_cancel;
     Alcotest.test_case "run until" `Quick test_run_until;
+    Alcotest.test_case "run until past cancelled head" `Quick test_run_until_cancelled_head;
     Alcotest.test_case "step" `Quick test_step;
     Alcotest.test_case "busy server serializes" `Quick test_busy_server_serializes;
     Alcotest.test_case "busy server restart" `Quick test_busy_server_idle_restart;

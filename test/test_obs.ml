@@ -1115,6 +1115,18 @@ let test_span_record_null_sink_allocation_free () =
          Span.record Span.null_sink ~req_id:!seq ~phase:Span.Quantum ~start_ns:!seq
            ~dur_ns:100 ~arg:0))
 
+(* The DES's trace hook: the event constructor sits behind the
+   [Trace.enabled] guard, so a disabled tracer never builds it. *)
+let test_trace_record_null_allocation_free () =
+  let ts = ref 0 in
+  let lane = Event.Worker 3 in
+  check (Alcotest.float 0.0) "minor words per trace record" 0.0
+    (Test_util.minor_words_per_call (fun () ->
+         incr ts;
+         if Trace.enabled Trace.null then
+           Trace.record Trace.null ~ts_ns:!ts ~lane
+             (Event.Quantum_end { job_id = 1; ran_ns = 2_000; finished = false })))
+
 let test_tail_offer_null_sink_allocation_free () =
   let seq = ref 0 in
   check (Alcotest.float 0.0) "minor words per tail offer" 0.0
@@ -1128,6 +1140,8 @@ let tail_suite =
   [
     Alcotest.test_case "span record null sink allocation-free" `Quick
       test_span_record_null_sink_allocation_free;
+    Alcotest.test_case "trace record null allocation-free" `Quick
+      test_trace_record_null_allocation_free;
     Alcotest.test_case "tail offer null sink allocation-free" `Quick
       test_tail_offer_null_sink_allocation_free;
     Alcotest.test_case "tail disabled is inert" `Quick test_tail_disabled_is_inert;

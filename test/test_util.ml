@@ -212,6 +212,66 @@ let test_heap_interleaved =
                 k' = smallest && v = smallest)
         ops)
 
+(* A model run of push (keys from a small range, so most are
+   duplicates), pop and clear against a list kept in (key, insertion
+   order); pushes outnumber pops, so the heap grows far past its
+   one-entry start.  Every value is its own push index, so a pop that
+   broke a tie the wrong way returns the wrong value. *)
+let test_heap_model =
+  qtest ~count:300 "heap push/pop/clear matches (key, insertion order) model"
+    QCheck.(list_of_size Gen.(int_range 0 600) (pair (int_bound 99) (int_bound 7)))
+    (fun ops ->
+      let h = Heap.create ~capacity:1 ~dummy:(-1) () in
+      let model = ref [] and pushed = ref 0 and ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (fun (op, key) ->
+          if op = 0 then begin
+            Heap.clear h;
+            model := []
+          end
+          else if op < 40 then begin
+            match !model with
+            | [] ->
+                expect
+                  (try
+                     ignore (Heap.pop h : int);
+                     false
+                   with Invalid_argument _ -> true)
+            | (k, v) :: rest ->
+                expect (Heap.top_key h = k);
+                expect (Heap.pop h = v);
+                model := rest
+          end
+          else begin
+            let v = !pushed in
+            incr pushed;
+            Heap.push h ~key v;
+            let before, after = List.partition (fun (k, _) -> k <= key) !model in
+            model := before @ ((key, v) :: after)
+          end;
+          expect (Heap.length h = List.length !model);
+          match !model with
+          | [] -> expect (Heap.is_empty h)
+          | (k, _) :: _ -> expect (Heap.top_key h = k))
+        ops;
+      !ok)
+
+(* Steady state at the size the simulator runs at: 16 pending entries,
+   each step pops the head and pushes one entry a varied delay later. *)
+let test_heap_allocation_free () =
+  let h = Heap.create ~capacity:1 ~dummy:0 () in
+  for i = 1 to 16 do
+    Heap.push h ~key:(i * 37 mod 101) i
+  done;
+  let n = ref 0 in
+  check (Alcotest.float 0.0) "push+top_key+pop at 16 entries" 0.0
+    (minor_words_per_call (fun () ->
+         incr n;
+         Heap.push h ~key:(Heap.top_key h + 1 + (!n * 7919 land 255)) !n;
+         ignore (Heap.top_key h + Heap.pop h : int)));
+  check Alcotest.int "still 16 entries" 16 (Heap.length h)
+
 (* --- Fvec / Ivec --- *)
 
 let test_fvec_basic () =
@@ -395,6 +455,8 @@ let suite =
     Alcotest.test_case "heap top_key" `Quick test_heap_top_key;
     Alcotest.test_case "heap pop empty" `Quick test_heap_pop_empty;
     test_heap_interleaved;
+    test_heap_model;
+    Alcotest.test_case "heap push+pop allocation-free" `Quick test_heap_allocation_free;
     Alcotest.test_case "fvec basic" `Quick test_fvec_basic;
     Alcotest.test_case "fvec bounds" `Quick test_fvec_bounds;
     Alcotest.test_case "fvec sorted" `Quick test_fvec_sorted;
