@@ -679,6 +679,38 @@ let test_caladan_kill_rescued_by_stealing () =
   let _, in_flight, _ = Caladan.obs_snapshot t in
   check Alcotest.int "no stranded jobs" 0 in_flight
 
+(* A dead core is never busy again, so it must not be picked as the
+   thief when a delivery lands behind a busy core.  One RSS flow sends
+   every request to one core; a lower-index core is killed first. *)
+let test_caladan_dead_core_steals_nothing () =
+  let cores = 3 in
+  let target = Tq_net.Rss.queue_of_flow ~flow:0 ~queues:cores in
+  let dead = if target = 0 then 1 else 0 in
+  let sim = Sim.create () in
+  let rng = Prng.create ~seed:5L in
+  let metrics = Metrics.create ~workload:Table1.exp1 ~warmup_ns:0 in
+  let config =
+    { (Caladan.default_config ~mode:Caladan.Directpath ~cores) with rss_flows = Some 1 }
+  in
+  let t = Caladan.create sim ~rng ~config ~metrics () in
+  let held = ref 0 in
+  let watch () =
+    held := max !held (Worker.queue_length (Caladan.workers t).(dead))
+  in
+  ignore (Sim.schedule_at sim ~time:0 (fun () -> Caladan.kill_worker t ~wid:dead) : Sim.event);
+  for i = 1 to 40 do
+    ignore
+      (Sim.schedule_at sim ~time:(i * 2_000) (fun () ->
+           Caladan.submit t (req ~req_id:i ~service_ns:10_000 ~arrival_ns:(i * 2_000) ());
+           watch ())
+        : Sim.event)
+  done;
+  Sim.run sim;
+  check Alcotest.bool "the flow lands on a live core" true (target <> dead);
+  check Alcotest.int "dead core's queue stayed empty" 0 !held;
+  check Alcotest.int "nothing lost" 0 (Caladan.lost_jobs t);
+  check Alcotest.int "every request completed" 40 (Metrics.total_completed metrics)
+
 let suite =
   [
     backoff_capped;
@@ -719,4 +751,6 @@ let suite =
       test_centralized_stall_delays_but_completes;
     Alcotest.test_case "caladan kill rescued by stealing" `Quick
       test_caladan_kill_rescued_by_stealing;
+    Alcotest.test_case "caladan dead core steals nothing" `Quick
+      test_caladan_dead_core_steals_nothing;
   ]
