@@ -9,12 +9,14 @@
 
 type 'a t
 
-val create : Sim.t -> unit -> 'a t
+(** [create sim ~serve ()] is an idle server that calls [serve item] as
+    it finishes each item.  The server registers one {!Sim.action} and
+    keeps the item in service itself, so serving allocates no event. *)
+val create : Sim.t -> serve:('a -> unit) -> unit -> 'a t
 
-(** [submit t ~cost item ~done_] enqueues [item]; when the server has
-    served it (after waiting for predecessors plus [cost] ns),
-    [done_ item] runs. *)
-val submit : 'a t -> cost:int -> 'a -> done_:('a -> unit) -> unit
+(** [submit t ~cost item] enqueues [item]; when the server has served it
+    (after waiting for predecessors plus [cost] ns), [serve item] runs. *)
+val submit : 'a t -> cost:int -> 'a -> unit
 
 (** [occupy t ~cost] blocks the server for [cost] ns without serving
     anything: a fault-injection hook modeling a transient outage of the

@@ -60,6 +60,13 @@ type t = {
   stall_pending : int array;
   in_stall : bool array;
   dead_w : bool array;
+  (* The slice in flight per worker, ended by its [core_done] action,
+     which also ends a blackout ([in_stall]). *)
+  slice_job : Job.t array;
+  slice_ns : int array;
+  slice_overhead : int array;
+  slice_finishes : bool array;
+  core_done : Sim.action array;
   mutable lost : int;
   on_complete : Job.t -> unit;
   on_lost : Job.t -> unit;
@@ -75,38 +82,6 @@ type t = {
   mutable slice_count : int;
 }
 
-let create sim ~rng:_ ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
-    ?(on_complete = fun (_ : Job.t) -> ()) ?(on_lost = fun (_ : Job.t) -> ()) () =
-  if config.cores < 1 then invalid_arg "Centralized.create: need at least one core";
-  let reg = obs.Tq_obs.Obs.counters in
-  {
-    sim;
-    config;
-    queue = Deque.create ();
-    busy = Array.make config.cores false;
-    inflight = Array.make config.cores false;
-    pending = Array.make config.cores None;
-    dispatcher = Busy_server.create sim ();
-    metrics;
-    last_end = Array.make config.cores (-1);
-    stall_pending = Array.make config.cores 0;
-    in_stall = Array.make config.cores false;
-    dead_w = Array.make config.cores false;
-    lost = 0;
-    on_complete;
-    on_lost;
-    trace = obs.Tq_obs.Obs.trace;
-    c_arrivals = Counters.counter reg "dispatch.arrivals";
-    c_assigns = Counters.counter reg "dispatch.decisions";
-    c_quanta = Counters.counter reg "worker.quanta";
-    c_preemptions = Counters.counter reg "worker.yields";
-    c_completions = Counters.counter reg "worker.completions";
-    gap_sum = 0;
-    gap_count = 0;
-    slice_sum = 0;
-    slice_count = 0;
-  }
-
 (* An assignment op left the dispatcher core: the decision is made. *)
 let note_assign t ~(job : Job.t) ~wid =
   Counters.incr t.c_assigns;
@@ -120,20 +95,20 @@ let note_assign t ~(job : Job.t) ~wid =
            queue_len = Deque.length t.queue;
          })
 
-(* First worker an assignment can go to — idle when [want_idle], busy
-   otherwise — with no assignment in flight or parked and not dead; -1
-   if none.  An index loop, not a closure: it runs on every kick. *)
-let free_worker t ~want_idle =
+(* The worker the next assignment goes to: the first idle one, else the
+   first busy one, among those with no assignment in flight or parked
+   and not dead; -1 if none.  One index pass, not a closure: it runs on
+   every kick. *)
+let free_worker t =
   let n = Array.length t.busy in
-  let w = ref 0 in
-  while
-    !w < n
-    && (t.busy.(!w) = want_idle || t.inflight.(!w) || Option.is_some t.pending.(!w)
-       || t.dead_w.(!w))
-  do
+  let idle = ref (-1) and busy = ref (-1) and w = ref 0 in
+  while !idle < 0 && !w < n do
+    let i = !w in
+    if not (t.inflight.(i) || Option.is_some t.pending.(i) || t.dead_w.(i)) then
+      if not t.busy.(i) then idle := i else if !busy < 0 then busy := i;
     incr w
   done;
-  if !w < n then !w else -1
+  if !idle >= 0 then !idle else !busy
 
 (* First worker other than [thief] holding a parked assignment; -1 if
    none. *)
@@ -153,10 +128,7 @@ let parked_victim t ~thief =
 let rec kick t =
   if not (Deque.is_empty t.queue) then begin
     (* Prefer idle workers, then busy ones lacking a prefetched job. *)
-    let wid =
-      let w = free_worker t ~want_idle:true in
-      if w >= 0 then w else free_worker t ~want_idle:false
-    in
+    let wid = free_worker t in
     if wid >= 0 then
       match Deque.pop_front t.queue with
       | None -> ()
@@ -169,24 +141,29 @@ let rec kick t =
 and assign t ~job ~wid =
   t.inflight.(wid) <- true;
   let cost = t.config.sched_op_ns + (t.config.sched_scan_per_core_ns * t.config.cores) in
-  Busy_server.submit t.dispatcher ~cost (Assign { job; wid }) ~done_:(fun op ->
-      match op with
-      | Assign { job; wid } ->
-          t.inflight.(wid) <- false;
-          if t.dead_w.(wid) then begin
-            (* The core died while the assignment was being prepared:
-               the job goes back to the head of the central queue. *)
-            Deque.push_front t.queue job;
-            kick t
-          end
-          else begin
-            note_assign t ~job ~wid;
-            if t.busy.(wid) then t.pending.(wid) <- Some job else start_slice t ~job ~wid;
-            (* Keep the pipeline primed: prepare the next assignment
-               while slices run. *)
-            kick t
-          end
-      | Admit _ -> assert false)
+  Busy_server.submit t.dispatcher ~cost (Assign { job; wid })
+
+(* An op left the dispatcher core. *)
+and served t = function
+  | Admit req ->
+      let job = Job.of_request ~probe_overhead_frac:t.config.probe_overhead_frac req in
+      Deque.push_back t.queue job;
+      kick t
+  | Assign { job; wid } ->
+      t.inflight.(wid) <- false;
+      if t.dead_w.(wid) then begin
+        (* The core died while the assignment was being prepared: the
+           job goes back to the head of the central queue. *)
+        Deque.push_front t.queue job;
+        kick t
+      end
+      else begin
+        note_assign t ~job ~wid;
+        if t.busy.(wid) then t.pending.(wid) <- Some job else start_slice t ~job ~wid;
+        (* Keep the pipeline primed: prepare the next assignment while
+           slices run. *)
+        kick t
+      end
 
 and start_slice t ~job ~wid =
   let now = Sim.now t.sim in
@@ -208,46 +185,51 @@ and start_slice t ~job ~wid =
   if Trace.enabled t.trace then
     Trace.record t.trace ~ts_ns:now ~lane:(Event.Worker wid)
       (Event.Quantum_start { job_id = job.Job.id; quantum_ns = slice });
-  ignore
-    (Sim.schedule_after t.sim ~delay:(slice + overhead) (fun () ->
-         if t.dead_w.(wid) then begin
-           (* The core died mid-slice: the job's state is gone. *)
-           t.lost <- t.lost + 1;
-           t.busy.(wid) <- false;
-           t.on_lost job;
-           rescue_pending t ~wid
-         end
-         else begin
-           job.remaining_ns <- job.remaining_ns - slice;
-           job.serviced_quanta <- job.serviced_quanta + 1;
-           Counters.incr t.c_quanta;
-           let end_ns = Sim.now t.sim in
-           if Trace.enabled t.trace then
-             Trace.record t.trace ~ts_ns:end_ns ~lane:(Event.Worker wid)
-               (Event.Quantum_end
-                  { job_id = job.Job.id; ran_ns = slice + overhead; finished = finishes });
-           if finishes then begin
-             Counters.incr t.c_completions;
-             if Trace.enabled t.trace then
-               Trace.record t.trace ~ts_ns:end_ns ~lane:(Event.Worker wid)
-                 (Event.Completion
-                    { job_id = job.Job.id; sojourn_ns = end_ns - job.arrival_ns });
-             Metrics.record t.metrics ~class_idx:job.class_idx ~arrival_ns:job.arrival_ns
-               ~finish_ns:(Sim.now t.sim) ~service_ns:job.service_ns;
-             t.on_complete job
-           end
-           else begin
-             Counters.incr t.c_preemptions;
-             if Trace.enabled t.trace then
-               Trace.record t.trace ~ts_ns:end_ns ~lane:(Event.Worker wid)
-                 (Event.Yield { job_id = job.Job.id });
-             Deque.push_back t.queue job
-           end;
-           t.last_end.(wid) <- Sim.now t.sim;
-           t.busy.(wid) <- false;
-           after_slice t ~wid
-         end)
-      : Sim.event)
+  t.slice_job.(wid) <- job;
+  t.slice_ns.(wid) <- slice;
+  t.slice_overhead.(wid) <- overhead;
+  t.slice_finishes.(wid) <- finishes;
+  Sim.post t.sim ~delay:(slice + overhead) t.core_done.(wid)
+
+and end_slice t ~wid =
+  let job = t.slice_job.(wid) in
+  if t.dead_w.(wid) then begin
+    (* The core died mid-slice: the job's state is gone. *)
+    t.lost <- t.lost + 1;
+    t.busy.(wid) <- false;
+    t.on_lost job;
+    rescue_pending t ~wid
+  end
+  else begin
+    let slice = t.slice_ns.(wid) and finishes = t.slice_finishes.(wid) in
+    job.remaining_ns <- job.remaining_ns - slice;
+    job.serviced_quanta <- job.serviced_quanta + 1;
+    Counters.incr t.c_quanta;
+    let end_ns = Sim.now t.sim in
+    if Trace.enabled t.trace then
+      Trace.record t.trace ~ts_ns:end_ns ~lane:(Event.Worker wid)
+        (Event.Quantum_end
+           { job_id = job.Job.id; ran_ns = slice + t.slice_overhead.(wid); finished = finishes });
+    if finishes then begin
+      Counters.incr t.c_completions;
+      if Trace.enabled t.trace then
+        Trace.record t.trace ~ts_ns:end_ns ~lane:(Event.Worker wid)
+          (Event.Completion { job_id = job.Job.id; sojourn_ns = end_ns - job.arrival_ns });
+      Metrics.record t.metrics ~class_idx:job.class_idx ~arrival_ns:job.arrival_ns
+        ~finish_ns:(Sim.now t.sim) ~service_ns:job.service_ns;
+      t.on_complete job
+    end
+    else begin
+      Counters.incr t.c_preemptions;
+      if Trace.enabled t.trace then
+        Trace.record t.trace ~ts_ns:end_ns ~lane:(Event.Worker wid)
+          (Event.Yield { job_id = job.Job.id });
+      Deque.push_back t.queue job
+    end;
+    t.last_end.(wid) <- Sim.now t.sim;
+    t.busy.(wid) <- false;
+    after_slice t ~wid
+  end
 
 (* A dead core's parked assignment goes back to the central queue — the
    dispatcher owns all state in this model, so rescue is immediate. *)
@@ -272,15 +254,7 @@ and after_slice t ~wid =
     if Trace.enabled t.trace then
       Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Worker wid)
         (Event.Stall_start { worker = wid; duration_ns = d });
-    ignore
-      (Sim.schedule_after t.sim ~delay:d (fun () ->
-           t.in_stall.(wid) <- false;
-           t.busy.(wid) <- false;
-           if Trace.enabled t.trace then
-             Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Worker wid)
-               (Event.Stall_end { worker = wid });
-           after_slice t ~wid)
-        : Sim.event)
+    Sim.post t.sim ~delay:d t.core_done.(wid)
   end
   else begin
     (match t.pending.(wid) with
@@ -303,6 +277,64 @@ and after_slice t ~wid =
     end
   end
 
+and end_stall t ~wid =
+  t.in_stall.(wid) <- false;
+  t.busy.(wid) <- false;
+  if Trace.enabled t.trace then
+    Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Worker wid)
+      (Event.Stall_end { worker = wid });
+  after_slice t ~wid
+
+let create sim ~rng:_ ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
+    ?(on_complete = fun (_ : Job.t) -> ()) ?(on_lost = fun (_ : Job.t) -> ()) () =
+  if config.cores < 1 then invalid_arg "Centralized.create: need at least one core";
+  let reg = obs.Tq_obs.Obs.counters in
+  let cores = config.cores in
+  (* The dispatcher and the cores' actions need [t]: tie the knot once
+     it is built. *)
+  let serve = ref ignore in
+  let t =
+    {
+      sim;
+      config;
+      queue = Deque.create ();
+      busy = Array.make cores false;
+      inflight = Array.make cores false;
+      pending = Array.make cores None;
+      dispatcher = Busy_server.create sim ~serve:(fun op -> !serve op) ();
+      metrics;
+      last_end = Array.make cores (-1);
+      stall_pending = Array.make cores 0;
+      in_stall = Array.make cores false;
+      dead_w = Array.make cores false;
+      slice_job = Array.make cores Job.none;
+      slice_ns = Array.make cores 0;
+      slice_overhead = Array.make cores 0;
+      slice_finishes = Array.make cores false;
+      core_done = Array.make cores Sim.no_action;
+      lost = 0;
+      on_complete;
+      on_lost;
+      trace = obs.Tq_obs.Obs.trace;
+      c_arrivals = Counters.counter reg "dispatch.arrivals";
+      c_assigns = Counters.counter reg "dispatch.decisions";
+      c_quanta = Counters.counter reg "worker.quanta";
+      c_preemptions = Counters.counter reg "worker.yields";
+      c_completions = Counters.counter reg "worker.completions";
+      gap_sum = 0;
+      gap_count = 0;
+      slice_sum = 0;
+      slice_count = 0;
+    }
+  in
+  serve := served t;
+  for wid = 0 to cores - 1 do
+    t.core_done.(wid) <-
+      Sim.action sim (fun () ->
+          if t.in_stall.(wid) then end_stall t ~wid else end_slice t ~wid)
+  done;
+  t
+
 let submit t req =
   Counters.incr t.c_arrivals;
   if Trace.enabled t.trace then
@@ -313,13 +345,7 @@ let submit t req =
            class_idx = req.Arrivals.class_idx;
            service_ns = req.Arrivals.service_ns;
          });
-  Busy_server.submit t.dispatcher ~cost:t.config.net_op_ns (Admit req) ~done_:(fun op ->
-      match op with
-      | Admit req ->
-          let job = Job.of_request ~probe_overhead_frac:t.config.probe_overhead_frac req in
-          Deque.push_back t.queue job;
-          kick t
-      | Assign _ -> assert false)
+  Busy_server.submit t.dispatcher ~cost:t.config.net_op_ns (Admit req)
 
 (* {2 Fault hooks} *)
 

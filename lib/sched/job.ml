@@ -25,3 +25,14 @@ let of_request ~probe_overhead_frac (req : Tq_workload.Arrivals.request) =
 
 let finished j = j.remaining_ns <= 0
 let attained_ns j = j.initial_effective_ns - j.remaining_ns
+
+let none =
+  {
+    id = -1;
+    class_idx = 0;
+    service_ns = 0;
+    arrival_ns = 0;
+    initial_effective_ns = 0;
+    remaining_ns = 0;
+    serviced_quanta = 0;
+  }

@@ -26,3 +26,7 @@ val finished : t -> bool
 (** [attained_ns j] — effective service received so far; what
     least-attained-service scheduling orders by. *)
 val attained_ns : t -> int
+
+(** [none] fills the in-flight slot of a core that has run no slice yet;
+    it is never scheduled. *)
+val none : t

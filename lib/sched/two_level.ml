@@ -1,5 +1,6 @@
 module Sim = Tq_engine.Sim
 module Busy_server = Tq_engine.Busy_server
+module Deque = Tq_util.Ring_deque
 module Prng = Tq_util.Prng
 module Metrics = Tq_workload.Metrics
 module Arrivals = Tq_workload.Arrivals
@@ -80,6 +81,11 @@ type t = {
   c_steals : Counters.counter;
   mutable steals : int;
   mutable steal_items : int;
+  (* Jobs riding a dispatcher->worker ring.  Every hop takes
+     [ring_hop_ns], so they arrive in the order they left, each with one
+     post of [hopped]. *)
+  hops : (Job.t * int) Deque.t;
+  mutable hopped : Sim.action;
 }
 
 (* Idle-core steal-half, the second chance under the dispatcher's
@@ -132,6 +138,106 @@ let try_steal t ~thief_wid =
     end
   end
 
+let in_system t =
+  t.acct.accepted - t.acct.completed - t.acct.lost - t.acct.dropped_no_worker
+
+(* Pick a worker the dispatcher believes alive.  Fault-free runs (no
+   core ever marked dead) take the unfiltered path, consuming the PRNG
+   stream exactly as before faults existed. *)
+let pick_worker t (d : dispatcher) =
+  if t.dead_count = 0 then Some (Dispatch_policy.choose d.chooser t.workers)
+  else if t.dead_count >= Array.length t.workers then None
+  else
+    Some
+      (Dispatch_policy.choose ~alive:(fun i -> t.marked_alive.(i)) d.chooser t.workers)
+
+let rec send_over_ring t job widx =
+  t.acct.on_ring <- t.acct.on_ring + 1;
+  Deque.push_back t.hops (job, widx);
+  Sim.post t.sim ~delay:t.config.overheads.ring_hop_ns t.hopped
+
+and hop t =
+  match Deque.pop_front t.hops with
+  | None -> assert false
+  | Some (job, widx) ->
+      t.acct.on_ring <- t.acct.on_ring - 1;
+      Counters.incr t.c_ring_hops;
+      if Trace.enabled t.trace then
+        Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Worker widx)
+          (Event.Ring_hop { job_id = job.Job.id; worker = widx });
+      if t.marked_alive.(widx) then begin
+        Worker.enqueue t.workers.(widx) job;
+        (* Deliver-time steal trigger: if the placement left a queue
+           behind a busy core while some other core sits idle, let the
+           idle core pull immediately rather than waiting for its next
+           idle transition (which may never fire if it is already
+           parked). *)
+        if t.steal && Worker.queue_length t.workers.(widx) > 0 then begin
+          let thief = ref (-1) in
+          Array.iteri
+            (fun i w ->
+              if
+                !thief < 0 && i <> widx && t.marked_alive.(i)
+                && (not (Worker.is_busy w))
+                && Worker.queue_length w = 0
+              then thief := i)
+            t.workers;
+          if !thief >= 0 then try_steal t ~thief_wid:!thief
+        end
+      end
+      else begin
+        (* The core was marked dead while this job was on the ring; its
+           queue was already drained, so take the job back and rescue it
+           ourselves. *)
+        Worker.note_unassigned t.workers.(widx);
+        redispatch t ~from:widx job
+      end
+
+and redispatch t ~from job =
+  let d = t.dispatchers.(job.Job.id mod Array.length t.dispatchers) in
+  match pick_worker t d with
+  | None ->
+      t.acct.dropped_no_worker <- t.acct.dropped_no_worker + 1;
+      if Trace.enabled t.trace then
+        Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:Event.Global
+          (Event.Drop { job_id = job.Job.id; reason = "no-worker" })
+  | Some widx ->
+      t.acct.redispatches <- t.acct.redispatches + 1;
+      Counters.incr t.c_redispatches;
+      if Trace.enabled t.trace then
+        Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:Event.Global
+          (Event.Redispatch { job_id = job.Job.id; from_worker = from; to_worker = widx });
+      Worker.note_assigned t.workers.(widx);
+      send_over_ring t job widx
+
+(* Dispatcher [d_idx] finished its op on [req]: place the job. *)
+let dispatched t d_idx (req : Arrivals.request) =
+  let d = t.dispatchers.(d_idx) in
+  t.acct.in_dispatch <- t.acct.in_dispatch - 1;
+  match pick_worker t d with
+  | None ->
+      t.acct.dropped_no_worker <- t.acct.dropped_no_worker + 1;
+      if Trace.enabled t.trace then
+        Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Dispatcher d_idx)
+          (Event.Drop { job_id = req.req_id; reason = "no-worker" })
+  | Some widx ->
+      let worker = t.workers.(widx) in
+      Counters.incr t.c_dispatches;
+      if Trace.enabled t.trace then
+        Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Dispatcher d_idx)
+          (Event.Dispatch
+             {
+               job_id = req.req_id;
+               worker = widx;
+               policy = t.policy_name;
+               queue_len = Worker.queue_length worker;
+             });
+      Worker.note_assigned worker;
+      let job =
+        Job.of_request ~probe_overhead_frac:t.config.overheads.probe_overhead_frac req
+      in
+      send_over_ring t job widx
+
 let create sim ~rng ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
     ?(admission = Admission.Accept_all) ?(steal = false)
     ?(on_complete = fun (_ : Job.t) -> ())
@@ -167,10 +273,10 @@ let create sim ~rng ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
     acct.lost <- acct.lost + 1;
     on_lost job
   in
-  (* With stealing on, each core's idle transition fires [try_steal]
-     for itself.  The hook needs [t], which needs the workers — tie the
-     knot through a ref the hook reads lazily (it can only fire once
-     the simulation runs, well after [create] returns). *)
+  (* Worker idle hooks (with stealing on) and dispatcher completions
+     need [t], which needs the workers and the dispatchers — tie the
+     knot through a ref they read when they fire (only once the
+     simulation runs, well after [create] returns). *)
   let t_ref = ref None in
   let workers =
     Array.init config.cores (fun wid ->
@@ -182,9 +288,13 @@ let create sim ~rng ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
           ~overheads:ov ~obs ~on_lost ~on_finish ~on_idle ())
   in
   let dispatchers =
-    Array.init config.dispatchers (fun _ ->
+    Array.init config.dispatchers (fun d_idx ->
         {
-          server = Busy_server.create sim ();
+          server =
+            Busy_server.create sim
+              ~serve:(fun req ->
+                match !t_ref with Some t -> dispatched t d_idx req | None -> ())
+              ();
           chooser = Dispatch_policy.make_chooser config.dispatch_policy ~rng:(Prng.split rng);
         })
   in
@@ -192,98 +302,32 @@ let create sim ~rng ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
   let t =
     {
       sim;
-    config;
-    workers;
-    dispatchers;
-    metrics;
-    trace = obs.Tq_obs.Obs.trace;
-    policy_name = Dispatch_policy.to_string config.dispatch_policy;
-    c_arrivals = Counters.counter reg "dispatch.arrivals";
-    c_dispatches = Counters.counter reg "dispatch.decisions";
-    c_ring_hops = Counters.counter reg "dispatch.ring_hops";
-    c_redispatches = Counters.counter reg "dispatch.redispatches";
-    acct;
-    admission;
-    on_reject;
-    marked_alive = Array.make config.cores true;
-    dead_count = 0;
-    steal;
-    c_steals = Counters.counter reg "sched.steals";
-    steals = 0;
-    steal_items = 0;
+      config;
+      workers;
+      dispatchers;
+      metrics;
+      trace = obs.Tq_obs.Obs.trace;
+      policy_name = Dispatch_policy.to_string config.dispatch_policy;
+      c_arrivals = Counters.counter reg "dispatch.arrivals";
+      c_dispatches = Counters.counter reg "dispatch.decisions";
+      c_ring_hops = Counters.counter reg "dispatch.ring_hops";
+      c_redispatches = Counters.counter reg "dispatch.redispatches";
+      acct;
+      admission;
+      on_reject;
+      marked_alive = Array.make config.cores true;
+      dead_count = 0;
+      steal;
+      c_steals = Counters.counter reg "sched.steals";
+      steals = 0;
+      steal_items = 0;
+      hops = Deque.create ();
+      hopped = Sim.no_action;
     }
   in
+  t.hopped <- Sim.action sim (fun () -> hop t);
   t_ref := Some t;
   t
-
-let in_system t =
-  t.acct.accepted - t.acct.completed - t.acct.lost - t.acct.dropped_no_worker
-
-(* Pick a worker the dispatcher believes alive.  Fault-free runs (no
-   core ever marked dead) take the unfiltered path, consuming the PRNG
-   stream exactly as before faults existed. *)
-let pick_worker t (d : dispatcher) =
-  if t.dead_count = 0 then Some (Dispatch_policy.choose d.chooser t.workers)
-  else if t.dead_count >= Array.length t.workers then None
-  else
-    Some
-      (Dispatch_policy.choose ~alive:(fun i -> t.marked_alive.(i)) d.chooser t.workers)
-
-let rec send_over_ring t job widx =
-  let ov = t.config.overheads in
-  t.acct.on_ring <- t.acct.on_ring + 1;
-  ignore
-    (Sim.schedule_after t.sim ~delay:ov.ring_hop_ns (fun () ->
-         t.acct.on_ring <- t.acct.on_ring - 1;
-         Counters.incr t.c_ring_hops;
-         if Trace.enabled t.trace then
-           Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Worker widx)
-             (Event.Ring_hop { job_id = job.Job.id; worker = widx });
-         if t.marked_alive.(widx) then begin
-           Worker.enqueue t.workers.(widx) job;
-           (* Deliver-time steal trigger: if the placement left a queue
-              behind a busy core while some other core sits idle, let
-              the idle core pull immediately rather than waiting for
-              its next idle transition (which may never fire if it is
-              already parked). *)
-           if t.steal && Worker.queue_length t.workers.(widx) > 0 then begin
-             let thief = ref (-1) in
-             Array.iteri
-               (fun i w ->
-                 if
-                   !thief < 0 && i <> widx && t.marked_alive.(i)
-                   && (not (Worker.is_busy w))
-                   && Worker.queue_length w = 0
-                 then thief := i)
-               t.workers;
-             if !thief >= 0 then try_steal t ~thief_wid:!thief
-           end
-         end
-         else begin
-           (* The core was marked dead while this job was on the ring;
-              its queue was already drained, so take the job back and
-              rescue it ourselves. *)
-           Worker.note_unassigned t.workers.(widx);
-           redispatch t ~from:widx job
-         end)
-      : Sim.event)
-
-and redispatch t ~from job =
-  let d = t.dispatchers.(job.Job.id mod Array.length t.dispatchers) in
-  match pick_worker t d with
-  | None ->
-      t.acct.dropped_no_worker <- t.acct.dropped_no_worker + 1;
-      if Trace.enabled t.trace then
-        Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:Event.Global
-          (Event.Drop { job_id = job.Job.id; reason = "no-worker" })
-  | Some widx ->
-      t.acct.redispatches <- t.acct.redispatches + 1;
-      Counters.incr t.c_redispatches;
-      if Trace.enabled t.trace then
-        Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:Event.Global
-          (Event.Redispatch { job_id = job.Job.id; from_worker = from; to_worker = widx });
-      Worker.note_assigned t.workers.(widx);
-      send_over_ring t job widx
 
 let submit t req =
   let ov = t.config.overheads in
@@ -316,29 +360,6 @@ let submit t req =
     t.acct.accepted <- t.acct.accepted + 1;
     t.acct.in_dispatch <- t.acct.in_dispatch + 1;
     Busy_server.submit d.server ~cost:ov.dispatch_ns req
-      ~done_:(fun (req : Arrivals.request) ->
-        t.acct.in_dispatch <- t.acct.in_dispatch - 1;
-        match pick_worker t d with
-        | None ->
-            t.acct.dropped_no_worker <- t.acct.dropped_no_worker + 1;
-            if Trace.enabled t.trace then
-              Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane
-                (Event.Drop { job_id = req.req_id; reason = "no-worker" })
-        | Some widx ->
-            let worker = t.workers.(widx) in
-            Counters.incr t.c_dispatches;
-            if Trace.enabled t.trace then
-              Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane
-                (Event.Dispatch
-                   {
-                     job_id = req.req_id;
-                     worker = widx;
-                     policy = t.policy_name;
-                     queue_len = Worker.queue_length worker;
-                   });
-            Worker.note_assigned worker;
-            let job = Job.of_request ~probe_overhead_frac:ov.probe_overhead_frac req in
-            send_over_ring t job widx)
   end
 
 (* {2 Live retuning (the feedback controller's actuators)} *)

@@ -43,40 +43,15 @@ type t = {
   mutable stalled_ns : int;
   mutable lost : int;
   mutable quanta_total : int;  (** monotone progress counter, never reset *)
+  (* The slice or blackout in flight, ended by [transition] — at most
+     one at a time, since only an idle worker starts either. *)
+  mutable slice_job : Job.t;
+  mutable slice_ns : int;
+  mutable slice_jitter_ns : int;
+  mutable slice_finishes : bool;
+  mutable stall_ns : int;
+  mutable transition : Sim.action;
 }
-
-let create sim ~wid ~rng ~policy ~overheads ?(obs = Tq_obs.Obs.disabled ())
-    ?(on_idle = ignore) ?(on_lost = ignore) ~on_finish () =
-  let reg = obs.Tq_obs.Obs.counters in
-  {
-    sim;
-    wid;
-    rng;
-    policy;
-    ov = overheads;
-    queue = Deque.create ();
-    on_finish;
-    on_idle;
-    on_lost;
-    trace = obs.Tq_obs.Obs.trace;
-    lane = Event.Worker wid;
-    c_quanta = Counters.counter reg "worker.quanta";
-    c_yields = Counters.counter reg "worker.yields";
-    c_completions = Counters.counter reg "worker.completions";
-    d_overshoot = Counters.dist reg "worker.overshoot_ns";
-    busy = false;
-    assigned = 0;
-    finished = 0;
-    current_quanta = 0;
-    busy_ns = 0;
-    dead = false;
-    in_service = false;
-    in_stall = false;
-    stall_pending_ns = 0;
-    stalled_ns = 0;
-    lost = 0;
-    quanta_total = 0;
-  }
 
 let wid t = t.wid
 
@@ -176,6 +151,10 @@ let pop_next t =
         winner
       end
 
+(* The in-flight slice plus the cost of the switch that ends it. *)
+let slice_busy_ns t =
+  t.slice_ns + if t.slice_finishes then t.ov.finish_ns else t.ov.yield_ns
+
 let rec run_next t =
   if t.dead then t.busy <- false  (* queue kept for [drain] / [steal] *)
   else if t.stall_pending_ns > 0 then begin
@@ -188,18 +167,11 @@ let rec run_next t =
     t.stall_pending_ns <- 0;
     t.busy <- true;
     t.in_stall <- true;
+    t.stall_ns <- d;
     if Trace.enabled t.trace then
       Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:t.lane
         (Event.Stall_start { worker = t.wid; duration_ns = d });
-    ignore
-      (Sim.schedule_after t.sim ~delay:d (fun () ->
-           t.in_stall <- false;
-           t.stalled_ns <- t.stalled_ns + d;
-           if Trace.enabled t.trace then
-             Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:t.lane
-               (Event.Stall_end { worker = t.wid });
-           run_next t)
-        : Sim.event)
+    Sim.post t.sim ~delay:d t.transition
   end
   else
     match pop_next t with
@@ -209,70 +181,123 @@ let rec run_next t =
     | Some job ->
         t.busy <- true;
         t.in_service <- true;
-      (* Draw jitter separately from the base quantum so the overshoot
-         past the nominal quantum is observable (same single PRNG draw
-         per slice as before). *)
-      let jit = ref 0 in
-      let slice, finishes =
-        match base_quantum_for t job with
-        | None -> (job.remaining_ns, true)
-        | Some base ->
-            jit := jitter t;
-            let q = base + !jit in
-            if job.remaining_ns <= q then (job.remaining_ns, true)
-            else (q, false)
-      in
-      let extra = if finishes then t.ov.finish_ns else t.ov.yield_ns in
-      let busy_for = slice + extra in
+        (* Draw jitter separately from the base quantum so the overshoot
+           past the nominal quantum is observable (same single PRNG draw
+           per slice as before). *)
+        let jit, slice, finishes =
+          match base_quantum_for t job with
+          | None -> (0, job.remaining_ns, true)
+          | Some base ->
+              let jit = jitter t in
+              let q = base + jit in
+              if job.remaining_ns <= q then (jit, job.remaining_ns, true) else (jit, q, false)
+        in
+        t.slice_job <- job;
+        t.slice_ns <- slice;
+        t.slice_jitter_ns <- jit;
+        t.slice_finishes <- finishes;
+        if Trace.enabled t.trace then
+          Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:t.lane
+            (Event.Quantum_start { job_id = job.id; quantum_ns = slice });
+        Sim.post t.sim ~delay:(slice_busy_ns t) t.transition
+
+and end_stall t =
+  t.in_stall <- false;
+  t.stalled_ns <- t.stalled_ns + t.stall_ns;
+  if Trace.enabled t.trace then
+    Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:t.lane
+      (Event.Stall_end { worker = t.wid });
+  run_next t
+
+and end_slice t =
+  let job = t.slice_job in
+  t.in_service <- false;
+  if t.dead then begin
+    (* The core died mid-slice: the job's state is gone. *)
+    t.busy <- false;
+    t.current_quanta <- t.current_quanta - job.serviced_quanta;
+    t.assigned <- t.assigned - 1;
+    t.lost <- t.lost + 1;
+    t.on_lost job
+  end
+  else begin
+    let busy_for = slice_busy_ns t and jit = t.slice_jitter_ns in
+    let finishes = t.slice_finishes in
+    t.busy_ns <- t.busy_ns + busy_for;
+    job.remaining_ns <- job.remaining_ns - t.slice_ns;
+    job.serviced_quanta <- job.serviced_quanta + 1;
+    t.current_quanta <- t.current_quanta + 1;
+    t.quanta_total <- t.quanta_total + 1;
+    Counters.incr t.c_quanta;
+    let now = Sim.now t.sim in
+    if Trace.enabled t.trace then
+      Trace.record t.trace ~ts_ns:now ~lane:t.lane
+        (Event.Quantum_end { job_id = job.id; ran_ns = busy_for; finished = finishes });
+    if finishes then begin
+      t.current_quanta <- t.current_quanta - job.serviced_quanta;
+      t.finished <- t.finished + 1;
+      Counters.incr t.c_completions;
       if Trace.enabled t.trace then
-        Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:t.lane
-          (Event.Quantum_start { job_id = job.id; quantum_ns = slice });
-      ignore
-        (Sim.schedule_after t.sim ~delay:busy_for (fun () ->
-             t.in_service <- false;
-             if t.dead then begin
-               (* The core died mid-slice: the job's state is gone. *)
-               t.busy <- false;
-               t.current_quanta <- t.current_quanta - job.serviced_quanta;
-               t.assigned <- t.assigned - 1;
-               t.lost <- t.lost + 1;
-               t.on_lost job
-             end
-             else begin
-             t.busy_ns <- t.busy_ns + busy_for;
-             job.remaining_ns <- job.remaining_ns - slice;
-             job.serviced_quanta <- job.serviced_quanta + 1;
-             t.current_quanta <- t.current_quanta + 1;
-             t.quanta_total <- t.quanta_total + 1;
-             Counters.incr t.c_quanta;
-             let now = Sim.now t.sim in
-             if Trace.enabled t.trace then
-               Trace.record t.trace ~ts_ns:now ~lane:t.lane
-                 (Event.Quantum_end { job_id = job.id; ran_ns = busy_for; finished = finishes });
-             if finishes then begin
-               t.current_quanta <- t.current_quanta - job.serviced_quanta;
-               t.finished <- t.finished + 1;
-               Counters.incr t.c_completions;
-               if Trace.enabled t.trace then
-                 Trace.record t.trace ~ts_ns:now ~lane:t.lane
-                   (Event.Completion { job_id = job.id; sojourn_ns = now - job.arrival_ns });
-               t.on_finish job
-             end
-             else begin
-               Counters.incr t.c_yields;
-               if !jit > 0 then Counters.observe t.d_overshoot !jit;
-               if Trace.enabled t.trace then begin
-                 Trace.record t.trace ~ts_ns:now ~lane:t.lane
-                   (Event.Yield { job_id = job.id });
-                 if !jit > 0 then
-                   Trace.record t.trace ~ts_ns:now ~lane:t.lane
-                     (Event.Preempt_overshoot { job_id = job.id; overshoot_ns = !jit })
-               end;
-               Deque.push_back t.queue job
-             end;
-             run_next t
-             end)
-          : Sim.event)
+        Trace.record t.trace ~ts_ns:now ~lane:t.lane
+          (Event.Completion { job_id = job.id; sojourn_ns = now - job.arrival_ns });
+      t.on_finish job
+    end
+    else begin
+      Counters.incr t.c_yields;
+      if jit > 0 then Counters.observe t.d_overshoot jit;
+      if Trace.enabled t.trace then begin
+        Trace.record t.trace ~ts_ns:now ~lane:t.lane (Event.Yield { job_id = job.id });
+        if jit > 0 then
+          Trace.record t.trace ~ts_ns:now ~lane:t.lane
+            (Event.Preempt_overshoot { job_id = job.id; overshoot_ns = jit })
+      end;
+      Deque.push_back t.queue job
+    end;
+    run_next t
+  end
+
+let create sim ~wid ~rng ~policy ~overheads ?(obs = Tq_obs.Obs.disabled ())
+    ?(on_idle = ignore) ?(on_lost = ignore) ~on_finish () =
+  let reg = obs.Tq_obs.Obs.counters in
+  let t =
+    {
+      sim;
+      wid;
+      rng;
+      policy;
+      ov = overheads;
+      queue = Deque.create ();
+      on_finish;
+      on_idle;
+      on_lost;
+      trace = obs.Tq_obs.Obs.trace;
+      lane = Event.Worker wid;
+      c_quanta = Counters.counter reg "worker.quanta";
+      c_yields = Counters.counter reg "worker.yields";
+      c_completions = Counters.counter reg "worker.completions";
+      d_overshoot = Counters.dist reg "worker.overshoot_ns";
+      busy = false;
+      assigned = 0;
+      finished = 0;
+      current_quanta = 0;
+      busy_ns = 0;
+      dead = false;
+      in_service = false;
+      in_stall = false;
+      stall_pending_ns = 0;
+      stalled_ns = 0;
+      lost = 0;
+      quanta_total = 0;
+      slice_job = Job.none;
+      slice_ns = 0;
+      slice_jitter_ns = 0;
+      slice_finishes = false;
+      stall_ns = 0;
+      transition = Sim.no_action;
+    }
+  in
+  t.transition <- Sim.action sim (fun () -> if t.in_stall then end_stall t else end_slice t);
+  t
 
 let enqueue t job =
   Deque.push_back t.queue job;

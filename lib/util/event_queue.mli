@@ -1,0 +1,33 @@
+(** The simulator's event queue: int keys, int payloads.
+
+    Entries leave in [(key, push order)] order, so equal keys pop FIFO (a
+    determinism requirement).  Keys, push sequences and payloads sit in
+    flat int arrays, so neither a push nor a pop allocates or writes
+    through [caml_modify].
+
+    There are two tiers.  A sorted {e near} ring of at most 32 entries
+    holds the earliest ones; a push inserts into it from the tail, which
+    is cheap because a new event is usually among the latest.  A binary
+    heap holds the rest, and is allocated on the first overflow.  Every
+    near entry precedes every heap entry, so a pop takes the near head
+    while there is one.  A push costs O(32 + log n). *)
+
+type t
+
+val create : unit -> t
+val length : t -> int
+val is_empty : t -> bool
+
+(** [push t ~key v] inserts payload [v] with priority [key]. *)
+val push : t -> key:int -> int -> unit
+
+(** [top_key t] is the smallest key.  Raises [Invalid_argument] when
+    empty. *)
+val top_key : t -> int
+
+(** [pop t] removes and returns the first payload in [(key, push order)];
+    read its key with {!top_key} first.  Raises [Invalid_argument] when
+    empty. *)
+val pop : t -> int
+
+val clear : t -> unit

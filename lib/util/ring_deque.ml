@@ -1,3 +1,4 @@
+(* The capacity is a power of two, so an index wraps with a mask. *)
 type 'a t = {
   mutable data : 'a option array;
   mutable head : int; (* index of front element *)
@@ -5,11 +6,12 @@ type 'a t = {
 }
 
 let create ?(capacity = 8) () =
-  { data = Array.make (max capacity 1) None; head = 0; len = 0 }
+  let rec pow2 c = if c >= capacity then c else pow2 (2 * c) in
+  { data = Array.make (pow2 1) None; head = 0; len = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0
-let index t i = (t.head + i) mod Array.length t.data
+let index t i = (t.head + i) land (Array.length t.data - 1)
 
 let grow t =
   let cap = Array.length t.data in
@@ -27,8 +29,7 @@ let push_back t x =
 
 let push_front t x =
   if t.len = Array.length t.data then grow t;
-  let cap = Array.length t.data in
-  t.head <- (t.head + cap - 1) mod cap;
+  t.head <- index t (-1);
   t.data.(t.head) <- Some x;
   t.len <- t.len + 1
 

@@ -10,16 +10,18 @@ let install sim ~rng ~workload ~rate_rps ~duration_ns ~sink =
   let next_gap () =
     max 1 (int_of_float (Float.round (Prng.exponential rng ~mean:mean_gap_ns)))
   in
-  let rec arrive () =
+  let next = ref Sim.no_action in
+  let arrive () =
     let now = Sim.now sim in
     if now <= duration_ns then begin
       let class_idx, service_ns = Service_dist.sample workload rng in
       incr issued;
       sink { req_id = !issued; class_idx; service_ns; arrival_ns = now };
-      ignore (Sim.schedule_after sim ~delay:(next_gap ()) arrive : Sim.event)
+      Sim.post sim ~delay:(next_gap ()) !next
     end
   in
-  ignore (Sim.schedule_after sim ~delay:(next_gap ()) arrive : Sim.event);
+  next := Sim.action sim arrive;
+  Sim.post sim ~delay:(next_gap ()) !next;
   issued
 
 let capacity_rps ~cores workload =
