@@ -10,11 +10,6 @@ let serve host port cores lanes quantum_us ring rx_depth admission kv_keys pool_
     pool_buf_bytes duration_s stats_out obs obs_capacity trace_out gc_events
     adaptive ctl_latency_us ctl_interval_ms heartbeat_ms missed_heartbeats faults
     tail_k tail_threshold_us tail_window_ms tail_trace_out metrics_port =
-  if lanes < 1 || lanes > cores then begin
-    Printf.eprintf "tq_serve: --lanes must be in [1, --cores] (got %d of %d)\n" lanes
-      cores;
-    exit 1
-  end;
   let admission =
     match admission with
     | "accept-all" -> Tq_sched.Admission.Accept_all
@@ -88,6 +83,14 @@ let serve host port cores lanes quantum_us ring rx_depth admission kv_keys pool_
       pool_buf_bytes;
     }
   in
+  (* Bad flags fail here, before anything is bound, built or spawned. *)
+  let reject msg =
+    Printf.eprintf "tq_serve: %s\n" msg;
+    exit 1
+  in
+  Option.iter reject (Tq_serve.Server.config_error config);
+  if obs_capacity < 1 then
+    reject (Printf.sprintf "--obs-capacity must be positive (got %d)" obs_capacity);
   let tail_on = tail_k > 0 || tail_trace_out <> None in
   let spans =
     (* Tail dossiers attribute stages from the span buffers, so tail

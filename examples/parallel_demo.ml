@@ -28,6 +28,7 @@ let () =
   in
   let started = Unix.gettimeofday () in
   let pool = Tq.Runtime.Parallel.create ~workers ~quantum_ns:1_000_000 () in
+  Tq.Runtime.Parallel.start pool;
   Array.iter
     (fun job ->
       while not (Tq.Runtime.Parallel.submit pool (fun ~wid:_ -> job ())) do

@@ -102,6 +102,10 @@ val default_config : quantum_initial_ns:int -> shed_initial:int -> config
 
 type t
 
+(** [validate config] raises [Invalid_argument] when {!create} would
+    reject [config]. *)
+val validate : config -> unit
+
 (** [create ?obs config] — a controller at its initial operating point.
     Decisions are published to [obs] as [control.*] counters and gauges.
     Raises [Invalid_argument] on non-positive interval, inverted clamp

@@ -46,9 +46,10 @@ type record = {
   arg : int;
 }
 
-(** A per-domain bounded span buffer.  Single-writer: only the domain
-    that {!register}ed it may {!record}; when full the oldest records
-    are overwritten. *)
+(** A per-domain bounded span buffer.  Single-writer: one domain
+    {!record}s into it — the one that {!register}ed it, or one it was
+    handed to before its first record (a domain spawned after its sink
+    was built); when full the oldest records are overwritten. *)
 type sink
 
 (** A collection of per-domain sinks. *)
@@ -71,7 +72,8 @@ val create : ?capacity_per_sink:int -> unit -> t
 val enabled : t -> bool
 
 (** [register t lane] — a fresh sink on [lane], owned by the calling
-    domain (registration itself is thread-safe; recording is not).
+    domain until handed over (registration itself is thread-safe;
+    recording is not).
     Returns {!null_sink} when [t] is disabled. *)
 val register : t -> Event.lane -> sink
 

@@ -15,6 +15,7 @@ let once t =
   t.misses <- t.misses + 1;
   if t.misses <= t.spin_limit then Domain.cpu_relax ()
   else
-    (* Unix.sleepf releases the runtime lock, so a parked domain neither
-       occupies the core nor holds up another domain's minor GC. *)
+    (* Unix.sleepf frees the core.  It does not take the domain out of
+       minor collections: its backup thread still has to wake and take
+       part in each one (DESIGN.md, "Live serving"). *)
     try Unix.sleepf t.park_s with Unix.Unix_error (Unix.EINTR, _, _) -> ()

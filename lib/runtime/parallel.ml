@@ -17,7 +17,8 @@ type worker_handle = {
 
 type t = {
   handles : worker_handle array;
-  domains : unit Domain.t array;
+  loops : (unit -> unit) array;  (** each worker's service loop, built by [create] *)
+  mutable domains : unit Domain.t array;  (** empty until [start] *)
   stop : bool Atomic.t;
   base_quantum : int Atomic.t;  (** live quantum, read by workers per slice *)
   class_quanta : int Atomic.t array;  (** per-class overrides; <= 0 = inherit *)
@@ -25,6 +26,9 @@ type t = {
   next_tag : int Atomic.t;  (** fallback task-id source, shared by all producers *)
 }
 
+(* Builds one worker's whole state on the calling domain — its sink,
+   counters and fiber scheduler — and returns the loop its domain will
+   run, so [start] allocates nothing beyond the spawn itself. *)
 let worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta
     ~stop ~spans ~reg ~track_probes ~stall_threshold_ns ~gc_pause_ns =
   let clock = Clock.wall () in
@@ -152,7 +156,7 @@ let worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta
       end
     end
   in
-  loop ()
+  loop
 
 let create ?(workers = 4) ?(quantum_ns = 100_000) ?(ring_capacity = 256)
     ?(classes = 0) ?(spans = Span.null) ?worker_counters ?stall_threshold_ns
@@ -184,17 +188,21 @@ let create ?(workers = 4) ?(quantum_ns = 100_000) ?(ring_capacity = 256)
           dead = Atomic.make false;
         })
   in
-  let domains =
+  let loops =
     Array.mapi
       (fun wid handle ->
         let reg = Option.map (fun regs -> regs.(wid)) worker_counters in
-        Domain.spawn (fun () ->
-            worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta ~stop
-              ~spans ~reg ~track_probes ~stall_threshold_ns ~gc_pause_ns))
+        worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta ~stop
+          ~spans ~reg ~track_probes ~stall_threshold_ns ~gc_pause_ns)
       handles
   in
-  { handles; domains; stop; base_quantum; class_quanta; live = true;
+  { handles; loops; domains = [||]; stop; base_quantum; class_quanta; live = true;
     next_tag = Atomic.make 0 }
+
+let start t =
+  if not t.live then invalid_arg "Parallel.start: pool is shut down";
+  if Array.length t.domains > 0 then invalid_arg "Parallel.start: already started";
+  t.domains <- Array.map Domain.spawn t.loops
 
 let workers t = Array.length t.handles
 let unfinished h = Atomic.get h.assigned - Atomic.get h.finished

@@ -9,9 +9,13 @@
     placement is the only load balancing: a job runs on the worker it
     was submitted to (DESIGN.md explains why).
 
-    The handle is persistent: workers are spawned by {!create} and keep
-    polling their rings until {!shutdown}, so a server can submit
+    The handle is persistent: {!create} builds every worker's state on
+    the calling domain, {!start} spawns the worker domains, and they
+    keep polling their rings until {!shutdown}, so a server can submit
     requests for its whole lifetime instead of draining one fixed batch.
+    Splitting the two lets a caller finish its own set-up before any
+    other domain exists: in OCaml 5 every minor collection stops every
+    domain, parked ones included (DESIGN.md, "Live serving").
     The inject rings are single-producer {e per worker}: at any moment,
     at most one thread may {!submit_to} a given worker — either one
     global dispatcher thread owns every ring (the classic layout), or
@@ -32,8 +36,11 @@ type stats = {
 (** A running pool of worker domains. *)
 type t
 
-(** [create ~workers ~quantum_ns ~ring_capacity ()] spawns the worker
-    domains (default 4) and returns immediately.  Each worker multitasks
+(** [create ~workers ~quantum_ns ~ring_capacity ()] builds the state of
+    [workers] (default 4) workers — inject rings, counters, span sinks,
+    fiber schedulers — on the calling domain and spawns nothing: call
+    {!start} to run them.  Jobs submitted before {!start} wait on the
+    rings.  Each worker multitasks
     its admitted jobs with forced yields every [quantum_ns] (default
     100 us) of wall-clock time; [ring_capacity] (default 256) bounds
     each dispatcher->worker inject ring — a full ring is the
@@ -72,6 +79,11 @@ val create :
   ?gc_pause_ns:(unit -> int) ->
   unit ->
   t
+
+(** [start t] spawns one domain per worker, each running the loop
+    {!create} built for it.  Raises [Invalid_argument] when called twice
+    or after {!shutdown}. *)
+val start : t -> unit
 
 (** Number of worker domains ([classes] in {!create} sizes the
     per-class quantum override table read by {!set_quantum}). *)
@@ -196,8 +208,10 @@ val drain : t -> unit
 
 (** [shutdown t] drains, stops the workers, joins their domains and
     returns the final counters.  Idempotent; the handle rejects
-    submissions afterwards.
+    submissions afterwards.  On a pool never {!start}ed it joins
+    nothing, and jobs still on the rings never run.
 
     (The historical [run] batch wrapper is gone: hold a handle and use
-    {!create} / {!submit} / {!drain} / {!shutdown} directly.) *)
+    {!create} / {!start} / {!submit} / {!drain} / {!shutdown}
+    directly.) *)
 val shutdown : t -> stats

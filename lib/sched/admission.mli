@@ -15,6 +15,10 @@ type policy =
 
 type t
 
+(** [validate p] raises [Invalid_argument] when [p]'s parameters are
+    nonsensical — the check {!create} and {!set_policy} apply. *)
+val validate : policy -> unit
+
 (** Raises [Invalid_argument] on nonsensical parameters. *)
 val create : policy -> t
 

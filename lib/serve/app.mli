@@ -20,8 +20,13 @@ type t
 val create : ?kv_keys:int -> seed:int64 -> unit -> t
 
 (** [kv_key i] — the canonical prepopulated key name for index [i] (the
-    generator uses the same function, keeping hit rates meaningful). *)
+    generator uses the same function, keeping hit rates meaningful):
+    [Printf.sprintf "key%06d" i]. *)
 val kv_key : int -> string
+
+(** [kv_value i] — the value {!create} stores under [kv_key i]:
+    [Printf.sprintf "value%06d" i]. *)
+val kv_value : int -> string
 
 (** [execute t ~now_ns req] runs one request to completion (yielding at
     probes) and returns its response.  Handler exceptions become

@@ -28,8 +28,11 @@ type t = {
   discarded : int Atomic.t;
 }
 
+let min_buf_bytes = 64
+
 let create ?(max_pooled = 1024) ?(scrub = false) ~buf_bytes () =
-  if buf_bytes < 64 then invalid_arg "Pool.create: buf_bytes must be >= 64";
+  if buf_bytes < min_buf_bytes then
+    invalid_arg (Printf.sprintf "Pool.create: buf_bytes must be >= %d" min_buf_bytes);
   if max_pooled < 0 then invalid_arg "Pool.create: max_pooled must be >= 0";
   {
     buf_bytes;

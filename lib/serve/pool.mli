@@ -17,8 +17,11 @@
 
 type t
 
+(** The smallest [buf_bytes] {!create} accepts: 64. *)
+val min_buf_bytes : int
+
 (** [create ?max_pooled ?scrub ~buf_bytes ()] — a pool of buffers of
-    exactly [buf_bytes] bytes (must be at least 64), keeping at most
+    exactly [buf_bytes] bytes (must be at least {!min_buf_bytes}), keeping at most
     [max_pooled] (default 1024) on the free list.  With [scrub] (debug;
     default off) every released buffer is zeroed before reuse, so any
     read past a frame's encoded length shows as zeros instead of stale

@@ -100,13 +100,41 @@ type t = {
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
+(* Every rule [create] needs, checked before anything is bound or
+   built; the first one broken is the error. *)
+let config_error c =
+  let bad fmt = Printf.ksprintf Option.some fmt in
+  let rejects validate v =
+    match validate v with () -> None | exception Invalid_argument msg -> Some msg
+  in
+  if c.workers < 1 then bad "workers must be positive (got %d)" c.workers
+  else if c.lanes < 1 || c.lanes > c.workers then
+    bad "lanes must be in [1, workers] (got %d of %d)" c.lanes c.workers
+  else if c.quantum_ns < 1 then bad "quantum_ns must be positive (got %d)" c.quantum_ns
+  else if c.ring_capacity < 1 then
+    bad "ring_capacity must be positive (got %d)" c.ring_capacity
+  else if c.rx_depth < 1 then bad "rx_depth must be positive (got %d)" c.rx_depth
+  else if c.kv_keys < 0 then bad "kv_keys must be >= 0 (got %d)" c.kv_keys
+  else if c.heartbeat_interval_s < 0.0 then
+    bad "heartbeat_interval_s must be >= 0 (got %g)" c.heartbeat_interval_s
+  else if c.missed_heartbeats < 1 then
+    bad "missed_heartbeats must be positive (got %d)" c.missed_heartbeats
+  else if c.pool_bufs < 0 then bad "pool_bufs must be >= 0 (got %d)" c.pool_bufs
+  else if c.pool_buf_bytes < Pool.min_buf_bytes then
+    bad "pool_buf_bytes must be >= %d (got %d)" Pool.min_buf_bytes c.pool_buf_bytes
+  else
+    match rejects Admission.validate c.admission with
+    | Some _ as e -> e
+    | None -> Option.bind c.adaptive (rejects Tq_control.Controller.validate)
+
+(* Set-up order: validate, build every structure on this domain, spawn
+   the workers last.  Each minor collection in OCaml 5 stops every
+   domain, parked workers included, so building the apps (about 150k
+   words) after the spawn made each collection of the build wait for
+   them (DESIGN.md, "Live serving"). *)
 let create ?(obs = Obs.disabled ()) ?(spans = Span.null) ?(tail = Tail.null) ?gc
     config =
-  if config.workers < 1 then invalid_arg "Server.create: need at least one worker";
-  if config.rx_depth < 1 then invalid_arg "Server.create: rx_depth must be positive";
-  if config.lanes < 1 then invalid_arg "Server.create: need at least one lane";
-  if config.lanes > config.workers then
-    invalid_arg "Server.create: more lanes than workers (empty worker slices)";
+  Option.iter invalid_arg (config_error config);
   let listener = Listener.create ~host:config.host ~port:config.port ~lanes:config.lanes in
   let worker_regs = Array.init config.workers (fun _ -> Counters.create ()) in
   let pool =
@@ -194,6 +222,7 @@ let create ?(obs = Obs.disabled ()) ?(spans = Span.null) ?(tail = Tail.null) ?gc
                     (Admission.Queue_limit { max_in_system }))
                 lanes)
         (Tq_control.Controller.initial_actions c));
+  Parallel.start pool;
   t
 
 let port t = Listener.port t.listener

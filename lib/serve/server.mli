@@ -116,8 +116,22 @@ type stats = {
 
 type t
 
-(** [create ?obs ?spans ?tail ?gc config] binds and listens (raising
-    [Unix.Unix_error] on e.g. a busy port) and spawns the worker pool.
+(** [config_error config] — the first rule [config] breaks, as a
+    one-line message naming the field and the value ([None] when every
+    rule holds): positive [workers], [quantum_ns], [ring_capacity],
+    [rx_depth] and [missed_heartbeats]; [lanes] in [\[1, workers\]];
+    non-negative [kv_keys], [heartbeat_interval_s] and [pool_bufs];
+    [pool_buf_bytes] at least {!Pool.min_buf_bytes}; an [admission]
+    policy {!Tq_sched.Admission.validate} accepts; an [adaptive]
+    config {!Tq_control.Controller.validate} accepts. *)
+val config_error : config -> string option
+
+(** [create ?obs ?spans ?tail ?gc config] checks [config] (raising
+    [Invalid_argument] with {!config_error}'s message before anything
+    is bound or built), binds and listens (raising [Unix.Unix_error] on
+    e.g. a busy port), builds every worker's state, the lanes and the
+    buffer pool on the calling domain, and spawns the worker domains
+    last, so no collection during set-up waits on another domain.
 
     [obs] receives the dispatcher-owned [serve.*] counters (aggregate
     and per-class), snapshot gauges and the sojourn distribution; each

@@ -55,6 +55,11 @@ let create ?(seed = 77L) ?(scale = default_scale) () =
   let rng = Prng.create ~seed in
   let sc = scale in
   let n_districts = sc.warehouses * sc.districts_per_warehouse in
+  (* customer c is named [last_name (c mod 1000)]: build each name once
+     and share it across districts *)
+  let last_names =
+    Array.init (min 1000 sc.customers_per_district) Nurand.last_name
+  in
   {
     sc;
     warehouses_tbl = Array.init sc.warehouses (fun _ -> { w_ytd = 0 });
@@ -63,7 +68,7 @@ let create ?(seed = 77L) ?(scale = default_scale) () =
       Array.init (n_districts * sc.customers_per_district) (fun idx ->
           let c = idx mod sc.customers_per_district in
           {
-            c_last = Nurand.last_name (c mod 1000);
+            c_last = last_names.(c mod 1000);
             c_balance = 0;
             c_ytd_payment = 0;
             c_payment_cnt = 0;

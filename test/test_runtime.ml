@@ -322,6 +322,7 @@ let test_ring_cross_domain () =
    convenience collapsed to exactly this create/submit/shutdown shape. *)
 let run_batch ~workers ~quantum_ns jobs =
   let pool = Parallel.create ~workers ~quantum_ns () in
+  Parallel.start pool;
   Array.iter
     (fun job ->
       while not (Parallel.submit pool (fun ~wid:_ -> job ())) do
@@ -379,6 +380,7 @@ let suite =
 
 let test_parallel_handle_lifecycle () =
   let pool = Parallel.create ~workers:2 ~ring_capacity:8 () in
+  Parallel.start pool;
   check Alcotest.int "workers" 2 (Parallel.workers pool);
   let hits = Array.init 2 (fun _ -> Atomic.make 0) in
   let submitted = ref 0 in
@@ -401,6 +403,7 @@ let test_parallel_handle_lifecycle () =
 
 let test_parallel_submit_after_shutdown () =
   let pool = Parallel.create ~workers:1 () in
+  Parallel.start pool;
   ignore (Parallel.submit pool (fun ~wid:_ -> ()));
   let s1 = Parallel.shutdown pool in
   (* idempotent: a second shutdown just reports the same stats *)
@@ -415,6 +418,7 @@ let test_parallel_submit_after_shutdown () =
 
 let test_parallel_pick_least_loaded () =
   let pool = Parallel.create ~workers:3 ~ring_capacity:64 () in
+  Parallel.start pool;
   (* nothing in flight: pick must name a valid worker *)
   let w = Parallel.pick pool in
   check Alcotest.bool "valid worker" true (w >= 0 && w < 3);
@@ -425,6 +429,7 @@ let test_parallel_shutdown_drains_backlog () =
   (* shutdown alone must already be a zero-loss drain: every accepted
      job runs even with a deep backlog of slow jobs at shutdown time *)
   let pool = Parallel.create ~workers:2 ~ring_capacity:128 () in
+  Parallel.start pool;
   let ran = Atomic.make 0 in
   let n = 200 in
   let backoff = Backoff.create () in
@@ -470,6 +475,7 @@ let stall_counts gc_pause_ns =
     Parallel.create ~workers:1 ~quantum_ns:100 ~stall_threshold_ns:1
       ~worker_counters:regs ?gc_pause_ns ()
   in
+  Parallel.start pool;
   let backoff = Backoff.create () in
   while
     not
@@ -532,6 +538,7 @@ let stall_suite =
    accounting must match placement exactly. *)
 let test_parallel_runs_where_placed () =
   let pool = Parallel.create ~workers:2 ~ring_capacity:64 () in
+  Parallel.start pool;
   let n = 48 in
   let misplaced = Atomic.make 0 in
   let backoff = Backoff.create () in
@@ -556,6 +563,7 @@ let test_parallel_runs_where_placed () =
    and to the in-flight count, so work it still holds drains normally. *)
 let test_parallel_revive () =
   let pool = Parallel.create ~workers:2 () in
+  Parallel.start pool;
   let release = Atomic.make false in
   let backoff = Backoff.create () in
   assert (

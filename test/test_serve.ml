@@ -1151,3 +1151,157 @@ let tail_suite =
   ]
 
 let suite = suite @ tail_suite
+
+(* --- Set-up: config checks, prefill contents, GC isolation --- *)
+
+(* The prefilled store is exactly [key%06d] -> [value%06d], the pairs
+   tqbench's GET-after-SET check assumes.  The writer behind both names
+   matches [Printf] inside its 0..999_999 fast range and hands the rest
+   back to it. *)
+let test_prefill_contents () =
+  List.iter
+    (fun i ->
+      check Alcotest.string "kv_key" (Printf.sprintf "key%06d" i) (App.kv_key i);
+      check Alcotest.string "kv_value" (Printf.sprintf "value%06d" i) (App.kv_value i))
+    [ 0; 9; 10; 123_456; 999_999; 1_000_000; 12_345_678; -1; -42; min_int; max_int ];
+  let app = App.create ~kv_keys:1024 ~seed:1L () in
+  let get key =
+    (App.execute app ~now_ns:0 ~req_id:0 (Protocol.Kv_get { key })).Protocol.body
+  in
+  for i = 0 to 1023 do
+    check Alcotest.string "prefilled value"
+      (Printf.sprintf "+value%06d" i)
+      (get (Printf.sprintf "key%06d" i))
+  done;
+  List.iter
+    (fun key -> check Alcotest.string "nothing else stored" "-" (get key))
+    [ App.kv_key 1024; App.kv_key (-1); "key1024"; "" ]
+
+(* Each broken rule is named before anything is bound or built: the
+   port stays free, so a fixed-port server binds it right after. *)
+let test_config_rejected () =
+  check Alcotest.(option string) "default config holds" None
+    (Server.config_error Server.default_config);
+  let bad_ctl =
+    {
+      (Tq_control.Controller.default_config ~quantum_initial_ns:5_000 ~shed_initial:64)
+      with
+      Tq_control.Controller.interval_ns = 0;
+    }
+  in
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let port =
+    match Unix.getsockname listener with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+  in
+  Unix.close listener;
+  let base = { base_config with Server.port } in
+  List.iter
+    (fun (name, config, msg) ->
+      check Alcotest.(option string) name (Some msg) (Server.config_error config);
+      Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+          ignore (Server.create config : Server.t)))
+    [
+      ("workers 0", { base with workers = 0; lanes = 1 },
+       "workers must be positive (got 0)");
+      ("lanes 0", { base with lanes = 0 }, "lanes must be in [1, workers] (got 0 of 2)");
+      ("lanes > workers", { base with lanes = 3 },
+       "lanes must be in [1, workers] (got 3 of 2)");
+      ("quantum 0", { base with quantum_ns = 0 }, "quantum_ns must be positive (got 0)");
+      ("ring 0", { base with ring_capacity = 0 },
+       "ring_capacity must be positive (got 0)");
+      ("rx_depth 0", { base with rx_depth = 0 }, "rx_depth must be positive (got 0)");
+      ("kv_keys -1", { base with kv_keys = -1 }, "kv_keys must be >= 0 (got -1)");
+      ("heartbeat -1", { base with heartbeat_interval_s = -1.0 },
+       "heartbeat_interval_s must be >= 0 (got -1)");
+      ("missed heartbeats 0", { base with missed_heartbeats = 0 },
+       "missed_heartbeats must be positive (got 0)");
+      ("pool_bufs -1", { base with pool_bufs = -1 }, "pool_bufs must be >= 0 (got -1)");
+      ("pool_buf_bytes 10", { base with pool_buf_bytes = 10 },
+       "pool_buf_bytes must be >= 64 (got 10)");
+      ("queue limit 0",
+       { base with admission = Tq_sched.Admission.Queue_limit { max_in_system = 0 } },
+       "Admission: max_in_system must be >= 1");
+      ("controller interval 0", { base with adaptive = Some bad_ctl },
+       "Controller.create: interval must be positive");
+    ];
+  (* nothing above bound the port *)
+  let srv = Server.create { base with workers = 1 } in
+  check Alcotest.int "port still free" port (Server.port srv);
+  Server.stop srv;
+  Server.serve srv
+
+(* No collection during [Server.create] stops a worker domain: every
+   structure is built before the first worker exists.  The runtime's
+   own event rings are read back after each set-up, without a consumer
+   thread that could allocate inside the window; user events bracket
+   the [create] call on the same clock.  A minor collection — the kind
+   that stops every domain — on a domain other than the caller's that
+   starts inside the bracket fails the test.  The minor heap is filled
+   to three levels first, so collections land at different points of
+   the set-up each time, and the caller must collect inside at least
+   one bracket, or the gate proves nothing. *)
+type Runtime_events.User.tag += Server_create
+
+let test_setup_gc_isolation () =
+  let module Re = Runtime_events in
+  Re.start ();
+  let cursor = Re.create_cursor None in
+  let bracket = Re.User.register "test.server_create" Server_create Re.Type.span in
+  let me = (Domain.self () :> int) in
+  let window = ref (0L, 0L) and minors = ref [] and lost = ref 0 in
+  let callbacks =
+    Re.Callbacks.create
+      ~runtime_begin:(fun dom ts phase ->
+        if phase = Re.EV_MINOR then minors := (dom, Re.Timestamp.to_int64 ts) :: !minors)
+      ~lost_events:(fun _ n -> lost := !lost + n)
+      ()
+    |> Re.Callbacks.add_user_event Re.Type.span (fun dom ts ev edge ->
+           if dom = me && Re.User.name ev = Re.User.name bracket then
+             let t = Re.Timestamp.to_int64 ts in
+             match edge with
+             | Re.Type.Begin -> window := (t, t)
+             | Re.Type.End -> window := (fst !window, t))
+  in
+  let drain () = ignore (Re.read_poll cursor callbacks None : int) in
+  let heap_words = (Gc.get ()).Gc.minor_heap_size in
+  let caller_collected =
+    List.map
+      (fun fill ->
+        Gc.minor ();
+        for _ = 1 to fill * heap_words / 10 / 256 do
+          ignore (Sys.opaque_identity (Array.make 255 0))
+        done;
+        drain ();
+        minors := [];
+        Re.User.write bracket Re.Type.Begin;
+        let srv = Server.create { base_config with workers = 2; kv_keys = 1024 } in
+        Re.User.write bracket Re.Type.End;
+        Server.stop srv;
+        Server.serve srv;
+        drain ();
+        let t0, t1 = !window in
+        let inside ~caller =
+          List.length
+            (List.filter (fun (d, t) -> (d = me) = caller && t >= t0 && t <= t1) !minors)
+        in
+        check Alcotest.bool "set-up bracketed" true (t1 > t0);
+        check Alcotest.int
+          (Printf.sprintf "worker-domain minor GCs during set-up (heap %d0%% full)" fill)
+          0 (inside ~caller:false);
+        inside ~caller:true > 0)
+      [ 0; 4; 8 ]
+  in
+  check Alcotest.bool "the caller collected during some set-up" true
+    (List.mem true caller_collected);
+  Re.free_cursor cursor;
+  check Alcotest.int "no runtime events lost" 0 !lost
+
+let setup_suite =
+  [
+    Alcotest.test_case "prefill contents" `Quick test_prefill_contents;
+    Alcotest.test_case "bad config rejected before bind" `Quick test_config_rejected;
+    Alcotest.test_case "set-up gc stops no worker" `Quick test_setup_gc_isolation;
+  ]
+
+let suite = suite @ setup_suite

@@ -371,3 +371,57 @@ let nurand_suite =
   ]
 
 let suite = suite @ nurand_suite
+
+(* --- The initial load is a fixed function of seed and scale --- *)
+
+(* Every row [Schema.create] builds, against the construction written
+   out longhand: customer [c] of every district is named
+   [Nurand.last_name (c mod 1000)], and stock quantities then item
+   prices are drawn in that order from one PRNG seeded by [seed].
+   The second scale has more than 1000 customers per district, so
+   names repeat within a district. *)
+let test_initial_load_rows () =
+  List.iter
+    (fun (seed, scale) ->
+      let db = Schema.create ~seed ~scale () in
+      let rng = Prng.create ~seed in
+      let label what = Printf.sprintf "seed %Ld: %s" seed what in
+      for w = 0 to scale.Schema.warehouses - 1 do
+        for i = 0 to scale.items - 1 do
+          let s = Schema.stock db ~w ~i in
+          check Alcotest.(list int) (label "stock row")
+            [ 10 + Prng.int rng 91; 0; 0 ]
+            [ s.s_quantity; s.s_ytd; s.s_order_cnt ]
+        done
+      done;
+      for i = 0 to scale.items - 1 do
+        check Alcotest.int (label "item price")
+          (100 + Prng.int rng 9_901) (Schema.item db ~i).i_price
+      done;
+      for w = 0 to scale.warehouses - 1 do
+        check Alcotest.int (label "warehouse ytd") 0 (Schema.warehouse db ~w).w_ytd;
+        for d = 0 to scale.districts_per_warehouse - 1 do
+          let dist = Schema.district db ~w ~d in
+          check Alcotest.(list int) (label "district row") [ 1; 0 ]
+            [ dist.d_next_o_id; dist.d_ytd ];
+          check Alcotest.int (label "no new orders") 0 (Schema.new_order_depth db ~w ~d);
+          for c = 0 to scale.customers_per_district - 1 do
+            let cu = Schema.customer db ~w ~d ~c in
+            check Alcotest.string (label "c_last") (Nurand.last_name (c mod 1000))
+              cu.c_last;
+            check Alcotest.(list int) (label "customer counters") [ 0; 0; 0; 0 ]
+              [ cu.c_balance; cu.c_ytd_payment; cu.c_payment_cnt; cu.c_delivery_cnt ];
+            check Alcotest.(option int) (label "no orders") None
+              (Schema.last_order_id db ~w ~d ~c)
+          done
+        done
+      done)
+    [
+      (77L, Schema.default_scale);
+      ( 5L,
+        { Schema.warehouses = 1; districts_per_warehouse = 2;
+          customers_per_district = 2_345; items = 10 } );
+    ]
+
+let suite =
+  suite @ [ Alcotest.test_case "initial load rows" `Quick test_initial_load_rows ]
