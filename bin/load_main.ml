@@ -69,6 +69,11 @@ let run host port rate connections warmup measure grace seed mix_spec spin_us
       server_lanes;
     }
   in
+  Option.iter
+    (fun msg ->
+      Printf.eprintf "tq_load: %s\n" msg;
+      exit 1)
+    (Tq_serve.Load_gen.config_error config);
   let r = Tq_serve.Load_gen.run config in
   if not quiet then begin
     Printf.printf

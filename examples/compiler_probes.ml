@@ -9,14 +9,14 @@
 
      dune exec examples/compiler_probes.exe *)
 
-open Tq.Instrument
+open Tq_instrument
 
 let describe name prog quantum =
   let config = { Vm.default_config with quantum_cycles = quantum; seed = 11L } in
   let r = Vm.run config prog in
   Printf.printf "%-14s %8d cycles  %6d dynamic probes  %5d static  %3d yields\n" name
     r.Vm.total_cycles r.Vm.probe_executions
-    (Tq.Ir.Cfg.program_probe_count prog)
+    (Tq_ir.Cfg.program_probe_count prog)
     r.Vm.yields
 
 let () =
@@ -24,7 +24,7 @@ let () =
   let base = Bench_programs.lowered named in
   let ci = Ci_pass.instrument base in
   let tq = Tq_pass.instrument base in
-  let quantum = Tq.Util.Time_unit.ns_to_cycles 2_000 in
+  let quantum = Tq_util.Time_unit.ns_to_cycles 2_000 in
 
   Printf.printf "RocksDB GET (~2us job), 2us quantum at 2.1 GHz:\n\n";
   describe "uninstrumented" base max_int;
@@ -43,5 +43,5 @@ let () =
 
   Printf.printf "\nTQ probe placement for the GET (dump via: tq_sim probe-place rocksdb-get):\n";
   Printf.printf "  %d probes vs CI's %d — the paper reports 40 vs 1000+ on real RocksDB.\n"
-    (Tq.Ir.Cfg.program_probe_count tq)
-    (Tq.Ir.Cfg.program_probe_count ci)
+    (Tq_ir.Cfg.program_probe_count tq)
+    (Tq_ir.Cfg.program_probe_count ci)

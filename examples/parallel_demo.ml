@@ -15,7 +15,7 @@ let busy_work ~ms () =
     for _ = 1 to 64 do
       acc := (!acc * 31) + 7
     done;
-    Tq.Runtime.Probe_api.probe ()
+    Tq_runtime.Probe_api.probe ()
   done;
   ignore (Sys.opaque_identity !acc)
 
@@ -27,15 +27,15 @@ let () =
         if i mod 20 = 0 then busy_work ~ms:20.0 else busy_work ~ms:1.0)
   in
   let started = Unix.gettimeofday () in
-  let pool = Tq.Runtime.Parallel.create ~workers ~quantum_ns:1_000_000 () in
-  Tq.Runtime.Parallel.start pool;
+  let pool = Tq_runtime.Parallel.create ~workers ~quantum_ns:1_000_000 () in
+  Tq_runtime.Parallel.start pool;
   Array.iter
     (fun job ->
-      while not (Tq.Runtime.Parallel.submit pool (fun ~wid:_ -> job ())) do
+      while not (Tq_runtime.Parallel.submit pool (fun ~wid:_ -> job ())) do
         Domain.cpu_relax ()
       done)
     jobs;
-  let stats = Tq.Runtime.Parallel.shutdown pool in
+  let stats = Tq_runtime.Parallel.shutdown pool in
   let elapsed = Unix.gettimeofday () -. started in
   Printf.printf "ran %d jobs on %d worker domains in %.2fs\n" stats.completed workers elapsed;
   Printf.printf "preemptive yields: %d (long jobs preempted at ~1ms quanta)\n" stats.yields;

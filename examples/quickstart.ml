@@ -4,22 +4,22 @@
      dune exec examples/quickstart.exe *)
 
 let () =
-  let workload = Tq.Workload.Table1.extreme_bimodal in
+  let workload = Tq_workload.Table1.extreme_bimodal in
   let rate_rps = 3_000_000.0 in
-  let duration_ns = Tq.Util.Time_unit.ms 50.0 in
+  let duration_ns = Tq_util.Time_unit.ms 50.0 in
   let run system =
-    Tq.Sched.Experiment.run ~system ~workload ~rate_rps ~duration_ns ()
+    Tq_sched.Experiment.run ~system ~workload ~rate_rps ~duration_ns ()
   in
-  let report label (r : Tq.Sched.Experiment.result) =
-    let p cls pct = Tq.Workload.Metrics.sojourn_percentile r.metrics ~class_idx:cls pct /. 1e3 in
+  let report label (r : Tq_sched.Experiment.result) =
+    let p cls pct = Tq_workload.Metrics.sojourn_percentile r.metrics ~class_idx:cls pct /. 1e3 in
     Printf.printf "%-22s short p50 %7.1fus  short p99.9 %9.1fus  long p99.9 %9.1fus\n"
       label (p 0 50.0) (p 0 99.9) (p 1 99.9)
   in
   Printf.printf
     "Extreme bimodal (99.5%% x 0.3us, 0.5%% x 509us) at 3 Mrps on 16 cores:\n\n";
-  report "TQ (2us quanta)" (run (Tq.Sched.Presets.tq ()));
-  report "TQ (0.5us quanta)" (run (Tq.Sched.Presets.tq ~quantum_ns:500 ()));
-  report "FCFS (no preemption)" (run (Tq.Sched.Presets.tq_fcfs ()));
+  report "TQ (2us quanta)" (run (Tq_sched.Presets.tq ()));
+  report "TQ (0.5us quanta)" (run (Tq_sched.Presets.tq ~quantum_ns:500 ()));
+  report "FCFS (no preemption)" (run (Tq_sched.Presets.tq_fcfs ()));
   print_newline ();
   Printf.printf
     "Blind preemptive scheduling with tiny quanta keeps the 0.3us requests'\n\

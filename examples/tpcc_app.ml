@@ -3,61 +3,67 @@
    Runs the five-transaction OLTP mix (Table 1 ratios) through the DES:
    TQ vs Shinjuku vs Caladan at increasing load, reporting the tail
    slowdown of the short Payment transactions — then executes real
-   transactions against the in-memory database on the fiber runtime.
+   transactions against the in-memory database on one fiber-runtime
+   worker over a virtual clock.
 
      dune exec examples/tpcc_app.exe *)
 
-module Metrics = Tq.Workload.Metrics
-module Transactions = Tq.Tpcc.Transactions
+module Metrics = Tq_workload.Metrics
+module Transactions = Tq_tpcc.Transactions
 
 let simulated_comparison () =
-  let workload = Tq.Workload.Table1.tpcc in
-  let capacity = Tq.Workload.Arrivals.capacity_rps ~cores:16 workload in
+  let workload = Tq_workload.Table1.tpcc in
+  let capacity = Tq_workload.Arrivals.capacity_rps ~cores:16 workload in
   Printf.printf "TPC-C mix, 16 cores, capacity %.0f krps\n\n" (capacity /. 1e3);
   Printf.printf "%-10s %14s %14s %14s\n" "load" "TQ" "Shinjuku" "Caladan";
   List.iter
     (fun frac ->
       let rate_rps = frac *. capacity in
-      let duration_ns = Tq.Util.Time_unit.ms 40.0 in
+      let duration_ns = Tq_util.Time_unit.ms 40.0 in
       let tail system =
-        let r = Tq.Sched.Experiment.run ~system ~workload ~rate_rps ~duration_ns () in
+        let r = Tq_sched.Experiment.run ~system ~workload ~rate_rps ~duration_ns () in
         Metrics.slowdown_percentile r.metrics ~class_idx:0 99.9
       in
       Printf.printf "%-10s %14.1f %14.1f %14.1f\n"
         (Printf.sprintf "%.0f%%" (100.0 *. frac))
-        (tail (Tq.Sched.Presets.tq ()))
-        (tail (Tq.Sched.Presets.shinjuku ~quantum_ns:10_000 ()))
-        (tail (Tq.Sched.Presets.caladan ~mode:Tq.Sched.Caladan.Directpath ())))
+        (tail (Tq_sched.Presets.tq ()))
+        (tail (Tq_sched.Presets.shinjuku ~quantum_ns:10_000 ()))
+        (tail (Tq_sched.Presets.caladan ~mode:Tq_sched.Caladan.Directpath ())))
     [ 0.3; 0.5; 0.7; 0.85 ];
   Printf.printf "\n(payment p99.9 slowdown; preemptive tiny quanta keep it flat)\n\n"
 
 let live_database () =
-  let db = Tq.Tpcc.Schema.create () in
-  let rng = Tq.Util.Prng.create ~seed:2024L in
-  let ex = Tq.Runtime.Executor.create ~workers:4 ~quantum_ns:2_000 () in
+  let db = Tq_tpcc.Schema.create () in
+  let rng = Tq_util.Prng.create ~seed:2024L in
+  let clock = Tq_runtime.Clock.virtual_ () in
+  let worker =
+    Tq_runtime.Task_worker.create ~clock ~quantum_ns:2_000 ~on_finish:ignore ()
+  in
   let counts = Hashtbl.create 5 in
-  for _ = 1 to 2_000 do
+  for task_id = 1 to 2_000 do
     let kind = Transactions.sample_kind rng in
     Hashtbl.replace counts kind (1 + Option.value ~default:0 (Hashtbl.find_opt counts kind));
-    Tq.Runtime.Executor.submit ex (fun () ->
-        ignore (Transactions.run db rng kind ~now_ns:0);
-        (* Credit the Table 1 service time so quanta preempt long
-           Delivery/StockLevel transactions. *)
-        Tq.Runtime.Instrumented.work_ns (Transactions.service_time_ns kind))
+    Tq_runtime.Task_worker.submit worker
+      {
+        Tq_runtime.Task_worker.task_id;
+        class_idx = 0;
+        work =
+          (fun ~wid:_ ->
+            ignore (Transactions.run db rng kind ~now_ns:0);
+            (* Credit the Table 1 service time so quanta preempt long
+               Delivery/StockLevel transactions. *)
+            Virtual_work.work clock (Transactions.service_time_ns kind));
+      }
   done;
-  Tq.Runtime.Executor.run ex;
+  Tq_runtime.Task_worker.run_until_idle worker;
   Printf.printf "executed %d transactions on the fiber runtime (%d yields):\n"
-    (Tq.Runtime.Executor.completed ex)
-    (Tq.Runtime.Executor.total_yields ex);
+    (Tq_runtime.Task_worker.finished_count worker)
+    (Tq_runtime.Task_worker.total_yields worker);
   Hashtbl.iter
     (fun kind count -> Printf.printf "  %-12s %5d\n" (Transactions.kind_name kind) count)
     counts;
-  let w0 = Tq.Tpcc.Schema.warehouse db ~w:0 in
-  Printf.printf "warehouse 0 YTD: $%.2f\n" (float_of_int w0.w_ytd /. 100.0);
-  (match Tq.Tpcc.Consistency.check db with
-  | [] -> print_endline "TPC-C consistency checks: all passed"
-  | violations ->
-      Printf.printf "CONSISTENCY VIOLATIONS:\n%s\n" (String.concat "\n" violations))
+  let w0 = Tq_tpcc.Schema.warehouse db ~w:0 in
+  Printf.printf "warehouse 0 YTD: $%.2f\n" (float_of_int w0.w_ytd /. 100.0)
 
 let () =
   simulated_comparison ();

@@ -9,9 +9,10 @@
     ]}
 
     The event constructor application sits inside the guard, so the
-    disabled branch never allocates (verified by the Bechamel
-    micro-benchmark in [bench/main.ml]).  When the buffer is full the
-    oldest records are overwritten; {!dropped} counts the overwrites. *)
+    disabled branch never allocates (the [dune runtest] gate [trace
+    record null allocation-free] checks it).  When the buffer is full
+    the oldest records are overwritten; {!dropped} counts the
+    overwrites. *)
 
 (** One recorded event with its position and timing. *)
 type record = {

@@ -72,14 +72,6 @@ let critical_end () =
       t.critical_depth <- t.critical_depth - 1;
       if t.critical_depth = 0 && expired t then do_yield t
 
-let advance_virtual ns =
-  match current () with
-  | Some t when Clock.is_virtual t.clock -> Clock.advance t.clock ns
-  | Some _ | None -> ()
-
-let installed_clock_is_virtual () =
-  match current () with Some t -> Clock.is_virtual t.clock | None -> false
-
 let probes_executed t = t.probes
 let yields_taken t = t.yields
 let quantum_ns t = t.quantum_ns

@@ -1,10 +1,9 @@
 (** The yield-probe runtime API.
 
     In the paper, an LLVM pass inserts probe calls; in OCaml we have no
-    such pass, so instrumented code calls {!probe} explicitly (or uses
-    the {!Instrumented} combinators, which insert the calls at loop
-    granularity — the library-level equivalent of the compiler's loop
-    instrumentation; see DESIGN.md substitutions).
+    such pass, so instrumented code calls {!probe} explicitly, typically
+    once per loop iteration — the library-level equivalent of the
+    compiler's loop instrumentation (see DESIGN.md substitutions).
 
     A probe reads the worker's clock and performs a fiber yield when the
     current quantum has been exceeded, exactly like the generated
@@ -51,14 +50,6 @@ val probe : unit -> unit
 val critical_begin : unit -> unit
 
 val critical_end : unit -> unit
-
-(** [advance_virtual ns] — credit [ns] of simulated work to the
-    installed context's clock if it is virtual; no-op otherwise. *)
-val advance_virtual : int -> unit
-
-(** [installed_clock_is_virtual ()] — true when the calling domain has a
-    context with a virtual clock. *)
-val installed_clock_is_virtual : unit -> bool
 
 (** Statistics. *)
 

@@ -43,18 +43,18 @@ let now_wall_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
 (* The synthetic spin kernel: busy work probed every iteration, like a
    loop instrumented by the TQ pass.  Yields whenever the quantum
-   expires; time spent yielded does not count as spin progress (the
-   deadline is re-read from the wall clock). *)
+   expires.  The probe heads the loop body, so a spin that reaches its
+   wall-clock deadline returns without yielding once more. *)
 let spin ~spin_ns =
   let deadline = now_wall_ns () + spin_ns in
   let x = ref 1 in
   while now_wall_ns () < deadline do
+    Probe_api.probe ();
     (* a handful of ALU ops per probe so the probe itself is not the
        whole loop body *)
     for _ = 1 to 32 do
       x := (!x * 48271) land 0x3FFFFFFF
-    done;
-    Probe_api.probe ()
+    done
   done;
   ignore (Sys.opaque_identity !x)
 
@@ -74,20 +74,14 @@ let execute t ~now_ns ~req_id (req : Protocol.request) =
     | Echo { spin_ns; payload } ->
         if spin_ns > 0 then spin ~spin_ns;
         payload
+    (* No probe after an op's work: it would yield a finished request
+       and hold its reply for a run-queue round. *)
     | Kv_get { key } -> (
-        let r =
-          match Tq_kv.Store.get t.kv key with Some v -> "+" ^ v | None -> "-"
-        in
-        Probe_api.probe ();
-        r)
+        match Tq_kv.Store.get t.kv key with Some v -> "+" ^ v | None -> "-")
     | Kv_set { key; value } ->
         Tq_kv.Store.put t.kv key value;
-        Probe_api.probe ();
         "+"
-    | Tpcc { kind } ->
-        let outcome = Transactions.run t.db t.rng kind ~now_ns in
-        Probe_api.probe ();
-        outcome_body outcome
+    | Tpcc { kind } -> outcome_body (Transactions.run t.db t.rng kind ~now_ns)
     | Stats _ ->
         (* Stats requests are answered at the dispatcher; one reaching a
            worker app is a server bug, not a client error. *)

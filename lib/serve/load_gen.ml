@@ -84,9 +84,38 @@ type conn = {
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
+let config_error c =
+  let bad fmt = Printf.ksprintf Option.some fmt in
+  let m = c.mix in
+  (* Every float rule is written so that a NaN breaks it too. *)
+  let bad_weight =
+    List.find_opt
+      (fun (_, w) -> not (w >= 0.0 && Float.is_finite w))
+      [ ("echo", m.echo); ("kv", m.kv); ("tpcc", m.tpcc); ("echo_heavy", m.echo_heavy) ]
+  in
+  if not (c.rate_rps > 0.0 && Float.is_finite c.rate_rps) then
+    bad "rate_rps must be positive and finite (got %g)" c.rate_rps
+  else if c.connections < 1 then bad "connections must be positive (got %d)" c.connections
+  else if not (c.warmup_s >= 0.0) then bad "warmup_s must be >= 0 (got %g)" c.warmup_s
+  else if not (c.measure_s > 0.0) then bad "measure_s must be positive (got %g)" c.measure_s
+  else if not (c.grace_s >= 0.0) then bad "grace_s must be >= 0 (got %g)" c.grace_s
+  else
+    match bad_weight with
+    | Some (name, w) -> bad "mix.%s must be finite and >= 0 (got %g)" name w
+    | None ->
+        if not (m.echo +. m.kv +. m.tpcc +. m.echo_heavy > 0.0) then
+          bad "mix weights must not all be zero"
+        else if m.echo_spin_ns < 0 then
+          bad "mix.echo_spin_ns must be >= 0 (got %d)" m.echo_spin_ns
+        else if m.echo_heavy_spin_ns < 0 then
+          bad "mix.echo_heavy_spin_ns must be >= 0 (got %d)" m.echo_heavy_spin_ns
+        else (
+          match c.stats_interval_s with
+          | Some s when not (s > 0.0) -> bad "stats_interval_s must be positive (got %g)" s
+          | _ -> None)
+
 let sample_request rng mix =
   let total = mix.echo +. mix.echo_heavy +. mix.kv +. mix.tpcc in
-  if total <= 0.0 then invalid_arg "Load_gen: request mix has zero total weight";
   let r = Prng.float rng total in
   if r < mix.echo then Protocol.Echo { spin_ns = mix.echo_spin_ns; payload = "" }
   else if r < mix.echo +. mix.echo_heavy then
@@ -127,8 +156,7 @@ let flush_conn c =
   end
 
 let run config =
-  if config.rate_rps <= 0.0 then invalid_arg "Load_gen: rate_rps must be positive";
-  if config.connections < 1 then invalid_arg "Load_gen: need at least one connection";
+  Option.iter invalid_arg (config_error config);
   let rng = Prng.create ~seed:config.seed in
   let conns = connect config in
   let chunk = Bytes.create 65536 in

@@ -88,8 +88,18 @@ type result = {
           [stats_interval_s] was set *)
 }
 
+(** [config_error config] — the first rule [config] breaks, as a
+    one-line message naming the field and the value ([None] when every
+    rule holds): a positive, finite [rate_rps]; positive [connections]
+    and [measure_s]; non-negative [warmup_s] and [grace_s]; finite,
+    non-negative mix weights ([echo_heavy] is the heavy fraction) that
+    are not all zero; non-negative spins; a positive
+    [stats_interval_s] when one is given. *)
+val config_error : config -> string option
+
 (** [run config] executes one load-generation session (blocking; wall
-    clock). *)
+    clock).  Raises [Invalid_argument] with {!config_error}'s message
+    before connecting when [config] breaks a rule. *)
 val run : config -> result
 
 (** [to_json ?outliers config result] — the single-run benchmark report

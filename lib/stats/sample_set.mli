@@ -2,8 +2,8 @@
 
     Stores every sample (unboxed) and answers percentile queries exactly
     by sorting a copy on demand.  This is the ground truth used for all
-    reported tail latencies; streaming estimators ({!P2_quantile},
-    {!Histogram}) are validated against it in the test suite. *)
+    reported tail latencies; the streaming {!Histogram} is validated
+    against it in the test suite. *)
 
 type t
 

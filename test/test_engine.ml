@@ -1,8 +1,7 @@
-(* Tests for tq_engine: event ordering, cancellation, busy server, links. *)
+(* Tests for tq_engine: event ordering, cancellation, busy server. *)
 
 module Sim = Tq_engine.Sim
 module Busy_server = Tq_engine.Busy_server
-module Link = Tq_engine.Link
 
 let check = Alcotest.check
 
@@ -129,18 +128,6 @@ let test_busy_server_varied_costs () =
     Alcotest.(list (pair string int))
     "fifo even when second is cheap" [ ("slow", 100); ("fast", 101) ] (List.rev !finish)
 
-let test_link_delivery () =
-  let sim = Sim.create () in
-  let received = ref [] in
-  let link = Link.create sim ~latency:7 ~handler:(fun x -> received := (x, Sim.now sim) :: !received) in
-  Link.send link "x";
-  ignore (Sim.schedule_at sim ~time:3 (fun () -> Link.send link "y"));
-  Sim.run sim;
-  check
-    Alcotest.(list (pair string int))
-    "fixed latency, order preserved" [ ("x", 7); ("y", 10) ] (List.rev !received);
-  check Alcotest.int "sent count" 2 (Link.sent link)
-
 let test_event_storm_deterministic () =
   (* Two identical simulations must execute identically. *)
   let run () =
@@ -264,109 +251,6 @@ let suite =
     Alcotest.test_case "busy server serializes" `Quick test_busy_server_serializes;
     Alcotest.test_case "busy server restart" `Quick test_busy_server_idle_restart;
     Alcotest.test_case "busy server varied costs" `Quick test_busy_server_varied_costs;
-    Alcotest.test_case "link delivery" `Quick test_link_delivery;
     Alcotest.test_case "deterministic storm" `Quick test_event_storm_deterministic;
   ]
 
-(* --- Process (direct-style simulation coroutines) --- *)
-
-module Process = Tq_engine.Process
-
-let test_process_sleep_sequence () =
-  let sim = Sim.create () in
-  let log = ref [] in
-  Process.spawn sim (fun ctx ->
-      log := ("start", Process.now ctx) :: !log;
-      Process.sleep ctx 100;
-      log := ("mid", Process.now ctx) :: !log;
-      Process.sleep ctx 250;
-      log := ("end", Process.now ctx) :: !log);
-  Sim.run sim;
-  check
-    Alcotest.(list (pair string int))
-    "timeline" [ ("start", 0); ("mid", 100); ("end", 350) ] (List.rev !log)
-
-let test_process_interleaving () =
-  let sim = Sim.create () in
-  let log = ref [] in
-  let worker name period =
-    Process.spawn sim (fun ctx ->
-        for i = 1 to 3 do
-          Process.sleep ctx period;
-          log := (name, i, Process.now ctx) :: !log
-        done)
-  in
-  worker "fast" 10;
-  worker "slow" 25;
-  Sim.run sim;
-  check
-    Alcotest.(list (triple string int int))
-    "merged timeline"
-    [
-      ("fast", 1, 10); ("fast", 2, 20); ("slow", 1, 25); ("fast", 3, 30);
-      ("slow", 2, 50); ("slow", 3, 75);
-    ]
-    (List.rev !log)
-
-let test_process_mailbox_blocks () =
-  let sim = Sim.create () in
-  let mb = Process.Mailbox.create () in
-  let got = ref [] in
-  Process.spawn sim (fun ctx ->
-      let v = Process.Mailbox.recv ctx mb in
-      got := (v, Process.now ctx) :: !got);
-  ignore
-    (Sim.schedule_at sim ~time:500 (fun () -> Process.Mailbox.send sim mb "hello"));
-  Sim.run sim;
-  check Alcotest.(list (pair string int)) "received at send time" [ ("hello", 500) ] !got
-
-let test_process_mailbox_queued_message_immediate () =
-  let sim = Sim.create () in
-  let mb = Process.Mailbox.create () in
-  Process.Mailbox.send sim mb 42;
-  let got = ref None in
-  Process.spawn sim (fun ctx -> got := Some (Process.Mailbox.recv ctx mb, Process.now ctx));
-  Sim.run sim;
-  check Alcotest.(option (pair int int)) "no wait" (Some (42, 0)) !got;
-  check Alcotest.int "drained" 0 (Process.Mailbox.length mb)
-
-let test_process_producer_consumer_pipeline () =
-  let sim = Sim.create () in
-  let mb = Process.Mailbox.create () in
-  let results = ref [] in
-  (* Producer emits every 10ns; consumer takes 15ns per item: queueing
-     delay accumulates exactly as in a D/D/1 queue. *)
-  Process.spawn sim (fun ctx ->
-      for i = 1 to 4 do
-        Process.sleep ctx 10;
-        Process.Mailbox.send (Process.sim ctx) mb i
-      done);
-  Process.spawn sim (fun ctx ->
-      for _ = 1 to 4 do
-        let item = Process.Mailbox.recv ctx mb in
-        Process.sleep ctx 15;
-        results := (item, Process.now ctx) :: !results
-      done);
-  Sim.run sim;
-  check
-    Alcotest.(list (pair int int))
-    "D/D/1 departures" [ (1, 25); (2, 40); (3, 55); (4, 70) ] (List.rev !results)
-
-let test_process_try_recv () =
-  let sim = Sim.create () in
-  let mb = Process.Mailbox.create () in
-  check Alcotest.(option int) "empty" None (Process.Mailbox.try_recv mb);
-  Process.Mailbox.send sim mb 7;
-  check Alcotest.(option int) "queued" (Some 7) (Process.Mailbox.try_recv mb)
-
-let process_suite =
-  [
-    Alcotest.test_case "process sleep" `Quick test_process_sleep_sequence;
-    Alcotest.test_case "process interleaving" `Quick test_process_interleaving;
-    Alcotest.test_case "mailbox blocks" `Quick test_process_mailbox_blocks;
-    Alcotest.test_case "mailbox immediate" `Quick test_process_mailbox_queued_message_immediate;
-    Alcotest.test_case "producer consumer" `Quick test_process_producer_consumer_pipeline;
-    Alcotest.test_case "mailbox try_recv" `Quick test_process_try_recv;
-  ]
-
-let suite = suite @ process_suite

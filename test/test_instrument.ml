@@ -63,7 +63,7 @@ let test_vm_deterministic () =
   Alcotest.(check bool) "different seed differs" true (c.total_cycles <> a.total_cycles)
 
 let test_vm_paired_control_flow () =
-  (* Instrumented and uninstrumented runs must see identical work. *)
+  (* Runs with and without instrumentation must see identical work. *)
   let p =
     prog_of
       (Ast.loop_dyn ~lo:500 ~hi:1500

@@ -15,7 +15,6 @@ let () =
       ("extensions", Test_extensions.suite);
       ("queueing", Test_queueing.suite);
       ("net", Test_net.suite);
-      ("facade", Test_facade.suite);
       ("obs", Test_obs.suite);
       ("fault", Test_fault.suite);
       ("control", Test_control.suite);

@@ -1,4 +1,4 @@
-(* Tests for tq_runtime: fibers, probe API, workers, executors, rings. *)
+(* Tests for tq_runtime: fibers, probe API, workers, rings, the pool. *)
 
 open Tq_runtime
 
@@ -125,7 +125,7 @@ let test_probe_yields_on_expiry () =
       check Alcotest.int "ten probes" 10 (Probe_api.probes_executed ctx))
 
 let test_probe_noop_without_context () =
-  (* Instrumented code running outside TQ must not fail. *)
+  (* Probed code running outside TQ must not fail. *)
   Probe_api.probe ();
   Probe_api.critical_begin ();
   Probe_api.critical_end ()
@@ -166,19 +166,23 @@ let test_nested_critical_sections () =
       Alcotest.(check bool) "yields only at outermost exit" true
         (Fiber.resume f = Fiber.Yielded))
 
-let test_instrumented_combinators_probe () =
-  with_ctx ~quantum_ns:1_000_000 (fun _clock ctx ->
-      let f =
-        Fiber.create (fun () ->
-            Instrumented.for_range ~probe_every:10 ~lo:0 ~hi:100 (fun _ -> ()))
-      in
-      Probe_api.start_quantum ctx;
-      (match Fiber.resume f with Fiber.Done () -> () | _ -> Alcotest.fail "no yield expected");
-      check Alcotest.int "ten probes" 10 (Probe_api.probes_executed ctx))
+(* [work clock ns] is a task body that credits [ns] of virtual work to
+   [clock] in 250 ns steps, probing before each step.  Probing after
+   each step instead would make a task whose work ends exactly on a
+   quantum boundary yield once more before it finishes, which the DES
+   worker (and a real instrumented loop that falls out) does not do. *)
+let work clock ns =
+  let remaining = ref ns in
+  while !remaining > 0 do
+    Probe_api.probe ();
+    let step = min 250 !remaining in
+    Clock.advance clock step;
+    remaining := !remaining - step
+  done
 
 let test_work_ns_virtual () =
   with_ctx ~quantum_ns:1_000 (fun clock ctx ->
-      let f = Fiber.create (fun () -> Instrumented.work_ns 3_000) in
+      let f = Fiber.create (fun () -> work clock 3_000) in
       Probe_api.start_quantum ctx;
       let yields = ref 0 in
       let rec drive () =
@@ -191,9 +195,9 @@ let test_work_ns_virtual () =
       in
       drive ();
       check Alcotest.int "virtual time consumed" 3_000 (Clock.now_ns clock);
-      (* Quantum boundaries at 1000, 2000 and exactly at the final 3000
-         (>= comparison) before the fiber returns. *)
-      check Alcotest.int "yields at quantum boundaries" 3 !yields)
+      (* Quantum boundaries at 1000 and 2000; the work ends exactly at
+         the third boundary, so the task finishes there. *)
+      check Alcotest.int "yields at quantum boundaries" 2 !yields)
 
 (* --- Task worker --- *)
 
@@ -206,11 +210,9 @@ let test_worker_ps_rotation () =
       ()
   in
   Task_worker.submit w
-    { Task_worker.task_id = 1; class_idx = 0;
-      work = (fun ~wid:_ -> Instrumented.work_ns 5_000) };
+    { Task_worker.task_id = 1; class_idx = 0; work = (fun ~wid:_ -> work clock 5_000) };
   Task_worker.submit w
-    { Task_worker.task_id = 2; class_idx = 0;
-      work = (fun ~wid:_ -> Instrumented.work_ns 1_000) };
+    { Task_worker.task_id = 2; class_idx = 0; work = (fun ~wid:_ -> work clock 1_000) };
   Task_worker.run_until_idle w;
   check Alcotest.(list int) "short task finishes first" [ 2; 1 ] (List.rev !finished);
   check Alcotest.int "all finished" 0 (Task_worker.unfinished w);
@@ -221,52 +223,74 @@ let test_worker_counters () =
   let clock = Clock.virtual_ () in
   let w = Task_worker.create ~clock ~quantum_ns:1_000 ~on_finish:(fun _ -> ()) () in
   Task_worker.submit w
-    { Task_worker.task_id = 1; class_idx = 0;
-      work = (fun ~wid:_ -> Instrumented.work_ns 2_500) };
+    { Task_worker.task_id = 1; class_idx = 0; work = (fun ~wid:_ -> work clock 2_500) };
   check Alcotest.int "unfinished" 1 (Task_worker.unfinished w);
   ignore (Task_worker.run_slice w);
   Alcotest.(check bool) "accumulates quanta" true (Task_worker.current_quanta w > 0);
   Task_worker.run_until_idle w;
   check Alcotest.int "quanta released on finish" 0 (Task_worker.current_quanta w)
 
-(* --- Executor --- *)
+(* --- Differential: live worker vs the DES worker model --- *)
 
-let test_executor_completes_all () =
-  let ex = Executor.create ~workers:4 ~quantum_ns:1_000 () in
-  let sum = ref 0 in
-  for i = 1 to 50 do
-    Executor.submit ex (fun () ->
-        Instrumented.work_ns (200 * i);
-        sum := !sum + i)
-  done;
-  Executor.run ex;
-  check Alcotest.int "all tasks ran" (50 * 51 / 2) !sum;
-  check Alcotest.int "completed" 50 (Executor.completed ex)
+(* Per-job (id, completion time) in completion order, from one
+   [Task_worker] on a virtual clock. *)
+let live_completions ~quantum_ns services =
+  let clock = Clock.virtual_ () in
+  let done_ = ref [] in
+  let w =
+    Task_worker.create ~clock ~quantum_ns
+      ~on_finish:(fun task -> done_ := (task.Task_worker.task_id, Clock.now_ns clock) :: !done_)
+      ()
+  in
+  List.iteri
+    (fun id ns ->
+      Task_worker.submit w
+        { Task_worker.task_id = id; class_idx = 0; work = (fun ~wid:_ -> work clock ns) })
+    services;
+  Task_worker.run_until_idle w;
+  List.rev !done_
 
-let test_executor_jsq_balances () =
-  let ex = Executor.create ~workers:4 ~quantum_ns:1_000 () in
-  for _ = 1 to 64 do
-    Executor.submit ex (fun () -> Instrumented.work_ns 1_000)
-  done;
-  Executor.run ex;
-  let finished = Executor.worker_finished ex in
-  Array.iter
-    (fun count -> Alcotest.(check bool) "balanced 16 each" true (count = 16))
-    finished
+(* The same, from one DES [Worker] under processor sharing with no
+   overheads: the model the simulated figures rest on. *)
+let des_completions ~quantum_ns services =
+  let module Sim = Tq_engine.Sim in
+  let module Worker = Tq_sched.Worker in
+  let sim = Sim.create () in
+  let done_ = ref [] in
+  let w =
+    Worker.create sim ~wid:0 ~rng:(Tq_util.Prng.create ~seed:1L)
+      ~policy:(Worker.Ps { quantum_ns; per_class_quantum = None })
+      ~overheads:Tq_sched.Overheads.zero
+      ~on_finish:(fun (job : Tq_sched.Job.t) -> done_ := (job.id, Sim.now sim) :: !done_)
+      ()
+  in
+  List.iteri
+    (fun id ns ->
+      Worker.note_assigned w;
+      Worker.enqueue w
+        { Tq_sched.Job.id; class_idx = 0; service_ns = ns; arrival_ns = 0;
+          initial_effective_ns = ns; remaining_ns = ns; serviced_quanta = 0 })
+    services;
+  Sim.run sim;
+  List.rev !done_
 
-let test_executor_preempts_long_tasks () =
-  let ex = Executor.create ~workers:1 ~quantum_ns:500 () in
-  let order = ref [] in
-  Executor.submit ex (fun () ->
-      Instrumented.work_ns 5_000;
-      order := "long" :: !order);
-  Executor.submit ex (fun () ->
-      Instrumented.work_ns 500;
-      order := "short" :: !order);
-  Executor.run ex;
-  check Alcotest.(list string) "short escapes HoL blocking" [ "short"; "long" ]
-    (List.rev !order);
-  Alcotest.(check bool) "yields recorded" true (Executor.total_yields ex > 0)
+let prop_live_worker_matches_des =
+  (* 2-9 jobs submitted at t=0; service times and the quantum are
+     multiples of the 250 ns work step, so boundaries coincide often. *)
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 1 8) (list_size (int_range 2 9) (int_range 1 40))
+      |> map (fun (q, steps) -> (250 * q, List.map (fun s -> 250 * s) steps)))
+  in
+  let print (q, services) =
+    Printf.sprintf "quantum %d, services [%s]" q
+      (String.concat "; " (List.map string_of_int services))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"live worker matches DES worker"
+       (QCheck.make ~print gen)
+       (fun (quantum_ns, services) ->
+         live_completions ~quantum_ns services = des_completions ~quantum_ns services))
 
 (* --- SPSC ring --- *)
 
@@ -361,13 +385,10 @@ let suite =
     Alcotest.test_case "probe noop without ctx" `Quick test_probe_noop_without_context;
     Alcotest.test_case "critical section" `Quick test_critical_section_defers_yield;
     Alcotest.test_case "nested critical" `Quick test_nested_critical_sections;
-    Alcotest.test_case "instrumented combinators" `Quick test_instrumented_combinators_probe;
     Alcotest.test_case "work_ns virtual" `Quick test_work_ns_virtual;
     Alcotest.test_case "worker ps rotation" `Quick test_worker_ps_rotation;
     Alcotest.test_case "worker counters" `Quick test_worker_counters;
-    Alcotest.test_case "executor completes" `Quick test_executor_completes_all;
-    Alcotest.test_case "executor jsq balance" `Quick test_executor_jsq_balances;
-    Alcotest.test_case "executor preempts" `Quick test_executor_preempts_long_tasks;
+    prop_live_worker_matches_des;
     Alcotest.test_case "ring fifo" `Quick test_ring_fifo;
     Alcotest.test_case "ring capacity" `Quick test_ring_capacity;
     Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;

@@ -830,3 +830,19 @@ let determinism_suite =
   ]
 
 let suite = suite @ determinism_suite
+
+(* The README's library quickstart, as written there. *)
+let test_readme_quickstart () =
+  let result =
+    Tq_sched.Experiment.run
+      ~system:(Tq_sched.Presets.tq ())
+      ~workload:Tq_workload.Table1.extreme_bimodal ~rate_rps:2_000_000.0
+      ~duration_ns:(Tq_util.Time_unit.ms 10.0) ()
+  in
+  let p999 =
+    Tq_workload.Metrics.sojourn_percentile result.metrics ~class_idx:0 99.9 /. 1e3
+  in
+  Alcotest.(check bool) "sane tail" true (p999 > 0.1 && p999 < 1_000.0)
+
+let suite =
+  suite @ [ Alcotest.test_case "readme quickstart" `Quick test_readme_quickstart ]

@@ -1305,3 +1305,93 @@ let setup_suite =
   ]
 
 let suite = suite @ setup_suite
+
+(* --- Request execution and the load generator's config --- *)
+
+(* A KV or TPC-C request ends with no probe after its work, so a worker
+   whose quantum ran out during that work finishes it in the same slice
+   instead of yielding it with nothing left to do.  A 1 ns wall-clock
+   quantum has run out by any probe. *)
+let test_finished_request_one_slice () =
+  let module Task_worker = Tq_runtime.Task_worker in
+  let app = App.create ~kv_keys:64 ~seed:3L () in
+  let slices = ref 0 and bodies = ref [] in
+  let w =
+    Task_worker.create ~clock:(Tq_runtime.Clock.wall ()) ~quantum_ns:1
+      ~on_quantum:(fun ~task_id:_ ~start_ns:_ ~end_ns:_ ~finished:_ -> incr slices)
+      ~on_finish:ignore ()
+  in
+  let requests =
+    List.concat_map
+      (fun i ->
+        Protocol.Kv_get { key = App.kv_key i }
+        :: Protocol.Kv_set { key = App.kv_key i; value = "v" }
+        :: List.map
+             (fun kind -> Protocol.Tpcc { kind })
+             Tq_tpcc.Transactions.[ Payment; Order_status; New_order; Delivery; Stock_level ])
+      (List.init 20 Fun.id)
+  in
+  List.iteri
+    (fun req_id req ->
+      Task_worker.submit w
+        {
+          Task_worker.task_id = req_id;
+          class_idx = 0;
+          work =
+            (fun ~wid:_ ->
+              let r = App.execute app ~now_ns:0 ~req_id req in
+              bodies := r.Protocol.status :: !bodies);
+        })
+    requests;
+  Task_worker.run_until_idle w;
+  check Alcotest.int "every request ran" (List.length requests) (List.length !bodies);
+  Alcotest.(check bool) "every request succeeded" true
+    (List.for_all (fun s -> s = Protocol.Ok) !bodies);
+  check Alcotest.int "one slice per request" (List.length requests) !slices;
+  check Alcotest.int "no yields" 0 (Task_worker.total_yields w)
+
+(* Each broken rule is named before the generator connects (port 1 has
+   no listener, so a config that got that far would raise a Unix
+   error instead). *)
+let test_load_config_rejected () =
+  let module Load_gen = Tq_serve.Load_gen in
+  let base = Load_gen.default_config ~rate_rps:1000.0 ~port:1 in
+  let mix = base.Load_gen.mix in
+  check Alcotest.(option string) "default config holds" None (Load_gen.config_error base);
+  List.iter
+    (fun (name, config, msg) ->
+      check Alcotest.(option string) name (Some msg) (Load_gen.config_error config);
+      Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+          ignore (Load_gen.run config : Load_gen.result)))
+    [
+      ("rate 0", { base with rate_rps = 0.0 }, "rate_rps must be positive and finite (got 0)");
+      ("rate nan", { base with rate_rps = Float.nan },
+       "rate_rps must be positive and finite (got nan)");
+      ("connections 0", { base with connections = 0 }, "connections must be positive (got 0)");
+      ("warmup -1", { base with warmup_s = -1.0 }, "warmup_s must be >= 0 (got -1)");
+      ("measure 0", { base with measure_s = 0.0 }, "measure_s must be positive (got 0)");
+      ("grace -1", { base with grace_s = -1.0 }, "grace_s must be >= 0 (got -1)");
+      ("kv weight -1", { base with mix = { mix with kv = -1.0 } },
+       "mix.kv must be finite and >= 0 (got -1)");
+      ("heavy fraction -0.5", { base with mix = { mix with echo_heavy = -0.5 } },
+       "mix.echo_heavy must be finite and >= 0 (got -0.5)");
+      ("zero weights",
+       { base with mix = { mix with echo = 0.0; kv = 0.0; tpcc = 0.0; echo_heavy = 0.0 } },
+       "mix weights must not all be zero");
+      ("spin -1", { base with mix = { mix with echo_spin_ns = -1 } },
+       "mix.echo_spin_ns must be >= 0 (got -1)");
+      ("heavy spin -1", { base with mix = { mix with echo_heavy_spin_ns = -1 } },
+       "mix.echo_heavy_spin_ns must be >= 0 (got -1)");
+      ("stats interval 0", { base with stats_interval_s = Some 0.0 },
+       "stats_interval_s must be positive (got 0)");
+    ]
+
+let exec_suite =
+  [
+    Alcotest.test_case "finished request takes one slice" `Quick
+      test_finished_request_one_slice;
+    Alcotest.test_case "bad load config rejected before connect" `Quick
+      test_load_config_rejected;
+  ]
+
+let suite = suite @ exec_suite

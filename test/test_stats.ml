@@ -1,8 +1,7 @@
-(* Tests for tq_stats: exact percentiles, histograms, P2 estimator. *)
+(* Tests for tq_stats: exact percentiles and histograms. *)
 
 module Sample_set = Tq_stats.Sample_set
 module Histogram = Tq_stats.Histogram
-module P2 = Tq_stats.P2_quantile
 module Prng = Tq_util.Prng
 
 let check = Alcotest.check
@@ -115,43 +114,6 @@ let test_histogram_mean () =
   List.iter (Histogram.record h) [ 10; 20; 30 ];
   check (Alcotest.float 0.5) "mean" 20.0 (Histogram.mean h)
 
-(* --- P2_quantile --- *)
-
-let test_p2_small_stream_exact () =
-  let p2 = P2.create ~q:0.5 in
-  List.iter (P2.add p2) [ 3.0; 1.0; 2.0 ];
-  check (Alcotest.float 1e-9) "exact median under 5 samples" 2.0 (P2.estimate p2)
-
-let test_p2_vs_exact_uniform () =
-  let rng = Prng.create ~seed:123L in
-  let p2 = P2.create ~q:0.9 in
-  let s = Sample_set.create () in
-  for _ = 1 to 50_000 do
-    let x = Prng.float rng 100.0 in
-    P2.add p2 x;
-    Sample_set.add s x
-  done;
-  let exact = Sample_set.percentile s 90.0 in
-  Alcotest.(check bool) "p90 within 2%" true (Float.abs (P2.estimate p2 -. exact) < 2.0)
-
-let test_p2_vs_exact_exponential () =
-  let rng = Prng.create ~seed:77L in
-  let p2 = P2.create ~q:0.99 in
-  let s = Sample_set.create () in
-  for _ = 1 to 100_000 do
-    let x = Prng.exponential rng ~mean:10.0 in
-    P2.add p2 x;
-    Sample_set.add s x
-  done;
-  let exact = Sample_set.percentile s 99.0 in
-  let got = P2.estimate p2 in
-  Alcotest.(check bool) "p99 within 10% relative" true
-    (Float.abs (got -. exact) /. exact < 0.1)
-
-let test_p2_invalid_q () =
-  Alcotest.check_raises "q=0" (Invalid_argument "P2_quantile.create: q must be in (0, 1)")
-    (fun () -> ignore (P2.create ~q:0.0))
-
 let suite =
   [
     Alcotest.test_case "percentile known" `Quick test_percentile_known;
@@ -166,73 +128,4 @@ let suite =
     Alcotest.test_case "histogram fraction_above" `Quick test_histogram_fraction_above;
     Alcotest.test_case "histogram iter buckets" `Quick test_histogram_iter_buckets;
     Alcotest.test_case "histogram mean" `Quick test_histogram_mean;
-    Alcotest.test_case "p2 small exact" `Quick test_p2_small_stream_exact;
-    Alcotest.test_case "p2 uniform p90" `Quick test_p2_vs_exact_uniform;
-    Alcotest.test_case "p2 exponential p99" `Quick test_p2_vs_exact_exponential;
-    Alcotest.test_case "p2 invalid q" `Quick test_p2_invalid_q;
   ]
-
-(* --- Welford --- *)
-
-module Welford = Tq_stats.Welford
-
-let test_welford_basic () =
-  let w = Welford.create () in
-  List.iter (Welford.add w) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  check Alcotest.int "count" 8 (Welford.count w);
-  check (Alcotest.float 1e-9) "mean" 5.0 (Welford.mean w);
-  check (Alcotest.float 1e-9) "variance" (32.0 /. 7.0) (Welford.variance w);
-  check (Alcotest.float 1e-9) "min" 2.0 (Welford.min_value w);
-  check (Alcotest.float 1e-9) "max" 9.0 (Welford.max_value w)
-
-let test_welford_empty () =
-  let w = Welford.create () in
-  Alcotest.(check bool) "nan mean" true (Float.is_nan (Welford.mean w));
-  Welford.add w 1.0;
-  Alcotest.(check bool) "nan variance below 2" true (Float.is_nan (Welford.variance w))
-
-let test_welford_matches_sample_set =
-  qtest ~count:100 "welford matches exact moments"
-    QCheck.(list_of_size (Gen.int_range 2 100) (float_bound_exclusive 1000.0))
-    (fun xs ->
-      let w = Welford.create () in
-      let s = Sample_set.create () in
-      List.iter
-        (fun x ->
-          Welford.add w x;
-          Sample_set.add s x)
-        xs;
-      Float.abs (Welford.mean w -. Sample_set.mean s) < 1e-6
-      && Float.abs (Welford.std_dev w -. Sample_set.std_dev s) < 1e-6)
-
-let test_welford_merge =
-  qtest ~count:100 "welford merge equals single stream"
-    QCheck.(pair (list (float_bound_exclusive 100.0)) (list (float_bound_exclusive 100.0)))
-    (fun (xs, ys) ->
-      let a = Welford.create () and b = Welford.create () and whole = Welford.create () in
-      List.iter
-        (fun x ->
-          Welford.add a x;
-          Welford.add whole x)
-        xs;
-      List.iter
-        (fun y ->
-          Welford.add b y;
-          Welford.add whole y)
-        ys;
-      let merged = Welford.merge a b in
-      Welford.count merged = Welford.count whole
-      && (Welford.count merged = 0
-         || Float.abs (Welford.mean merged -. Welford.mean whole) < 1e-6)
-      && (Welford.count merged < 2
-         || Float.abs (Welford.variance merged -. Welford.variance whole) < 1e-6))
-
-let welford_suite =
-  [
-    Alcotest.test_case "welford basic" `Quick test_welford_basic;
-    Alcotest.test_case "welford empty" `Quick test_welford_empty;
-    test_welford_matches_sample_set;
-    test_welford_merge;
-  ]
-
-let suite = suite @ welford_suite
