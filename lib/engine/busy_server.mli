@@ -11,7 +11,9 @@ type 'a t
 
 (** [create sim ~serve ()] is an idle server that calls [serve item] as
     it finishes each item.  The server registers one {!Sim.action} and
-    keeps the item in service itself, so serving allocates no event. *)
+    keeps the item in service itself, so serving allocates no event, and
+    it queues costs and items in two FIFOs, so a submit allocates no
+    cell. *)
 val create : Sim.t -> serve:('a -> unit) -> unit -> 'a t
 
 (** [submit t ~cost item] enqueues [item]; when the server has served it
@@ -25,7 +27,8 @@ val submit : 'a t -> cost:int -> 'a -> unit
     counted in [busy_time] but not in [served]. *)
 val occupy : 'a t -> cost:int -> unit
 
-(** [queue_length t] counts items waiting (not the one in service). *)
+(** [queue_length t] counts items waiting (not the one in service).  A
+    queued blackout from {!occupy} is not an item and is not counted. *)
 val queue_length : 'a t -> int
 
 val busy : 'a t -> bool

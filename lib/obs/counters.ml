@@ -58,15 +58,15 @@ let value g = g.value
 
 let bucket_of v =
   let rec go i v = if v = 0 then i else go (i + 1) (v lsr 1) in
-  go 0 (max 0 v)
+  go 0 (Int.max 0 v)
 
 let observe d v =
-  let v = max 0 v in
-  let b = min 62 (bucket_of v) in
+  let v = Int.max 0 v in
+  let b = Int.min 62 (bucket_of v) in
   d.buckets.(b) <- d.buckets.(b) + 1;
   d.n <- d.n + 1;
   d.sum <- d.sum + v;
-  d.max_obs <- max d.max_obs v
+  d.max_obs <- Int.max d.max_obs v
 
 let dist_count d = d.n
 let dist_mean d = if d.n = 0 then nan else float_of_int d.sum /. float_of_int d.n

@@ -74,58 +74,58 @@ let submit t task =
     }
 
 let run_slice t =
-  match Deque.pop_front t.queue with
-  | None -> false
-  | Some running -> begin
-      (match t.class_quantum with
-      | None -> ()
-      | Some f ->
-          Probe_api.set_quantum_ns t.ctx (f ~class_idx:running.task.class_idx));
-      Probe_api.install t.ctx;
-      Probe_api.start_quantum t.ctx;
-      let start_ns = Clock.now_ns t.clock in
-      if Trace.enabled t.trace then
-        Trace.record t.trace ~ts_ns:start_ns ~lane:t.lane
-          (Event.Quantum_start
-             { job_id = running.task.task_id; quantum_ns = Probe_api.quantum_ns t.ctx });
-      let status = Fun.protect ~finally:Probe_api.uninstall (fun () -> Fiber.resume running.fiber) in
-      running.quanta <- running.quanta + 1;
-      t.current_quanta <- t.current_quanta + 1;
-      Counters.incr t.c_quanta;
-      let end_ns = Clock.now_ns t.clock in
-      let finished = match status with Fiber.Done () -> true | Fiber.Yielded -> false in
-      let ran_ns = end_ns - start_ns in
-      Counters.observe t.d_quantum_len ran_ns;
-      (* Overshoot only makes sense for forced yields: a task that
-         finished early legitimately ran under the quantum. *)
-      if not finished then
-        Counters.observe t.d_overshoot
-          (max 0 (ran_ns - Probe_api.quantum_ns t.ctx));
-      if Trace.enabled t.trace then
-        Trace.record t.trace ~ts_ns:end_ns ~lane:t.lane
-          (Event.Quantum_end
-             { job_id = running.task.task_id; ran_ns; finished });
-      (match status with
-      | Fiber.Yielded ->
-          Counters.incr t.c_yields;
-          if Trace.enabled t.trace then
-            Trace.record t.trace ~ts_ns:end_ns ~lane:t.lane
-              (Event.Yield { job_id = running.task.task_id });
-          Deque.push_back t.queue running
-      | Fiber.Done () ->
-          t.current_quanta <- t.current_quanta - running.quanta;
-          t.finished <- t.finished + 1;
-          Counters.incr t.c_completions;
-          if Trace.enabled t.trace then
-            Trace.record t.trace ~ts_ns:end_ns ~lane:t.lane
-              (Event.Completion
-                 { job_id = running.task.task_id; sojourn_ns = end_ns - running.arrival_ns });
-          t.on_finish running.task);
-      (match t.on_quantum with
-      | None -> ()
-      | Some f -> f ~task_id:running.task.task_id ~start_ns ~end_ns ~finished);
-      true
-    end
+  if Deque.is_empty t.queue then false
+  else begin
+    let running = Deque.pop_front t.queue in
+    (match t.class_quantum with
+    | None -> ()
+    | Some f ->
+        Probe_api.set_quantum_ns t.ctx (f ~class_idx:running.task.class_idx));
+    Probe_api.install t.ctx;
+    Probe_api.start_quantum t.ctx;
+    let start_ns = Clock.now_ns t.clock in
+    if Trace.enabled t.trace then
+      Trace.record t.trace ~ts_ns:start_ns ~lane:t.lane
+        (Event.Quantum_start
+           { job_id = running.task.task_id; quantum_ns = Probe_api.quantum_ns t.ctx });
+    let status = Fun.protect ~finally:Probe_api.uninstall (fun () -> Fiber.resume running.fiber) in
+    running.quanta <- running.quanta + 1;
+    t.current_quanta <- t.current_quanta + 1;
+    Counters.incr t.c_quanta;
+    let end_ns = Clock.now_ns t.clock in
+    let finished = match status with Fiber.Done () -> true | Fiber.Yielded -> false in
+    let ran_ns = end_ns - start_ns in
+    Counters.observe t.d_quantum_len ran_ns;
+    (* Overshoot only makes sense for forced yields: a task that
+       finished early legitimately ran under the quantum. *)
+    if not finished then
+      Counters.observe t.d_overshoot
+        (Int.max 0 (ran_ns - Probe_api.quantum_ns t.ctx));
+    if Trace.enabled t.trace then
+      Trace.record t.trace ~ts_ns:end_ns ~lane:t.lane
+        (Event.Quantum_end
+           { job_id = running.task.task_id; ran_ns; finished });
+    (match status with
+    | Fiber.Yielded ->
+        Counters.incr t.c_yields;
+        if Trace.enabled t.trace then
+          Trace.record t.trace ~ts_ns:end_ns ~lane:t.lane
+            (Event.Yield { job_id = running.task.task_id });
+        Deque.push_back t.queue running
+    | Fiber.Done () ->
+        t.current_quanta <- t.current_quanta - running.quanta;
+        t.finished <- t.finished + 1;
+        Counters.incr t.c_completions;
+        if Trace.enabled t.trace then
+          Trace.record t.trace ~ts_ns:end_ns ~lane:t.lane
+            (Event.Completion
+               { job_id = running.task.task_id; sojourn_ns = end_ns - running.arrival_ns });
+        t.on_finish running.task);
+    (match t.on_quantum with
+    | None -> ()
+    | Some f -> f ~task_id:running.task.task_id ~start_ns ~end_ns ~finished);
+    true
+  end
 
 let run_until_idle t =
   while run_slice t do

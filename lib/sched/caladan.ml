@@ -37,10 +37,12 @@ type t = {
   rng : Prng.t;
   mutable workers : Worker.t array;
   iokernel : Arrivals.request Busy_server.t;
-  (* Stolen jobs on their way to the thief.  Every hand-off takes
-     [steal_ns], so they arrive in the order they left, each with one
-     post of [handed_off]. *)
-  hand_offs : (Job.t * Worker.t) Deque.t;
+  (* Stolen jobs on their way to the thief, in two parallel FIFOs (the
+     job, its thief), so a hand-off allocates no pair.  Every hand-off
+     takes [steal_ns], so they arrive in the order they left, each with
+     one post of [handed_off]. *)
+  hand_off_jobs : Job.t Deque.t;
+  hand_off_thieves : Worker.t Deque.t;
   mutable handed_off : Sim.action;
   metrics : Metrics.t;
   trace : Trace.t;
@@ -63,24 +65,24 @@ let try_steal t (thief : Worker.t) =
   done;
   if !best >= 0 then begin
     let victim = t.workers.(!best) in
-    match Worker.steal victim with
-    | None -> ()
-    | Some job ->
-        t.steals <- t.steals + 1;
-        Counters.incr t.c_steals;
-        if Trace.enabled t.trace then
-          Trace.record t.trace ~ts_ns:(Sim.now t.sim)
-            ~lane:(Event.Worker (Worker.wid thief))
-            (Event.Steal { job_id = job.Job.id; victim = Worker.wid victim });
-        Worker.note_assigned thief;
-        Deque.push_back t.hand_offs (job, thief);
-        Sim.post t.sim ~delay:t.config.steal_ns t.handed_off
+    let job = Worker.steal victim in
+    if job != Job.none then begin
+      t.steals <- t.steals + 1;
+      Counters.incr t.c_steals;
+      if Trace.enabled t.trace then
+        Trace.record t.trace ~ts_ns:(Sim.now t.sim)
+          ~lane:(Event.Worker (Worker.wid thief))
+          (Event.Steal { job_id = job.Job.id; victim = Worker.wid victim });
+      Worker.note_assigned thief;
+      Deque.push_back t.hand_off_jobs job;
+      Deque.push_back t.hand_off_thieves thief;
+      Sim.post t.sim ~delay:t.config.steal_ns t.handed_off
+    end
   end
 
 let hand_off t =
-  match Deque.pop_front t.hand_offs with
-  | Some (job, thief) -> Worker.enqueue thief job
-  | None -> assert false
+  let job = Deque.pop_front t.hand_off_jobs in
+  Worker.enqueue (Deque.pop_front t.hand_off_thieves) job
 
 let deliver t (req : Arrivals.request) =
   (* RSS: hash the flow when connection count is modeled, otherwise a
@@ -140,7 +142,8 @@ let create sim ~rng ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
       rng;
       workers = [||];
       iokernel = Busy_server.create sim ~serve:(fun req -> !deliver_to req) ();
-      hand_offs = Deque.create ();
+      hand_off_jobs = Deque.create ();
+      hand_off_thieves = Deque.create ();
       handed_off = Sim.no_action;
       metrics;
       trace = obs.Tq_obs.Obs.trace;

@@ -18,8 +18,8 @@ let of_request ~probe_overhead_frac (req : Tq_workload.Arrivals.request) =
     class_idx = req.class_idx;
     service_ns = req.service_ns;
     arrival_ns = req.arrival_ns;
-    initial_effective_ns = max 1 effective;
-    remaining_ns = max 1 effective;
+    initial_effective_ns = Int.max 1 effective;
+    remaining_ns = Int.max 1 effective;
     serviced_quanta = 0;
   }
 

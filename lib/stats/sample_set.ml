@@ -3,7 +3,7 @@ module Fvec = Tq_util.Fvec
 type t = { samples : Fvec.t }
 
 let create ?(capacity = 1024) () = { samples = Fvec.create ~capacity () }
-let add t x = Fvec.push t.samples x
+let[@inline] add t x = Fvec.push t.samples x
 let count t = Fvec.length t.samples
 let mean t = Fvec.mean t.samples
 

@@ -7,6 +7,9 @@
 
 type t
 
+(** [create ?capacity ()] allocates no sample storage: the first {!add}
+    allocates [capacity] slots (default 1024) and each later growth
+    doubles, so a set that never gets a sample costs one small record. *)
 val create : ?capacity:int -> unit -> t
 val add : t -> float -> unit
 val count : t -> int

@@ -134,7 +134,8 @@ let push_new_order t ~w ~d ~o =
   Tq_util.Ring_deque.push_back t.new_orders.(district_index t ~w ~d) o
 
 let pop_new_order t ~w ~d =
-  Tq_util.Ring_deque.pop_front t.new_orders.(district_index t ~w ~d)
+  let q = t.new_orders.(district_index t ~w ~d) in
+  if Tq_util.Ring_deque.is_empty q then None else Some (Tq_util.Ring_deque.pop_front q)
 
 let new_order_depth t ~w ~d =
   Tq_util.Ring_deque.length t.new_orders.(district_index t ~w ~d)

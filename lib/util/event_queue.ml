@@ -1,7 +1,10 @@
 (* Near tier: a ring of [near_cap] slots; logical position [i] (0 = the
    earliest entry) lives at [(near_head + i) land near_mask].  It is kept
    sorted by (key, seq), and since a pushed entry has the largest seq so
-   far, an insert only shifts entries with a strictly larger key.
+   far, it goes after every entry with a key no larger than its own.  An
+   insert moves the shorter side of that point by one slot: the entries
+   after it towards the tail, or the entries before it towards the front,
+   the head stepping back one slot.
 
    Far tier: a binary min-heap on (key, seq) in [far_*], sifted by
    moving a hole.  Its arrays stay empty until the near ring first
@@ -112,26 +115,52 @@ let far_pop t =
   vals.(!i) <- x;
   v
 
-(* Inserts into a ring with room, shifting later keys one slot on. *)
+(* Inserts into a ring with room.  A key below the middle entry's lands
+   in the front half, so the entries before it step one slot towards the
+   front; otherwise the entries after it step one slot towards the tail.
+   The scan towards the tail stops at the head; the one towards the
+   front stops at the middle entry at the latest. *)
 let near_insert t key seq v =
   let keys = t.near_keys and seqs = t.near_seqs and vals = t.near_vals in
-  let head = t.near_head in
-  let i = ref ((head + t.near_len) land near_mask) and shifting = ref true in
-  t.near_len <- t.near_len + 1;
-  while !shifting && !i <> head do
-    let p = (!i - 1) land near_mask in
-    let pk = Array.unsafe_get keys p in
-    if key < pk then begin
-      Array.unsafe_set keys !i pk;
-      Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
-      Array.unsafe_set vals !i (Array.unsafe_get vals p);
-      i := p
+  let head = t.near_head and len = t.near_len in
+  t.near_len <- len + 1;
+  let shifting = ref true in
+  let i =
+    if len > 0 && key < Array.unsafe_get keys ((head + (len lsr 1)) land near_mask) then begin
+      let i = ref ((head - 1) land near_mask) in
+      t.near_head <- !i;
+      while !shifting do
+        let n = (!i + 1) land near_mask in
+        let nk = Array.unsafe_get keys n in
+        if nk <= key then begin
+          Array.unsafe_set keys !i nk;
+          Array.unsafe_set seqs !i (Array.unsafe_get seqs n);
+          Array.unsafe_set vals !i (Array.unsafe_get vals n);
+          i := n
+        end
+        else shifting := false
+      done;
+      !i
     end
-    else shifting := false
-  done;
-  Array.unsafe_set keys !i key;
-  Array.unsafe_set seqs !i seq;
-  Array.unsafe_set vals !i v
+    else begin
+      let i = ref ((head + len) land near_mask) in
+      while !shifting && !i <> head do
+        let p = (!i - 1) land near_mask in
+        let pk = Array.unsafe_get keys p in
+        if key < pk then begin
+          Array.unsafe_set keys !i pk;
+          Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
+          Array.unsafe_set vals !i (Array.unsafe_get vals p);
+          i := p
+        end
+        else shifting := false
+      done;
+      !i
+    end
+  in
+  Array.unsafe_set keys i key;
+  Array.unsafe_set seqs i seq;
+  Array.unsafe_set vals i v
 
 let push t ~key v =
   let seq = t.next_seq in

@@ -1,17 +1,18 @@
-type t = { mutable data : float array; mutable len : int }
+(* [data] stays empty until the first push, which allocates [capacity]
+   slots; each later growth doubles. *)
+type t = { mutable data : float array; mutable len : int; capacity : int }
 
-let create ?(capacity = 16) () =
-  { data = Array.make (max capacity 1) 0.0; len = 0 }
+let create ?(capacity = 16) () = { data = [||]; len = 0; capacity = Int.max capacity 1 }
 
 let length t = t.len
 
 let grow t =
   let cap = Array.length t.data in
-  let data = Array.make (2 * cap) 0.0 in
+  let data = Array.make (if cap = 0 then t.capacity else 2 * cap) 0.0 in
   Array.blit t.data 0 data 0 t.len;
   t.data <- data
 
-let push t x =
+let[@inline] push t x =
   if t.len = Array.length t.data then grow t;
   t.data.(t.len) <- x;
   t.len <- t.len + 1

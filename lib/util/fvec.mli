@@ -5,6 +5,9 @@
 
 type t
 
+(** [create ?capacity ()] allocates nothing: the first {!push} allocates
+    [capacity] slots (default 16), and each later growth doubles.  An
+    unused vector costs one small record. *)
 val create : ?capacity:int -> unit -> t
 val length : t -> int
 val push : t -> float -> unit

@@ -3,7 +3,9 @@
     Worker run queues push yielded jobs at the tail and resume from the
     head (processor sharing); work stealing (the Caladan model) takes
     from the tail of a victim's queue.  All operations are amortized
-    O(1). *)
+    O(1), and once the buffer has grown to its working size, pushes and
+    pops allocate nothing: elements sit in the buffer directly, with no
+    option cell around them. *)
 
 type 'a t
 
@@ -13,13 +15,12 @@ val is_empty : 'a t -> bool
 val push_back : 'a t -> 'a -> unit
 val push_front : 'a t -> 'a -> unit
 
-(** [pop_front t] / [pop_back t] return [None] when empty. *)
-val pop_front : 'a t -> 'a option
+(** [pop_front t] / [pop_back t] remove and return the front / back
+    element.  Raise [Invalid_argument] on an empty deque: check
+    {!is_empty} first. *)
+val pop_front : 'a t -> 'a
 
-val pop_back : 'a t -> 'a option
-
-(** [peek_front t] observes without removing. *)
-val peek_front : 'a t -> 'a option
+val pop_back : 'a t -> 'a
 
 (** [get t i] is the i-th element from the front. *)
 val get : 'a t -> int -> 'a

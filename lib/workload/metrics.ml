@@ -42,7 +42,7 @@ let record t ~class_idx ~arrival_ns ~finish_ns ~service_ns =
   if arrival_ns >= t.warmup_ns then begin
     let sojourn = float_of_int (finish_ns - arrival_ns) in
     Sample_set.add t.sojourn.(class_idx) sojourn;
-    Sample_set.add t.slowdown.(class_idx) (sojourn /. float_of_int (max 1 service_ns))
+    Sample_set.add t.slowdown.(class_idx) (sojourn /. float_of_int (Int.max 1 service_ns))
   end
 
 let record_eventual t ~class_idx ~arrival_ns ~finish_ns =

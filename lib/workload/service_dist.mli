@@ -23,8 +23,13 @@ type t = { name : string; classes : job_class array }
 (** [make ~name classes] validates ratios (positive, summing to ~1). *)
 val make : name:string -> job_class list -> t
 
-(** [sample t rng] draws a class index and a service time (>= 1 ns). *)
-val sample : t -> Tq_util.Prng.t -> int * int
+(** [sample_class t rng] draws a class index, weighted by the ratios. *)
+val sample_class : t -> Tq_util.Prng.t -> int
+
+(** [sample_service_ns t ~class_idx rng] draws a service time (>= 1 ns)
+    from class [class_idx].  An arrival draws its class, then its
+    service time, from the same generator: two calls and no pair. *)
+val sample_service_ns : t -> class_idx:int -> Tq_util.Prng.t -> int
 
 (** [sampler_mean_ns s] is the exact mean of one sampler. *)
 val sampler_mean_ns : sampler -> float

@@ -187,6 +187,85 @@ let test_busy_server_occupy () =
     "occupy delays queued work" [ ("a", 10); ("b", 120) ] (List.rev !done_at);
   check Alcotest.int "occupy is not a served item" 2 (Busy_server.served srv)
 
+(* The list model of a busy server: an item or a blackout in service,
+   then the waiting entries in serving order. *)
+type model_entry = Item of int * int | Blackout of int
+
+(* [ops] are (time, item, cost) in time order, an item of -1 being an
+   outage.  Replays them on a list model and returns what a busy server
+   must report: each item's finish time in finishing order, the waiting
+   item count after each op, the busy time and the served count.  An op
+   at time [t] runs before a finish at [t]: the ops are scheduled before
+   any finish is posted. *)
+let busy_server_model ops =
+  let current = ref None and waiting = ref [] in
+  let finished = ref [] and busy_time = ref 0 and served = ref 0 in
+  let cost_of = function Item (_, c) | Blackout c -> c in
+  let advance ~before =
+    let rec go () =
+      match !current with
+      | Some (finish, e) when finish < before ->
+          busy_time := !busy_time + cost_of e;
+          (match e with
+          | Item (i, _) ->
+              incr served;
+              finished := (i, finish) :: !finished
+          | Blackout _ -> ());
+          (match !waiting with
+          | [] -> current := None
+          | next :: rest ->
+              waiting := rest;
+              current := Some (finish + cost_of next, next));
+          go ()
+      | _ -> ()
+    in
+    go ()
+  in
+  let lengths =
+    List.map
+      (fun (time, item, cost) ->
+        advance ~before:time;
+        let e = if item < 0 then Blackout cost else Item (item, cost) in
+        (match !current with
+        | None -> current := Some (time + cost, e)
+        | Some _ -> if item < 0 then waiting := e :: !waiting else waiting := !waiting @ [ e ]);
+        List.length (List.filter (function Item _ -> true | Blackout _ -> false) !waiting))
+      ops
+  in
+  advance ~before:max_int;
+  (List.rev !finished, lengths, !busy_time, !served)
+
+let test_busy_server_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"busy server matches a list model"
+       QCheck.(list (triple (int_bound 30) (int_bound 3) (int_bound 20)))
+       (fun raw ->
+         let time = ref 0 in
+         let ops =
+           List.mapi
+             (fun i (gap, kind, cost) ->
+               time := !time + gap;
+               (!time, (if kind = 0 then -1 else i), cost))
+             raw
+         in
+         let sim = Sim.create () in
+         let finished = ref [] and lengths = ref [] in
+         let srv =
+           Busy_server.create sim ~serve:(fun i -> finished := (i, Sim.now sim) :: !finished) ()
+         in
+         List.iter
+           (fun (time, item, cost) ->
+             ignore
+               (Sim.schedule_at sim ~time (fun () ->
+                    if item < 0 then Busy_server.occupy srv ~cost
+                    else Busy_server.submit srv ~cost item;
+                    lengths := Busy_server.queue_length srv :: !lengths)
+                 : Sim.event))
+           ops;
+         Sim.run sim;
+         (List.rev !finished, List.rev !lengths, Busy_server.busy_time srv, Busy_server.served srv)
+         = busy_server_model ops))
+
 (* Posts and one-shots share one (time, insertion order) queue. *)
 let test_post_order () =
   let sim = Sim.create () in
@@ -251,6 +330,7 @@ let suite =
     Alcotest.test_case "busy server serializes" `Quick test_busy_server_serializes;
     Alcotest.test_case "busy server restart" `Quick test_busy_server_idle_restart;
     Alcotest.test_case "busy server varied costs" `Quick test_busy_server_varied_costs;
+    test_busy_server_model;
     Alcotest.test_case "deterministic storm" `Quick test_event_storm_deterministic;
   ]
 

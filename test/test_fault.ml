@@ -679,6 +679,33 @@ let test_caladan_kill_rescued_by_stealing () =
   let _, in_flight, _ = Caladan.obs_snapshot t in
   check Alcotest.int "no stranded jobs" 0 in_flight
 
+(* An outage queued at a dispatcher (the IOKernel, for Caladan) is not a
+   queued job.  One request is in service at the dispatcher when the
+   outage is injected, so the outage waits behind it and nothing else
+   waits at all. *)
+let test_queued_outage_is_no_queued_job () =
+  let systems =
+    [
+      ("tq", Presets.tq ());
+      ("shinjuku", Presets.shinjuku ~quantum_ns:5_000 ());
+      ("caladan", Presets.caladan ~mode:Caladan.Iokernel ());
+    ]
+  in
+  List.iter
+    (fun (name, spec) ->
+      let sim = Sim.create () in
+      let metrics = Metrics.create ~workload:Table1.exp1 ~warmup_ns:0 in
+      let inst =
+        Tq_sched.System_intf.instantiate spec sim ~rng:(Prng.create ~seed:1L) ~metrics ()
+      in
+      Tq_sched.System_intf.submit inst (req ~service_ns:1_000 ~arrival_ns:0 ());
+      Tq_sched.System_intf.inject_dispatcher_outage inst ~dispatcher:0 ~duration_ns:10_000;
+      let queued, in_flight, _ = Tq_sched.System_intf.obs_snapshot inst in
+      check Alcotest.(pair int int) (name ^ " queued, in flight") (0, 0) (queued, in_flight);
+      Sim.run sim;
+      check Alcotest.int (name ^ " completed") 1 (Metrics.total_completed metrics))
+    systems
+
 (* A dead core is never busy again, so it must not be picked as the
    thief when a delivery lands behind a busy core.  One RSS flow sends
    every request to one core; a lower-index core is killed first. *)
@@ -751,6 +778,8 @@ let suite =
       test_centralized_stall_delays_but_completes;
     Alcotest.test_case "caladan kill rescued by stealing" `Quick
       test_caladan_kill_rescued_by_stealing;
+    Alcotest.test_case "queued outage is no queued job" `Quick
+      test_queued_outage_is_no_queued_job;
     Alcotest.test_case "caladan dead core steals nothing" `Quick
       test_caladan_dead_core_steals_nothing;
   ]

@@ -138,12 +138,10 @@ let test_worker_steal () =
   Worker.enqueue w (job ~req_id:1 ~service_ns:10_000 ());
   Worker.enqueue w (job ~req_id:2 ~service_ns:10_000 ());
   (* Job 1 is in service, job 2 queued: steal takes job 2. *)
-  (match Worker.steal w with
-  | Some j -> check Alcotest.int "stole queued job" 2 j.Job.id
-  | None -> Alcotest.fail "expected a stolen job");
+  check Alcotest.int "stole queued job" 2 (Worker.steal w).Job.id;
   check Alcotest.int "victim load updated" 1 (Worker.unfinished w);
-  check Alcotest.(option (of_pp (fun _ _ -> ()))) "no more to steal" None
-    (Worker.steal w |> Option.map ignore)
+  check Alcotest.bool "no more to steal" true (Worker.steal w == Job.none);
+  check Alcotest.int "an empty steal moves no load" 1 (Worker.unfinished w)
 
 (* --- Dispatch policies --- *)
 
@@ -782,21 +780,32 @@ let test_fault_paths_pinned () =
   pin "caladan kill" (78127, 18239, 1, 761852.0)
     (run ~faults:[ (Time_unit.ms 2.0, kill 1) ] (Presets.caladan ~mode:Caladan.Iokernel ()))
 
-(* A whole TQ run at 90% load, set-up included, allocates no more than
-   its requests do: each carries a request, a job and its queue cells,
-   and its events (about five) allocate nothing themselves. *)
-let test_tq_run_minor_words () =
+(* A whole run at 90% load, set-up included, allocates little more than
+   its requests do: each carries a request and a job, and neither its
+   queues nor its events (about five per request) allocate a cell. *)
+let check_run_minor_words system ~at_most =
   let workload = Table1.extreme_bimodal in
   let rate_rps = 0.9 *. Arrivals.capacity_rps ~cores:16 workload in
   let before = Gc.minor_words () in
   let r =
-    Experiment.run ~seed:1L ~system:(Presets.tq ()) ~workload ~rate_rps
-      ~duration_ns:(Time_unit.ms 4.0) ()
+    Experiment.run ~seed:1L ~system ~workload ~rate_rps ~duration_ns:(Time_unit.ms 4.0) ()
   in
   let per_event = (Gc.minor_words () -. before) /. float_of_int r.events in
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per event, at most 12" per_event)
-    true (per_event <= 12.0)
+    (Printf.sprintf "%.2f minor words per event, at most %g" per_event at_most)
+    true (per_event <= at_most)
+
+let test_tq_run_minor_words () = check_run_minor_words (Presets.tq ()) ~at_most:6.0
+
+let test_shinjuku_run_minor_words () =
+  check_run_minor_words
+    (Presets.shinjuku
+       ~quantum_ns:(Presets.shinjuku_quantum_for Table1.extreme_bimodal.name)
+       ())
+    ~at_most:6.0
+
+let test_caladan_run_minor_words () =
+  check_run_minor_words (Presets.caladan ~mode:Caladan.Iokernel ()) ~at_most:7.0
 
 (* Retuning one instance's per-class quantum must not reach into the
    spec it was built from, nor into other instances built from it. *)
@@ -825,6 +834,10 @@ let determinism_suite =
     Alcotest.test_case "event stream pinned" `Quick test_event_stream_pinned;
     Alcotest.test_case "fault and steal paths pinned" `Quick test_fault_paths_pinned;
     Alcotest.test_case "tq run minor words per event" `Quick test_tq_run_minor_words;
+    Alcotest.test_case "shinjuku run minor words per event" `Quick
+      test_shinjuku_run_minor_words;
+    Alcotest.test_case "caladan run minor words per event" `Quick
+      test_caladan_run_minor_words;
     Alcotest.test_case "set_quantum leaves the spec alone" `Quick
       test_set_quantum_leaves_spec_alone;
   ]

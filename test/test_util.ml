@@ -386,19 +386,17 @@ let test_deque_model =
               model := 2 :: !model;
               true
           | 2 -> (
-              match (Deque.pop_front d, !model) with
-              | None, [] -> true
-              | Some x, y :: rest ->
+              match !model with
+              | [] -> Deque.is_empty d
+              | y :: rest ->
                   model := rest;
-                  x = y
-              | _ -> false)
+                  Deque.pop_front d = y)
           | _ -> (
-              match (Deque.pop_back d, List.rev !model) with
-              | None, [] -> true
-              | Some x, y :: rest ->
+              match List.rev !model with
+              | [] -> Deque.is_empty d
+              | y :: rest ->
                   model := List.rev rest;
-                  x = y
-              | _ -> false))
+                  Deque.pop_back d = y))
         ops
       && Deque.to_list d = !model)
 
@@ -407,8 +405,8 @@ let test_deque_wraparound () =
   for i = 1 to 3 do
     Deque.push_back d i
   done;
-  check Alcotest.(option int) "pop 1" (Some 1) (Deque.pop_front d);
-  check Alcotest.(option int) "pop 2" (Some 2) (Deque.pop_front d);
+  check Alcotest.int "pop 1" 1 (Deque.pop_front d);
+  check Alcotest.int "pop 2" 2 (Deque.pop_front d);
   for i = 4 to 8 do
     Deque.push_back d i
   done;
@@ -421,6 +419,44 @@ let test_deque_get () =
   check Alcotest.int "get 1" 20 (Deque.get d 1);
   Alcotest.check_raises "oob" (Invalid_argument "Ring_deque.get: index out of bounds")
     (fun () -> ignore (Deque.get d 3))
+
+let test_deque_empty_pop_raises () =
+  let d : int Deque.t = Deque.create () in
+  Alcotest.check_raises "pop_front" (Invalid_argument "Ring_deque.pop_front: empty deque")
+    (fun () -> ignore (Deque.pop_front d));
+  Alcotest.check_raises "pop_back" (Invalid_argument "Ring_deque.pop_back: empty deque")
+    (fun () -> ignore (Deque.pop_back d))
+
+(* A free slot holds an immediate filler.  Had the buffer been made
+   from a float, it would be a flat float array, and the filler written
+   into it on a pop would be read back as a float. *)
+let test_deque_floats () =
+  let d = Deque.create ~capacity:2 () in
+  List.iter (Deque.push_back d) [ 1.5; 2.5; 3.5 ];
+  Deque.push_front d 0.5;
+  check (Alcotest.float 0.0) "pop_front" 0.5 (Deque.pop_front d);
+  check (Alcotest.float 0.0) "pop_back" 3.5 (Deque.pop_back d);
+  Deque.push_back d 4.5;
+  Deque.push_front d (-1.0);
+  check Alcotest.(list (float 0.0)) "contents" [ -1.0; 1.5; 2.5; 4.5 ] (Deque.to_list d);
+  Deque.clear d;
+  Deque.push_back d nan;
+  check Alcotest.bool "nan survives" true (Float.is_nan (Deque.pop_front d))
+
+(* Once the buffer holds the working set, a push and a pop write the
+   element and the filler in place: no cell. *)
+let test_deque_allocation_free () =
+  let d = Deque.create () in
+  for i = 1 to 8 do
+    Deque.push_back d i
+  done;
+  let n = ref 0 in
+  check (Alcotest.float 0.0) "push_back+pop_front at 8 entries" 0.0
+    (minor_words_per_call (fun () ->
+         incr n;
+         Deque.push_back d !n;
+         ignore (Deque.pop_front d : int)));
+  check Alcotest.int "still 8 entries" 8 (Deque.length d)
 
 (* --- Text_table --- *)
 
@@ -490,6 +526,9 @@ let suite =
     test_deque_model;
     Alcotest.test_case "deque wraparound" `Quick test_deque_wraparound;
     Alcotest.test_case "deque get" `Quick test_deque_get;
+    Alcotest.test_case "deque empty pop raises" `Quick test_deque_empty_pop_raises;
+    Alcotest.test_case "deque of floats" `Quick test_deque_floats;
+    Alcotest.test_case "deque push+pop allocation-free" `Quick test_deque_allocation_free;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table arity" `Quick test_table_arity;
     Alcotest.test_case "cell formats" `Quick test_cell_formats;

@@ -8,6 +8,11 @@ module Sim = Tq_engine.Sim
 module Prng = Tq_util.Prng
 module Time_unit = Tq_util.Time_unit
 
+(* An arrival's draw: its class, then its service time. *)
+let sample w rng =
+  let class_idx = Service_dist.sample_class w rng in
+  (class_idx, Service_dist.sample_service_ns w ~class_idx rng)
+
 let check = Alcotest.check
 
 let test_make_validates_ratios () =
@@ -43,7 +48,7 @@ let test_sampling_ratios () =
   let n = 200_000 in
   let long = ref 0 in
   for _ = 1 to n do
-    let idx, service = Service_dist.sample Table1.extreme_bimodal_sim rng in
+    let idx, service = sample Table1.extreme_bimodal_sim rng in
     if idx = 1 then begin
       incr long;
       check Alcotest.int "long service" (Time_unit.us 500.0) service
@@ -58,7 +63,7 @@ let test_exponential_sampling_mean () =
   let n = 100_000 in
   let sum = ref 0 in
   for _ = 1 to n do
-    let _, s = Service_dist.sample Table1.exp1 rng in
+    let _, s = sample Table1.exp1 rng in
     sum := !sum + s
   done;
   let mean = float_of_int !sum /. float_of_int n in
@@ -163,7 +168,7 @@ let test_empirical_sampler () =
   check (Alcotest.float 1e-9) "mean of trace" 250.0 (Service_dist.mean_service_ns w);
   let rng = Prng.create ~seed:21L in
   for _ = 1 to 1_000 do
-    let _, s = Service_dist.sample w rng in
+    let _, s = sample w rng in
     Alcotest.(check bool) "sample from trace" true (Array.mem s trace)
   done
 
@@ -177,7 +182,7 @@ let test_empirical_uniform_frequencies () =
   let ones = ref 0 in
   let n = 50_000 in
   for _ = 1 to n do
-    let _, s = Service_dist.sample w rng in
+    let _, s = sample w rng in
     if s = 1 then incr ones
   done;
   let f = float_of_int !ones /. float_of_int n in
