@@ -35,7 +35,7 @@ let sample_duration rng = function
   | Fixed_ns d -> d
   | Uniform_ns { lo; hi } -> Prng.int_in_range rng ~lo ~hi
   | Exp_ns { mean } ->
-      max 1 (int_of_float (Float.round (Prng.exponential rng ~mean:(float_of_int mean))))
+      Int.max 1 (Prng.exponential_int rng ~mean:(float_of_int mean))
 
 let validate_duration = function
   | Fixed_ns d -> if d <= 0 then invalid_arg "Plan: stall duration must be positive"

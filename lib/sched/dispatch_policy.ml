@@ -87,32 +87,6 @@ let choose_filtered c workers ok =
           !best
     end
 
-(* Unfiltered JSQ-MSQ in one pass with no allocation: the least-loaded
-   core; among those, the one whose current jobs have serviced the most
-   quanta (MSQ: likely the least remaining work); among those, the
-   lowest index. *)
-let jsq_msq workers =
-  let best = ref 0 in
-  let best_load = ref (Worker.unfinished workers.(0)) in
-  let best_q = ref (Worker.current_quanta workers.(0)) in
-  for i = 1 to Array.length workers - 1 do
-    let w = workers.(i) in
-    let load = Worker.unfinished w in
-    if load < !best_load then begin
-      best := i;
-      best_load := load;
-      best_q := Worker.current_quanta w
-    end
-    else if load = !best_load then begin
-      let q = Worker.current_quanta w in
-      if q > !best_q then begin
-        best := i;
-        best_q := q
-      end
-    end
-  done;
-  !best
-
 let choose ?alive c workers =
   let n = Array.length workers in
   if n = 0 then invalid_arg "Dispatch_policy.choose: no workers";
@@ -142,4 +116,4 @@ let choose ?alive c workers =
               let arr = Array.of_list ties in
               arr.(Prng.int c.rng (Array.length arr))
         end
-      | Jsq_msq -> jsq_msq workers)
+      | Jsq_msq -> Worker.jsq_msq workers)

@@ -39,6 +39,10 @@ val bernoulli : t -> p:float -> bool
 (** [exponential t ~mean] samples Exp with the given mean. *)
 val exponential : t -> mean:float -> float
 
+(** [exponential_int t ~mean] is [exponential t ~mean] rounded to the
+    nearest int (halves away from zero), from the same single draw. *)
+val exponential_int : t -> mean:float -> int
+
 (** [lognormal t ~mu ~sigma] samples exp(N(mu, sigma^2)). *)
 val lognormal : t -> mu:float -> sigma:float -> float
 
