@@ -318,7 +318,7 @@ let test_deque =
   Test.make ~name:"ring_deque push_back+pop_front"
     (Staged.stage (fun () ->
          Tq_util.Ring_deque.push_back dq 1;
-         ignore (Tq_util.Ring_deque.pop_front dq)))
+         ignore (Tq_util.Ring_deque.pop_front dq : int)))
 
 let test_backoff =
   let config = Tq_workload.Retry.default_config in
