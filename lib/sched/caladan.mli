@@ -53,6 +53,11 @@ val steals : t -> int
 
 val workers : t -> Worker.t array
 
+(** Every broken identity of the bookkeeping, one line each; [[]] when
+    sound: the queued-job count the workers share must equal the sum of
+    their {!Worker.queue_length}. *)
+val invariant_violations : t -> string list
+
 (** [(queued, in_flight, busy_cores)] at this instant (see
     {!Two_level.obs_snapshot}). *)
 val obs_snapshot : t -> int * int * int

@@ -87,6 +87,12 @@ val mean_effective_quantum_ns : t -> float
 
 val dispatcher_busy_ns : t -> int
 
+(** Every broken identity of the bookkeeping, one line each; [[]] when
+    sound.  A core is open when it has no assignment in flight, none
+    parked and is not dead: each core's open flag and the open-core
+    count must match a recount from that state. *)
+val invariant_violations : t -> string list
+
 (** [(queued, in_flight, busy_cores)] at this instant (see
     {!Two_level.obs_snapshot}). *)
 val obs_snapshot : t -> int * int * int

@@ -30,6 +30,7 @@ module type S = sig
   val accounting : t -> Two_level.accounting option
   val in_system : t -> int
   val lost_jobs : t -> int
+  val invariant_violations : t -> string list
   val inject_stall : t -> wid:int -> duration_ns:int -> unit
   val kill_worker : t -> wid:int -> unit
   val inject_dispatcher_outage : t -> dispatcher:int -> duration_ns:int -> unit
@@ -61,6 +62,7 @@ module Two_level_system : S with type t = Two_level.t = struct
   let accounting t = Some (Two_level.accounting t)
   let in_system = Two_level.in_system
   let lost_jobs t = (Two_level.accounting t).Two_level.lost
+  let invariant_violations = Two_level.invariant_violations
 
   let inject_stall t ~wid ~duration_ns =
     Worker.inject_stall (Two_level.workers t).(wid) ~duration_ns
@@ -98,6 +100,7 @@ module Centralized_system : S with type t = Centralized.t = struct
     in_flight
 
   let lost_jobs = Centralized.lost_jobs
+  let invariant_violations = Centralized.invariant_violations
   let inject_stall = Centralized.inject_stall
   let kill_worker = Centralized.kill_worker
 
@@ -126,6 +129,7 @@ module Caladan_system : S with type t = Caladan.t = struct
     in_flight
 
   let lost_jobs = Caladan.lost_jobs
+  let invariant_violations = Caladan.invariant_violations
   let inject_stall = Caladan.inject_stall
   let kill_worker = Caladan.kill_worker
 
@@ -168,6 +172,7 @@ let obs_snapshot (Instance ((module M), t)) = M.obs_snapshot t
 let accounting (Instance ((module M), t)) = M.accounting t
 let in_system (Instance ((module M), t)) = M.in_system t
 let lost_jobs (Instance ((module M), t)) = M.lost_jobs t
+let invariant_violations (Instance ((module M), t)) = M.invariant_violations t
 let inject_stall (Instance ((module M), t)) ~wid ~duration_ns =
   M.inject_stall t ~wid ~duration_ns
 

@@ -71,6 +71,11 @@ module type S = sig
   (** Jobs destroyed by core failures so far. *)
   val lost_jobs : t -> int
 
+  (** Every broken identity of the system's own bookkeeping (the
+      aggregates it keeps so a per-event check need not scan), one line
+      each; [[]] when sound. *)
+  val invariant_violations : t -> string list
+
   (** {2 Fault hooks} — the uniform injection surface {!Tq_fault}
       drives.  Ground truth is always the worker core itself; dispatcher
       beliefs (where they exist) are updated by the system's own failure
@@ -136,6 +141,7 @@ val obs_snapshot : instance -> int * int * int
 val accounting : instance -> Two_level.accounting option
 val in_system : instance -> int
 val lost_jobs : instance -> int
+val invariant_violations : instance -> string list
 val inject_stall : instance -> wid:int -> duration_ns:int -> unit
 val kill_worker : instance -> wid:int -> unit
 val inject_dispatcher_outage : instance -> dispatcher:int -> duration_ns:int -> unit

@@ -1,26 +1,30 @@
 (* Near tier: a ring of [near_cap] slots; logical position [i] (0 = the
-   earliest entry) lives at [(near_head + i) land near_mask].  It is kept
-   sorted by (key, seq), and since a pushed entry has the largest seq so
-   far, it goes after every entry with a key no larger than its own.  An
-   insert moves the shorter side of that point by one slot: the entries
-   after it towards the tail, or the entries before it towards the front,
-   the head stepping back one slot.
+   earliest entry) lives at [(near_head + i) land near_mask].  It holds
+   keys and payloads only.  Every ring entry came straight from a push
+   and a pushed entry goes after every entry with a key no larger than
+   its own, so entries with equal keys sit in push order and the ring
+   needs no seqs.  An insert moves the shorter side of that point by one
+   slot: the entries after it towards the tail, or the entries before it
+   towards the front, the head stepping back one slot.
 
    Far tier: a binary min-heap on (key, seq) in [far_*], sifted by
    moving a hole.  Its arrays stay empty until the near ring first
    overflows.
 
    Invariant: every near entry precedes every far entry.  A push that
-   does not precede the far minimum goes to the heap; when the ring is
-   full, the later of the new entry and the ring's last one goes to the
-   heap, where it precedes everything already there. *)
+   does not precede the far minimum goes to the heap with the next
+   ascending seq ([next_seq], from 0).  When the ring is full, the later
+   of the new entry and the ring's last one goes to the heap; an entry
+   evicted from the ring precedes everything already there, so it takes
+   its seq from [next_evicted], which counts down from -1.  Any two
+   entries in the heap then compare on (key, seq) as they would on
+   (key, push order). *)
 
 let near_cap = 32
 let near_mask = near_cap - 1
 
 type t = {
   near_keys : int array;
-  near_seqs : int array;
   near_vals : int array;
   mutable near_head : int;
   mutable near_len : int;
@@ -29,12 +33,12 @@ type t = {
   mutable far_vals : int array;
   mutable far_len : int;
   mutable next_seq : int;
+  mutable next_evicted : int;
 }
 
 let create () =
   {
     near_keys = Array.make near_cap 0;
-    near_seqs = Array.make near_cap 0;
     near_vals = Array.make near_cap 0;
     near_head = 0;
     near_len = 0;
@@ -43,6 +47,7 @@ let create () =
     far_vals = [||];
     far_len = 0;
     next_seq = 0;
+    next_evicted = -1;
   }
 
 let length t = t.near_len + t.far_len
@@ -120,8 +125,8 @@ let far_pop t =
    front; otherwise the entries after it step one slot towards the tail.
    The scan towards the tail stops at the head; the one towards the
    front stops at the middle entry at the latest. *)
-let near_insert t key seq v =
-  let keys = t.near_keys and seqs = t.near_seqs and vals = t.near_vals in
+let near_insert t key v =
+  let keys = t.near_keys and vals = t.near_vals in
   let head = t.near_head and len = t.near_len in
   t.near_len <- len + 1;
   let shifting = ref true in
@@ -134,7 +139,6 @@ let near_insert t key seq v =
         let nk = Array.unsafe_get keys n in
         if nk <= key then begin
           Array.unsafe_set keys !i nk;
-          Array.unsafe_set seqs !i (Array.unsafe_get seqs n);
           Array.unsafe_set vals !i (Array.unsafe_get vals n);
           i := n
         end
@@ -149,7 +153,6 @@ let near_insert t key seq v =
         let pk = Array.unsafe_get keys p in
         if key < pk then begin
           Array.unsafe_set keys !i pk;
-          Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
           Array.unsafe_set vals !i (Array.unsafe_get vals p);
           i := p
         end
@@ -159,23 +162,27 @@ let near_insert t key seq v =
     end
   in
   Array.unsafe_set keys i key;
-  Array.unsafe_set seqs i seq;
   Array.unsafe_set vals i v
 
-let push t ~key v =
+(* A pushed entry that goes straight to the heap: it follows every entry
+   there with an equal key, so it takes the next ascending seq. *)
+let[@inline] far_push_new t key v =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  (* The new entry has the largest seq, so it follows an entry with an
-     equal key. *)
-  if t.far_len > 0 && key >= Array.unsafe_get t.far_keys 0 then far_push t key seq v
-  else if t.near_len < near_cap then near_insert t key seq v
+  far_push t key seq v
+
+let push t ~key v =
+  if t.far_len > 0 && key >= Array.unsafe_get t.far_keys 0 then far_push_new t key v
+  else if t.near_len < near_cap then near_insert t key v
   else begin
     let last = (t.near_head + near_mask) land near_mask in
-    if key >= t.near_keys.(last) then far_push t key seq v
+    if key >= t.near_keys.(last) then far_push_new t key v
     else begin
-      far_push t t.near_keys.(last) t.near_seqs.(last) t.near_vals.(last);
+      let seq = t.next_evicted in
+      t.next_evicted <- seq - 1;
+      far_push t t.near_keys.(last) seq t.near_vals.(last);
       t.near_len <- near_mask;
-      near_insert t key seq v
+      near_insert t key v
     end
   end
 
