@@ -1,217 +1,35 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Sections 2 and 5), then micro-benchmarks this
-   library's own primitives with Bechamel.
+(* Micro-benchmarks of this library's primitives, and three host-timed
+   A/B runs that check themselves.
 
-     dune exec bench/main.exe -- [--jobs N] [--no-cache] [--parallel-bench [FILE]]
-                                 [--obs-bench [FILE]] [--profile-bench [FILE]]
-                                 [--serve-bench [FILE]] [--tail-bench [FILE]]
+     dune exec bench/main.exe                       Bechamel table: ns and minor words per run
+     dune exec bench/main.exe -- --serve-bench      loopback serve sweep, lanes=1 vs lanes=2
+     dune exec bench/main.exe -- --tail-bench       loopback serve, tail reservoir off vs k=16
+     dune exec bench/main.exe -- --parallel-bench   every figure point at jobs=1 vs jobs=max
 
-   The sweep grid fans out over OCaml 5 domains (--jobs or TQ_JOBS,
-   default: recommended domain count) and completed points are served
-   from _tq_cache/ unless --no-cache.  --parallel-bench times the
-   standard sweep at jobs=1 vs jobs=max and writes BENCH_parallel.json
-   instead of running the full harness; --obs-bench measures the span
-   record path on vs off and writes BENCH_obs_serve.json;
-   --profile-bench measures the latency-attribution machinery
-   (decomposition throughput, disabled-hook costs) and writes
-   BENCH_profile.json; --serve-bench runs the in-process multi-lane
-   serve sweep (a real Server + Load_gen per lane count) and writes
-   BENCH_serve.json.
+   Each mode prints its report, then one line per failed check, and
+   exits 1 if any check failed.  The thresholds are written below next
+   to what they check.  Allocation is not gated here: Gc.minor_words
+   tests in dune runtest check it exactly.  The repository's benchmark
+   (trials, spread, per-layer metrics) is tqbench/.
 
-   Simulated durations scale with TQ_BENCH_SCALE (default 1.0).
-   EXPERIMENTS.md records paper-vs-measured for each experiment. *)
+   --parallel-bench scales its simulated durations with TQ_BENCH_SCALE
+   (default 1.0). *)
 
 let hr () = print_endline (String.make 78 '=')
 
-let run_experiments ~jobs ~use_cache () =
-  hr ();
-  Printf.printf
-    "Tiny Quanta reproduction — every paper table/figure (TQ_BENCH_SCALE=%.2f, jobs=%d)\n"
-    Tq_experiments.Harness.scale jobs;
-  hr ();
-  print_newline ();
-  let cache =
-    if use_cache then Tq_par.Result_cache.create () else Tq_par.Result_cache.disabled ()
-  in
-  let stats = Tq_par.Sweep.run_and_print ~jobs ~cache Tq_experiments.Registry.all in
-  Printf.printf "[%s]\n\n%!" (Tq_par.Sweep.summary stats)
+(* Failed checks, reported after the mode's report. *)
+let failures = ref []
+
+let check ok fmt =
+  Printf.ksprintf (fun msg -> if not ok then failures := msg :: !failures) fmt
+
+let finish () =
+  List.iter (fun msg -> Printf.printf "FAIL: %s\n" msg) (List.rev !failures);
+  if !failures <> [] then exit 1;
+  print_endline "all checks passed"
 
 (* ------------------------------------------------------------------ *)
-(* Parallel sweep benchmark: jobs=1 vs jobs=max over the full grid     *)
-(* ------------------------------------------------------------------ *)
-
-let run_parallel_bench ~out () =
-  let experiments = Tq_experiments.Registry.all in
-  let time_run ~jobs =
-    (* Cache disabled: both runs must recompute every point.  Compact
-       first so the second run does not pay for the first one's heap. *)
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    let _, stats =
-      Tq_par.Sweep.run ~jobs ~cache:(Tq_par.Result_cache.disabled ()) experiments
-    in
-    (Unix.gettimeofday () -. t0, stats)
-  in
-  let jobs_max = Tq_par.Domain_pool.default_jobs () in
-  Printf.eprintf "parallel bench: %d grid points, jobs=1 then jobs=%d (TQ_BENCH_SCALE=%g)\n%!"
-    Tq_experiments.Registry.point_count jobs_max Tq_experiments.Harness.scale;
-  let wall1, stats1 = time_run ~jobs:1 in
-  Printf.eprintf "jobs=1: %.1fs\n%!" wall1;
-  (* On a single-core host jobs=max *is* jobs=1; a second timed run of
-     the identical configuration would only sample noise, so reuse the
-     measurement and report the trivial 1.0x. *)
-  let wallN, statsN =
-    if jobs_max <= 1 then (wall1, stats1)
-    else begin
-      let wallN, statsN = time_run ~jobs:jobs_max in
-      Printf.eprintf "jobs=%d: %.1fs\n%!" jobs_max wallN;
-      (wallN, statsN)
-    end
-  in
-  let speedup = if wallN > 0.0 then wall1 /. wallN else 0.0 in
-  let util =
-    Array.to_list statsN.pool.per_domain_busy_ns
-    |> List.map (fun busy ->
-           Printf.sprintf "%.3f"
-             (if statsN.pool.wall_ns = 0 then 0.0
-              else float_of_int busy /. float_of_int statsN.pool.wall_ns))
-    |> String.concat ", "
-  in
-  let oc = open_out out in
-  output_string oc ("{\n" ^ Tq_util.Bench_meta.json_fields ());
-  Printf.fprintf oc
-    "\  \"benchmark\": \"parallel standard sweep (every registry point)\",\n\
-    \  \"tq_bench_scale\": %g,\n\
-    \  \"host_cores\": %d,\n\
-    \  \"grid_points\": %d,\n\
-    \  \"jobs_1_wall_s\": %.2f,\n\
-    \  \"jobs_max\": %d,\n\
-    \  \"jobs_max_wall_s\": %.2f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"steals\": %d,\n\
-    \  \"per_domain_utilization\": [%s]\n\
-     }\n"
-    Tq_experiments.Harness.scale
-    (Domain.recommended_domain_count ())
-    Tq_experiments.Registry.point_count wall1 jobs_max wallN speedup
-    statsN.pool.steals util;
-  close_out oc;
-  Printf.printf "wrote %s (speedup %.2fx at jobs=%d)\n" out speedup jobs_max
-
-(* ------------------------------------------------------------------ *)
-(* Multi-lane serve sweep: the BENCH_serve.json emitter                 *)
-(* ------------------------------------------------------------------ *)
-
-(* One in-process loopback run per dispatcher lane count: a real
-   tq_serve Server (lane 0 on a helper thread, extra lanes on their own
-   domains) under the open-loop Load_gen at a fixed offered rate.  The
-   committed BENCH_serve.json is this sweep; CI regenerates it and
-   additionally gates p99(lanes=1)/p99(lanes=2) > 1 on multi-core
-   runners (on a single core the lanes only add coordination, so the
-   speedup is recorded but not gated). *)
-
-(* 150k offered rps is the calibrated load: enough to saturate one
-   dispatcher lane (the old single-dispatcher baseline peaked near
-   120k), so the lanes=2 row shows what sharding the I/O plane buys. *)
-let serve_bench_rate = 150_000.0
-let serve_bench_workers = 2
-let serve_bench_lane_counts = [ 1; 2 ]
-
-let run_serve_one ~lanes =
-  let config =
-    {
-      Tq_serve.Server.default_config with
-      port = 0;
-      workers = serve_bench_workers;
-      lanes;
-      rx_depth = 2048;
-      kv_keys = 1024;
-    }
-  in
-  let srv = Tq_serve.Server.create config in
-  let th = Thread.create (fun () -> Tq_serve.Server.serve srv) () in
-  let lcfg =
-    {
-      (Tq_serve.Load_gen.default_config ~rate_rps:serve_bench_rate
-         ~port:(Tq_serve.Server.port srv))
-      with
-      server_lanes = lanes;
-    }
-  in
-  let r = Tq_serve.Load_gen.run lcfg in
-  Tq_serve.Server.stop srv;
-  Thread.join th;
-  let stats = Tq_serve.Server.stats srv in
-  (* The accounting identity must hold on every lane count, or the
-     numbers below measured a broken plane. *)
-  if stats.parsed <> stats.dispatched + stats.shed then
-    failwith
-      (Printf.sprintf "serve bench: lanes=%d parsed %d <> dispatched %d + shed %d"
-         lanes stats.parsed stats.dispatched stats.shed);
-  (lcfg, r, stats)
-
-let run_serve_bench ~out () =
-  hr ();
-  Printf.printf "Multi-lane serve sweep (lanes in {%s}, %d workers, %.0f offered rps)\n"
-    (String.concat ", " (List.map string_of_int serve_bench_lane_counts))
-    serve_bench_workers serve_bench_rate;
-  hr ();
-  let results =
-    List.map
-      (fun lanes ->
-        let _, r, stats = run_serve_one ~lanes in
-        let all = Tq_obs.Latency.recorder r.latency "all" in
-        let p q = float_of_int (Tq_obs.Latency.percentile all q) /. 1e3 in
-        let p50 = p 50.0 and p99 = p 99.0 and p999 = p 99.9 in
-        Printf.printf
-          "lanes=%d: %.0f rps, p50 %.0f us, p99 %.0f us, p99.9 %.0f us (%d ok, %d \
-           shed, %d errors)\n\
-           %!"
-          lanes r.throughput_rps p50 p99 p999 r.ok r.shed r.errors;
-        (lanes, r, stats, (p50, p99, p999)))
-      serve_bench_lane_counts
-  in
-  let p99_of n =
-    List.find_map
-      (fun (lanes, _, _, (_, p99, _)) -> if lanes = n then Some p99 else None)
-      results
-  in
-  let speedup =
-    match (p99_of 1, p99_of 2) with
-    | Some base, Some multi when multi > 0.0 -> base /. multi
-    | _ -> 1.0
-  in
-  let oc = open_out out in
-  output_string oc ("{\n" ^ Tq_util.Bench_meta.json_fields ());
-  Printf.fprintf oc
-    "\  \"benchmark\": \"multi-lane serve sweep (tq_serve loopback)\",\n\
-    \  \"host_cores\": %d,\n\
-    \  \"workers\": %d,\n\
-    \  \"connections\": 8,\n\
-    \  \"offered_rps\": %.0f,\n\
-    \  \"warmup_s\": 0.5,\n\
-    \  \"measure_s\": 2,\n\
-    \  \"sweep\": [\n"
-    (Domain.recommended_domain_count ())
-    serve_bench_workers serve_bench_rate;
-  List.iteri
-    (fun i (lanes, (r : Tq_serve.Load_gen.result), (s : Tq_serve.Server.stats),
-            (p50, p99, p999)) ->
-      Printf.fprintf oc
-        "    {\"lanes\": %d, \"throughput_rps\": %.0f, \"ok\": %d, \"shed\": %d, \
-         \"errors\": %d, \"outstanding\": %d,\n\
-        \     \"parsed\": %d, \"dispatched\": %d, \"completed\": %d,\n\
-        \     \"p50_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f}%s\n"
-        lanes r.throughput_rps r.ok r.shed r.errors r.outstanding s.parsed s.dispatched
-        s.completed p50 p99 p999
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ],\n  \"p99_speedup_lanes2\": %.3f\n}\n" speedup;
-  close_out oc;
-  Printf.printf "wrote %s (p99 speedup lanes=1 -> lanes=2: %.3fx)\n%!" out speedup
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the library's own primitives           *)
+(* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
 open Bechamel
@@ -223,7 +41,7 @@ open Toolkit
 let pending = 16
 let delay n = 1 + (n * 7919 land 1023)
 
-let test_queue =
+let test_queue () =
   let module Queue = Tq_util.Event_queue in
   let queue = Queue.create () in
   for n = 1 to pending do
@@ -236,11 +54,11 @@ let test_queue =
          Queue.push queue ~key:(Queue.top_key queue + delay !n) !n;
          ignore (Queue.top_key queue + Queue.pop queue)))
 
-let test_prng =
+let test_prng () =
   let rng = Tq_util.Prng.create ~seed:1L in
   Test.make ~name:"prng bits64" (Staged.stage (fun () -> ignore (Tq_util.Prng.bits64 rng)))
 
-let test_sim_event =
+let test_sim_event () =
   let sim = Tq_engine.Sim.create () in
   for n = 1 to pending do
     ignore (Tq_engine.Sim.schedule_after sim ~delay:(delay n) ignore)
@@ -254,7 +72,7 @@ let test_sim_event =
 
 (* The same steady state through a registered action that re-posts
    itself: the path the simulated systems' hot events take. *)
-let test_sim_action =
+let test_sim_action () =
   let sim = Tq_engine.Sim.create () in
   let n = ref 0 in
   let again = ref Tq_engine.Sim.no_action in
@@ -268,14 +86,14 @@ let test_sim_action =
   Test.make ~name:"sim post+run action"
     (Staged.stage (fun () -> ignore (Tq_engine.Sim.step sim)))
 
-let test_fiber =
+let test_fiber () =
   Test.make ~name:"fiber create+yield+finish"
     (Staged.stage (fun () ->
          let f = Tq_runtime.Fiber.create (fun () -> Tq_runtime.Fiber.yield ()) in
          ignore (Tq_runtime.Fiber.resume f);
          ignore (Tq_runtime.Fiber.resume f)))
 
-let test_probe =
+let test_probe () =
   (* Probe check without yielding: the steady-state cost of a compiled
      probe site (paper: RDTSC + compare). *)
   let ctx =
@@ -285,27 +103,25 @@ let test_probe =
   Test.make ~name:"probe check (not expired)"
     (Staged.stage (fun () -> Tq_runtime.Probe_api.probe ()))
 
-let test_spsc =
+let test_spsc () =
   let ring = Tq_runtime.Spsc_ring.create ~capacity:64 in
   Test.make ~name:"spsc_ring push+pop"
     (Staged.stage (fun () ->
          ignore (Tq_runtime.Spsc_ring.try_push ring 1);
          ignore (Tq_runtime.Spsc_ring.try_pop ring)))
 
-let test_skiplist =
+let test_skiplist () =
   let sl = Tq_kv.Skiplist.create () in
-  let () =
-    for i = 0 to 9_999 do
-      Tq_kv.Skiplist.insert sl (Printf.sprintf "key%08d" i) i
-    done
-  in
+  for i = 0 to 9_999 do
+    Tq_kv.Skiplist.insert sl (Printf.sprintf "key%08d" i) i
+  done;
   let i = ref 0 in
   Test.make ~name:"skiplist find (10k keys)"
     (Staged.stage (fun () ->
          i := (!i + 7_919) mod 10_000;
          ignore (Tq_kv.Skiplist.find sl (Printf.sprintf "key%08d" !i))))
 
-let test_cache =
+let test_cache () =
   let cache = Tq_cache.Cache.create ~size_bytes:32_768 ~ways:8 () in
   let addr = ref 0 in
   Test.make ~name:"cache access (L1 geometry)"
@@ -313,14 +129,14 @@ let test_cache =
          addr := (!addr + 4_096) land 0xFFFFF;
          ignore (Tq_cache.Cache.access cache !addr)))
 
-let test_deque =
+let test_deque () =
   let dq = Tq_util.Ring_deque.create () in
   Test.make ~name:"ring_deque push_back+pop_front"
     (Staged.stage (fun () ->
          Tq_util.Ring_deque.push_back dq 1;
          ignore (Tq_util.Ring_deque.pop_front dq : int)))
 
-let test_backoff =
+let test_backoff () =
   let config = Tq_workload.Retry.default_config in
   let retry = ref 0 in
   Test.make ~name:"retry backoff schedule"
@@ -328,7 +144,7 @@ let test_backoff =
          retry := (!retry mod 63) + 1;
          ignore (Tq_workload.Retry.backoff_ns config ~retry:!retry)))
 
-let test_serve_codec =
+let test_serve_codec () =
   (* One full wire round trip of the serving layer — encode, stream
      reassembly, decode — i.e. the per-request protocol tax tq_serve's
      dispatcher pays on top of scheduling. *)
@@ -345,7 +161,7 @@ let test_serve_codec =
          | Ok (Some payload) -> ignore (Tq_serve.Protocol.decode_request payload)
          | _ -> assert false))
 
-let test_admission =
+let test_admission () =
   (* The per-arrival cost of the overload gate on the dispatcher's hot
      path (the Queue_limit branch is the cheapest non-trivial one). *)
   let a = Tq_sched.Admission.create (Tq_sched.Admission.Queue_limit { max_in_system = 64 }) in
@@ -355,12 +171,9 @@ let test_admission =
          incr n;
          ignore (Tq_sched.Admission.admit a ~in_system:(!n land 127))))
 
-(* Trace-overhead microbenchmarks: the record path behind the
-   [Trace.enabled] guard, with tracing on and off.  The disabled side is
-   the one every hot path pays by default, so it must show ~0 allocated
-   words per run (the event constructor sits inside the guard and is
-   never evaluated). *)
-let make_trace_test ~name tr =
+(* The DES trace hook behind the [Trace.enabled] guard, tracing on and
+   off: a disabled tracer never builds the event. *)
+let test_trace ~name tr =
   let lane = Tq_obs.Event.Worker 3 in
   let ts = ref 0 in
   Test.make ~name
@@ -370,11 +183,67 @@ let make_trace_test ~name tr =
            Tq_obs.Trace.record tr ~ts_ns:!ts ~lane
              (Tq_obs.Event.Quantum_end { job_id = 1; ran_ns = 2_000; finished = false })))
 
-let test_trace_enabled =
-  make_trace_test ~name:"obs trace record (enabled)" (Tq_obs.Trace.create ~capacity:4096 ())
+(* What every request on the serve path pays for cross-domain spans;
+   without --obs the server holds [null_sink]s. *)
+let test_span ~name sink =
+  let ts = ref 0 in
+  Test.make ~name
+    (Staged.stage (fun () ->
+         incr ts;
+         Tq_obs.Span.record sink ~req_id:!ts ~phase:Tq_obs.Span.Dispatch ~start_ns:!ts
+           ~dur_ns:10 ~arg:0))
 
-let test_trace_disabled =
-  make_trace_test ~name:"obs trace record (disabled)" Tq_obs.Trace.null
+let live_span_sink () =
+  Tq_obs.Span.register
+    (Tq_obs.Span.create ~capacity_per_sink:4096 ())
+    (Tq_obs.Event.Dispatcher 0)
+
+(* The tail reservoir's offer on the dispatcher's reply pop.  Sojourn
+   1 ns is far below a filled reservoir's floor, so an armed sink takes
+   the common-case reject branch. *)
+let test_tail_offer ~name sink =
+  let seq = ref 0 in
+  Test.make ~name
+    (Staged.stage (fun () ->
+         incr seq;
+         Tq_obs.Tail.offer sink ~now_ns:1 ~seq:!seq ~class_idx:0 ~worker:0
+           ~sojourn_ns:1 ~t0_ns:0 ~quantum_ns:100_000 ~cap:(-1) ~inject_depth:0))
+
+let filled_tail_sink () =
+  let sink = Tq_obs.Tail.register (Tq_obs.Tail.create ~k:16 ()) ~lane:0 in
+  for i = 1 to 16 do
+    Tq_obs.Tail.offer sink ~now_ns:1 ~seq:(-i) ~class_idx:0 ~worker:0
+      ~sojourn_ns:1_000_000 ~t0_ns:0 ~quantum_ns:100_000 ~cap:(-1) ~inject_depth:0
+  done;
+  sink
+
+(* A realistic span stream for [Profile.of_records]: per request parse
+   500 ns, dispatch 300, the hop, wait 400, two quanta with a 250 ns
+   preemption gap, reply flush 600. *)
+let decompose_requests = 10_000
+
+let synthetic_stream n =
+  let lane_d = Tq_obs.Event.Dispatcher 0 in
+  let lane_w = Tq_obs.Event.Worker 0 in
+  let mk req_id phase lane start_ns dur_ns =
+    { Tq_obs.Span.req_id; phase; lane; start_ns; dur_ns; arg = 0 }
+  in
+  List.concat
+    (List.init n (fun i ->
+         let p0 = 100_000 * i in
+         [
+           mk i Tq_obs.Span.Parse lane_d p0 500;
+           mk i Tq_obs.Span.Dispatch lane_d (p0 + 500) 300;
+           mk i Tq_obs.Span.Ring_hop lane_w (p0 + 1_000) 0;
+           mk i Tq_obs.Span.Quantum lane_w (p0 + 1_400) 5_000;
+           mk i Tq_obs.Span.Quantum lane_w (p0 + 6_650) 3_000;
+           mk i Tq_obs.Span.Reply_flush lane_d (p0 + 9_650) 600;
+         ]))
+
+let test_decompose stream =
+  Test.make
+    ~name:(Printf.sprintf "profile decompose (%d reqs)" decompose_requests)
+    (Staged.stage (fun () -> ignore (Tq_obs.Profile.of_records stream)))
 
 (* ns/run and minor-words/run OLS estimates for one test. *)
 let measure_ns_words test =
@@ -395,406 +264,245 @@ let measure_ns_words test =
   in
   (estimate Instance.monotonic_clock, estimate Instance.minor_allocated)
 
-let pp_estimate = function Some v -> Printf.sprintf "%10.2f" v | None -> "       n/a"
-
-let print_ns_words test =
-  let ns, words = measure_ns_words test in
-  let name = Test.Elt.name (List.hd (Test.elements test)) in
-  Printf.printf "%-34s %s ns/run  %s minor words/run\n%!" name (pp_estimate ns)
-    (pp_estimate words);
-  (ns, words)
-
-let run_trace_overhead () =
+let run_microbenchmarks () =
   hr ();
-  print_endline "Trace record-path overhead (tracing on vs off)";
+  print_endline "Micro-benchmarks of library primitives (OLS fit per run)";
   hr ();
-  List.iter (fun t -> ignore (print_ns_words t)) [ test_trace_enabled; test_trace_disabled ];
-  print_newline ()
-
-(* Span record-path overhead: what every request on the serve path pays
-   for cross-domain spans.  Without --obs the server holds [null_sink]s,
-   so the disabled row is the default per-request tax — it must come out
-   at ~0 ns and 0 minor words per run (one capacity branch, all-int
-   arguments, the clock reads guarded off by [Span.enabled] upstream). *)
-let make_span_test ~name sink =
-  let ts = ref 0 in
-  Test.make ~name
-    (Staged.stage (fun () ->
-         incr ts;
-         Tq_obs.Span.record sink ~req_id:!ts ~phase:Tq_obs.Span.Dispatch ~start_ns:!ts
-           ~dur_ns:10 ~arg:0))
-
-let run_obs_bench ~out () =
-  hr ();
-  print_endline "Span record-path overhead (serve observability on vs off)";
-  hr ();
-  let live_sink =
-    Tq_obs.Span.register
-      (Tq_obs.Span.create ~capacity_per_sink:4096 ())
-      (Tq_obs.Event.Dispatcher 0)
+  let stream = synthetic_stream decompose_requests in
+  (* Ceilings on the rows that sit on a request's path or in the stats
+     views: ten times each row's last recorded value (span record 22.8
+     and 4.1 ns, tail offer 7.1 and 8.7 ns, decompose 1539 ns per
+     request).  They catch an order-of-magnitude slip on any host; a
+     faster run always passes. *)
+  let rows =
+    [
+      (test_queue (), None);
+      (test_prng (), None);
+      (test_sim_event (), None);
+      (test_sim_action (), None);
+      (test_fiber (), None);
+      (test_probe (), None);
+      (test_spsc (), None);
+      (test_skiplist (), None);
+      (test_cache (), None);
+      (test_deque (), None);
+      (test_backoff (), None);
+      (test_serve_codec (), None);
+      (test_admission (), None);
+      (test_trace ~name:"obs trace record (enabled)" (Tq_obs.Trace.create ~capacity:4096 ()),
+       None);
+      (test_trace ~name:"obs trace record (disabled)" Tq_obs.Trace.null, None);
+      (test_span ~name:"span record (enabled)" (live_span_sink ()), Some 228.4);
+      (test_span ~name:"span record (disabled)" Tq_obs.Span.null_sink, Some 41.2);
+      (test_tail_offer ~name:"tail offer (enabled, reject)" (filled_tail_sink ()), Some 87.1);
+      (test_tail_offer ~name:"tail offer (disabled)" Tq_obs.Tail.null_sink, Some 70.9);
+      (test_decompose stream, Some (15_386.0 *. float_of_int decompose_requests));
+    ]
   in
-  let enabled =
-    print_ns_words (make_span_test ~name:"span record (enabled)" live_sink)
-  in
-  let disabled =
-    print_ns_words (make_span_test ~name:"span record (disabled)" Tq_obs.Span.null_sink)
-  in
-  print_newline ();
-  let num = function Some v -> Printf.sprintf "%.3f" v | None -> "null" in
-  let oc = open_out out in
-  output_string oc ("{\n" ^ Tq_util.Bench_meta.json_fields ());
-  Printf.fprintf oc
-    "\  \"benchmark\": \"cross-domain span record path (tq_serve observability)\",\n\
-    \  \"enabled_ns_per_run\": %s,\n\
-    \  \"enabled_minor_words_per_run\": %s,\n\
-    \  \"disabled_ns_per_run\": %s,\n\
-    \  \"disabled_minor_words_per_run\": %s\n\
-     }\n"
-    (num (fst enabled)) (num (snd enabled)) (num (fst disabled)) (num (snd disabled));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out
-
-(* Profiling-path overhead: what the latency-attribution machinery
-   costs.  Three numbers matter — how fast [Profile.of_records]
-   decomposes a realistic span stream (an offline/stats-RPC cost, so
-   "fast enough" is thousands of requests per ms), and what the two
-   disabled hot-path hooks cost per request when observability is off:
-   the null-sink span record (must stay 0 minor words, one branch) and
-   the gc-clock check at quantum end (a [match] on a [None] the
-   optimizer must not fold away, hence [Sys.opaque_identity]). *)
-
-let synthetic_stream n =
-  let lane_d = Tq_obs.Event.Dispatcher 0 in
-  let lane_w = Tq_obs.Event.Worker 0 in
-  let mk req_id phase lane start_ns dur_ns =
-    { Tq_obs.Span.req_id; phase; lane; start_ns; dur_ns; arg = 0 }
-  in
-  List.concat
-    (List.init n (fun i ->
-         let p0 = 100_000 * i in
-         (* parse 500, dispatch 300, hop, wait 400, two quanta with a
-            250ns preemption gap, reply flush 600 *)
-         [
-           mk i Tq_obs.Span.Parse lane_d p0 500;
-           mk i Tq_obs.Span.Dispatch lane_d (p0 + 500) 300;
-           mk i Tq_obs.Span.Ring_hop lane_w (p0 + 1_000) 0;
-           mk i Tq_obs.Span.Quantum lane_w (p0 + 1_400) 5_000;
-           mk i Tq_obs.Span.Quantum lane_w (p0 + 6_650) 3_000;
-           mk i Tq_obs.Span.Reply_flush lane_d (p0 + 9_650) 600;
-         ]))
-
-let run_profile_bench ~out () =
-  hr ();
-  print_endline "Latency-attribution overhead (decomposition + disabled hot paths)";
-  hr ();
-  let n = 10_000 in
-  let stream = synthetic_stream n in
-  let decompose_test =
-    Test.make ~name:(Printf.sprintf "profile decompose (%d reqs)" n)
-      (Staged.stage (fun () -> ignore (Tq_obs.Profile.of_records stream)))
-  in
-  let decompose = print_ns_words decompose_test in
-  let span_disabled =
-    print_ns_words (make_span_test ~name:"span record (disabled)" Tq_obs.Span.null_sink)
-  in
-  let gc_check_test =
-    let gc_pause_ns : (unit -> int) option = Sys.opaque_identity None in
-    let acc = ref 0 in
-    Test.make ~name:"gc clock check (disabled)"
-      (Staged.stage (fun () ->
-           match gc_pause_ns with None -> incr acc | Some f -> acc := f ()))
-  in
-  let gc_check = print_ns_words gc_check_test in
-  (* Correctness ride-along: the synthetic stream must decompose
-     exactly, or the timing above measured the degraded path. *)
+  let pp = function Some v -> Printf.sprintf "%12.2f" v | None -> "         n/a" in
+  Printf.printf "%-38s %12s %12s %12s\n" "" "ns/run" "words/run" "ceiling ns";
+  List.iter
+    (fun (test, ceiling) ->
+      let name = Test.Elt.name (List.hd (Test.elements test)) in
+      let ns, words = measure_ns_words test in
+      Printf.printf "%-38s %s %s %s\n%!" name (pp ns) (pp words) (pp ceiling);
+      Option.iter
+        (fun ceiling ->
+          match ns with
+          | Some ns -> check (ns <= ceiling) "%s: %.2f ns/run > %.2f ceiling" name ns ceiling
+          | None -> check false "%s: no estimate to hold to its ceiling" name)
+        ceiling)
+    rows;
+  (* The stream must decompose exactly, or the decompose row timed the
+     degraded path. *)
   let p = Tq_obs.Profile.of_records stream in
-  assert (Tq_obs.Profile.requests p = n);
-  assert (Tq_obs.Profile.invariant_ok p);
-  print_newline ();
-  let num = function Some v -> Printf.sprintf "%.3f" v | None -> "null" in
-  let per_req = function
-    | Some v -> Printf.sprintf "%.1f" (v /. float_of_int n)
-    | None -> "null"
-  in
-  let oc = open_out out in
-  output_string oc ("{\n" ^ Tq_util.Bench_meta.json_fields ());
-  Printf.fprintf oc
-    "\  \"benchmark\": \"latency attribution overhead (tq_obs profile)\",\n\
-    \  \"decompose_requests\": %d,\n\
-    \  \"decompose_ns_per_request\": %s,\n\
-    \  \"decompose_exact_fraction\": %.4f,\n\
-    \  \"disabled_span_ns_per_run\": %s,\n\
-    \  \"disabled_span_minor_words_per_run\": %s,\n\
-    \  \"disabled_gc_check_ns_per_run\": %s,\n\
-    \  \"disabled_gc_check_minor_words_per_run\": %s\n\
-     }\n"
-    n (per_req (fst decompose))
-    (Tq_obs.Profile.exact_fraction p)
-    (num (fst span_disabled))
-    (num (snd span_disabled))
-    (num (fst gc_check))
-    (num (snd gc_check));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out
+  check
+    (Tq_obs.Profile.requests p = decompose_requests
+    && Tq_obs.Profile.invariant_ok p
+    && Tq_obs.Profile.exact_fraction p = 1.0)
+    "synthetic stream: %d requests, exact fraction %g (want %d, 1)"
+    (Tq_obs.Profile.requests p) (Tq_obs.Profile.exact_fraction p) decompose_requests
 
-(* Tail-forensics overhead: the BENCH_tail.json emitter.
+(* ------------------------------------------------------------------ *)
+(* Loopback serve runs                                                 *)
+(* ------------------------------------------------------------------ *)
 
-   The reservoir sits on the dispatcher's reply pop — the per-request
-   hot path — so two micro numbers are gated: the disabled offer (a
-   null sink must cost one branch, 0 minor words, same discipline as
-   the disabled span record) and the enabled common case (a fast
-   request rejected against a full reservoir's floor: one compare, no
-   allocation).  Then the macro A/B: the full serve loop at the
-   BENCH_serve calibrated load with forensics off vs on (tail + spans,
-   the real "tail forensics on" configuration), emitting both p99s and
-   the relative penalty — the always-on claim is that the penalty
-   stays under 5%. *)
+let serve_workers = 2
 
-(* The A/B runs below the 2-worker saturation cliff: at the smoke rate
-   (150k rps) p99 is queueing-dominated and swings by whole
-   milliseconds run to run, drowning any reservoir signal.  70k rps
-   keeps the workers busy but the tail stable enough to gate at 5%. *)
-let tail_bench_rate = 70_000.0
-
-let make_tail_test ~name sink =
-  let seq = ref 0 in
-  Test.make ~name
-    (Staged.stage (fun () ->
-         incr seq;
-         (* sojourn 1 ns: far below any filled reservoir's floor, so the
-            enabled sink exercises the reject path *)
-         Tq_obs.Tail.offer sink ~now_ns:1 ~seq:!seq ~class_idx:0 ~worker:0
-           ~sojourn_ns:1 ~t0_ns:0 ~quantum_ns:100_000 ~cap:(-1) ~inject_depth:0))
-
-let run_tail_one ~tail_on =
+(* One in-process loopback run: a real Server (lane 0 on a helper
+   thread, extra lanes on their own domains) under the open-loop
+   Load_gen, checked against the admission identity. *)
+let serve_once ~label ~lanes ~rate_rps ?spans ?tail () =
   let config =
     {
       Tq_serve.Server.default_config with
       port = 0;
-      workers = serve_bench_workers;
-      lanes = 1;
+      workers = serve_workers;
+      lanes;
       rx_depth = 2048;
       kv_keys = 1024;
     }
   in
-  (* Spans stay on in BOTH rows (the serve smoke always runs --obs, and
-     dossier attribution rides on them): the A/B isolates the tail
-     reservoir's own marginal cost, not the span sinks'.  The sinks are
-     sized to hold the whole run so every retained outlier is still
-     attributable at the end-of-run dossier fetch — a ring that has
-     overwritten an outlier's spans degrades it to unattributed. *)
-  let spans = Tq_obs.Span.create ~capacity_per_sink:(1 lsl 19) () in
-  let tail = if tail_on then Tq_obs.Tail.create ~k:16 () else Tq_obs.Tail.null in
-  let srv = Tq_serve.Server.create ~spans ~tail config in
+  let srv = Tq_serve.Server.create ?spans ?tail config in
   let th = Thread.create (fun () -> Tq_serve.Server.serve srv) () in
   let lcfg =
-    Tq_serve.Load_gen.default_config ~rate_rps:tail_bench_rate
-      ~port:(Tq_serve.Server.port srv)
+    {
+      (Tq_serve.Load_gen.default_config ~rate_rps ~port:(Tq_serve.Server.port srv)) with
+      server_lanes = lanes;
+    }
   in
   let r = Tq_serve.Load_gen.run lcfg in
   let dossiers =
-    if tail_on then Tq_serve.Server.outlier_dossiers srv ~limit:0 else []
+    if Option.is_some tail then Tq_serve.Server.outlier_dossiers srv ~limit:0 else []
   in
   Tq_serve.Server.stop srv;
   Thread.join th;
-  let stats = Tq_serve.Server.stats srv in
-  if stats.parsed <> stats.dispatched + stats.shed then
-    failwith
-      (Printf.sprintf "tail bench: tail=%b parsed %d <> dispatched %d + shed %d"
-         tail_on stats.parsed stats.dispatched stats.shed);
-  let all = Tq_obs.Latency.recorder r.latency "all" in
-  let p99 = float_of_int (Tq_obs.Latency.percentile all 99.0) /. 1e3 in
-  (r, p99, dossiers)
+  let s = Tq_serve.Server.stats srv in
+  check (s.parsed = s.dispatched + s.shed) "%s: parsed %d <> dispatched %d + shed %d" label
+    s.parsed s.dispatched s.shed;
+  check (r.errors = 0) "%s: %d handler errors" label r.errors;
+  let p q =
+    float_of_int (Tq_obs.Latency.percentile (Tq_obs.Latency.recorder r.latency "all") q)
+    /. 1e3
+  in
+  Printf.printf
+    "%s: %.0f rps, p50 %.0f us, p99 %.0f us, p99.9 %.0f us, generator lag p99 %.0f us \
+     (%d ok, %d shed, %d errors)\n\
+     %!"
+    label r.throughput_rps (p 50.0) (p 99.0) (p 99.9) r.lag_p99_us r.ok r.shed r.errors;
+  (lcfg, r, s, p 99.0, dossiers)
 
-let run_tail_bench ~out () =
+(* 150k offered rps is the calibrated load: enough to saturate one
+   dispatcher lane, so the lanes=2 row shows what sharding the I/O plane
+   buys.  On a multi-core host lanes=2 must improve p99; on one core
+   the lanes only add coordination, so the speedup is not checked. *)
+let run_serve_bench () =
+  let rate_rps = 150_000.0 in
   hr ();
-  print_endline "Tail-forensics offer-path overhead (reservoir admit gate)";
+  Printf.printf "Multi-lane serve sweep (lanes 1 and 2, %d workers, %.0f offered rps)\n"
+    serve_workers rate_rps;
   hr ();
-  let live = Tq_obs.Tail.create ~k:16 () in
-  let live_sink = Tq_obs.Tail.register live ~lane:0 in
-  (* Fill the reservoir with slow entries so the benched offers below
-     (sojourn 1 ns) all take the common-case reject branch. *)
-  for i = 1 to 16 do
-    Tq_obs.Tail.offer live_sink ~now_ns:1 ~seq:(-i) ~class_idx:0 ~worker:0
-      ~sojourn_ns:1_000_000 ~t0_ns:0 ~quantum_ns:100_000 ~cap:(-1)
-      ~inject_depth:0
-  done;
-  let reject =
-    print_ns_words (make_tail_test ~name:"tail offer (enabled, reject)" live_sink)
+  let row lanes =
+    let label = Printf.sprintf "lanes=%d" lanes in
+    let lcfg, (r : Tq_serve.Load_gen.result), (s : Tq_serve.Server.stats), p99, _ =
+      serve_once ~label ~lanes ~rate_rps ()
+    in
+    (* Every row must serve at least a tenth of what was offered. *)
+    let offered = rate_rps *. (lcfg.warmup_s +. lcfg.measure_s) /. 10.0 in
+    check (r.throughput_rps >= rate_rps /. 10.0) "%s: %.0f rps < a tenth of %.0f offered"
+      label r.throughput_rps rate_rps;
+    List.iter
+      (fun (what, n) ->
+        check (float_of_int n >= offered) "%s: %s %d < a tenth of the %.0f offered" label
+          what n (offered *. 10.0))
+      [ ("ok", r.ok); ("parsed", s.parsed); ("dispatched", s.dispatched);
+        ("completed", s.completed) ];
+    check (r.outstanding = 0) "%s: %d requests unanswered" label r.outstanding;
+    p99
   in
-  let disabled =
-    print_ns_words (make_tail_test ~name:"tail offer (disabled)" Tq_obs.Tail.null_sink)
-  in
-  print_newline ();
+  let p99_1 = row 1 in
+  let p99_2 = row 2 in
+  let speedup = if p99_2 > 0.0 then p99_1 /. p99_2 else 1.0 in
+  let cores = Domain.recommended_domain_count () in
+  Printf.printf "p99 speedup lanes=1 -> lanes=2: %.3fx on %d cores\n" speedup cores;
+  if cores >= 2 then
+    check (speedup > 1.0) "lanes=2 did not improve p99 over lanes=1 on %d cores (%.3fx)"
+      cores speedup
+
+(* The reservoir's marginal cost under the same offered load: spans on
+   in both rows (dossier attribution rides on them; the sinks hold the
+   whole run, so every retained outlier is still attributable), tail
+   sampling off vs k=16.  70k rps keeps the two workers busy below
+   their saturation cliff, where p99 is stable enough to hold to 5%. *)
+let run_tail_bench () =
+  let rate_rps = 70_000.0 and k = 16 in
   hr ();
   Printf.printf
-    "Tail-forensics serve A/B (%d workers, %.0f offered rps, spans on in both \
-     rows, reservoir off vs k=16)\n"
-    serve_bench_workers tail_bench_rate;
+    "Tail-forensics serve A/B (%d workers, %.0f offered rps, spans on in both rows, \
+     reservoir off vs k=%d)\n"
+    serve_workers rate_rps k;
   hr ();
-  (* p99 of a single loopback run is noisy; take the median of three
-     runs per row so the committed penalty reflects the reservoir, not
-     one run's scheduling luck. *)
-  let median3 f =
-    let runs = List.init 3 (fun _ -> f ()) in
-    let sorted = List.sort (fun (_, a, _) (_, b, _) -> Float.compare a b) runs in
-    List.nth sorted 1
+  (* p99 of one loopback run is noisy: each row is the median of three. *)
+  let median3 ~tail_on =
+    let runs =
+      List.init 3 (fun i ->
+          let spans = Tq_obs.Span.create ~capacity_per_sink:(1 lsl 19) () in
+          let tail = if tail_on then Tq_obs.Tail.create ~k () else Tq_obs.Tail.null in
+          let label = Printf.sprintf "reservoir %s, run %d" (if tail_on then "on" else "off") i in
+          let _, _, _, p99, dossiers = serve_once ~label ~lanes:1 ~rate_rps ~spans ~tail () in
+          (p99, dossiers))
+    in
+    List.nth (List.sort (fun (a, _) (b, _) -> Float.compare a b) runs) 1
   in
-  let _, p99_off, _ = median3 (fun () -> run_tail_one ~tail_on:false) in
-  Printf.printf "reservoir off: p99 %.0f us\n%!" p99_off;
-  let _, p99_on, dossiers = median3 (fun () -> run_tail_one ~tail_on:true) in
-  Printf.printf "reservoir on:  p99 %.0f us (%d dossiers retained)\n%!" p99_on
-    (List.length dossiers);
-  (* Correctness ride-along: every attributed dossier's stages must
-     telescope to its sojourn exactly, or the A/B above measured a
-     broken attribution path. *)
-  let attributed =
-    List.filter (fun d -> d.Tq_obs.Tail.d_attributed) dossiers
-  in
-  List.iter
-    (fun d ->
-      let sum = List.fold_left (fun acc (_, v) -> acc + v) 0 d.Tq_obs.Tail.d_stages in
-      if sum <> d.Tq_obs.Tail.d_sojourn_ns then
-        failwith
-          (Printf.sprintf "tail bench: dossier %d stage sum %d <> sojourn %d"
-             d.Tq_obs.Tail.d_entry.Tq_obs.Tail.e_seq sum d.Tq_obs.Tail.d_sojourn_ns))
-    attributed;
-  assert (dossiers <> []);
-  if attributed = [] then
-    failwith "tail bench: no retained dossier could be attributed to stages";
+  let p99_off, _ = median3 ~tail_on:false in
+  let p99_on, dossiers = median3 ~tail_on:true in
   let penalty = if p99_off > 0.0 then (p99_on -. p99_off) /. p99_off else 0.0 in
-  let num = function Some v -> Printf.sprintf "%.3f" v | None -> "null" in
-  let oc = open_out out in
-  output_string oc ("{\n" ^ Tq_util.Bench_meta.json_fields ());
-  Printf.fprintf oc
-    "\  \"benchmark\": \"tail forensics overhead (tq_serve loopback)\",\n\
-    \  \"host_cores\": %d,\n\
-    \  \"workers\": %d,\n\
-    \  \"offered_rps\": %.0f,\n\
-    \  \"reservoir_k\": 16,\n\
-    \  \"disabled_offer_ns_per_run\": %s,\n\
-    \  \"disabled_offer_minor_words_per_run\": %s,\n\
-    \  \"reject_offer_ns_per_run\": %s,\n\
-    \  \"reject_offer_minor_words_per_run\": %s,\n\
-    \  \"p99_off_us\": %.1f,\n\
-    \  \"p99_on_us\": %.1f,\n\
-    \  \"p99_penalty_frac\": %.4f,\n\
-    \  \"retained\": %d,\n\
-    \  \"attributed_fraction\": %.4f\n\
-     }\n"
-    (Domain.recommended_domain_count ())
-    serve_bench_workers tail_bench_rate
-    (num (fst disabled)) (num (snd disabled))
-    (num (fst reject)) (num (snd reject))
-    p99_off p99_on penalty (List.length dossiers)
-    (if dossiers = [] then 0.0
-     else float_of_int (List.length attributed) /. float_of_int (List.length dossiers));
-  close_out oc;
-  Printf.printf "wrote %s (p99 penalty %.1f%%)\n%!" out (100.0 *. penalty)
-
-let run_microbenchmarks () =
-  hr ();
-  print_endline "Micro-benchmarks of library primitives (ns per run, OLS fit)";
-  hr ();
-  let tests =
-    [
-      test_queue;
-      test_prng;
-      test_sim_event;
-      test_sim_action;
-      test_fiber;
-      test_probe;
-      test_spsc;
-      test_skiplist;
-      test_cache;
-      test_deque;
-      test_backoff;
-      test_serve_codec;
-      test_admission;
-    ]
+  let retained = List.length dossiers in
+  let attributed = List.filter (fun d -> d.Tq_obs.Tail.d_attributed) dossiers in
+  let attributed_fraction =
+    if retained = 0 then 0.0
+    else float_of_int (List.length attributed) /. float_of_int retained
   in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.3) ~stabilize:false ~kde:None ()
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
+  Printf.printf
+    "p99 off %.0f us, on %.0f us (penalty %+.1f%%); %d dossiers retained, %.3f attributed\n"
+    p99_off p99_on (100.0 *. penalty) retained attributed_fraction;
+  check (penalty <= 0.05) "arming the reservoir moved p99 by %+.1f%% (> 5%%)"
+    (100.0 *. penalty);
+  (* One lane keeps at most k per window, current and previous. *)
+  check (retained >= 4 && retained <= 2 * k) "%d dossiers retained (want 4 to %d)" retained
+    (2 * k);
+  check (attributed_fraction >= 0.9) "only %.3f of retained dossiers attributed"
+    attributed_fraction;
   List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns_per_run ] -> Printf.printf "%-34s %10.1f ns/run\n" name ns_per_run
-          | _ -> Printf.printf "%-34s (no estimate)\n" name)
-        analyzed)
-    tests;
-  print_newline ()
+    (fun (d : Tq_obs.Tail.dossier) ->
+      let sum = List.fold_left (fun acc (_, v) -> acc + v) 0 d.d_stages in
+      check (sum = d.d_sojourn_ns) "dossier %d: stage sum %d <> sojourn %d"
+        d.d_entry.Tq_obs.Tail.e_seq sum d.d_sojourn_ns)
+    attributed
+
+(* ------------------------------------------------------------------ *)
+(* Parallel sweep: jobs=1 vs jobs=max over every registry point        *)
+(* ------------------------------------------------------------------ *)
+
+let run_parallel_bench () =
+  let experiments = Tq_experiments.Registry.all in
+  let points = Tq_experiments.Registry.point_count in
+  let time_run ~jobs =
+    (* Cache disabled: both runs recompute every point.  Compact first
+       so the second run does not pay for the first one's heap. *)
+    Gc.compact ();
+    let t0 = Unix.gettimeofday () in
+    let _, stats =
+      Tq_par.Sweep.run ~jobs ~cache:(Tq_par.Result_cache.disabled ()) experiments
+    in
+    let wall = Unix.gettimeofday () -. t0 in
+    let computed = Array.fold_left ( + ) 0 stats.pool.per_domain_tasks in
+    Printf.printf "jobs=%d: %.1f s, %d points computed, %d steals\n%!" jobs wall computed
+      stats.pool.steals;
+    check (computed = points) "jobs=%d computed %d of %d points" jobs computed points;
+    wall
+  in
+  let jobs_max = Tq_par.Domain_pool.default_jobs () in
+  hr ();
+  Printf.printf "Parallel figure sweep (%d points, jobs=1 vs jobs=%d, TQ_BENCH_SCALE=%g)\n"
+    points jobs_max Tq_experiments.Harness.scale;
+  hr ();
+  if jobs_max < 2 then check false "one core: jobs=max is jobs=1, no speedup to check"
+  else begin
+    let wall1 = time_run ~jobs:1 in
+    let wallN = time_run ~jobs:jobs_max in
+    let speedup = if wallN > 0.0 then wall1 /. wallN else 0.0 in
+    Printf.printf "speedup %.2fx at jobs=%d\n" speedup jobs_max;
+    check (speedup >= 1.5) "sweep speedup %.2fx < 1.5x at jobs=%d" speedup jobs_max
+  end
 
 let () =
-  let jobs = ref 0 in
-  let use_cache = ref true in
-  let parallel_bench = ref None in
-  let obs_bench = ref None in
-  let profile_bench = ref None in
-  let serve_bench = ref None in
-  let tail_bench = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--jobs" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some v when v >= 1 -> jobs := v
-        | _ -> prerr_endline "bench: --jobs expects a positive integer"; exit 2);
-        parse rest
-    | "--no-cache" :: rest ->
-        use_cache := false;
-        parse rest
-    | "--parallel-bench" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
-        parallel_bench := Some path;
-        parse rest
-    | "--parallel-bench" :: rest ->
-        parallel_bench := Some "BENCH_parallel.json";
-        parse rest
-    | "--obs-bench" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
-        obs_bench := Some path;
-        parse rest
-    | "--obs-bench" :: rest ->
-        obs_bench := Some "BENCH_obs_serve.json";
-        parse rest
-    | "--profile-bench" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
-        profile_bench := Some path;
-        parse rest
-    | "--profile-bench" :: rest ->
-        profile_bench := Some "BENCH_profile.json";
-        parse rest
-    | "--serve-bench" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
-        serve_bench := Some path;
-        parse rest
-    | "--serve-bench" :: rest ->
-        serve_bench := Some "BENCH_serve.json";
-        parse rest
-    | "--tail-bench" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
-        tail_bench := Some path;
-        parse rest
-    | "--tail-bench" :: rest ->
-        tail_bench := Some "BENCH_tail.json";
-        parse rest
-    | arg :: _ ->
-        Printf.eprintf "bench: unknown argument %s\n" arg;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let jobs = if !jobs = 0 then Tq_par.Domain_pool.default_jobs () else !jobs in
-  match (!parallel_bench, !obs_bench, !profile_bench, !serve_bench, !tail_bench) with
-  | Some out, _, _, _, _ -> run_parallel_bench ~out ()
-  | None, Some out, _, _, _ -> run_obs_bench ~out ()
-  | None, None, Some out, _, _ -> run_profile_bench ~out ()
-  | None, None, None, Some out, _ -> run_serve_bench ~out ()
-  | None, None, None, None, Some out -> run_tail_bench ~out ()
-  | None, None, None, None, None ->
-      run_experiments ~jobs ~use_cache:!use_cache ();
-      run_microbenchmarks ();
-      run_trace_overhead ();
-      hr ();
-      print_endline "Done. See EXPERIMENTS.md for paper-vs-measured commentary.";
-      hr ()
+  (match List.tl (Array.to_list Sys.argv) with
+  | [] -> run_microbenchmarks ()
+  | [ "--serve-bench" ] -> run_serve_bench ()
+  | [ "--tail-bench" ] -> run_tail_bench ()
+  | [ "--parallel-bench" ] -> run_parallel_bench ()
+  | _ ->
+      prerr_endline "usage: main.exe [--serve-bench | --tail-bench | --parallel-bench]";
+      exit 2);
+  finish ()

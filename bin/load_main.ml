@@ -2,10 +2,10 @@
 
    Offers a fixed request rate regardless of how fast the server
    answers, then reports achieved throughput and the per-class latency
-   ladder.  `--json FILE` writes the single-run benchmark report (the
-   committed BENCH_serve.json lane sweep embeds these, via
-   `bench/main.exe --serve-bench`); `--lanes N` records the server's
-   dispatcher lane count in that report;
+   ladder, each request timed from its intended send time.  `--json
+   FILE` writes the single-run benchmark report, with the generator's
+   own lag; `--lanes N` records the server's dispatcher lane count in
+   that report;
    `--dashboard` renders SLO burn rates live; `--stats-interval SEC`
    polls the server's Stats RPC; `--trace FILE` fetches the server's
    span trace (server must run with --obs) for Perfetto. *)
@@ -80,6 +80,8 @@ let run host port rate connections warmup measure grace seed mix_spec spin_us
       "tq_load: offered %.0f rps for %gs -> achieved %.0f rps (%d ok, %d shed, %d \
        errors, %d outstanding)\n"
       rate measure r.throughput_rps r.ok r.shed r.errors r.outstanding;
+    Printf.printf "tq_load: generator lag p99 %.1f us, max %.1f us\n" r.lag_p99_us
+      r.lag_max_us;
     print_string (Tq_obs.Latency.dump r.latency);
     List.iter
       (fun (rep : Tq_obs.Slo.report) ->

@@ -289,39 +289,11 @@ let trace_cmd =
 
 (* --- faults --- *)
 
-let faults_run system_name workload_name quick json =
+let faults_run system_name workload_name quick =
   let workload = find_workload workload_name in
   let system = find_system system_name ~quantum_ns:(Tq_util.Time_unit.us 2.0) in
-  if json then begin
-    let points = Tq_experiments.Faults.goodput_points ~quick ~system ~workload () in
-    let n = List.length points in
-    print_string "{\n";
-    print_string (Tq_util.Bench_meta.json_fields ());
-    Printf.printf "  \"experiment\": \"faults\",\n";
-    Printf.printf "  \"system\": %S,\n" system_name;
-    Printf.printf "  \"workload\": %S,\n" workload.Tq_workload.Service_dist.name;
-    Printf.printf "  \"quick\": %b,\n" quick;
-    Printf.printf "  \"points\": [\n";
-    List.iteri
-      (fun i (intensity, (r : Tq_fault.Fault_experiment.result)) ->
-        Printf.printf
-          "    {\"stall_intensity\": %g, \"goodput_ratio\": %.4f, \"goodput_rps\": %.0f, \
-           \"eventual_p99_us\": %.2f, \"retries\": %d, \"retries_exhausted\": %d, \
-           \"lost\": %d, \"stranded\": %d, \"stalls_injected\": %d}%s\n"
-          intensity
-          (Tq_fault.Fault_experiment.goodput_ratio r)
-          r.goodput_rps
-          (Tq_workload.Metrics.overall_eventual_percentile r.metrics 99.0 /. 1e3)
-          (Tq_workload.Metrics.retries r.metrics)
-          (Tq_workload.Metrics.retries_exhausted r.metrics)
-          r.lost r.stranded r.stalls_injected
-          (if i = n - 1 then "" else ","))
-      points;
-    print_string "  ]\n}\n"
-  end
-  else
-    List.iter Tq_util.Text_table.print
-      (Tq_experiments.Faults.sweep ~quick ~system ~system_name ~workload ())
+  List.iter Tq_util.Text_table.print
+    (Tq_experiments.Faults.sweep ~quick ~system ~system_name ~workload ())
 
 let faults_cmd =
   let doc =
@@ -339,58 +311,15 @@ let faults_cmd =
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"short runs, fewer sweep points (CI smoke)")
   in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"print the stall-intensity goodput curve as JSON instead of tables")
-  in
-  Cmd.v (Cmd.info "faults" ~doc) Term.(const faults_run $ system $ workload $ quick $ json)
+  Cmd.v (Cmd.info "faults" ~doc) Term.(const faults_run $ system $ workload $ quick)
 
 (* --- adaptive --- *)
 
-let adaptive_run workload_name quick json =
+let adaptive_run workload_name quick =
   let workload = find_workload workload_name in
-  let outcomes = Tq_experiments.Adaptive.run_all ~quick ~workload () in
-  if json then begin
-    let n = List.length outcomes in
-    print_string "{\n";
-    print_string (Tq_util.Bench_meta.json_fields ());
-    Printf.printf "  \"experiment\": \"adaptive\",\n";
-    Printf.printf "  \"workload\": %S,\n" workload.Tq_workload.Service_dist.name;
-    Printf.printf "  \"quick\": %b,\n" quick;
-    Printf.printf "  \"scenarios\": [\n";
-    List.iteri
-      (fun i (o : Tq_experiments.Adaptive.outcome) ->
-        Printf.printf "    {\"scenario\": %S, \"load\": %g, \"stall_intensity\": %g,\n"
-          o.spec.scenario o.spec.load o.spec.stall_intensity;
-        Printf.printf
-          "     \"adaptive_ratio\": %.4f, \"best_static_ratio\": %.4f, \"margin\": %.4f,\n"
-          o.adaptive_ratio o.best_static_ratio o.margin;
-        Printf.printf "     \"rows\": [\n";
-        let m = List.length o.rows in
-        List.iteri
-          (fun j (row : Tq_experiments.Adaptive.row) ->
-            let r = row.result in
-            Printf.printf
-              "       {\"setting\": %S, \"gated\": %b, \"goodput_ratio\": %.4f, \
-               \"goodput_rps\": %.0f, \"eventual_p99_us\": %.2f, \"shed\": %d, \
-               \"control_ticks\": %d, \"control_decisions\": %d}%s\n"
-              row.label row.gated
-              (Tq_fault.Fault_experiment.goodput_ratio r)
-              r.goodput_rps
-              (Tq_workload.Metrics.overall_eventual_percentile r.metrics 99.0 /. 1e3)
-              (Tq_workload.Metrics.rejections r.metrics)
-              r.control_ticks r.control_decisions
-              (if j = m - 1 then "" else ","))
-          o.rows;
-        Printf.printf "     ]}%s\n" (if i = n - 1 then "" else ","))
-      outcomes;
-    print_string "  ]\n}\n"
-  end
-  else
-    List.iter
-      (fun o -> Tq_util.Text_table.print (Tq_experiments.Adaptive.table o))
-      outcomes
+  List.iter
+    (fun o -> Tq_util.Text_table.print (Tq_experiments.Adaptive.table o))
+    (Tq_experiments.Adaptive.run_all ~quick ~workload ())
 
 let adaptive_cmd =
   let doc =
@@ -405,11 +334,7 @@ let adaptive_cmd =
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"short runs, smaller static sweep (CI smoke)")
   in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"print the scenario outcomes as JSON instead of tables")
-  in
-  Cmd.v (Cmd.info "adaptive" ~doc) Term.(const adaptive_run $ workload $ quick $ json)
+  Cmd.v (Cmd.info "adaptive" ~doc) Term.(const adaptive_run $ workload $ quick)
 
 (* --- probe-place --- *)
 

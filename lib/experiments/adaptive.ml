@@ -3,8 +3,8 @@
    admission limit live — against every static quantum setting, under
    the two conditions that punish static tuning: heavy core stalls
    (capacity loss) and sustained overload.  Goodput-under-deadline is
-   the scoreboard, as in Faults; the emitted BENCH_adaptive.json
-   records the adaptive-minus-best-static margin per scenario. *)
+   the scoreboard, as in Faults; the adaptive-minus-best-static margin
+   per scenario is the number the test suite gates on. *)
 
 module Arrivals = Tq_workload.Arrivals
 module Service_dist = Tq_workload.Service_dist

@@ -2,8 +2,8 @@
     feedback loop (adaptive per-class quanta + admission limit) against
     every static quantum setting, under heavy core stalls and sustained
     overload.  Goodput-under-deadline is the scoreboard; the margin
-    (adaptive minus best static) is the number [BENCH_adaptive.json]
-    commits and CI gates on. *)
+    (adaptive minus best static) is the number the test suite gates
+    on. *)
 
 (** One test condition. *)
 type scenario = {

@@ -76,7 +76,7 @@ let eventual_p99_us (r : Fault_experiment.result) =
   Metrics.overall_eventual_percentile r.metrics 99.0 /. 1e3
 
 (* Goodput vs stall intensity for one system: the degradation curve
-   behind BENCH_faults.json. *)
+   [degradation] tabulates. *)
 let goodput_points ?(quick = false) ~system ~workload () =
   let duration_ns = Harness.duration_ms (if quick then 4.0 else 10.0) in
   let rate_rps =

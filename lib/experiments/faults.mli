@@ -3,17 +3,6 @@
     failure, and overload, for TQ (with its failure handling) against
     the centralized and Caladan baselines. *)
 
-(** [goodput_points ~system ~workload ()] runs the stall-intensity sweep
-    and returns [(intensity, result)] per point — the machine-readable
-    degradation curve behind [BENCH_faults.json].  [quick] shrinks the
-    sweep to 0%%/5%%/20%% and shortens each run. *)
-val goodput_points :
-  ?quick:bool ->
-  system:Tq_sched.Experiment.system_spec ->
-  workload:Tq_workload.Service_dist.t ->
-  unit ->
-  (float * Tq_fault.Fault_experiment.result) list
-
 (** Goodput/tail degradation vs stall intensity for one system. *)
 val degradation :
   ?quick:bool ->

@@ -5,8 +5,8 @@
     useless for reporting p99.9.  This module gives the load-generation
     path what it needs instead: per-class log-bucketed histograms
     ({!Tq_stats.Histogram}, 1/32 relative error) keyed by name, with
-    percentile queries, a text rendering, and a JSON export the serving
-    benchmarks commit ([BENCH_serve.json]).
+    percentile queries, a text rendering, and a JSON export
+    ([tq_load --json]).
 
     Recorders are single-threaded (one load generator records into one
     registry); create one registry per recording thread.  The constraint

@@ -70,6 +70,8 @@ type result = {
   measured_ok : int;
   throughput_rps : float;
   latency : Latency.t;
+  lag_p99_us : float;
+  lag_max_us : float;
   outstanding : int;
   slo_reports : Slo.report list;
   stats_polls : (float * string) list;
@@ -166,7 +168,11 @@ let run config =
     Array.init Protocol.class_count (fun i ->
         Latency.recorder latency (Protocol.class_name i))
   in
-  (* req_id -> (send time, class, sent inside the measurement window) *)
+  (* The generator's lag: actual minus intended send time, over the
+     measured sends. *)
+  let lag = Latency.recorder (Latency.create ()) "lag" in
+  (* req_id -> (intended send time, class, intended inside the
+     measurement window) *)
   let pending : (int, int * int * bool) Hashtbl.t = Hashtbl.create 4096 in
   let sent = ref 0
   and received = ref 0
@@ -316,11 +322,17 @@ let run config =
              Buffer.clear c.scratch;
              Protocol.encode_request c.scratch ~req_id req;
              Protocol.Outbuf.add_buffer c.out c.scratch;
-             let measured = now >= warmup_end && now < measure_end in
+             (* Stamp the schedule's send time, not this poll's: a late
+                generator must show up in the latency, not hide in it. *)
+             let intended = int_of_float !next_send in
+             let measured = intended >= warmup_end && intended < measure_end in
              Hashtbl.replace pending req_id
-               (now, Protocol.class_of_request req, measured);
+               (intended, Protocol.class_of_request req, measured);
              incr sent;
-             if measured then incr measured_sent;
+             if measured then begin
+               incr measured_sent;
+               Latency.record lag (now - intended)
+             end;
              progress := true;
              next_send := !next_send +. Prng.exponential rng ~mean:interarrival
            done;
@@ -349,6 +361,8 @@ let run config =
     measured_ok = !measured_ok;
     throughput_rps = float_of_int !measured_ok /. config.measure_s;
     latency;
+    lag_p99_us = float_of_int (Latency.percentile lag 99.0) /. 1e3;
+    lag_max_us = float_of_int (Latency.max_ns lag) /. 1e3;
     outstanding = Hashtbl.length pending;
     slo_reports = Slo.report slo_mon;
     stats_polls = List.rev !stats_polls;
@@ -381,8 +395,8 @@ let to_json ?outliers config r =
   Buffer.add_string b
     (Printf.sprintf
        "  \"measured_sent\": %d,\n  \"measured_ok\": %d,\n  \"throughput_rps\": \
-        %.0f,\n"
-       r.measured_sent r.measured_ok r.throughput_rps);
+        %.0f,\n  \"lag_p99_us\": %.1f,\n  \"lag_max_us\": %.1f,\n"
+       r.measured_sent r.measured_ok r.throughput_rps r.lag_p99_us r.lag_max_us);
   Buffer.add_string b "  \"slo\": [";
   List.iteri
     (fun i (rep : Slo.report) ->

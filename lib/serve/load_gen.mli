@@ -9,9 +9,13 @@
     The run has a warmup window (responses ignored for recording),
     then a measurement window (per-class wall-clock latencies into a
     {!Tq_obs.Latency} registry), then a grace period draining
-    still-outstanding responses.  Latency is measured send-to-response
-    per request id; requests are matched by the ids the server
-    echoes. *)
+    still-outstanding responses.  Latency is measured per request id
+    from the {e intended} send time (the Poisson schedule's, not the
+    poll round's that sent it) to the response, so a generator that
+    falls behind shows up in the latencies rather than hiding from
+    them; the lag itself is reported too.  A request belongs to the
+    measurement window by its intended send time.  Requests are matched
+    by the ids the server echoes. *)
 
 (** Request mix, sampled per arrival. *)
 type mix = {
@@ -57,9 +61,9 @@ type config = {
           {!Tq_util.Ascii_chart} curves) *)
   server_lanes : int;
       (** the dispatcher lane count the target server was started with
-          ([tq_serve --lanes]); pure report metadata so emitted
-          BENCH/CI JSON is self-describing — the generator's behavior
-          does not depend on it *)
+          ([tq_serve --lanes]); pure report metadata so the emitted
+          JSON is self-describing — the generator's behavior does not
+          depend on it *)
 }
 
 (** Loopback, 8 connections, 0.5 s warmup, 2 s measurement, 2 s grace,
@@ -79,6 +83,10 @@ type result = {
   latency : Tq_obs.Latency.t;
       (** per-class (["echo"], ["kv_get"], ...) plus ["all"]; [Ok]
           responses to measured sends only *)
+  lag_p99_us : float;
+      (** p99 of the generator's lag (actual minus intended send time)
+          over the measured sends *)
+  lag_max_us : float;  (** the largest such lag *)
   outstanding : int;  (** unanswered when the grace period ended *)
   slo_reports : Tq_obs.Slo.report list;
       (** final sliding-window verdict per objective (every response
@@ -104,11 +112,9 @@ val run : config -> result
 
 (** [to_json ?outliers config result] — the single-run benchmark report
     ([tq_load --json], the CI serve-smoke artifact): offered vs
-    achieved rate, loss/shed accounting, lane metadata and the
-    per-class latency ladder.  [outliers], when given, is spliced in
-    verbatim as the ["outliers"] field — pass the server's
+    achieved rate, loss/shed accounting, the generator's lag, lane
+    metadata and the per-class latency ladder.  [outliers], when given,
+    is spliced in verbatim as the ["outliers"] field — pass the server's
     [Stats_outliers] body ([tq_load --outliers N]) to embed the
-    slow-request dossiers in the report.  (The committed
-    [BENCH_serve.json] is the lane-{e sweep} report, emitted by
-    [bench/main.exe --serve-bench], which embeds these runs.) *)
+    slow-request dossiers in the report. *)
 val to_json : ?outliers:string -> config -> result -> string

@@ -1,11 +1,9 @@
-(* A minimal JSON reader/writer for the BENCH_*.json reports.
+(* A minimal JSON reader/writer for the repo's JSON reports.
 
-   The repo emits its benchmark reports by hand (Printf into a Buffer)
-   and, until now, never read them back.  tq_bench_diff needs to: it
-   loads a freshly generated report and the committed baseline and
-   compares them field by field.  This is a small recursive-descent
-   parser over the full JSON grammar — numbers parse as floats, which
-   is exactly the precision the diff tolerances work at. *)
+   The reports are emitted by hand (Printf into a Buffer); the
+   benchmark harness in tqbench/ reads the server's stats snapshots
+   back.  This is a small recursive-descent parser over the full JSON
+   grammar; numbers parse as floats. *)
 
 type t =
   | Null
@@ -220,20 +218,3 @@ let member name = function
   | _ -> None
 
 let number_opt = function Number f -> Some f | _ -> None
-let string_opt = function String s -> Some s | _ -> None
-
-(* Dotted paths into the tree, list indices as path segments:
-   "latency.all.p99_us", "points.2.goodput_ratio". *)
-let rec flatten ?(prefix = "") v acc =
-  let key k = if prefix = "" then k else prefix ^ "." ^ k in
-  match v with
-  | Obj members ->
-      List.fold_left (fun acc (k, v) -> flatten ~prefix:(key k) v acc) acc members
-  | List l ->
-      List.fold_left
-        (fun (acc, i) v -> (flatten ~prefix:(key (string_of_int i)) v acc, i + 1))
-        (acc, 0) l
-      |> fst
-  | leaf -> (prefix, leaf) :: acc
-
-let leaves v = List.rev (flatten v [])

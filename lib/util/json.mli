@@ -1,9 +1,8 @@
-(** Minimal JSON reader/writer for the BENCH_*.json reports.
+(** Minimal JSON reader/writer for the repo's JSON reports.
 
-    The benchmark reports are emitted by hand throughout the repo;
-    [tq_bench_diff] reads them back to compare a fresh run against the
-    committed baseline.  Numbers parse as floats — the precision the
-    diff tolerances work at. *)
+    The reports are emitted by hand throughout the repo; the benchmark
+    harness in [tqbench/] reads the server's stats snapshots back.
+    Numbers parse as floats. *)
 
 (** A parsed JSON value.  Object member order is preserved. *)
 type t =
@@ -30,11 +29,3 @@ val member : string -> t -> t option
 
 (** [number_opt v] — the float behind a [Number]. *)
 val number_opt : t -> float option
-
-(** [string_opt v] — the string behind a [String]. *)
-val string_opt : t -> string option
-
-(** [leaves v] — every scalar leaf of [v] with its dotted path
-    ("latency.all.p99_us", list indices as segments: "points.2.rps"),
-    in document order. *)
-val leaves : t -> (string * t) list

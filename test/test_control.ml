@@ -216,6 +216,28 @@ let test_state_json () =
     [ "\"ticks\""; "\"decisions\""; "\"shed_limit\""; "\"burn\""; "\"classes\"";
       "\"quantum_ns\"" ]
 
+(* The closed loop must beat every static quantum on goodput under
+   both gated conditions.  The quick sweep runs in virtual time, so its
+   ratios are exact and pinned here as printed. *)
+let test_adaptive_beats_static () =
+  let module A = Tq_experiments.Adaptive in
+  let outcomes = A.run_all ~quick:true ~workload:Tq_workload.Table1.high_bimodal () in
+  List.iter
+    (fun (o : A.outcome) ->
+      if not (o.margin > 0.0) then
+        Alcotest.failf "adaptive lost to a static setting on %s (margin %.4f)"
+          o.spec.scenario o.margin)
+    outcomes;
+  check
+    Alcotest.(list string)
+    "scenario, adaptive ratio, best static ratio, margin"
+    [ "stall 0.7751 0.4981 0.2770"; "overload 0.7914 0.5036 0.2878" ]
+    (List.map
+       (fun (o : A.outcome) ->
+         Printf.sprintf "%s %.4f %.4f %.4f" o.spec.scenario o.adaptive_ratio
+           o.best_static_ratio o.margin)
+       outcomes)
+
 let suite =
   [
     Alcotest.test_case "config validation" `Quick test_validation;
@@ -231,4 +253,6 @@ let suite =
     Alcotest.test_case "shed probe requires binding gate" `Quick
       test_shed_probe_requires_binding_gate;
     Alcotest.test_case "state json" `Quick test_state_json;
+    Alcotest.test_case "adaptive beats every static setting" `Quick
+      test_adaptive_beats_static;
   ]

@@ -1136,6 +1136,39 @@ let test_tail_offer_null_sink_allocation_free () =
            ~sojourn_ns:1_000_000 ~t0_ns:0 ~quantum_ns:100_000 ~cap:(-1)
            ~inject_depth:0))
 
+(* The enabled span record boxes one record in an option: 9 words
+   (a 6-field record plus header, and the Some).  An upper bound, so a
+   cheaper record passes. *)
+let test_span_record_enabled_words () =
+  let sink =
+    Span.register (Span.create ~capacity_per_sink:4096 ()) (Event.Dispatcher 0)
+  in
+  let seq = ref 0 in
+  let words =
+    Test_util.minor_words_per_call (fun () ->
+        incr seq;
+        Span.record sink ~req_id:!seq ~phase:Span.Dispatch ~start_ns:!seq ~dur_ns:10
+          ~arg:0)
+  in
+  if words > 9.0 then Alcotest.failf "span record allocates %g words (> 9)" words
+
+(* The armed reservoir's common case: a request faster than a full
+   reservoir's floor is rejected by one compare and allocates nothing. *)
+let test_tail_offer_reject_allocation_free () =
+  let sink = Tail.register (Tail.create ~k:16 ()) ~lane:0 in
+  let offer ~seq ~sojourn_ns =
+    Tail.offer sink ~now_ns:1 ~seq ~class_idx:0 ~worker:0 ~sojourn_ns ~t0_ns:0
+      ~quantum_ns:100_000 ~cap:(-1) ~inject_depth:0
+  in
+  for i = 1 to 16 do
+    offer ~seq:(-i) ~sojourn_ns:1_000_000
+  done;
+  let seq = ref 0 in
+  check (Alcotest.float 0.0) "minor words per rejected offer" 0.0
+    (Test_util.minor_words_per_call (fun () ->
+         incr seq;
+         offer ~seq:!seq ~sojourn_ns:1))
+
 let tail_suite =
   [
     Alcotest.test_case "span record null sink allocation-free" `Quick
@@ -1144,6 +1177,9 @@ let tail_suite =
       test_trace_record_null_allocation_free;
     Alcotest.test_case "tail offer null sink allocation-free" `Quick
       test_tail_offer_null_sink_allocation_free;
+    Alcotest.test_case "span record enabled" `Quick test_span_record_enabled_words;
+    Alcotest.test_case "tail offer reject allocation-free" `Quick
+      test_tail_offer_reject_allocation_free;
     Alcotest.test_case "tail disabled is inert" `Quick test_tail_disabled_is_inert;
     Alcotest.test_case "tail admit/evict/floor" `Quick test_tail_admit_evict_floor;
     Alcotest.test_case "tail window roll" `Quick test_tail_window_roll;

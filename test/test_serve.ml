@@ -1386,12 +1386,104 @@ let test_load_config_rejected () =
        "stats_interval_s must be positive (got 0)");
     ]
 
+(* A generator that falls behind must not hide the delay.  A stub
+   server answers every request at once but holds each Stats reply for
+   200 ms, and the generator polls Stats every 300 ms: each poll stalls
+   its sending loop for 200 ms of every 300.  About a third of the
+   requests are owed more than 100 ms before they go out.  Timed from
+   their intended send time they carry that delay, so p90 is over
+   100 ms; timed from the poll that sent them (about 1% of requests
+   then show a stall: those in flight when it began) p90 stays near the
+   stub's 2 ms. *)
+let stub_server ~stats_delay_s =
+  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 16;
+  let port = match Unix.getsockname lfd with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+  let stop = Atomic.make false in
+  let serve () =
+    let conns = ref [] and held = ref [] in
+    let chunk = Bytes.create 65536 in
+    let reply fd resp =
+      let frame = Protocol.response_frame resp in
+      ignore (Unix.write fd frame 0 (Bytes.length frame) : int)
+    in
+    while not (Atomic.get stop) do
+      let now = Unix.gettimeofday () in
+      let due, later = List.partition (fun (t, _, _) -> t <= now) !held in
+      held := later;
+      List.iter (fun (_, fd, resp) -> reply fd resp) due;
+      let ready, _, _ = Unix.select (lfd :: List.map fst !conns) [] [] 0.001 in
+      List.iter
+        (fun fd ->
+          if fd == lfd then
+            conns := (fst (Unix.accept ~cloexec:true lfd), Protocol.Reassembly.create ())
+                     :: !conns
+          else
+            let rb = List.assq fd !conns in
+            let n = try Unix.read fd chunk 0 (Bytes.length chunk) with Unix.Unix_error _ -> 0 in
+            if n = 0 then conns := List.filter (fun (c, _) -> c != fd) !conns
+            else begin
+              Protocol.Reassembly.add rb chunk n;
+              let rec drain () =
+                match Protocol.Reassembly.next rb with
+                | Ok (Some payload) ->
+                    (match Protocol.decode_request payload with
+                    | Ok (req_id, Protocol.Stats _) ->
+                        let resp = { Protocol.req_id; status = Protocol.Ok; body = "{}" } in
+                        held := (now +. stats_delay_s, fd, resp) :: !held
+                    | Ok (req_id, _) ->
+                        reply fd { Protocol.req_id; status = Protocol.Ok; body = "" }
+                    | Error msg -> failwith msg);
+                    drain ()
+                | Ok None -> ()
+                | Error msg -> failwith msg
+              in
+              drain ()
+            end)
+        ready
+    done;
+    List.iter (fun (fd, _) -> Unix.close fd) !conns;
+    Unix.close lfd
+  in
+  let dom = Domain.spawn serve in
+  (port, fun () -> Atomic.set stop true; Domain.join dom)
+
+let test_load_times_from_intended_send () =
+  let module Load_gen = Tq_serve.Load_gen in
+  let port, stop = stub_server ~stats_delay_s:0.2 in
+  let r =
+    Fun.protect ~finally:stop (fun () ->
+        Load_gen.run
+          {
+            (Load_gen.default_config ~rate_rps:2000.0 ~port) with
+            connections = 2;
+            warmup_s = 0.1;
+            measure_s = 1.0;
+            grace_s = 0.5;
+            stats_interval_s = Some 0.3;
+          })
+  in
+  let p90_ms =
+    float_of_int (Tq_obs.Latency.percentile (Tq_obs.Latency.recorder r.latency "all") 90.0)
+    /. 1e6
+  in
+  check Alcotest.int "every request answered" 0 r.outstanding;
+  Alcotest.(check bool)
+    (Printf.sprintf "stalls show in p90 (%.1f ms >= 100)" p90_ms) true (p90_ms >= 100.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "lag max %.1f ms >= 100" (r.lag_max_us /. 1e3)) true
+    (r.lag_max_us >= 100_000.0)
+
 let exec_suite =
   [
     Alcotest.test_case "finished request takes one slice" `Quick
       test_finished_request_one_slice;
     Alcotest.test_case "bad load config rejected before connect" `Quick
       test_load_config_rejected;
+    Alcotest.test_case "load times from intended send" `Quick
+      test_load_times_from_intended_send;
   ]
 
 let suite = suite @ exec_suite

@@ -596,127 +596,21 @@ let chart_suite =
 
 let suite = suite @ chart_suite
 
-(* --- Bench_diff: the regression-gate engine behind tq_bench_diff --- *)
+(* --- Json: the reader tqbench uses on the server's stats snapshots --- *)
 
 module Json = Tq_util.Json
-module Bench_diff = Tq_util.Bench_diff
 
-let parse_json label s =
-  match Json.of_string s with
-  | Ok j -> j
-  | Error e -> Alcotest.failf "%s: %s" label e
+let test_json_round_trip () =
+  let text = {|{"a": [1, 2.5, -300], "b": {"c": "x\"y\n"}, "d": true, "e": null}|} in
+  match Json.of_string text with
+  | Error e -> Alcotest.fail e
+  | Ok v ->
+      check Alcotest.string "renders back" text (Json.to_string v);
+      check Alcotest.(option (float 0.0)) "member number" (Some (-300.0))
+        (match Json.member "a" v with
+        | Some (Json.List [ _; _; n ]) -> Json.number_opt n
+        | _ -> None);
+      Alcotest.(check bool) "trailing garbage rejected" true
+        (Result.is_error (Json.of_string "{} x"))
 
-let diff ?config base fresh =
-  Bench_diff.compare ?config ~baseline:(parse_json "baseline" base)
-    ~fresh:(parse_json "fresh" fresh) ()
-
-let fails findings =
-  List.filter_map
-    (fun (f : Bench_diff.finding) ->
-      if f.Bench_diff.severity = Bench_diff.Fail then Some f.Bench_diff.path else None)
-    findings
-
-let bd_contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-let base_report =
-  {|{"schema_version": 2, "generated_at": "2026-01-01T00:00:00Z",
-     "benchmark": "x", "throughput": 100.0,
-     "latency": {"p50_us": 10.0, "p99_us": 40.0}}|}
-
-let test_bench_diff_tolerances () =
-  (* within the 25% default everywhere: passes, generated_at ignored *)
-  let f1 =
-    {|{"schema_version": 2, "generated_at": "2026-02-02T00:00:00Z",
-       "benchmark": "x", "throughput": 110.0,
-       "latency": {"p50_us": 11.0, "p99_us": 41.0}}|}
-  in
-  Alcotest.(check bool) "noise within tolerance passes" true
-    (Bench_diff.passed (diff base_report f1));
-  (* a 3x regression on one leaf fails, and names the dotted path *)
-  let f2 =
-    {|{"schema_version": 2, "generated_at": "x", "benchmark": "x",
-       "throughput": 100.0, "latency": {"p50_us": 30.0, "p99_us": 40.0}}|}
-  in
-  check Alcotest.(list string) "regression named by path" [ "latency.p50_us" ]
-    (fails (diff base_report f2));
-  (* a per-metric glob rule loosens exactly the matched paths *)
-  let config =
-    { Bench_diff.default_config with Bench_diff.rules = [ ("latency.*", 5.0) ] }
-  in
-  Alcotest.(check bool) "rule absorbs the regression" true
-    (Bench_diff.passed (diff ~config base_report f2));
-  (* render ends in the verdict line either way *)
-  Alcotest.(check bool) "render says FAIL" true
-    (bd_contains (Bench_diff.render (diff base_report f2)) "FAIL");
-  Alcotest.(check bool) "render says PASS" true
-    (bd_contains (Bench_diff.render (diff base_report f1)) "PASS")
-
-let test_bench_diff_bounds_and_shape () =
-  (* bounds gate the fresh value even when the diff is tiny *)
-  let config =
-    { Bench_diff.default_config with Bench_diff.bounds = [ ("throughput", 50.0) ] }
-  in
-  Alcotest.(check bool) "hard bound fails a within-tolerance value" false
-    (Bench_diff.passed (diff ~config base_report base_report));
-  (* a leaf the fresh report lost is a failure *)
-  let lost =
-    {|{"schema_version": 2, "benchmark": "x", "throughput": 100.0,
-       "latency": {"p50_us": 10.0}}|}
-  in
-  check Alcotest.(list string) "missing leaf fails" [ "latency.p99_us" ]
-    (fails (diff base_report lost));
-  (* a leaf only the fresh report has is a warning, not a failure *)
-  let extra =
-    {|{"schema_version": 2, "benchmark": "x", "throughput": 100.0,
-       "latency": {"p50_us": 10.0, "p99_us": 40.0, "p999_us": 90.0}}|}
-  in
-  let findings = diff base_report extra in
-  Alcotest.(check bool) "extra leaf still passes" true (Bench_diff.passed findings);
-  Alcotest.(check bool) "but is reported" true
-    (List.exists
-       (fun (f : Bench_diff.finding) -> f.Bench_diff.severity = Bench_diff.Warn)
-       findings);
-  (* strings must match exactly *)
-  let renamed =
-    {|{"schema_version": 2, "benchmark": "y", "throughput": 100.0,
-       "latency": {"p50_us": 10.0, "p99_us": 40.0}}|}
-  in
-  check Alcotest.(list string) "string drift fails" [ "benchmark" ]
-    (fails (diff base_report renamed))
-
-let test_bench_diff_schema_refusal () =
-  (* mismatched schema versions are refused outright *)
-  let v3 = {|{"schema_version": 3, "benchmark": "x", "throughput": 100.0}|} in
-  check Alcotest.(list string) "version mismatch refused" [ "schema_version" ]
-    (fails (diff base_report v3));
-  (* and so is a report with no schema_version at all *)
-  let bare = {|{"benchmark": "x", "throughput": 100.0}|} in
-  check Alcotest.(list string) "missing version refused" [ "schema_version" ]
-    (fails (diff bare base_report));
-  check Alcotest.(list string) "missing fresh version refused" [ "schema_version" ]
-    (fails (diff base_report bare))
-
-let test_glob_match () =
-  let m p s = Bench_diff.glob_match p s in
-  Alcotest.(check bool) "star matches anything" true (m "*" "latency.p99_us");
-  Alcotest.(check bool) "star matches empty" true (m "*" "");
-  Alcotest.(check bool) "literal must match" false (m "latency" "throughput");
-  Alcotest.(check bool) "infix star" true
-    (m "disabled*minor_words*" "disabled_span_minor_words_per_run");
-  Alcotest.(check bool) "infix star rejects" false
-    (m "disabled*minor_words*" "disabled_span_ns_per_run");
-  Alcotest.(check bool) "two stars" true (m "*stage*sum*" "stages.parse.sum_ns");
-  Alcotest.(check bool) "anchored suffix" false (m "*.p99_us" "latency.p99_us_extra")
-
-let bench_diff_suite =
-  [
-    Alcotest.test_case "bench diff tolerances" `Quick test_bench_diff_tolerances;
-    Alcotest.test_case "bench diff bounds + shape" `Quick test_bench_diff_bounds_and_shape;
-    Alcotest.test_case "bench diff schema refusal" `Quick test_bench_diff_schema_refusal;
-    Alcotest.test_case "bench diff glob" `Quick test_glob_match;
-  ]
-
-let suite = suite @ bench_diff_suite
+let suite = suite @ [ Alcotest.test_case "json round trip" `Quick test_json_round_trip ]
