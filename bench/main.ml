@@ -171,18 +171,6 @@ let test_admission () =
          incr n;
          ignore (Tq_sched.Admission.admit a ~in_system:(!n land 127))))
 
-(* The DES trace hook behind the [Trace.enabled] guard, tracing on and
-   off: a disabled tracer never builds the event. *)
-let test_trace ~name tr =
-  let lane = Tq_obs.Event.Worker 3 in
-  let ts = ref 0 in
-  Test.make ~name
-    (Staged.stage (fun () ->
-         incr ts;
-         if Tq_obs.Trace.enabled tr then
-           Tq_obs.Trace.record tr ~ts_ns:!ts ~lane
-             (Tq_obs.Event.Quantum_end { job_id = 1; ran_ns = 2_000; finished = false })))
-
 (* What every request on the serve path pays for cross-domain spans;
    without --obs the server holds [null_sink]s. *)
 let test_span ~name sink =
@@ -196,7 +184,7 @@ let test_span ~name sink =
 let live_span_sink () =
   Tq_obs.Span.register
     (Tq_obs.Span.create ~capacity_per_sink:4096 ())
-    (Tq_obs.Event.Dispatcher 0)
+    (Tq_obs.Span.Dispatcher 0)
 
 (* The tail reservoir's offer on the dispatcher's reply pop.  Sojourn
    1 ns is far below a filled reservoir's floor, so an armed sink takes
@@ -223,8 +211,8 @@ let filled_tail_sink () =
 let decompose_requests = 10_000
 
 let synthetic_stream n =
-  let lane_d = Tq_obs.Event.Dispatcher 0 in
-  let lane_w = Tq_obs.Event.Worker 0 in
+  let lane_d = Tq_obs.Span.Dispatcher 0 in
+  let lane_w = Tq_obs.Span.Worker 0 in
   let mk req_id phase lane start_ns dur_ns =
     { Tq_obs.Span.req_id; phase; lane; start_ns; dur_ns; arg = 0 }
   in
@@ -289,9 +277,6 @@ let run_microbenchmarks () =
       (test_backoff (), None);
       (test_serve_codec (), None);
       (test_admission (), None);
-      (test_trace ~name:"obs trace record (enabled)" (Tq_obs.Trace.create ~capacity:4096 ()),
-       None);
-      (test_trace ~name:"obs trace record (disabled)" Tq_obs.Trace.null, None);
       (test_span ~name:"span record (enabled)" (live_span_sink ()), Some 228.4);
       (test_span ~name:"span record (disabled)" Tq_obs.Span.null_sink, Some 41.2);
       (test_tail_offer ~name:"tail offer (enabled, reject)" (filled_tail_sink ()), Some 87.1);
@@ -477,12 +462,11 @@ let run_parallel_bench () =
     in
     let wall = Unix.gettimeofday () -. t0 in
     let computed = Array.fold_left ( + ) 0 stats.pool.per_domain_tasks in
-    Printf.printf "jobs=%d: %.1f s, %d points computed, %d steals\n%!" jobs wall computed
-      stats.pool.steals;
+    Printf.printf "jobs=%d: %.1f s, %d points computed\n%!" jobs wall computed;
     check (computed = points) "jobs=%d computed %d of %d points" jobs computed points;
     wall
   in
-  let jobs_max = Tq_par.Domain_pool.default_jobs () in
+  let jobs_max = Domain.recommended_domain_count () in
   hr ();
   Printf.printf "Parallel figure sweep (%d points, jobs=1 vs jobs=%d, TQ_BENCH_SCALE=%g)\n"
     points jobs_max Tq_experiments.Harness.scale;

@@ -198,7 +198,7 @@ let serve host port cores lanes quantum_us ring rx_depth admission kv_keys pool_
   Option.iter Tq_obs.Gc_events.stop gc;
   (match trace_out with
   | Some path ->
-      Tq_obs.Span.write_file spans path;
+      Tq_obs.Span.write_file ~process:"tq_serve" spans path;
       Printf.printf "tq_serve: wrote span trace to %s (%d spans, %d dropped)\n%!" path
         (Tq_obs.Span.total spans) (Tq_obs.Span.dropped spans)
   | None -> ());

@@ -20,14 +20,13 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
-(* --jobs 0 means auto: TQ_JOBS or the recommended domain count. *)
-let resolve_jobs jobs = if jobs = 0 then Tq_par.Domain_pool.default_jobs () else max 1 jobs
+(* --jobs 0 means auto: the recommended domain count. *)
+let resolve_jobs jobs = if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs
 
 let jobs_arg =
   Arg.(value & opt int 0
        & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"worker domains for the sweep (0 = auto: \\$(b,TQ_JOBS) or the \
-                 recommended domain count)")
+           ~doc:"worker domains for the sweep (0 = auto: the recommended domain count)")
 
 let no_cache_arg =
   Arg.(value & flag
@@ -149,11 +148,11 @@ let sweep system_name workload_name quantum_us loads duration_ms seed trace_out 
       let rate = load *. capacity in
       (match (obs, trace_out) with
       | Some obs, Some path ->
-          Tq_obs.Chrome_trace.write_file obs.Tq_obs.Obs.trace path;
-          Printf.printf "wrote %s (%d events, %d overwritten) for load %.0f%%\n" path
-            (Tq_obs.Trace.length obs.Tq_obs.Obs.trace)
-            (Tq_obs.Trace.dropped obs.Tq_obs.Obs.trace)
-            (100.0 *. load)
+          let spans = obs.Tq_obs.Obs.spans in
+          Tq_obs.Span.write_file ~process:"tq_sim" spans path;
+          Printf.printf "wrote %s (%d spans, %d overwritten) for load %.0f%%\n" path
+            (Tq_obs.Span.total spans - Tq_obs.Span.dropped spans)
+            (Tq_obs.Span.dropped spans) (100.0 *. load)
       | _ -> ());
       let cells =
         List.concat_map
@@ -220,11 +219,11 @@ let trace_run system_name workload_name quantum_us load duration_ms seed out csv
   in
   Printf.printf "%s on %s: load %.0f%% (%.2f Mrps), %.1f ms simulated, %d requests, %d sim events\n"
     system_name workload_name (100.0 *. load) (rate /. 1e6) duration_ms r.offered r.events;
-  Tq_obs.Chrome_trace.write_file obs.Tq_obs.Obs.trace out;
-  Printf.printf "wrote %s: %d trace events in buffer (%d recorded, %d overwritten)\n" out
-    (Tq_obs.Trace.length obs.Tq_obs.Obs.trace)
-    (Tq_obs.Trace.total obs.Tq_obs.Obs.trace)
-    (Tq_obs.Trace.dropped obs.Tq_obs.Obs.trace);
+  let spans = obs.Tq_obs.Obs.spans in
+  Tq_obs.Span.write_file ~process:"tq_sim" spans out;
+  Printf.printf "wrote %s: %d spans in buffer (%d recorded, %d overwritten)\n" out
+    (Tq_obs.Span.total spans - Tq_obs.Span.dropped spans)
+    (Tq_obs.Span.total spans) (Tq_obs.Span.dropped spans);
   print_endline "open it in https://ui.perfetto.dev (one lane per dispatcher/worker core)";
   print_newline ();
   print_endline "counters:";
@@ -246,12 +245,12 @@ let trace_run system_name workload_name quantum_us load duration_ms seed out csv
   | None -> ());
   if dump_events > 0 then begin
     print_newline ();
-    print_string (Tq_obs.Text_dump.dump ~limit:dump_events obs.Tq_obs.Obs.trace)
+    print_string (Tq_obs.Span.to_text ~limit:dump_events spans)
   end
 
 let trace_cmd =
   let doc =
-    "Record one run under the event tracer and export an inspectable schedule: a \
+    "Record one run's spans and export an inspectable schedule: a \
      Chrome trace-event JSON (Perfetto), the counter registry, and sampled \
      occupancy time series."
   in
@@ -281,7 +280,7 @@ let trace_cmd =
   in
   let dump_events =
     Arg.(value & opt int 0
-         & info [ "events" ] ~docv:"N" ~doc:"also print the last N events as text")
+         & info [ "events" ] ~docv:"N" ~doc:"also print the last N spans as text")
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(const trace_run $ system $ workload $ quantum $ load $ duration $ seed_arg $ out

@@ -97,13 +97,14 @@ let wrap_sink ~rng ~metrics ?(obs = Tq_obs.Obs.disabled ()) specs sink =
   if drop_prob <= 0.0 then sink
   else begin
     let rng = Prng.split rng in
-    let trace = obs.Tq_obs.Obs.trace in
+    let spans_on = Tq_obs.Span.enabled obs.Tq_obs.Obs.spans in
+    let span_sink = Tq_obs.Span.register obs.Tq_obs.Obs.spans Tq_obs.Span.Global in
     fun (req : Tq_workload.Arrivals.request) ->
       if Prng.bernoulli rng ~p:drop_prob then begin
         Tq_workload.Metrics.record_nic_drop metrics;
-        if Tq_obs.Trace.enabled trace then
-          Tq_obs.Trace.record trace ~ts_ns:req.arrival_ns ~lane:Tq_obs.Event.Global
-            (Tq_obs.Event.Drop { job_id = req.req_id; reason = "nic" })
+        if spans_on then
+          Tq_obs.Span.record span_sink ~req_id:req.req_id ~phase:Tq_obs.Span.Drop
+            ~start_ns:req.arrival_ns ~dur_ns:0 ~arg:Tq_obs.Span.drop_nic
       end
       else sink req
   end

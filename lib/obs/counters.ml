@@ -4,7 +4,7 @@
    Registration (a hashtable lookup) happens once, at subsystem create
    time; the handle a subsystem holds is a bare mutable record, so a
    hot-path bump is a single store.  Counters are cheap enough to stay
-   always-on; only the event tracer is gated. *)
+   always-on; only span recording is gated. *)
 
 type counter = { c_name : string; mutable count : int }
 type gauge = { g_name : string; mutable value : float }

@@ -4,7 +4,7 @@
     Registration (a hashtable lookup) happens once, at subsystem create
     time; the handle a subsystem holds is a bare mutable record, so a
     hot-path bump is a single store.  Counters are cheap enough to stay
-    always-on; only the event tracer is gated.
+    always-on; only span recording is gated.
 
     {b Ownership rule (multi-domain use).}  A registry is single-writer:
     exactly one domain registers into and bumps a given registry, and it

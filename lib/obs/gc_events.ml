@@ -7,7 +7,7 @@
    tracing ring), pairs EV_MINOR / EV_MAJOR begin/end callbacks into
    pause spans per domain, and publishes three things —
 
-   - spans on the per-domain [Event.Gc] lanes, merged into the Perfetto
+   - spans on the per-domain [Span.Gc] lanes, merged into the Perfetto
      timeline next to the worker lanes they explain;
    - counters/distributions (gc.minor_pauses, gc.minor_pause_ns, ...)
      in a registry of its own, rendered by the Stats RPC like any other;
@@ -65,7 +65,7 @@ let sink_for t dom =
   match t.sinks.(dom) with
   | Some s -> s
   | None ->
-      let s = Span.register t.spans (Event.Gc dom) in
+      let s = Span.register t.spans (Span.Gc dom) in
       t.sinks.(dom) <- Some s;
       s
 

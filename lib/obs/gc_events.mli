@@ -4,7 +4,7 @@
     runtime's always-compiled tracing ring, pairs minor/major
     collection begin/end events into pause spans per domain, and
     publishes them three ways: as {!Span} records on the per-domain
-    {!Event.Gc} lanes (so Perfetto shows each pause next to the worker
+    {!Span.Gc} lanes (so Perfetto shows each pause next to the worker
     lane it stalled), as counters and pause-duration distributions in a
     registry of its own, and as a per-domain cumulative pause clock
     that the scheduler's stall detector reads to attribute wall-clock

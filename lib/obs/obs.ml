@@ -1,7 +1,7 @@
-(* The observability context threaded through a scheduler run: one
-   event tracer plus one metric registry.  [disabled ()] gives the
-   zero-cost default — a null tracer (one branch per would-be record,
-   no allocation) and a private registry nobody reads; subsystems can
+(* The observability context threaded through a scheduler run: one span
+   collection plus one metric registry.  [disabled ()] gives the
+   zero-cost default — Span.null (one branch per would-be record, no
+   allocation) and a private registry nobody reads; subsystems can
    therefore register and bump unconditionally.
 
    The fixed-interval time-series sampler lives alongside, but is owned
@@ -9,23 +9,23 @@
    sampling clock; see [Experiment.run ?obs]. *)
 
 type t = {
-  trace : Trace.t;
+  spans : Span.t;
   counters : Counters.t;
   sample_interval_ns : int;  (** time-series sampling period (virtual time) *)
 }
 
-let create ?(trace_capacity = 65_536) ?(sample_interval_ns = 10_000) () =
+(* A simulated 16-core system registers about 18 sinks, and each sink
+   allocates its whole ring at registration: 16384 records per sink
+   holds a 2 ms trace at 70% load whole and keeps a long traced run to
+   tens of MB. *)
+let create ?(sample_interval_ns = 10_000) () =
   {
-    trace = Trace.create ~capacity:trace_capacity ();
+    spans = Span.create ~capacity_per_sink:16_384 ();
     counters = Counters.create ();
     sample_interval_ns;
   }
 
-let disabled () =
-  { trace = Trace.null; counters = Counters.create (); sample_interval_ns = 10_000 }
-
-(* Counters without tracing: what a worker domain threads through
-   subsystems that take an [?obs] — its per-domain registry stays live
-   while the (single-threaded) tracer stays null. *)
-let of_counters counters =
-  { trace = Trace.null; counters; sample_interval_ns = 10_000 }
+(* Counters without spans: what a worker domain threads through
+   subsystems that take an [?obs]. *)
+let of_counters counters = { spans = Span.null; counters; sample_interval_ns = 10_000 }
+let disabled () = of_counters (Counters.create ())

@@ -219,8 +219,9 @@ let collect_pendings ~on_accept ~on_shed records =
       | Span.Reply_flush when r.req_id >= 0 ->
           set_boundary (pending r.req_id) `Reply (r.start_ns + r.dur_ns)
       | Span.Parse | Span.Dispatch | Span.Ring_hop | Span.Quantum
-      | Span.Reply_flush | Span.Stall | Span.Gc_minor
-      | Span.Gc_major -> ())
+      | Span.Reply_flush | Span.Stall | Span.Gc_minor | Span.Gc_major | Span.Steal
+      | Span.Kill | Span.Mark_dead | Span.Mark_alive | Span.Redispatch | Span.Retry
+      | Span.Drop | Span.Outage -> ())
     records;
   pendings
 

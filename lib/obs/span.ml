@@ -1,17 +1,34 @@
-(* Cross-domain request spans for the live serving path.
+(* Request spans: the one event model of the simulator and the live
+   server.
 
-   The simulator's Trace is a single ring written from one thread; the
-   live server has a dispatcher thread plus N worker domains, so one
-   shared ring would be a data race.  Here every domain registers its
-   own bounded sink (the Spsc_ring idiom: per-cell Atomics so record
+   The live server has a dispatcher thread plus N worker domains, so one
+   shared ring would be a data race.  Every domain registers its own
+   bounded sink (the Spsc_ring idiom: per-cell Atomics so record
    publication is ordered with the cursor update, single writer per
    sink) and a merge step stitches the per-domain buffers into one
-   timeline keyed by request id.
+   timeline keyed by request id.  A simulated system registers one sink
+   per lane it writes, on its single domain, and stamps virtual ns.
 
-   The hot-path contract matches Trace: a sink of a disabled collection
-   is [null_sink] (capacity 0), so a record call costs one branch and
+   The hot-path contract: a sink of a disabled collection is
+   [null_sink] (capacity 0), so a record call costs one branch and
    allocates nothing — every argument is an immediate int.  Call sites
-   additionally guard clock reads with [enabled]. *)
+   read [enabled] once when built and guard every record on it. *)
+
+type lane = Global | Dispatcher of int | Worker of int | Gc of int
+
+let lane_name = function
+  | Global -> "global"
+  | Dispatcher d -> Printf.sprintf "dispatcher %d" d
+  | Worker w -> Printf.sprintf "worker %d" w
+  | Gc d -> Printf.sprintf "gc domain %d" d
+
+(* Stable Chrome-trace thread ids: global, then dispatchers, then
+   workers, then GC lanes, so Perfetto sorts lanes in pipeline order. *)
+let lane_tid = function
+  | Global -> 0
+  | Dispatcher d -> 1 + d
+  | Worker w -> 100 + w
+  | Gc d -> 200 + d
 
 type phase =
   | Accept
@@ -24,6 +41,14 @@ type phase =
   | Shed
   | Gc_minor
   | Gc_major
+  | Steal
+  | Kill
+  | Mark_dead
+  | Mark_alive
+  | Redispatch
+  | Retry
+  | Drop
+  | Outage
 
 let phase_name = function
   | Accept -> "accept"
@@ -36,18 +61,31 @@ let phase_name = function
   | Shed -> "shed"
   | Gc_minor -> "gc_minor"
   | Gc_major -> "gc_major"
+  | Steal -> "steal"
+  | Kill -> "kill"
+  | Mark_dead -> "mark_dead"
+  | Mark_alive -> "mark_alive"
+  | Redispatch -> "redispatch"
+  | Retry -> "retry"
+  | Drop -> "drop"
+  | Outage -> "outage"
+
+let drop_nic = 0
+let drop_no_worker = 1
+let drop_retries_exhausted = 2
+let drop_retry_budget = 3
 
 type record = {
   req_id : int;
   phase : phase;
-  lane : Event.lane;
+  lane : lane;
   start_ns : int;
   dur_ns : int;
   arg : int;
 }
 
 type sink = {
-  s_lane : Event.lane;
+  s_lane : lane;
   cells : record option Atomic.t array;
   s_capacity : int;
   next : int Atomic.t;  (** records ever written by the owning domain *)
@@ -60,7 +98,7 @@ type t = {
 }
 
 let null_sink =
-  { s_lane = Event.Global; cells = [||]; s_capacity = 0; next = Atomic.make 0 }
+  { s_lane = Global; cells = [||]; s_capacity = 0; next = Atomic.make 0 }
 
 let null = { enabled = false; capacity_per_sink = 0; sinks = Atomic.make [] }
 
@@ -133,48 +171,74 @@ let merge t =
 
 let ts_us ns = Printf.sprintf "%.3f" (float_of_int ns /. 1e3)
 
-let json_of_record buf r =
-  let tid = Event.lane_tid r.lane in
+let json_of_record r =
+  let tid = lane_tid r.lane in
   let args = Printf.sprintf "{\"req\":%d,\"arg\":%d}" r.req_id r.arg in
   if r.dur_ns > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%S,\"args\":%s},\n"
-         tid (ts_us r.start_ns) (ts_us r.dur_ns) (phase_name r.phase) args)
+    Printf.sprintf
+      "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%S,\"args\":%s}"
+      tid (ts_us r.start_ns) (ts_us r.dur_ns) (phase_name r.phase) args
   else
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"name\":%S,\"args\":%s},\n"
-         tid (ts_us r.start_ns) (phase_name r.phase) args)
+    Printf.sprintf
+      "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"name\":%S,\"args\":%s}"
+      tid (ts_us r.start_ns) (phase_name r.phase) args
 
-let records_to_chrome records =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  Buffer.add_string buf
-    "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"tq_serve\"}},\n";
+(* The document goes out piece by piece through [add], so [write_file]
+   streams to its channel rather than holding the whole JSON in memory
+   next to the records. *)
+let emit_chrome ~process add records =
+  let sep = ref "" in
+  let entry s =
+    add !sep;
+    add s;
+    sep := ",\n"
+  in
+  add "{\"traceEvents\":[\n";
+  entry
+    (Printf.sprintf
+       "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":%S}}"
+       process);
   let lanes = Hashtbl.create 16 in
   List.iter
     (fun r ->
-      if not (Hashtbl.mem lanes (Event.lane_tid r.lane)) then
-        Hashtbl.add lanes (Event.lane_tid r.lane) r.lane)
+      if not (Hashtbl.mem lanes (lane_tid r.lane)) then
+        Hashtbl.add lanes (lane_tid r.lane) r.lane)
     records;
   Hashtbl.fold (fun tid lane acc -> (tid, lane) :: acc) lanes []
   |> List.sort compare
   |> List.iter (fun (tid, lane) ->
-         Buffer.add_string buf
+         entry
            (Printf.sprintf
-              "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%S}},\n"
-              tid (Event.lane_name lane)));
-  List.iter (fun r -> json_of_record buf r) records;
-  (* Drop the trailing ",\n" of the last entry. *)
-  Buffer.truncate buf (Buffer.length buf - 2);
-  Buffer.add_string buf "\n]}\n";
+              "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%S}}"
+              tid (lane_name lane)));
+  List.iter (fun r -> entry (json_of_record r)) records;
+  add "\n]}\n"
+
+let records_to_chrome ~process records =
+  let buf = Buffer.create 4096 in
+  emit_chrome ~process (Buffer.add_string buf) records;
   Buffer.contents buf
 
-let to_chrome t = records_to_chrome (merge t)
+let to_chrome ~process t = records_to_chrome ~process (merge t)
 
-let write_file t path =
+let write_file ~process t path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_chrome t))
+    (fun () -> emit_chrome ~process (output_string oc) (merge t))
+
+let to_text ?limit t =
+  let records = merge t in
+  let kept = List.length records in
+  let skip = match limit with Some l when l < kept -> kept - l | _ -> 0 in
+  let buf = Buffer.create 1024 in
+  Printf.bprintf buf "spans: %d recorded, %d in buffer (%d overwritten)\n" (total t) kept
+    (dropped t);
+  if skip > 0 then Printf.bprintf buf "... %d earlier spans elided\n" skip;
+  List.iteri
+    (fun i r ->
+      if i >= skip then
+        Printf.bprintf buf "%12d ns  %-14s %-11s req=%d dur_ns=%d arg=%d\n" r.start_ns
+          (lane_name r.lane) (phase_name r.phase) r.req_id r.dur_ns r.arg)
+    records;
+  Buffer.contents buf

@@ -262,7 +262,7 @@ let dossiers t ~records ~limit =
         (fun (r : Span.record) ->
           match r.Span.phase with
           | Span.Quantum when r.Span.req_id = e.e_seq -> incr quanta
-          | Span.Stall when r.Span.lane = Event.Worker e.e_worker && overlaps r ->
+          | Span.Stall when r.Span.lane = Span.Worker e.e_worker && overlaps r ->
               incr stalls
           | (Span.Gc_minor | Span.Gc_major) when overlaps r ->
               incr gc_pauses;
@@ -410,4 +410,4 @@ let filter_records t records =
         | _ -> false)
     records
 
-let to_chrome t records = Span.records_to_chrome (filter_records t records)
+let to_chrome t records = Span.records_to_chrome ~process:"tq_serve" (filter_records t records)

@@ -1,11 +1,10 @@
-(* Bounded work-stealing pool over OCaml 5 Domains.
+(* Bounded task pool over OCaml 5 Domains.
 
-   Tasks are pre-sharded round-robin into per-worker queues; each queue
-   is an immutable slice of task indices with an atomic cursor, so both
-   the owner and thieves claim work with one fetch-and-add and no locks.
-   A worker drains its own shard first (cache-friendly, zero contention
-   in the balanced case) and only then steals from the other shards,
-   which bounds total claims at exactly [n] tasks.
+   Every worker claims the next task index from one shared atomic
+   cursor (one fetch-and-add, no locks) until the cursor passes the
+   last task, which bounds total claims at exactly [n] tasks.  Tasks are
+   coarse — a figure point takes milliseconds to seconds — so the
+   shared cursor is never the bottleneck and there is nothing to steal.
 
    Determinism: every task writes its result into its own slot of the
    output array, and the merge is by task index — scheduling decides
@@ -17,36 +16,19 @@ type stats = {
   jobs : int;
   per_domain_tasks : int array;
   per_domain_busy_ns : int array;
-  steals : int;
   wall_ns : int;
 }
 
-let default_jobs () =
-  match Sys.getenv_opt "TQ_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
-
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
-(* One shard: a fixed slice of task indices plus the claim cursor. *)
-type shard = { indices : int array; cursor : int Atomic.t }
-
-let claim shard =
-  let i = Atomic.fetch_and_add shard.cursor 1 in
-  if i < Array.length shard.indices then Some shard.indices.(i) else None
 
 let run ?jobs (tasks : (unit -> 'a) array) =
   let n = Array.length tasks in
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let jobs = max 1 (min jobs (max 1 n)) in
+  let jobs = match jobs with Some j -> j | None -> Domain.recommended_domain_count () in
+  let jobs = max 1 (min jobs n) in
   let started = now_ns () in
   let results : ('a, exn) result option array = Array.make n None in
   let per_domain_tasks = Array.make jobs 0 in
   let per_domain_busy_ns = Array.make jobs 0 in
-  let steals = Atomic.make 0 in
   let run_task w idx =
     let t0 = now_ns () in
     (results.(idx) <-
@@ -56,38 +38,13 @@ let run ?jobs (tasks : (unit -> 'a) array) =
   in
   if jobs = 1 then Array.iteri (fun idx _ -> run_task 0 idx) tasks
   else begin
-    let shards =
-      Array.init jobs (fun w ->
-          let mine = ref [] in
-          for idx = n - 1 downto 0 do
-            if idx mod jobs = w then mine := idx :: !mine
-          done;
-          { indices = Array.of_list !mine; cursor = Atomic.make 0 })
-    in
-    let worker w =
-      let rec drain_own () =
-        match claim shards.(w) with
-        | Some idx ->
-            run_task w idx;
-            drain_own ()
-        | None -> ()
-      in
-      drain_own ();
-      (* Own shard exhausted: steal a task at a time from the others,
-         rescanning until every shard is dry. *)
-      let rec steal_round () =
-        let stole = ref false in
-        for off = 1 to jobs - 1 do
-          match claim shards.((w + off) mod jobs) with
-          | Some idx ->
-              Atomic.incr steals;
-              run_task w idx;
-              stole := true
-          | None -> ()
-        done;
-        if !stole then steal_round ()
-      in
-      steal_round ()
+    let cursor = Atomic.make 0 in
+    let rec worker w =
+      let idx = Atomic.fetch_and_add cursor 1 in
+      if idx < n then begin
+        run_task w idx;
+        worker w
+      end
     in
     let domains =
       Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
@@ -102,14 +59,7 @@ let run ?jobs (tasks : (unit -> 'a) array) =
         | Some (Error e) -> raise e
         | None -> assert false (* every index claimed exactly once *))
   in
-  ( out,
-    {
-      jobs;
-      per_domain_tasks;
-      per_domain_busy_ns;
-      steals = Atomic.get steals;
-      wall_ns = now_ns () - started;
-    } )
+  (out, { jobs; per_domain_tasks; per_domain_busy_ns; wall_ns = now_ns () - started })
 
 let map ?jobs f arr =
   fst (run ?jobs (Array.map (fun x () -> f x) arr))

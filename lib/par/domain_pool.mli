@@ -1,11 +1,11 @@
-(** Bounded work-stealing task pool over OCaml 5 Domains.
+(** Bounded task pool over OCaml 5 Domains.
 
-    The pool shards a task array round-robin into one bounded queue per
-    worker domain; a worker drains its own queue first and then steals
-    single tasks from the others through lock-free atomic cursors.
-    Results land in an output array indexed by task position, so the
-    merged output is identical no matter which domain ran which task or
-    in what order they finished. *)
+    Worker domains claim task indices from one shared atomic cursor
+    until it passes the last task; tasks are coarse (milliseconds to
+    seconds), so one [fetch_and_add] per task is all the scheduling
+    they need.  Results land in an output array indexed by task
+    position, so the merged output is identical no matter which domain
+    ran which task or in what order they finished. *)
 
 (** Execution report of one {!run}: how the work spread over domains. *)
 type stats = {
@@ -15,22 +15,17 @@ type stats = {
       (** wall-clock nanoseconds each domain spent inside task bodies —
           the utilization numerator; divide by [wall_ns] for a
           per-domain busy fraction *)
-  steals : int;  (** tasks claimed from another domain's queue *)
   wall_ns : int;  (** end-to-end wall-clock time of the pool run *)
 }
 
-(** [default_jobs ()] is the [TQ_JOBS] environment variable when it
-    parses as a positive integer, otherwise
-    [Domain.recommended_domain_count ()]. *)
-val default_jobs : unit -> int
-
 (** [run ?jobs tasks] executes every task and returns their results in
     task order plus the execution {!stats}.  [jobs] defaults to
-    {!default_jobs} and is clamped to [[1, Array.length tasks]];
-    [jobs = 1] runs inline on the calling domain with no Domain spawned.
-    Tasks must be thread-safe (no shared mutable state) and must not
-    print.  If a task raises, the first such exception (in task order)
-    is re-raised after all tasks have been joined. *)
+    [Domain.recommended_domain_count ()] and is clamped to
+    [[1, Array.length tasks]]; [jobs = 1] runs inline on the calling
+    domain with no Domain spawned.  Tasks must be thread-safe (no
+    shared mutable state) and must not print.  If a task raises, the
+    first such exception (in task order) is re-raised after all tasks
+    have been joined. *)
 val run : ?jobs:int -> (unit -> 'a) array -> 'a array * stats
 
 (** [map ?jobs f arr] is [run] over [f] applied to each element,

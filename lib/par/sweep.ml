@@ -38,7 +38,6 @@ let publish_obs obs (s : stats) =
       let c = o.Tq_obs.Obs.counters in
       Tq_obs.Counters.add (Tq_obs.Counters.counter c "par.cache.hits") s.cache_hits;
       Tq_obs.Counters.add (Tq_obs.Counters.counter c "par.cache.misses") s.cache_misses;
-      Tq_obs.Counters.add (Tq_obs.Counters.counter c "par.steals") s.pool.steals;
       Array.iteri
         (fun i tasks ->
           Tq_obs.Counters.add
@@ -120,7 +119,7 @@ let summary (s : stats) =
     |> String.concat " "
   in
   Printf.sprintf
-    "jobs=%d wall=%.1fs cache %d hit / %d miss, %d steals, domain utilization: %s"
+    "jobs=%d wall=%.1fs cache %d hit / %d miss, domain utilization: %s"
     s.pool.jobs
     (float_of_int s.pool.wall_ns /. 1e9)
-    s.cache_hits s.cache_misses s.pool.steals util
+    s.cache_hits s.cache_misses util

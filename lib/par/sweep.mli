@@ -66,5 +66,5 @@ val grid :
   'b array * Domain_pool.stats
 
 (** [summary stats] — one human-readable line: jobs, wall time, cache
-    hits/misses, steals and per-domain utilization. *)
+    hits/misses and per-domain utilization. *)
 val summary : stats -> string

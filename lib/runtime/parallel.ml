@@ -1,6 +1,5 @@
 module Span = Tq_obs.Span
 module Counters = Tq_obs.Counters
-module Event = Tq_obs.Event
 
 type stats = { completed : int; yields : int; per_worker_finished : int array }
 
@@ -37,7 +36,7 @@ let worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta
     | Some r -> Tq_obs.Obs.of_counters r
     | None -> Tq_obs.Obs.disabled ()
   in
-  let sink = Span.register spans (Event.Worker wid) in
+  let sink = Span.register spans (Span.Worker wid) in
   let spans_on = Span.enabled spans in
   let creg = obs.Tq_obs.Obs.counters in
   let c_stalls = Counters.counter creg "runtime.stalls" in

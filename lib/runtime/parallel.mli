@@ -109,7 +109,7 @@ val alive_in : t -> workers:int array -> int
     [worker]'s inject ring; [false] when the ring is full (shed or
     retry — nothing was enqueued).  The job runs on [worker] and
     receives its id ([job ~wid]).  [tag] labels the job in
-    worker-side observability (span [req_id], trace job id); the server
+    worker-side observability (span [req_id]); the server
     passes its request id so worker quanta stitch to dispatcher spans.
     Untagged jobs get a pool-unique id.  [class_idx] (default 0)
     selects the job's quantum class for {!set_quantum} overrides.

@@ -1,6 +1,4 @@
 module Deque = Tq_util.Ring_deque
-module Trace = Tq_obs.Trace
-module Event = Tq_obs.Event
 module Counters = Tq_obs.Counters
 
 type task = {
@@ -12,7 +10,6 @@ type task = {
 type running = {
   task : task;
   fiber : unit Fiber.t;
-  arrival_ns : int;
   mutable quanta : int;
 }
 
@@ -25,8 +22,6 @@ type t = {
   on_quantum :
     (task_id:int -> start_ns:int -> end_ns:int -> finished:bool -> unit) option;
   class_quantum : (class_idx:int -> int) option;
-  trace : Trace.t;
-  lane : Event.lane;
   c_quanta : Counters.counter;
   c_yields : Counters.counter;
   c_completions : Counters.counter;
@@ -51,8 +46,6 @@ let create ?(obs = Tq_obs.Obs.disabled ()) ?(wid = 0) ?(track_probes = false)
     on_finish;
     on_quantum;
     class_quantum;
-    trace = obs.Tq_obs.Obs.trace;
-    lane = Event.Worker wid;
     c_quanta = Counters.counter reg "runtime.quanta";
     c_yields = Counters.counter reg "runtime.yields";
     c_completions = Counters.counter reg "runtime.completions";
@@ -69,7 +62,6 @@ let submit t task =
     {
       task;
       fiber = Fiber.create (fun () -> task.work ~wid:t.wid);
-      arrival_ns = Clock.now_ns t.clock;
       quanta = 0;
     }
 
@@ -84,10 +76,6 @@ let run_slice t =
     Probe_api.install t.ctx;
     Probe_api.start_quantum t.ctx;
     let start_ns = Clock.now_ns t.clock in
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:start_ns ~lane:t.lane
-        (Event.Quantum_start
-           { job_id = running.task.task_id; quantum_ns = Probe_api.quantum_ns t.ctx });
     let status = Fun.protect ~finally:Probe_api.uninstall (fun () -> Fiber.resume running.fiber) in
     running.quanta <- running.quanta + 1;
     t.current_quanta <- t.current_quanta + 1;
@@ -101,25 +89,14 @@ let run_slice t =
     if not finished then
       Counters.observe t.d_overshoot
         (Int.max 0 (ran_ns - Probe_api.quantum_ns t.ctx));
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:end_ns ~lane:t.lane
-        (Event.Quantum_end
-           { job_id = running.task.task_id; ran_ns; finished });
     (match status with
     | Fiber.Yielded ->
         Counters.incr t.c_yields;
-        if Trace.enabled t.trace then
-          Trace.record t.trace ~ts_ns:end_ns ~lane:t.lane
-            (Event.Yield { job_id = running.task.task_id });
         Deque.push_back t.queue running
     | Fiber.Done () ->
         t.current_quanta <- t.current_quanta - running.quanta;
         t.finished <- t.finished + 1;
         Counters.incr t.c_completions;
-        if Trace.enabled t.trace then
-          Trace.record t.trace ~ts_ns:end_ns ~lane:t.lane
-            (Event.Completion
-               { job_id = running.task.task_id; sojourn_ns = end_ns - running.arrival_ns });
         t.on_finish running.task);
     (match t.on_quantum with
     | None -> ()

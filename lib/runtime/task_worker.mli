@@ -17,12 +17,11 @@ type task = {
 
 type t
 
-(** [obs] supplies the event tracer (quantum start/end, yields,
-    completions on lane [Worker wid]) and counter registry; the default
-    is disabled tracing.  [wid] is also what each task's [work ~wid]
-    receives when it runs here.  Always-on profiling dists land in the
-    registry: [runtime.quantum_len_ns] (wall length of every executed
-    slice) and [runtime.overshoot_ns] (how far a forced yield ran past
+(** [obs] supplies the counter registry (the default is a throwaway
+    one); spans are the [on_quantum] hook's business.  [wid] is also
+    what each task's [work ~wid] receives when it runs here.  Always-on
+    profiling dists land in the registry: [runtime.quantum_len_ns]
+    (wall length of every executed slice) and [runtime.overshoot_ns] (how far a forced yield ran past
     its quantum — the probe-granularity tax).  [track_probes]
     additionally registers [runtime.probe_gap_ns] and arms probe-cadence
     tracking on the worker's context ({!Probe_api.set_cadence}).

@@ -4,8 +4,7 @@ module Deque = Tq_util.Ring_deque
 module Prng = Tq_util.Prng
 module Metrics = Tq_workload.Metrics
 module Arrivals = Tq_workload.Arrivals
-module Trace = Tq_obs.Trace
-module Event = Tq_obs.Event
+module Span = Tq_obs.Span
 module Counters = Tq_obs.Counters
 
 type mode = Iokernel | Directpath
@@ -46,7 +45,9 @@ type t = {
   hand_off_thieves : Worker.t Deque.t;
   mutable handed_off : Sim.action;
   metrics : Metrics.t;
-  trace : Trace.t;
+  spans_on : bool;
+  g_sink : Span.sink;  (** arrivals and RSS steering *)
+  d_sink : Span.sink;  (** the IOKernel core, for its outages *)
   c_arrivals : Counters.counter;
   c_dispatches : Counters.counter;
   c_steals : Counters.counter;
@@ -64,10 +65,9 @@ let try_steal t (thief : Worker.t) =
     let job = Worker.steal victim in
     t.steals <- t.steals + 1;
     Counters.incr t.c_steals;
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:(Sim.now t.sim)
-        ~lane:(Event.Worker (Worker.wid thief))
-        (Event.Steal { job_id = job.Job.id; victim = Worker.wid victim });
+    if t.spans_on then
+      Span.record (Worker.sink thief) ~req_id:job.Job.id ~phase:Span.Steal
+        ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:(Worker.wid victim);
     Worker.note_assigned thief;
     Deque.push_back t.hand_off_jobs job;
     Deque.push_back t.hand_off_thieves thief;
@@ -91,15 +91,14 @@ let deliver t (req : Arrivals.request) =
   in
   let worker = t.workers.(widx) in
   Counters.incr t.c_dispatches;
-  if Trace.enabled t.trace then
-    Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:Event.Global
-      (Event.Dispatch
-         {
-           job_id = req.req_id;
-           worker = widx;
-           policy = (if t.config.rss_flows = None then "rss-random" else "rss-hash");
-           queue_len = Worker.queue_length worker;
-         });
+  if t.spans_on then begin
+    (* The span covers the IOKernel op that steered the request. *)
+    let cost =
+      match t.config.mode with Iokernel -> t.config.iokernel_op_ns | Directpath -> 0
+    in
+    Span.record t.g_sink ~req_id:req.req_id ~phase:Span.Dispatch
+      ~start_ns:(Sim.now t.sim - cost) ~dur_ns:cost ~arg:widx
+  end;
   Worker.note_assigned worker;
   let job = Job.of_request ~probe_overhead_frac:0.0 req in
   (match t.config.mode with
@@ -137,7 +136,9 @@ let create sim ~rng ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
       hand_off_thieves = Deque.create ();
       handed_off = Sim.no_action;
       metrics;
-      trace = obs.Tq_obs.Obs.trace;
+      spans_on = Span.enabled obs.Tq_obs.Obs.spans;
+      g_sink = Span.register obs.Tq_obs.Obs.spans Span.Global;
+      d_sink = Span.register obs.Tq_obs.Obs.spans (Span.Dispatcher 0);
       c_arrivals = Counters.counter reg "dispatch.arrivals";
       c_dispatches = Counters.counter reg "dispatch.decisions";
       c_steals = Counters.counter reg "sched.steals";
@@ -158,14 +159,9 @@ let create sim ~rng ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
 
 let submit t req =
   Counters.incr t.c_arrivals;
-  if Trace.enabled t.trace then
-    Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:Event.Global
-      (Event.Job_arrival
-         {
-           job_id = req.Arrivals.req_id;
-           class_idx = req.Arrivals.class_idx;
-           service_ns = req.Arrivals.service_ns;
-         });
+  if t.spans_on then
+    Span.record t.g_sink ~req_id:req.Arrivals.req_id ~phase:Span.Parse
+      ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:req.Arrivals.class_idx;
   match t.config.mode with
   | Directpath -> deliver t req
   | Iokernel ->
@@ -195,9 +191,9 @@ let lost_jobs t =
   Array.fold_left (fun acc w -> acc + Worker.lost_jobs w) 0 t.workers
 
 let inject_iokernel_outage t ~duration_ns =
-  if Trace.enabled t.trace then
-    Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Dispatcher 0)
-      (Event.Dispatcher_outage { dispatcher = 0; duration_ns });
+  if t.spans_on then
+    Span.record t.d_sink ~req_id:(-1) ~phase:Span.Outage ~start_ns:(Sim.now t.sim)
+      ~dur_ns:duration_ns ~arg:0;
   (* Meaningful in [Iokernel] mode only: directpath has no central
      forwarding core to blind, so the occupy sits on an unused server. *)
   Busy_server.occupy t.iokernel ~cost:duration_ns

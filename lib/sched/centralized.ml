@@ -3,8 +3,7 @@ module Busy_server = Tq_engine.Busy_server
 module Deque = Tq_util.Ring_deque
 module Metrics = Tq_workload.Metrics
 module Arrivals = Tq_workload.Arrivals
-module Trace = Tq_obs.Trace
-module Event = Tq_obs.Event
+module Span = Tq_obs.Span
 module Counters = Tq_obs.Counters
 
 type config = {
@@ -83,7 +82,9 @@ type t = {
   mutable lost : int;
   on_complete : Job.t -> unit;
   on_lost : Job.t -> unit;
-  trace : Trace.t;
+  spans_on : bool;
+  d_sink : Span.sink;
+  w_sinks : Span.sink array;  (** one per worker lane *)
   c_arrivals : Counters.counter;
   c_assigns : Counters.counter;
   c_quanta : Counters.counter;
@@ -114,18 +115,18 @@ let set_dead t wid =
   t.dead_w.(wid) <- true;
   refresh_open t wid
 
-(* An assignment op left the dispatcher core: the decision is made. *)
+(* The dispatcher-core cost of one assignment op. *)
+let assign_cost t = t.config.sched_op_ns + (t.config.sched_scan_per_core_ns * t.config.cores)
+
+(* An assignment op left the dispatcher core: the decision is made.  Its
+   span covers the op. *)
 let note_assign t ~(job : Job.t) ~wid =
   Counters.incr t.c_assigns;
-  if Trace.enabled t.trace then
-    Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Dispatcher 0)
-      (Event.Dispatch
-         {
-           job_id = job.Job.id;
-           worker = wid;
-           policy = "centralized";
-           queue_len = Deque.length t.queue;
-         })
+  if t.spans_on then begin
+    let cost = assign_cost t in
+    Span.record t.d_sink ~req_id:job.Job.id ~phase:Span.Dispatch
+      ~start_ns:(Sim.now t.sim - cost) ~dur_ns:cost ~arg:wid
+  end
 
 (* The worker the next assignment goes to: the first open idle one,
    else the first open busy one; -1 if none.  It runs on every kick, so
@@ -173,9 +174,8 @@ let rec kick t =
 (* Sends [job] through the dispatcher core towards worker [wid]. *)
 and assign t ~job ~wid =
   set_inflight t wid true;
-  let cost = t.config.sched_op_ns + (t.config.sched_scan_per_core_ns * t.config.cores) in
   Deque.push_back t.assigns job;
-  Busy_server.submit t.dispatcher ~cost wid
+  Busy_server.submit t.dispatcher ~cost:(assign_cost t) wid
 
 (* An op left the dispatcher core. *)
 and served t op =
@@ -220,9 +220,6 @@ and start_slice t ~job ~wid =
   let overhead = if finishes then 0 else t.config.preempt_ns in
   t.slice_sum <- t.slice_sum + slice;
   t.slice_count <- t.slice_count + 1;
-  if Trace.enabled t.trace then
-    Trace.record t.trace ~ts_ns:now ~lane:(Event.Worker wid)
-      (Event.Quantum_start { job_id = job.Job.id; quantum_ns = slice });
   t.slice_job.(wid) <- job;
   t.slice_ns.(wid) <- slice;
   t.slice_overhead.(wid) <- overhead;
@@ -244,24 +241,23 @@ and end_slice t ~wid =
     job.serviced_quanta <- job.serviced_quanta + 1;
     Counters.incr t.c_quanta;
     let end_ns = Sim.now t.sim in
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:end_ns ~lane:(Event.Worker wid)
-        (Event.Quantum_end
-           { job_id = job.Job.id; ran_ns = slice + t.slice_overhead.(wid); finished = finishes });
+    if t.spans_on then begin
+      let ran = slice + t.slice_overhead.(wid) in
+      Span.record t.w_sinks.(wid) ~req_id:job.Job.id ~phase:Span.Quantum
+        ~start_ns:(end_ns - ran) ~dur_ns:ran
+        ~arg:(if finishes then 1 else 0)
+    end;
     if finishes then begin
       Counters.incr t.c_completions;
-      if Trace.enabled t.trace then
-        Trace.record t.trace ~ts_ns:end_ns ~lane:(Event.Worker wid)
-          (Event.Completion { job_id = job.Job.id; sojourn_ns = end_ns - job.arrival_ns });
+      if t.spans_on then
+        Span.record t.w_sinks.(wid) ~req_id:job.Job.id ~phase:Span.Reply_flush
+          ~start_ns:end_ns ~dur_ns:0 ~arg:job.class_idx;
       Metrics.record t.metrics ~class_idx:job.class_idx ~arrival_ns:job.arrival_ns
         ~finish_ns:(Sim.now t.sim) ~service_ns:job.service_ns;
       t.on_complete job
     end
     else begin
       Counters.incr t.c_preemptions;
-      if Trace.enabled t.trace then
-        Trace.record t.trace ~ts_ns:end_ns ~lane:(Event.Worker wid)
-          (Event.Yield { job_id = job.Job.id });
       Deque.push_back t.queue job
     end;
     t.last_end.(wid) <- Sim.now t.sim;
@@ -289,9 +285,9 @@ and after_slice t ~wid =
     t.stall_pending.(wid) <- 0;
     t.busy.(wid) <- true;
     t.in_stall.(wid) <- true;
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Worker wid)
-        (Event.Stall_start { worker = wid; duration_ns = d });
+    if t.spans_on then
+      Span.record t.w_sinks.(wid) ~req_id:(-1) ~phase:Span.Stall ~start_ns:(Sim.now t.sim)
+        ~dur_ns:d ~arg:wid;
     Sim.post t.sim ~delay:d t.core_done.(wid)
   end
   else begin
@@ -317,9 +313,6 @@ and after_slice t ~wid =
 and end_stall t ~wid =
   t.in_stall.(wid) <- false;
   t.busy.(wid) <- false;
-  if Trace.enabled t.trace then
-    Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Worker wid)
-      (Event.Stall_end { worker = wid });
   after_slice t ~wid
 
 let create sim ~rng:_ ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
@@ -356,7 +349,10 @@ let create sim ~rng:_ ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
       lost = 0;
       on_complete;
       on_lost;
-      trace = obs.Tq_obs.Obs.trace;
+      spans_on = Span.enabled obs.Tq_obs.Obs.spans;
+      d_sink = Span.register obs.Tq_obs.Obs.spans (Span.Dispatcher 0);
+      w_sinks =
+        Array.init cores (fun wid -> Span.register obs.Tq_obs.Obs.spans (Span.Worker wid));
       c_arrivals = Counters.counter reg "dispatch.arrivals";
       c_assigns = Counters.counter reg "dispatch.decisions";
       c_quanta = Counters.counter reg "worker.quanta";
@@ -378,14 +374,9 @@ let create sim ~rng:_ ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
 
 let submit t req =
   Counters.incr t.c_arrivals;
-  if Trace.enabled t.trace then
-    Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Dispatcher 0)
-      (Event.Job_arrival
-         {
-           job_id = req.Arrivals.req_id;
-           class_idx = req.Arrivals.class_idx;
-           service_ns = req.Arrivals.service_ns;
-         });
+  if t.spans_on then
+    Span.record t.d_sink ~req_id:req.Arrivals.req_id ~phase:Span.Parse
+      ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:req.Arrivals.class_idx;
   Deque.push_back t.admits req;
   Busy_server.submit t.dispatcher ~cost:t.config.net_op_ns admit_op
 
@@ -409,9 +400,9 @@ let kill_worker t ~wid =
   if not t.dead_w.(wid) then begin
     set_dead t wid;
     t.stall_pending.(wid) <- 0;
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Worker wid)
-        (Event.Worker_killed { worker = wid });
+    if t.spans_on then
+      Span.record t.w_sinks.(wid) ~req_id:(-1) ~phase:Span.Kill ~start_ns:(Sim.now t.sim)
+        ~dur_ns:0 ~arg:wid;
     (* A busy core's in-flight slice (or stall) closure observes the
        death and rescues; an idle core only needs its mailbox cleared. *)
     if not t.busy.(wid) then rescue_pending t ~wid
@@ -428,9 +419,9 @@ let set_quantum t ?class_idx:_ ~quantum_ns () =
   | Some _ -> t.config <- { t.config with quantum_ns = Some quantum_ns }
 
 let inject_dispatcher_outage t ~duration_ns =
-  if Trace.enabled t.trace then
-    Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Dispatcher 0)
-      (Event.Dispatcher_outage { dispatcher = 0; duration_ns });
+  if t.spans_on then
+    Span.record t.d_sink ~req_id:(-1) ~phase:Span.Outage ~start_ns:(Sim.now t.sim)
+      ~dur_ns:duration_ns ~arg:0;
   Busy_server.occupy t.dispatcher ~cost:duration_ns
 
 let mean_sched_gap_ns t =

@@ -2,13 +2,6 @@ module Prng = Tq_util.Prng
 
 type t = Jsq_msq | Jsq_random | Random | Power_of_two | Round_robin
 
-let to_string = function
-  | Jsq_msq -> "jsq-msq"
-  | Jsq_random -> "jsq-random"
-  | Random -> "random"
-  | Power_of_two -> "power-of-two"
-  | Round_robin -> "round-robin"
-
 type chooser = { policy : t; rng : Prng.t; mutable cursor : int }
 
 let make_chooser policy ~rng = { policy; rng; cursor = 0 }

@@ -13,8 +13,6 @@ type t =
   | Power_of_two  (** best of two random cores (TQ-POWER-TWO) *)
   | Round_robin  (** cyclic assignment *)
 
-val to_string : t -> string
-
 (** Mutable chooser state (round-robin cursor). *)
 type chooser
 

@@ -28,7 +28,7 @@ type result = {
 
 (** [run ~seed ~system ~workload ~rate_rps ~duration_ns ()] runs one
     experiment; warm-up is the first 10% of [duration_ns].  Passing
-    [?obs] threads its tracer and counter registry through the system
+    [?obs] threads its spans and counter registry through the system
     and installs the fixed-interval time-series sampler. *)
 val run :
   ?seed:int64 ->

@@ -4,8 +4,7 @@ module Deque = Tq_util.Ring_deque
 module Prng = Tq_util.Prng
 module Metrics = Tq_workload.Metrics
 module Arrivals = Tq_workload.Arrivals
-module Trace = Tq_obs.Trace
-module Event = Tq_obs.Event
+module Span = Tq_obs.Span
 module Counters = Tq_obs.Counters
 
 type config = {
@@ -57,8 +56,8 @@ type t = {
   workers : Worker.t array;
   dispatchers : dispatcher array;
   metrics : Metrics.t;
-  trace : Trace.t;
-  policy_name : string;
+  spans_on : bool;
+  d_sinks : Span.sink array;  (** one per dispatcher lane *)
   c_arrivals : Counters.counter;
   c_dispatches : Counters.counter;
   c_ring_hops : Counters.counter;
@@ -127,10 +126,9 @@ let try_steal t ~thief_wid =
       List.iter
         (fun (job : Job.t) ->
           Worker.note_assigned thief;
-          if Trace.enabled t.trace then
-            Trace.record t.trace ~ts_ns:(Sim.now t.sim)
-              ~lane:(Event.Worker thief_wid)
-              (Event.Steal { job_id = job.Job.id; victim = !best }))
+          if t.spans_on then
+            Span.record (Worker.sink thief) ~req_id:job.Job.id ~phase:Span.Steal
+              ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:!best)
         jobs;
       ignore
         (Sim.schedule_after t.sim ~delay:t.config.overheads.ring_hop_ns (fun () ->
@@ -160,9 +158,9 @@ and hop t =
   let job = Deque.pop_front t.hop_jobs and widx = Deque.pop_front t.hop_workers in
   t.acct.on_ring <- t.acct.on_ring - 1;
   Counters.incr t.c_ring_hops;
-  if Trace.enabled t.trace then
-    Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Worker widx)
-      (Event.Ring_hop { job_id = job.Job.id; worker = widx });
+  if t.spans_on then
+    Span.record (Worker.sink t.workers.(widx)) ~req_id:job.Job.id ~phase:Span.Ring_hop
+      ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:widx;
   if t.marked_alive.(widx) then begin
     Worker.enqueue t.workers.(widx) job;
     (* Deliver-time steal trigger: if the placement left a queue
@@ -191,21 +189,22 @@ and hop t =
     redispatch t ~from:widx job
   end
 
+(* Rescue spans sit on the lane of the core the job is rescued from. *)
 and redispatch t ~from job =
   let d = t.dispatchers.(job.Job.id mod Array.length t.dispatchers) in
   let widx = pick_worker t d in
   if widx < 0 then begin
     t.acct.dropped_no_worker <- t.acct.dropped_no_worker + 1;
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:Event.Global
-        (Event.Drop { job_id = job.Job.id; reason = "no-worker" })
+    if t.spans_on then
+      Span.record (Worker.sink t.workers.(from)) ~req_id:job.Job.id ~phase:Span.Drop
+        ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:Span.drop_no_worker
   end
   else begin
     t.acct.redispatches <- t.acct.redispatches + 1;
     Counters.incr t.c_redispatches;
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:Event.Global
-        (Event.Redispatch { job_id = job.Job.id; from_worker = from; to_worker = widx });
+    if t.spans_on then
+      Span.record (Worker.sink t.workers.(from)) ~req_id:job.Job.id ~phase:Span.Redispatch
+        ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:widx;
     Worker.note_assigned t.workers.(widx);
     send_over_ring t job widx
   end
@@ -217,22 +216,19 @@ let dispatched t d_idx (req : Arrivals.request) =
   let widx = pick_worker t d in
   if widx < 0 then begin
     t.acct.dropped_no_worker <- t.acct.dropped_no_worker + 1;
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Dispatcher d_idx)
-        (Event.Drop { job_id = req.req_id; reason = "no-worker" })
+    if t.spans_on then
+      Span.record t.d_sinks.(d_idx) ~req_id:req.req_id ~phase:Span.Drop
+        ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:Span.drop_no_worker
   end
   else begin
     let worker = t.workers.(widx) in
     Counters.incr t.c_dispatches;
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Dispatcher d_idx)
-        (Event.Dispatch
-           {
-             job_id = req.req_id;
-             worker = widx;
-             policy = t.policy_name;
-             queue_len = Worker.queue_length worker;
-           });
+    if t.spans_on then begin
+      (* The span covers the dispatcher op that ends in this decision. *)
+      let cost = t.config.overheads.dispatch_ns in
+      Span.record t.d_sinks.(d_idx) ~req_id:req.req_id ~phase:Span.Dispatch
+        ~start_ns:(Sim.now t.sim - cost) ~dur_ns:cost ~arg:widx
+    end;
     Worker.note_assigned worker;
     let job =
       Job.of_request ~probe_overhead_frac:t.config.overheads.probe_overhead_frac req
@@ -308,8 +304,10 @@ let create sim ~rng ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
       workers;
       dispatchers;
       metrics;
-      trace = obs.Tq_obs.Obs.trace;
-      policy_name = Dispatch_policy.to_string config.dispatch_policy;
+      spans_on = Span.enabled obs.Tq_obs.Obs.spans;
+      d_sinks =
+        Array.init config.dispatchers (fun d ->
+            Span.register obs.Tq_obs.Obs.spans (Span.Dispatcher d));
       c_arrivals = Counters.counter reg "dispatch.arrivals";
       c_dispatches = Counters.counter reg "dispatch.decisions";
       c_ring_hops = Counters.counter reg "dispatch.ring_hops";
@@ -339,24 +337,18 @@ let submit t req =
      the shared (worker-maintained) counters. *)
   let d_idx = req.Arrivals.req_id mod Array.length t.dispatchers in
   let d = t.dispatchers.(d_idx) in
-  let lane = Event.Dispatcher d_idx in
   Counters.incr t.c_arrivals;
-  if Trace.enabled t.trace then
-    Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane
-      (Event.Job_arrival
-         {
-           job_id = req.Arrivals.req_id;
-           class_idx = req.Arrivals.class_idx;
-           service_ns = req.Arrivals.service_ns;
-         });
+  if t.spans_on then
+    Span.record t.d_sinks.(d_idx) ~req_id:req.Arrivals.req_id ~phase:Span.Parse
+      ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:req.Arrivals.class_idx;
   if not (Admission.admit t.admission ~in_system:(in_system t)) then begin
     (* Shed before any dispatch cost is paid — overload protection is
        only protection if saying no is cheap. *)
     t.acct.rejected <- t.acct.rejected + 1;
     Metrics.record_rejection t.metrics;
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane
-        (Event.Drop { job_id = req.Arrivals.req_id; reason = "admission" });
+    if t.spans_on then
+      Span.record t.d_sinks.(d_idx) ~req_id:req.Arrivals.req_id ~phase:Span.Shed
+        ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:req.Arrivals.class_idx;
     t.on_reject req
   end
   else begin
@@ -379,9 +371,9 @@ let mark_worker_dead t ~wid =
   if t.marked_alive.(wid) then begin
     t.marked_alive.(wid) <- false;
     t.dead_count <- t.dead_count + 1;
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Worker wid)
-        (Event.Worker_marked_dead { worker = wid });
+    if t.spans_on then
+      Span.record (Worker.sink t.workers.(wid)) ~req_id:(-1) ~phase:Span.Mark_dead
+        ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:wid;
     (* Rescue queued-but-unstarted jobs; anything mid-slice stays with
        the core (a merely-stalled core will still finish it). *)
     List.iter (fun job -> redispatch t ~from:wid job) (Worker.drain t.workers.(wid))
@@ -391,9 +383,9 @@ let mark_worker_alive t ~wid =
   if not t.marked_alive.(wid) then begin
     t.marked_alive.(wid) <- true;
     t.dead_count <- t.dead_count - 1;
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Worker wid)
-        (Event.Worker_marked_alive { worker = wid })
+    if t.spans_on then
+      Span.record (Worker.sink t.workers.(wid)) ~req_id:(-1) ~phase:Span.Mark_alive
+        ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:wid
   end
 
 let worker_marked_alive t ~wid = t.marked_alive.(wid)
@@ -424,9 +416,9 @@ let install_health_monitor t ~interval_ns ~until_ns ?(missed_heartbeats = 2) () 
 let inject_dispatcher_outage t ~dispatcher ~duration_ns =
   if dispatcher < 0 || dispatcher >= Array.length t.dispatchers then
     invalid_arg "Two_level.inject_dispatcher_outage: bad dispatcher index";
-  if Trace.enabled t.trace then
-    Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:(Event.Dispatcher dispatcher)
-      (Event.Dispatcher_outage { dispatcher; duration_ns });
+  if t.spans_on then
+    Span.record t.d_sinks.(dispatcher) ~req_id:(-1) ~phase:Span.Outage
+      ~start_ns:(Sim.now t.sim) ~dur_ns:duration_ns ~arg:dispatcher;
   Busy_server.occupy t.dispatchers.(dispatcher).server ~cost:duration_ns
 
 let dispatcher_busy_ns t =

@@ -58,7 +58,7 @@ type accounting = {
     half of the most-loaded believed-alive core's queued-but-unstarted
     jobs, paying one [ring_hop_ns] transfer delay.  Assignment credit
     moves at steal time, so the {!accounting} invariant is unaffected.
-    Steals count in [sched.steals] and trace as [Event.Steal].  With
+    Steals count in [sched.steals] and record a [Steal] span.  With
     stealing off the event stream is byte-identical to the classic
     push-only TQ. *)
 val create :

@@ -1,8 +1,7 @@
 module Sim = Tq_engine.Sim
 module Deque = Tq_util.Ring_deque
 module Prng = Tq_util.Prng
-module Trace = Tq_obs.Trace
-module Event = Tq_obs.Event
+module Span = Tq_obs.Span
 module Counters = Tq_obs.Counters
 
 type quantum_policy =
@@ -23,8 +22,8 @@ type t = {
   on_finish : Job.t -> unit;
   on_idle : unit -> unit;
   on_lost : Job.t -> unit;
-  trace : Trace.t;
-  lane : Event.lane;
+  spans_on : bool;
+  sink : Span.sink;  (** this core's lane, shared with the system that owns it *)
   c_quanta : Counters.counter;
   c_yields : Counters.counter;
   c_completions : Counters.counter;
@@ -57,6 +56,7 @@ type t = {
 }
 
 let wid t = t.wid
+let sink t = t.sink
 
 (* The controller's actuator.  Takes effect from the next slice: the
    quantum of the slice currently executing was already committed to the
@@ -163,9 +163,9 @@ let rec run_next t =
     t.busy <- true;
     t.in_stall <- true;
     t.stall_ns <- d;
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:t.lane
-        (Event.Stall_start { worker = t.wid; duration_ns = d });
+    if t.spans_on then
+      Span.record t.sink ~req_id:(-1) ~phase:Span.Stall ~start_ns:(Sim.now t.sim) ~dur_ns:d
+        ~arg:t.wid;
     Sim.post t.sim ~delay:d t.transition
   end
   else
@@ -192,18 +192,12 @@ let rec run_next t =
       t.slice_ns <- slice;
       t.slice_jitter_ns <- jit;
       t.slice_finishes <- finishes;
-      if Trace.enabled t.trace then
-        Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:t.lane
-          (Event.Quantum_start { job_id = job.id; quantum_ns = slice });
       Sim.post t.sim ~delay:(slice_busy_ns t) t.transition
     end
 
 and end_stall t =
   t.in_stall <- false;
   t.stalled_ns <- t.stalled_ns + t.stall_ns;
-  if Trace.enabled t.trace then
-    Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:t.lane
-      (Event.Stall_end { worker = t.wid });
   run_next t
 
 and end_slice t =
@@ -227,27 +221,22 @@ and end_slice t =
     t.quanta_total <- t.quanta_total + 1;
     Counters.incr t.c_quanta;
     let now = Sim.now t.sim in
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:now ~lane:t.lane
-        (Event.Quantum_end { job_id = job.id; ran_ns = busy_for; finished = finishes });
+    if t.spans_on then
+      Span.record t.sink ~req_id:job.id ~phase:Span.Quantum ~start_ns:(now - busy_for)
+        ~dur_ns:busy_for
+        ~arg:(if finishes then 1 else 0);
     if finishes then begin
       t.current_quanta <- t.current_quanta - job.serviced_quanta;
       t.finished <- t.finished + 1;
       Counters.incr t.c_completions;
-      if Trace.enabled t.trace then
-        Trace.record t.trace ~ts_ns:now ~lane:t.lane
-          (Event.Completion { job_id = job.id; sojourn_ns = now - job.arrival_ns });
+      if t.spans_on then
+        Span.record t.sink ~req_id:job.id ~phase:Span.Reply_flush ~start_ns:now ~dur_ns:0
+          ~arg:job.class_idx;
       t.on_finish job
     end
     else begin
       Counters.incr t.c_yields;
       if jit > 0 then Counters.observe t.d_overshoot jit;
-      if Trace.enabled t.trace then begin
-        Trace.record t.trace ~ts_ns:now ~lane:t.lane (Event.Yield { job_id = job.id });
-        if jit > 0 then
-          Trace.record t.trace ~ts_ns:now ~lane:t.lane
-            (Event.Preempt_overshoot { job_id = job.id; overshoot_ns = jit })
-      end;
       Deque.push_back t.queue job;
       incr t.queued
     end;
@@ -269,8 +258,8 @@ let create sim ~wid ~rng ~policy ~overheads ?(obs = Tq_obs.Obs.disabled ())
       on_finish;
       on_idle;
       on_lost;
-      trace = obs.Tq_obs.Obs.trace;
-      lane = Event.Worker wid;
+      spans_on = Span.enabled obs.Tq_obs.Obs.spans;
+      sink = Span.register obs.Tq_obs.Obs.spans (Span.Worker wid);
       c_quanta = Counters.counter reg "worker.quanta";
       c_yields = Counters.counter reg "worker.yields";
       c_completions = Counters.counter reg "worker.completions";
@@ -314,9 +303,9 @@ let kill t =
   if not t.dead then begin
     t.dead <- true;
     t.stall_pending_ns <- 0;
-    if Trace.enabled t.trace then
-      Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:t.lane
-        (Event.Worker_killed { worker = t.wid });
+    if t.spans_on then
+      Span.record t.sink ~req_id:(-1) ~phase:Span.Kill ~start_ns:(Sim.now t.sim) ~dur_ns:0
+        ~arg:t.wid;
     (* If a slice is in flight, its closure sees [dead] and loses the
        job; if the core is mid-stall or idle, nothing more runs. *)
     if not t.busy then run_next t

@@ -32,9 +32,13 @@ type t
     core transitions from busy to idle with an empty queue — the
     work-stealing hook used by the Caladan model.
     [on_lost] fires for each job destroyed by a core failure (the
-    in-flight slice of a killed core).  [obs] supplies the event tracer
-    and counter registry; the default is disabled tracing (zero-cost)
-    with a private, unread registry. *)
+    in-flight slice of a killed core).  [obs] supplies the span
+    collection, on which the worker registers the sink of its lane
+    [Worker wid], and the counter registry; the default is
+    {!Tq_obs.Span.null} (zero-cost) with a private, unread registry.
+    The worker records a [Quantum] span per slice ([arg] 1 when the job
+    finished), an instant [Reply_flush] per completion ([arg] the job's
+    class), and [Stall] and [Kill] spans. *)
 val create :
   Tq_engine.Sim.t ->
   wid:int ->
@@ -52,6 +56,10 @@ val create :
 val is_busy : t -> bool
 
 val wid : t -> int
+
+(** [sink t] — the span sink of this core's lane, for the spans the
+    owning system records there (ring hops, steals, health verdicts). *)
+val sink : t -> Tq_obs.Span.sink
 
 (** [set_quantum t ?class_idx ~quantum_ns ()] retunes the PS quantum
     live (the feedback controller's actuator): with [class_idx] only

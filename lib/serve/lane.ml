@@ -27,7 +27,6 @@ module Admission = Tq_sched.Admission
 module Counters = Tq_obs.Counters
 module Span = Tq_obs.Span
 module Tail = Tq_obs.Tail
-module Event = Tq_obs.Event
 module Latency = Tq_obs.Latency
 module Reassembly = Protocol.Reassembly
 module Outbuf = Protocol.Outbuf
@@ -209,7 +208,7 @@ let create sh ~id ~reg ~admission =
         t_dead_workers = 0;
       };
     reg;
-    sink = Span.register sh.spans (Event.Dispatcher id);
+    sink = Span.register sh.spans (Span.Dispatcher id);
     tail_sink = Tail.register sh.tail ~lane:id;
     latency;
     lat_all = Latency.recorder latency "all";

@@ -16,8 +16,7 @@
    {!Metrics}. *)
 
 module Sim = Tq_engine.Sim
-module Trace = Tq_obs.Trace
-module Event = Tq_obs.Event
+module Span = Tq_obs.Span
 module Prng = Tq_util.Prng
 
 type config = {
@@ -77,7 +76,8 @@ type t = {
   config : config;
   submit : Arrivals.request -> unit;
   metrics : Metrics.t;
-  trace : Trace.t;
+  spans_on : bool;
+  sink : Span.sink;  (** the [Global] lane *)
   rng : Prng.t;
   tbl : (int, entry) Hashtbl.t;
   mutable in_flight : int;  (** requests neither completed nor abandoned *)
@@ -92,7 +92,8 @@ let create sim ~config ~metrics ~submit ?(obs = Tq_obs.Obs.disabled ())
     config;
     submit;
     metrics;
-    trace = obs.Tq_obs.Obs.trace;
+    spans_on = Span.enabled obs.Tq_obs.Obs.spans;
+    sink = Span.register obs.Tq_obs.Obs.spans Span.Global;
     rng;
     tbl = Hashtbl.create 4096;
     in_flight = 0;
@@ -123,15 +124,12 @@ and on_timeout t e =
       if e.attempt < t.config.max_attempts then
         (* the shared budget, not this request's attempt limit, said no *)
         Metrics.record_retries_exhausted t.metrics;
-      if Trace.enabled t.trace then
-        Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:Event.Global
-          (Event.Drop
-             {
-               job_id = e.req.req_id;
-               reason =
-                 (if e.attempt >= t.config.max_attempts then "retries-exhausted"
-                  else "retry-budget-exhausted");
-             })
+      if t.spans_on then
+        Span.record t.sink ~req_id:e.req.req_id ~phase:Span.Drop ~start_ns:(Sim.now t.sim)
+          ~dur_ns:0
+          ~arg:
+            (if e.attempt >= t.config.max_attempts then Span.drop_retries_exhausted
+             else Span.drop_retry_budget)
     end
     else begin
       t.retries_spent <- t.retries_spent + 1;
@@ -144,10 +142,9 @@ and on_timeout t e =
         else backoff
       in
       Metrics.record_retry t.metrics;
-      if Trace.enabled t.trace then
-        Trace.record t.trace ~ts_ns:(Sim.now t.sim) ~lane:Event.Global
-          (Event.Retry
-             { job_id = e.req.req_id; attempt = e.attempt + 1; backoff_ns = backoff });
+      if t.spans_on then
+        Span.record t.sink ~req_id:e.req.req_id ~phase:Span.Retry ~start_ns:(Sim.now t.sim)
+          ~dur_ns:backoff ~arg:(e.attempt + 1);
       ignore
         (Sim.schedule_after t.sim ~delay:backoff (fun () ->
              (* A stray completion may land during the backoff window. *)

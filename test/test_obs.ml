@@ -1,13 +1,9 @@
-(* Tests for tq_obs: the bounded ring-buffer tracer, counter registry,
-   Chrome trace exporter, text dump and time-series store. *)
+(* Tests for tq_obs: request spans and their Chrome and text exports,
+   the counter registry and the time-series store. *)
 
-module Trace = Tq_obs.Trace
-module Event = Tq_obs.Event
 module Counters = Tq_obs.Counters
 module Timeseries = Tq_obs.Timeseries
-module Chrome_trace = Tq_obs.Chrome_trace
 module Latency = Tq_obs.Latency
-module Text_dump = Tq_obs.Text_dump
 module Span = Tq_obs.Span
 module Expo = Tq_obs.Expo
 module Slo = Tq_obs.Slo
@@ -89,55 +85,6 @@ let json_well_formed name s =
   | () -> ()
   | exception Failure msg -> Alcotest.failf "%s: %s" name msg
 
-let yield id = Event.Yield { job_id = id }
-
-let job_ids tr =
-  List.map (fun (r : Trace.record) -> Event.job_id r.event) (Trace.to_list tr)
-
-(* --- trace ring buffer --- *)
-
-let test_trace_ordering () =
-  let tr = Trace.create ~capacity:8 () in
-  Alcotest.(check bool) "fresh tracer enabled" true (Trace.enabled tr);
-  for i = 1 to 5 do
-    Trace.record tr ~ts_ns:(i * 10) ~lane:(Event.Worker 0) (yield i)
-  done;
-  check Alcotest.int "length" 5 (Trace.length tr);
-  check Alcotest.int "total" 5 (Trace.total tr);
-  check Alcotest.int "dropped" 0 (Trace.dropped tr);
-  check Alcotest.(list int) "oldest first" [ 1; 2; 3; 4; 5 ] (job_ids tr);
-  let seqs = List.map (fun (r : Trace.record) -> r.Trace.seq) (Trace.to_list tr) in
-  check Alcotest.(list int) "monotone seq" [ 0; 1; 2; 3; 4 ] seqs
-
-let test_trace_wraparound () =
-  let tr = Trace.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Trace.record tr ~ts_ns:i ~lane:Event.Global (yield i)
-  done;
-  check Alcotest.int "buffer stays bounded" 4 (Trace.length tr);
-  check Alcotest.int "total counts everything" 10 (Trace.total tr);
-  check Alcotest.int "dropped = overwritten" 6 (Trace.dropped tr);
-  check Alcotest.(list int) "newest survive, oldest first" [ 7; 8; 9; 10 ] (job_ids tr);
-  Trace.clear tr;
-  check Alcotest.int "clear empties" 0 (Trace.length tr);
-  check Alcotest.int "clear resets total" 0 (Trace.total tr)
-
-let test_trace_null_and_disable () =
-  check Alcotest.int "null records nothing" 0
-    (Trace.record Trace.null ~ts_ns:1 ~lane:Event.Global (yield 1);
-     Trace.total Trace.null);
-  Alcotest.(check bool) "null disabled" false (Trace.enabled Trace.null);
-  Alcotest.check_raises "null cannot be enabled"
-    (Invalid_argument "Trace.set_enabled: null tracer") (fun () ->
-      Trace.set_enabled Trace.null true);
-  let tr = Trace.create ~capacity:4 () in
-  Trace.set_enabled tr false;
-  Trace.record tr ~ts_ns:1 ~lane:Event.Global (yield 1);
-  check Alcotest.int "disabled tracer drops" 0 (Trace.total tr);
-  Trace.set_enabled tr true;
-  Trace.record tr ~ts_ns:2 ~lane:Event.Global (yield 2);
-  check Alcotest.int "re-enabled records" 1 (Trace.total tr)
-
 (* --- counter registry --- *)
 
 let test_counters_registry () =
@@ -173,46 +120,48 @@ let test_counters_dist () =
     (String.length dump > 0
     && String.sub dump 0 (String.length "worker.overshoot_ns") = "worker.overshoot_ns")
 
-(* --- Chrome trace exporter: golden output --- *)
+(* --- Chrome trace export: golden output --- *)
 
 let test_chrome_trace_golden () =
-  let tr = Trace.create ~capacity:16 () in
-  Trace.record tr ~ts_ns:1_000 ~lane:(Event.Dispatcher 0)
-    (Event.Job_arrival { job_id = 7; class_idx = 0; service_ns = 800 });
-  Trace.record tr ~ts_ns:1_200 ~lane:(Event.Dispatcher 0)
-    (Event.Dispatch { job_id = 7; worker = 2; policy = "jsq-msq"; queue_len = 0 });
-  Trace.record tr ~ts_ns:1_500 ~lane:(Event.Worker 2)
-    (Event.Quantum_start { job_id = 7; quantum_ns = 2_000 });
-  Trace.record tr ~ts_ns:2_300 ~lane:(Event.Worker 2)
-    (Event.Quantum_end { job_id = 7; ran_ns = 800; finished = true });
-  Trace.record tr ~ts_ns:2_300 ~lane:(Event.Worker 2)
-    (Event.Completion { job_id = 7; sojourn_ns = 1_300 });
+  let spans = Span.create ~capacity_per_sink:16 () in
+  let disp = Span.register spans (Span.Dispatcher 0) in
+  let wrk = Span.register spans (Span.Worker 2) in
+  Span.record disp ~req_id:7 ~phase:Span.Parse ~start_ns:1_000 ~dur_ns:0 ~arg:0;
+  Span.record disp ~req_id:7 ~phase:Span.Dispatch ~start_ns:1_000 ~dur_ns:200 ~arg:2;
+  Span.record wrk ~req_id:7 ~phase:Span.Quantum ~start_ns:1_500 ~dur_ns:800 ~arg:1;
+  Span.record wrk ~req_id:7 ~phase:Span.Reply_flush ~start_ns:2_300 ~dur_ns:0 ~arg:0;
   let expected =
     "{\"traceEvents\":[\n\
      {\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"tq_sim\"}},\n\
      {\"ph\":\"M\",\"pid\":0,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"dispatcher 0\"}},\n\
      {\"ph\":\"M\",\"pid\":0,\"tid\":102,\"name\":\"thread_name\",\"args\":{\"name\":\"worker 2\"}},\n\
-     {\"ph\":\"i\",\"pid\":0,\"tid\":1,\"ts\":1.000,\"s\":\"t\",\"name\":\"job_arrival\",\"args\":{\"job\":7,\"class\":0,\"service_ns\":800}},\n\
-     {\"ph\":\"i\",\"pid\":0,\"tid\":1,\"ts\":1.200,\"s\":\"t\",\"name\":\"dispatch\",\"args\":{\"job\":7,\"worker\":2,\"policy\":\"jsq-msq\",\"queue_len\":0}},\n\
-     {\"ph\":\"X\",\"pid\":0,\"tid\":102,\"ts\":1.500,\"dur\":0.800,\"name\":\"job 7\",\"args\":{\"job\":7,\"ran_ns\":800,\"finished\":true}},\n\
-     {\"ph\":\"i\",\"pid\":0,\"tid\":102,\"ts\":2.300,\"s\":\"t\",\"name\":\"completion\",\"args\":{\"job\":7,\"sojourn_ns\":1300}}\n\
+     {\"ph\":\"i\",\"pid\":0,\"tid\":1,\"ts\":1.000,\"s\":\"t\",\"name\":\"parse\",\"args\":{\"req\":7,\"arg\":0}},\n\
+     {\"ph\":\"X\",\"pid\":0,\"tid\":1,\"ts\":1.000,\"dur\":0.200,\"name\":\"dispatch\",\"args\":{\"req\":7,\"arg\":2}},\n\
+     {\"ph\":\"X\",\"pid\":0,\"tid\":102,\"ts\":1.500,\"dur\":0.800,\"name\":\"quantum\",\"args\":{\"req\":7,\"arg\":1}},\n\
+     {\"ph\":\"i\",\"pid\":0,\"tid\":102,\"ts\":2.300,\"s\":\"t\",\"name\":\"reply_flush\",\"args\":{\"req\":7,\"arg\":0}}\n\
      ]}\n"
   in
-  check Alcotest.string "golden chrome json" expected (Chrome_trace.export tr)
+  check Alcotest.string "golden chrome json" expected (Span.to_chrome ~process:"tq_sim" spans)
 
 let test_text_dump () =
-  let tr = Trace.create ~capacity:4 () in
+  let spans = Span.create ~capacity_per_sink:4 () in
+  let sink = Span.register spans (Span.Worker 1) in
   for i = 1 to 6 do
-    Trace.record tr ~ts_ns:(i * 100) ~lane:(Event.Worker 1) (yield i)
+    Span.record sink ~req_id:i ~phase:Span.Quantum ~start_ns:(i * 100) ~dur_ns:50 ~arg:0
   done;
-  let s = Text_dump.dump tr in
+  let s = Span.to_text spans in
   Alcotest.(check bool) "header mentions totals" true
     (String.length s > 0
-    && String.sub s 0 (String.length "trace: 6 events") = "trace: 6 events");
-  let limited = Text_dump.dump ~limit:2 tr in
+    && String.sub s 0 (String.length "spans: 6 recorded, 4 in buffer (2 overwritten)")
+       = "spans: 6 recorded, 4 in buffer (2 overwritten)");
+  let limited = Span.to_text ~limit:2 spans in
   let lines = String.split_on_char '\n' (String.trim limited) in
-  (* header + elision marker + 2 event lines *)
-  check Alcotest.int "limit keeps last events" 4 (List.length lines)
+  (* header + elision marker + 2 span lines, the newest two *)
+  check Alcotest.int "limit keeps last spans" 4 (List.length lines);
+  check Alcotest.string "elision line" "... 2 earlier spans elided" (List.nth lines 1);
+  Alcotest.(check bool) "newest span last" true (contains (List.nth lines 3) "req=6");
+  check Alcotest.int "limit past the buffer keeps everything" 5
+    (List.length (String.split_on_char '\n' (String.trim (Span.to_text ~limit:10 spans))))
 
 (* --- time series --- *)
 
@@ -393,8 +342,8 @@ let test_counters_merged () =
 let test_span_record_and_merge () =
   let spans = Span.create ~capacity_per_sink:4 () in
   Alcotest.(check bool) "enabled" true (Span.enabled spans);
-  let disp = Span.register spans (Event.Dispatcher 0) in
-  let wrk = Span.register spans (Event.Worker 1) in
+  let disp = Span.register spans (Span.Dispatcher 0) in
+  let wrk = Span.register spans (Span.Worker 1) in
   Span.record disp ~req_id:1 ~phase:Span.Dispatch ~start_ns:100 ~dur_ns:10 ~arg:1;
   Span.record wrk ~req_id:1 ~phase:Span.Quantum ~start_ns:150 ~dur_ns:40 ~arg:1;
   Span.record disp ~req_id:2 ~phase:Span.Dispatch ~start_ns:150 ~dur_ns:5 ~arg:0;
@@ -412,7 +361,7 @@ let test_span_record_and_merge () =
   (match merged with
   | _ :: (second : Span.record) :: _ ->
       check Alcotest.bool "ties keep registration order" true
-        (second.Span.lane = Event.Dispatcher 0)
+        (second.Span.lane = Span.Dispatcher 0)
   | _ -> Alcotest.fail "merge lost records");
   (* one request id stitches across both lanes *)
   let lanes_of_req1 =
@@ -421,12 +370,12 @@ let test_span_record_and_merge () =
       merged
   in
   Alcotest.(check bool) "req 1 spans both domains" true
-    (List.mem (Event.Dispatcher 0) lanes_of_req1
-    && List.mem (Event.Worker 1) lanes_of_req1)
+    (List.mem (Span.Dispatcher 0) lanes_of_req1
+    && List.mem (Span.Worker 1) lanes_of_req1)
 
 let test_span_overwrite_and_null () =
   let spans = Span.create ~capacity_per_sink:2 () in
-  let sink = Span.register spans (Event.Worker 0) in
+  let sink = Span.register spans (Span.Worker 0) in
   for i = 1 to 5 do
     Span.record sink ~req_id:i ~phase:Span.Quantum ~start_ns:(i * 10) ~dur_ns:1 ~arg:0
   done;
@@ -439,19 +388,19 @@ let test_span_overwrite_and_null () =
   (* the disabled collection: registration hands out the null sink and
      recording is a no-op *)
   Alcotest.(check bool) "null disabled" false (Span.enabled Span.null);
-  let ns = Span.register Span.null (Event.Worker 9) in
+  let ns = Span.register Span.null (Span.Worker 9) in
   Span.record ns ~req_id:1 ~phase:Span.Shed ~start_ns:0 ~dur_ns:0 ~arg:0;
   check Alcotest.int "null stores nothing" 0 (Span.total Span.null);
   check Alcotest.int "null merges empty" 0 (List.length (Span.merge Span.null))
 
 let test_span_chrome_json () =
   let spans = Span.create ~capacity_per_sink:8 () in
-  let disp = Span.register spans (Event.Dispatcher 0) in
-  let wrk = Span.register spans (Event.Worker 2) in
+  let disp = Span.register spans (Span.Dispatcher 0) in
+  let wrk = Span.register spans (Span.Worker 2) in
   Span.record disp ~req_id:7 ~phase:Span.Accept ~start_ns:1_000 ~dur_ns:0 ~arg:4;
   Span.record disp ~req_id:7 ~phase:Span.Dispatch ~start_ns:1_200 ~dur_ns:300 ~arg:2;
   Span.record wrk ~req_id:7 ~phase:Span.Quantum ~start_ns:1_600 ~dur_ns:900 ~arg:1;
-  let json = Span.to_chrome spans in
+  let json = Span.to_chrome ~process:"tq_serve" spans in
   json_well_formed "span chrome json" json;
   List.iter
     (fun needle ->
@@ -472,13 +421,16 @@ let test_span_chrome_json () =
 let test_chrome_export_parses () =
   (* the golden test pins exact bytes; this one checks the exporter emits
      structurally valid JSON under wraparound and mixed lanes *)
-  let tr = Trace.create ~capacity:4 () in
-  for i = 1 to 9 do
-    Trace.record tr ~ts_ns:(i * 100)
-      ~lane:(if i mod 2 = 0 then Event.Global else Event.Worker (i mod 3))
-      (yield i)
+  let spans = Span.create ~capacity_per_sink:4 () in
+  let sinks = [| Span.register spans Span.Global; Span.register spans (Span.Worker 1);
+                 Span.register spans (Span.Worker 2) |] in
+  for i = 1 to 27 do
+    Span.record sinks.(i mod 3) ~req_id:i ~phase:Span.Quantum ~start_ns:(i * 100)
+      ~dur_ns:(i mod 2 * 50) ~arg:0
   done;
-  json_well_formed "chrome export" (Chrome_trace.export tr)
+  check Alcotest.int "every sink wrapped" 15 (Span.dropped spans);
+  json_well_formed "chrome export" (Span.to_chrome ~process:"tq_sim" spans);
+  json_well_formed "empty export" (Span.to_chrome ~process:"tq_sim" (Span.create ()))
 
 (* --- prometheus exposition --- *)
 
@@ -629,9 +581,6 @@ let test_slo_validation () =
 
 let suite =
   [
-    Alcotest.test_case "trace ordering" `Quick test_trace_ordering;
-    Alcotest.test_case "trace wraparound" `Quick test_trace_wraparound;
-    Alcotest.test_case "null + disable" `Quick test_trace_null_and_disable;
     Alcotest.test_case "counter registry" `Quick test_counters_registry;
     Alcotest.test_case "overshoot dist" `Quick test_counters_dist;
     Alcotest.test_case "chrome trace golden" `Quick test_chrome_trace_golden;
@@ -659,7 +608,7 @@ let suite =
 module Profile = Tq_obs.Profile
 module Gc_events = Tq_obs.Gc_events
 
-let sp ?(req = 0) ?(lane = Event.Dispatcher 0) ?(arg = 0) phase start_ns dur_ns =
+let sp ?(req = 0) ?(lane = Span.Dispatcher 0) ?(arg = 0) phase start_ns dur_ns =
   { Span.req_id = req; phase; lane; start_ns; dur_ns; arg }
 
 (* One synthetic request with every boundary placed by explicit deltas,
@@ -676,9 +625,9 @@ let synthetic_request ~req ~p0 ~parse ~dispatch ~hop ~wait ~d0 ~gap ~d1 ~flush =
     [
       sp ~req Span.Parse p0 parse;
       sp ~req Span.Dispatch t0 dispatch;
-      sp ~req ~lane:(Event.Worker 0) Span.Ring_hop t2 0;
-      sp ~req ~lane:(Event.Worker 0) Span.Quantum q0 d0;
-      sp ~req ~lane:(Event.Worker 0) Span.Quantum q1 d1;
+      sp ~req ~lane:(Span.Worker 0) Span.Ring_hop t2 0;
+      sp ~req ~lane:(Span.Worker 0) Span.Quantum q0 d0;
+      sp ~req ~lane:(Span.Worker 0) Span.Quantum q1 d1;
       sp ~req Span.Reply_flush last_end flush;
     ]
   in
@@ -774,7 +723,7 @@ let test_profile_degrades_without_crashing () =
     [
       sp ~req:2 Span.Parse 200_000 500;
       sp ~req:2 Span.Dispatch 200_500 300;
-      sp ~req:2 ~lane:(Event.Worker 1) Span.Ring_hop 200_900 0;
+      sp ~req:2 ~lane:(Span.Worker 1) Span.Ring_hop 200_900 0;
       sp ~req:2 Span.Reply_flush 210_000 400;
     ]
   in
@@ -783,8 +732,8 @@ let test_profile_degrades_without_crashing () =
     [
       sp ~req:3 Span.Parse 300_000 0;
       sp ~req:3 Span.Dispatch 300_500 300;
-      sp ~req:3 ~lane:(Event.Worker 1) Span.Ring_hop 300_900 0;
-      sp ~req:3 ~lane:(Event.Worker 1) Span.Quantum 302_000 5_000;
+      sp ~req:3 ~lane:(Span.Worker 1) Span.Ring_hop 300_900 0;
+      sp ~req:3 ~lane:(Span.Worker 1) Span.Quantum 302_000 5_000;
       sp ~req:3 Span.Reply_flush 301_000 0;
     ]
   in
@@ -898,7 +847,7 @@ let test_gc_events_smoke () =
     (List.exists
        (fun (r : Span.record) ->
          match r.Span.lane with
-         | Event.Gc _ -> r.Span.phase = Span.Gc_minor || r.Span.phase = Span.Gc_major
+         | Span.Gc _ -> r.Span.phase = Span.Gc_minor || r.Span.phase = Span.Gc_major
          | _ -> false)
        records);
   (* stop is idempotent *)
@@ -999,11 +948,11 @@ let test_tail_dossier_exactness () =
   let records =
     records
     @ [
-        sp ~req:(-1) ~lane:(Event.Worker 0) Span.Stall 3_000 200;
-        sp ~req:(-1) ~lane:(Event.Gc 0) Span.Gc_minor 4_000 300;
-        sp ~req:(-1) ~lane:(Event.Worker 1) Span.Stall 2_000 100;
+        sp ~req:(-1) ~lane:(Span.Worker 0) Span.Stall 3_000 200;
+        sp ~req:(-1) ~lane:(Span.Gc 0) Span.Gc_minor 4_000 300;
+        sp ~req:(-1) ~lane:(Span.Worker 1) Span.Stall 2_000 100;
         (* other worker *)
-        sp ~req:(-1) ~lane:(Event.Worker 0) Span.Stall (t_end + 10_000) 100;
+        sp ~req:(-1) ~lane:(Span.Worker 0) Span.Stall (t_end + 10_000) 100;
         (* after the request left *)
       ]
   in
@@ -1053,8 +1002,8 @@ let test_tail_outlier_trace_filter () =
     synthetic_request ~req:2 ~p0:1_000_000 ~parse:500 ~dispatch:300 ~hop:100
       ~wait:1_000 ~d0:2_000 ~gap:0 ~d1:0 ~flush:400
   in
-  let gc_in = sp ~req:(-1) ~lane:(Event.Gc 0) Span.Gc_minor 1_000 50 in
-  let gc_out = sp ~req:(-1) ~lane:(Event.Gc 0) Span.Gc_minor 5_000_000 50 in
+  let gc_in = sp ~req:(-1) ~lane:(Span.Gc 0) Span.Gc_minor 1_000 50 in
+  let gc_out = sp ~req:(-1) ~lane:(Span.Gc 0) Span.Gc_minor 5_000_000 50 in
   let records = keep @ drop @ [ gc_in; gc_out ] in
   let t = Tail.create ~k:1 () in
   let sink = Tail.register t ~lane:0 in
@@ -1115,18 +1064,6 @@ let test_span_record_null_sink_allocation_free () =
          Span.record Span.null_sink ~req_id:!seq ~phase:Span.Quantum ~start_ns:!seq
            ~dur_ns:100 ~arg:0))
 
-(* The DES's trace hook: the event constructor sits behind the
-   [Trace.enabled] guard, so a disabled tracer never builds it. *)
-let test_trace_record_null_allocation_free () =
-  let ts = ref 0 in
-  let lane = Event.Worker 3 in
-  check (Alcotest.float 0.0) "minor words per trace record" 0.0
-    (Test_util.minor_words_per_call (fun () ->
-         incr ts;
-         if Trace.enabled Trace.null then
-           Trace.record Trace.null ~ts_ns:!ts ~lane
-             (Event.Quantum_end { job_id = 1; ran_ns = 2_000; finished = false })))
-
 let test_tail_offer_null_sink_allocation_free () =
   let seq = ref 0 in
   check (Alcotest.float 0.0) "minor words per tail offer" 0.0
@@ -1141,7 +1078,7 @@ let test_tail_offer_null_sink_allocation_free () =
    cheaper record passes. *)
 let test_span_record_enabled_words () =
   let sink =
-    Span.register (Span.create ~capacity_per_sink:4096 ()) (Event.Dispatcher 0)
+    Span.register (Span.create ~capacity_per_sink:4096 ()) (Span.Dispatcher 0)
   in
   let seq = ref 0 in
   let words =
@@ -1173,8 +1110,6 @@ let tail_suite =
   [
     Alcotest.test_case "span record null sink allocation-free" `Quick
       test_span_record_null_sink_allocation_free;
-    Alcotest.test_case "trace record null allocation-free" `Quick
-      test_trace_record_null_allocation_free;
     Alcotest.test_case "tail offer null sink allocation-free" `Quick
       test_tail_offer_null_sink_allocation_free;
     Alcotest.test_case "span record enabled" `Quick test_span_record_enabled_words;

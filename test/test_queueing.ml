@@ -1,7 +1,7 @@
 (* Tests for tq_queueing — and simulator-vs-theory validation: the DES
    scheduling models must agree with the closed-form results. *)
 
-module Q = Tq_queueing.Queueing
+module Q = Queueing
 module Sim = Tq_engine.Sim
 module Prng = Tq_util.Prng
 module Time_unit = Tq_util.Time_unit

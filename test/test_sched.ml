@@ -580,20 +580,21 @@ let test_single_dispatcher_max_equals_total () =
 (* --- observability integration --- *)
 
 let test_experiment_obs_integration () =
-  let obs = Tq_obs.Obs.create ~trace_capacity:4_096 ~sample_interval_ns:100_000 () in
+  let obs = Tq_obs.Obs.create ~sample_interval_ns:100_000 () in
   let r =
     Experiment.run ~obs ~system:(Presets.tq ()) ~workload:Table1.extreme_bimodal_sim
       ~rate_rps:2_000_000.0 ~duration_ns:(Time_unit.ms 2.0) ()
   in
-  let trace = obs.Tq_obs.Obs.trace in
-  Alcotest.(check bool) "events recorded" true (Tq_obs.Trace.total trace > 0);
-  let kinds = Hashtbl.create 8 in
-  Tq_obs.Trace.iter trace (fun rec_ ->
-      Hashtbl.replace kinds (Tq_obs.Event.name rec_.Tq_obs.Trace.event) ());
+  let spans = obs.Tq_obs.Obs.spans in
+  Alcotest.(check bool) "spans recorded" true (Tq_obs.Span.total spans > 0);
+  let phases =
+    List.sort_uniq compare
+      (List.map (fun (rec_ : Tq_obs.Span.record) -> rec_.phase) (Tq_obs.Span.merge spans))
+  in
   Alcotest.(check bool)
-    (Printf.sprintf "at least 5 event types in trace (%d)" (Hashtbl.length kinds))
+    (Printf.sprintf "at least 5 phases in the spans (%d)" (List.length phases))
     true
-    (Hashtbl.length kinds >= 5);
+    (List.length phases >= 5);
   let reg = obs.Tq_obs.Obs.counters in
   Alcotest.(check bool) "dispatch decisions counted" true
     (Tq_obs.Counters.find_count reg "dispatch.decisions" > 0);
@@ -605,12 +606,46 @@ let test_experiment_obs_integration () =
   | Some ts ->
       Alcotest.(check bool) "occupancy sampled" true (Tq_obs.Timeseries.length ts > 0)
   | None -> Alcotest.fail "obs run must produce a timeseries");
-  (* The exporter output must at least be shaped like a Chrome trace. *)
-  let json = Tq_obs.Chrome_trace.export trace in
-  Alcotest.(check bool) "chrome json shape" true
-    (String.length json > 2
-    && String.sub json 0 15 = "{\"traceEvents\":"
-    && json.[String.length json - 2] = '}')
+  (* The Chrome export parses, and every quantum sits on a worker track. *)
+  let module Json = Tq_util.Json in
+  let events =
+    match Json.of_string (Tq_obs.Span.to_chrome ~process:"tq_sim" spans) with
+    | Ok doc -> (
+        match Json.member "traceEvents" doc with
+        | Some (Json.List evs) -> evs
+        | _ -> Alcotest.fail "chrome json has no traceEvents list")
+    | Error e -> Alcotest.failf "chrome json does not parse: %s" e
+  in
+  let quantum_tids =
+    List.filter_map
+      (fun ev ->
+        match (Json.member "name" ev, Option.bind (Json.member "tid" ev) Json.number_opt) with
+        | Some (Json.String "quantum"), Some tid -> Some tid
+        | _ -> None)
+      events
+  in
+  Alcotest.(check bool) "quanta exported" true (quantum_tids <> []);
+  Alcotest.(check bool) "quanta on worker tracks (tid >= 100)" true
+    (List.for_all (fun tid -> tid >= 100.0) quantum_tids)
+
+(* The DES records the live server's phases, so Profile decomposes a
+   traced TQ run: every request telescopes exactly into its stages. *)
+let test_traced_tq_run_decomposes () =
+  let obs = Tq_obs.Obs.create () in
+  let r =
+    Experiment.run ~obs ~system:(Presets.tq ()) ~workload:Table1.extreme_bimodal_sim
+      ~rate_rps:1_000_000.0 ~duration_ns:(Time_unit.ms 1.0) ()
+  in
+  let spans = obs.Tq_obs.Obs.spans in
+  check Alcotest.int "no sink overwrote" 0 (Tq_obs.Span.dropped spans);
+  let p = Tq_obs.Profile.of_records (Tq_obs.Span.merge spans) in
+  check Alcotest.int "every request decomposed" r.offered (Tq_obs.Profile.requests p);
+  Alcotest.(check bool) "requests > 0" true (Tq_obs.Profile.requests p > 0);
+  check (Alcotest.float 0.0) "exact fraction" 1.0 (Tq_obs.Profile.exact_fraction p);
+  check Alcotest.int "unattributed" 0 (Tq_obs.Profile.unattributed_count p);
+  check Alcotest.int "ring hop stage = ring_hop_ns each"
+    (Tq_obs.Profile.requests p * Overheads.tq_default.ring_hop_ns)
+    (Tq_obs.Profile.stage_sum_ns p Tq_obs.Profile.S_ring_hop)
 
 let test_experiment_without_obs_has_no_timeseries () =
   let r =
@@ -662,6 +697,8 @@ let suite =
       test_single_dispatcher_max_equals_total;
     Alcotest.test_case "experiment obs integration" `Quick
       test_experiment_obs_integration;
+    Alcotest.test_case "traced tq run decomposes exactly" `Quick
+      test_traced_tq_run_decomposes;
     Alcotest.test_case "no obs, no timeseries" `Quick
       test_experiment_without_obs_has_no_timeseries;
   ]

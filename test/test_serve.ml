@@ -356,9 +356,9 @@ let test_cross_domain_spans () =
         if r.Tq_obs.Span.req_id < 0 then (d, w)
         else
           match r.Tq_obs.Span.lane with
-          | Tq_obs.Event.Dispatcher _ -> (r.Tq_obs.Span.req_id :: d, w)
-          | Tq_obs.Event.Worker _ -> (d, r.Tq_obs.Span.req_id :: w)
-          | Tq_obs.Event.Global | Tq_obs.Event.Gc _ -> (d, w))
+          | Tq_obs.Span.Dispatcher _ -> (r.Tq_obs.Span.req_id :: d, w)
+          | Tq_obs.Span.Worker _ -> (d, r.Tq_obs.Span.req_id :: w)
+          | Tq_obs.Span.Global | Tq_obs.Span.Gc _ -> (d, w))
       ([], []) records
   in
   let stitched =
