@@ -120,15 +120,7 @@ let serve host port cores lanes quantum_us ring rx_depth admission kv_keys pool_
     match metrics_port with
     | None -> None
     | Some mp ->
-        let h =
-          Tq_serve.Http_expo.start ~host ~port:mp
-            ~metrics:(fun () -> Tq_serve.Server.prometheus server)
-            ~outliers:(fun () ->
-              if tail_on then Tq_serve.Server.outliers_json server ~limit:0
-              else "{\"error\": \"tail forensics off: run with --tail-k\"}\n")
-            ~healthz:(fun () -> true)
-            ()
-        in
+        let h = Tq_serve.Http_expo.start ~host ~port:mp server in
         Printf.printf
           "tq_serve: metrics on http://%s:%d/metrics (/outliers, /healthz)\n%!"
           host
@@ -174,22 +166,14 @@ let serve host port cores lanes quantum_us ring rx_depth admission kv_keys pool_
     (if lanes = 1 then "" else "s")
     quantum_us;
   Tq_serve.Server.serve server;
+  (* every lane has joined: the snapshot is exact *)
   let s = Tq_serve.Server.stats server in
-  let summary =
-    Printf.sprintf
-      "{\"connections\": %d, \"parsed\": %d, \"dispatched\": %d, \"completed\": %d, \
-       \"shed\": %d, \"lost\": %d, \"dropped\": %d, \"stats_served\": %d, \
-       \"protocol_errors\": %d, \"orphaned\": %d, \
-       \"duplicates\": %d, \"redispatched\": %d, \"dead_workers\": %d}"
-      s.connections s.parsed s.dispatched s.completed s.shed s.lost s.dropped
-      s.stats_served s.protocol_errors s.orphaned s.duplicates s.redispatched
-      s.dead_workers
-  in
-  Printf.printf "tq_serve: drained. %s\n%!" summary;
+  let summary = Tq_serve.Server.snapshot_json server in
+  Printf.printf "tq_serve: drained. %s%!" summary;
   (match stats_out with
   | Some path ->
       let oc = open_out path in
-      output_string oc (summary ^ "\n");
+      output_string oc summary;
       close_out oc
   | None -> ());
   Option.iter Tq_serve.Http_expo.stop metrics_plane;
@@ -213,9 +197,20 @@ let serve host port cores lanes quantum_us ring rx_depth admission kv_keys pool_
         (Tq_obs.Tail.retained tail)
         (Tq_obs.Tail.offered tail)
   | None -> ());
-  (* the drain invariant: everything admitted was answered *)
-  if s.dispatched <> s.completed then begin
-    Printf.eprintf "tq_serve: LOST %d in-flight requests\n" (s.dispatched - s.completed);
+  (* the drain invariants: the ledger balances and everything admitted
+     was answered *)
+  let faults =
+    Tq_serve.Server.ledger_violations s
+    @
+    if s.dispatched <> s.completed then
+      [
+        Printf.sprintf "LOST %d admitted requests (%d lost, %d in flight)"
+          (s.dispatched - s.completed) s.lost s.in_flight;
+      ]
+    else []
+  in
+  if faults <> [] then begin
+    List.iter (Printf.eprintf "tq_serve: %s\n") faults;
     exit 1
   end
 

@@ -100,6 +100,10 @@ let deliver t (req : Arrivals.request) =
       ~start_ns:(Sim.now t.sim - cost) ~dur_ns:cost ~arg:widx
   end;
   Worker.note_assigned worker;
+  if t.spans_on then
+    (* steered straight into the core's queue: the hop takes no time *)
+    Span.record (Worker.sink worker) ~req_id:req.req_id ~phase:Span.Ring_hop
+      ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:widx;
   let job = Job.of_request ~probe_overhead_frac:0.0 req in
   (match t.config.mode with
   | Iokernel -> ()

@@ -52,6 +52,7 @@ type t = {
   queue : Job.t Deque.t;  (** central pending/preempted jobs, PS order *)
   busy : bool array;  (** worker executing a slice *)
   inflight : bool array;  (** an assignment for this worker is at the dispatcher *)
+  first_assign : bool array;  (** ...and it is its job's first *)
   pending : Job.t array;  (** assignment delivered while still busy, or [Job.none] *)
   (* A core is open to a new assignment when it has none in flight, none
      parked and is not dead.  [open_w] and [open_count] are kept by
@@ -118,14 +119,17 @@ let set_dead t wid =
 (* The dispatcher-core cost of one assignment op. *)
 let assign_cost t = t.config.sched_op_ns + (t.config.sched_scan_per_core_ns * t.config.cores)
 
-(* An assignment op left the dispatcher core: the decision is made.  Its
-   span covers the op. *)
+(* An assignment op left the dispatcher core: the decision is made.  A
+   job's first one is its dispatch, spanned over the op, and its hop to
+   the core; later quanta and re-steered parked jobs pay ops too. *)
 let note_assign t ~(job : Job.t) ~wid =
   Counters.incr t.c_assigns;
-  if t.spans_on then begin
-    let cost = assign_cost t in
-    Span.record t.d_sink ~req_id:job.Job.id ~phase:Span.Dispatch
-      ~start_ns:(Sim.now t.sim - cost) ~dur_ns:cost ~arg:wid
+  if t.spans_on && t.first_assign.(wid) then begin
+    let cost = assign_cost t and now = Sim.now t.sim in
+    Span.record t.d_sink ~req_id:job.Job.id ~phase:Span.Dispatch ~start_ns:(now - cost)
+      ~dur_ns:cost ~arg:wid;
+    Span.record t.w_sinks.(wid) ~req_id:job.Job.id ~phase:Span.Ring_hop ~start_ns:now
+      ~dur_ns:0 ~arg:wid
   end
 
 (* The worker the next assignment goes to: the first open idle one,
@@ -166,14 +170,16 @@ let rec kick t =
     (* Prefer idle workers, then busy ones lacking a prefetched job. *)
     let wid = free_worker t in
     if wid >= 0 then begin
-      assign t ~job:(Deque.pop_front t.queue) ~wid;
+      let job = Deque.pop_front t.queue in
+      assign t ~job ~wid ~first:(job.serviced_quanta = 0);
       kick t
     end
   end
 
 (* Sends [job] through the dispatcher core towards worker [wid]. *)
-and assign t ~job ~wid =
+and assign t ~job ~wid ~first =
   set_inflight t wid true;
+  t.first_assign.(wid) <- first;
   Deque.push_back t.assigns job;
   Busy_server.submit t.dispatcher ~cost:(assign_cost t) wid
 
@@ -305,7 +311,7 @@ and after_slice t ~wid =
       if victim >= 0 then begin
         let job = t.pending.(victim) in
         set_pending t victim Job.none;
-        assign t ~job ~wid
+        assign t ~job ~wid ~first:false
       end
     end
   end
@@ -330,6 +336,7 @@ let create sim ~rng:_ ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
       queue = Deque.create ();
       busy = Array.make cores false;
       inflight = Array.make cores false;
+      first_assign = Array.make cores false;
       pending = Array.make cores Job.none;
       open_w = Array.make cores true;
       open_count = cores;

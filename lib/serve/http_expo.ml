@@ -68,7 +68,13 @@ let read_head fd =
   in
   go ()
 
-let handle ~metrics ~outliers ~healthz fd =
+(* A view the server cannot render in its configuration (e.g. tail
+   forensics off) is a 404 carrying the Stats RPC's error message. *)
+let respond_view fd ~content_type = function
+  | Ok body -> respond fd ~status:"200 OK" ~content_type body
+  | Error msg -> respond fd ~status:"404 Not Found" ~content_type:"text/plain" (msg ^ "\n")
+
+let handle server fd =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
@@ -87,19 +93,17 @@ let handle ~metrics ~outliers ~healthz fd =
               in
               match path with
               | "/metrics" ->
-                  respond fd ~status:"200 OK"
+                  respond_view fd
                     ~content_type:"text/plain; version=0.0.4; charset=utf-8"
-                    (metrics ())
+                    (Server.render_stats server Protocol.Stats_text)
               | "/outliers" ->
-                  respond fd ~status:"200 OK"
-                    ~content_type:"application/json; charset=utf-8"
-                    (outliers ())
+                  respond_view fd ~content_type:"application/json; charset=utf-8"
+                    (Server.render_stats server (Protocol.Stats_outliers { limit = 0 }))
               | "/healthz" ->
-                  if healthz () then
-                    respond fd ~status:"200 OK" ~content_type:"text/plain" "ok\n"
-                  else
+                  if Server.draining server then
                     respond fd ~status:"503 Service Unavailable"
                       ~content_type:"text/plain" "draining\n"
+                  else respond fd ~status:"200 OK" ~content_type:"text/plain" "ok\n"
               | _ ->
                   respond fd ~status:"404 Not Found" ~content_type:"text/plain"
                     "not found: try /metrics, /outliers or /healthz\n")
@@ -110,7 +114,7 @@ let handle ~metrics ~outliers ~healthz fd =
               respond fd ~status:"400 Bad Request" ~content_type:"text/plain"
                 "bad request\n"))
 
-let start ?(host = "127.0.0.1") ~port ~metrics ~outliers ~healthz () =
+let start ?(host = "127.0.0.1") ~port server =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   (try Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
@@ -130,7 +134,7 @@ let start ?(host = "127.0.0.1") ~port ~metrics ~outliers ~healthz () =
         let rec loop () =
           match Unix.accept sock with
           | fd, _ ->
-              ignore (Thread.create (handle ~metrics ~outliers ~healthz) fd);
+              ignore (Thread.create (handle server) fd);
               loop ()
           | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
               (* stop closed the listening socket under us: done *)

@@ -2,15 +2,17 @@
     plain-text plane scrapers and humans expect next to the binary RPC
     plane.
 
-    Serves exactly three GET endpoints, each rendered by a callback the
-    caller supplies (so the listener knows nothing about the server):
+    Serves exactly three GET endpoints, the first two rendered by the
+    server's Stats RPC renderer ({!Server.render_stats}), so both
+    planes serve the same bytes:
 
-    - [/metrics] — Prometheus text exposition
-      ([text/plain; version=0.0.4]), wired to {!Server.prometheus};
-    - [/outliers] — the tail-forensics dossiers as JSON, wired to
-      {!Server.outliers_json};
-    - [/healthz] — liveness: [200 ok] while the health callback answers
-      [true], [503 draining] after.
+    - [/metrics] — the [Stats_text] view, Prometheus text exposition
+      ([text/plain; version=0.0.4]);
+    - [/outliers] — the [Stats_outliers] view (every retained dossier)
+      as JSON; with tail forensics off, [404] carrying the RPC's error
+      message;
+    - [/healthz] — [200 ok] while serving, [503 draining] once
+      {!Server.stop} has been called ({!Server.draining}).
 
     One accept thread plus one short-lived thread per connection;
     every response carries [Connection: close].  This is a
@@ -19,20 +21,12 @@
 
 type t
 
-(** [start ?host ~port ~metrics ~outliers ~healthz ()] binds (default
-    loopback; [port = 0] picks an ephemeral port, see {!port}), starts
-    the accept thread and returns immediately.  The callbacks run on
-    per-connection threads and must therefore be thread-safe — the
-    {!Server} render views are.  Raises [Unix.Unix_error] on e.g. a
-    busy port. *)
-val start :
-  ?host:string ->
-  port:int ->
-  metrics:(unit -> string) ->
-  outliers:(unit -> string) ->
-  healthz:(unit -> bool) ->
-  unit ->
-  t
+(** [start ?host ~port server] binds (default loopback; [port = 0]
+    picks an ephemeral port, see {!port}), starts the accept thread and
+    returns immediately.  Views render on per-connection threads; the
+    {!Server} views are safe from any thread.  Raises [Unix.Unix_error]
+    on e.g. a busy port. *)
+val start : ?host:string -> port:int -> Server.t -> t
 
 (** The actually bound port — the [port] given to {!start} unless that
     was 0. *)

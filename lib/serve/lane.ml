@@ -6,9 +6,9 @@
    parsed requests into its own slice of the worker pool, polls its
    slice's reply rings and flushes responses back.  Nothing on the
    per-request path crosses lanes, so every lane-local structure —
-   connection table, pending table, tallies, counter registry, latency
-   registry, span sink — is single-writer plain mutable state, exactly
-   as in the single-dispatcher design.
+   connection table, pending table, ledger, latency registry, span sink
+   — is single-writer plain mutable state, exactly as in the
+   single-dispatcher design.
 
    The worker pool is shared but partitioned: lane [l] of [L] owns
    workers [w] with [w mod L = l], preserving the SPSC contract (one
@@ -16,7 +16,7 @@
    are deliberately global and cross-lane-safe: the pool's atomic
    counters (JSQ, in-flight backpressure), the quantum cells the
    feedback controller actuates, and the buffer pool (a lock-free
-   Treiber stack).  Cross-lane *reads* of a lane's tallies (the Stats
+   Treiber stack).  Cross-lane *reads* of a lane's ledger (the Stats
    RPC, [Server.stats]) see word-sized plain loads: never torn, only
    eventually consistent — and exact once the lane's domain has been
    joined. *)
@@ -24,7 +24,6 @@
 module Parallel = Tq_runtime.Parallel
 module Spsc_ring = Tq_runtime.Spsc_ring
 module Admission = Tq_sched.Admission
-module Counters = Tq_obs.Counters
 module Span = Tq_obs.Span
 module Tail = Tq_obs.Tail
 module Latency = Tq_obs.Latency
@@ -72,49 +71,31 @@ type conn = {
   mutable alive : bool;
 }
 
-(* [parsed] is deliberately NOT a stored tally: every parsed
-   request-work frame lands in exactly one of [t_dispatched] /
-   [t_shed], so [counts] derives it from the same two loads it
-   reports — which keeps the [parsed = dispatched + shed] identity
-   exact even for a Stats render racing this lane's dispatch path
-   (three independently-updated cells could be observed mid-bump).
-   The same discipline covers the acceptance ledger: [accepted] is
-   [dispatched] by definition (admission happens before the tally) and
-   [in_flight] is derived in [Server.set_gauges] from the same loads,
-   so [accepted = completed + lost + dropped + in_flight] is exact in
-   every render.  [t_lost] is stamped once at lane exit (requests still
-   pending after the drain deadline — dead-worker leftovers);
-   [t_dropped] is the structural reserve for a future queue-drop path,
-   0 today. *)
-type tallies = {
-  mutable t_connections : int;
-  mutable t_dispatched : int;
-  mutable t_completed : int;
-  mutable t_shed : int;
-  mutable t_lost : int;
-  mutable t_dropped : int;
-  mutable t_stats_served : int;
-  mutable t_protocol_errors : int;
-  mutable t_orphaned : int;
-  mutable t_duplicates : int;
-  mutable t_redispatched : int;
-  mutable t_dead_workers : int;
-}
-
-type counts = {
-  connections : int;
-  parsed : int;
-  dispatched : int;
-  completed : int;
-  shed : int;
-  lost : int;
-  dropped : int;
-  stats_served : int;
-  protocol_errors : int;
-  orphaned : int;
-  duplicates : int;
-  redispatched : int;
-  dead_workers : int;
+(* The lane's only per-request record: each event updates exactly one
+   cell.  A completion lands in [good] or [late] (against the
+   controller's latency objective), so [completed] is their sum and
+   has no cell of its own.  Nothing derived is stored: [parsed] is
+   [dispatched + shed] and [in_flight] is
+   [dispatched - completed - lost - dropped], both computed by the
+   reader from the loads it reports, so the two identities hold
+   exactly even in a render racing this lane.  [lost] is stamped once
+   at lane exit (requests still pending after the drain deadline —
+   dead-worker leftovers); [dropped] is the structural reserve for a
+   future queue-drop path, 0 today. *)
+type ledger = {
+  dispatched : int array;  (* by class *)
+  good : int array;
+  late : int array;
+  shed : int array;
+  mutable connections : int;
+  mutable lost : int;
+  mutable dropped : int;
+  mutable stats_served : int;
+  mutable protocol_errors : int;
+  mutable orphaned : int;
+  mutable duplicates : int;
+  mutable redispatched : int;
+  mutable dead_workers : int;
 }
 
 (* One admitted-but-unanswered request, keyed by span id: everything
@@ -141,28 +122,13 @@ type t = {
   slice : int array;  (* global worker indices this lane dispatches to *)
   conns : (int, conn) Hashtbl.t;
   pending : (int, pending) Hashtbl.t;
-  tallies : tallies;
-  reg : Counters.t;
+  ledger : ledger;
   sink : Span.sink;
   tail_sink : Tail.sink;
   latency : Latency.t;
   lat_all : Latency.recorder;
   lat_class : Latency.recorder array;
   adm : Admission.t;
-  c_dispatched : Counters.counter;
-  c_completed : Counters.counter;
-  c_shed : Counters.counter;
-  c_stats_served : Counters.counter;
-  c_dispatched_by : Counters.counter array;
-  c_completed_by : Counters.counter array;
-  c_shed_by : Counters.counter array;
-  d_sojourn : Counters.dist;
-  c_duplicates : Counters.counter;
-  c_redispatched : Counters.counter;
-  c_workers_dead : Counters.counter;
-  ctl_completed : int array;  (* cumulative per-class, controller sensing *)
-  ctl_good : int array;
-  ctl_shed : int array;
   hb_beats : int array;  (* by slice position *)
   hb_missed : int array;
   mutable hb_next_ns : int;
@@ -174,10 +140,7 @@ type t = {
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
-let per_class f =
-  Array.init Protocol.class_count (fun i -> f (Protocol.class_name i))
-
-let create sh ~id ~reg ~admission =
+let create sh ~id ~admission =
   let slice =
     Array.of_seq
       (Seq.filter
@@ -186,48 +149,37 @@ let create sh ~id ~reg ~admission =
   in
   if Array.length slice = 0 then invalid_arg "Lane.create: empty worker slice";
   let latency = Latency.create () in
+  let by_class () = Array.make Protocol.class_count 0 in
   {
     sh;
     id;
     slice;
     conns = Hashtbl.create 64;
     pending = Hashtbl.create 1024;
-    tallies =
+    ledger =
       {
-        t_connections = 0;
-        t_dispatched = 0;
-        t_completed = 0;
-        t_shed = 0;
-        t_lost = 0;
-        t_dropped = 0;
-        t_stats_served = 0;
-        t_protocol_errors = 0;
-        t_orphaned = 0;
-        t_duplicates = 0;
-        t_redispatched = 0;
-        t_dead_workers = 0;
+        dispatched = by_class ();
+        good = by_class ();
+        late = by_class ();
+        shed = by_class ();
+        connections = 0;
+        lost = 0;
+        dropped = 0;
+        stats_served = 0;
+        protocol_errors = 0;
+        orphaned = 0;
+        duplicates = 0;
+        redispatched = 0;
+        dead_workers = 0;
       };
-    reg;
     sink = Span.register sh.spans (Span.Dispatcher id);
     tail_sink = Tail.register sh.tail ~lane:id;
     latency;
     lat_all = Latency.recorder latency "all";
-    lat_class = per_class (fun name -> Latency.recorder latency name);
+    lat_class =
+      Array.init Protocol.class_count (fun i ->
+          Latency.recorder latency (Protocol.class_name i));
     adm = Admission.create admission;
-    c_dispatched = Counters.counter reg "serve.dispatched";
-    c_completed = Counters.counter reg "serve.completed";
-    c_shed = Counters.counter reg "serve.shed";
-    c_stats_served = Counters.counter reg "serve.stats_served";
-    c_dispatched_by = per_class (fun n -> Counters.counter reg ("serve.dispatched." ^ n));
-    c_completed_by = per_class (fun n -> Counters.counter reg ("serve.completed." ^ n));
-    c_shed_by = per_class (fun n -> Counters.counter reg ("serve.shed." ^ n));
-    d_sojourn = Counters.dist reg "serve.sojourn_ns";
-    c_duplicates = Counters.counter reg "serve.duplicates";
-    c_redispatched = Counters.counter reg "serve.redispatched";
-    c_workers_dead = Counters.counter reg "serve.workers_dead";
-    ctl_completed = Array.make Protocol.class_count 0;
-    ctl_good = Array.make Protocol.class_count 0;
-    ctl_shed = Array.make Protocol.class_count 0;
     hb_beats = Array.make (Array.length slice) (-1);
     hb_missed = Array.make (Array.length slice) 0;
     hb_next_ns = 0;
@@ -237,39 +189,17 @@ let create sh ~id ~reg ~admission =
     next_sid = id;
   }
 
-let id t = t.id
-let registry t = t.reg
+let ledger t = t.ledger
 let latency t = t.latency
 let admission t = t.adm
 let open_conns t = Hashtbl.length t.conns
 let set_stats_renderer t f = t.render_stats <- Some f
 let set_tick t f = t.tick_hook <- Some f
-
-let counts t =
-  let s = t.tallies in
-  let dispatched = s.t_dispatched in
-  let shed = s.t_shed in
-  {
-    connections = s.t_connections;
-    parsed = dispatched + shed;
-    dispatched;
-    completed = s.t_completed;
-    shed;
-    lost = s.t_lost;
-    dropped = s.t_dropped;
-    stats_served = s.t_stats_served;
-    protocol_errors = s.t_protocol_errors;
-    orphaned = s.t_orphaned;
-    duplicates = s.t_duplicates;
-    redispatched = s.t_redispatched;
-    dead_workers = s.t_dead_workers;
-  }
-
-let in_flight t = t.tallies.t_dispatched - t.tallies.t_completed
+let total = Array.fold_left ( + ) 0
+let completed l = total l.good + total l.late
+let in_flight t = total t.ledger.dispatched - completed t.ledger
 let span_dropped t = Span.sink_dropped t.sink
-
-let ctl_counts t ~class_idx =
-  (t.ctl_completed.(class_idx), t.ctl_good.(class_idx), t.ctl_shed.(class_idx))
+let bump cells i = cells.(i) <- cells.(i) + 1
 
 (* {2 Connection lifecycle} *)
 
@@ -286,7 +216,7 @@ let adopt_fd t fd =
   t.next_cid <- cid + t.sh.lanes;
   Hashtbl.replace t.conns cid
     { fd; cid; rb = Reassembly.create (); wb = Outbuf.create (); alive = true };
-  t.tallies.t_connections <- t.tallies.t_connections + 1;
+  t.ledger.connections <- t.ledger.connections + 1;
   if t.sh.spans_on then
     Span.record t.sink ~req_id:(-1) ~phase:Span.Accept ~start_ns:(now_ns ())
       ~dur_ns:0 ~arg:cid
@@ -309,8 +239,7 @@ let shed_response t conn req_id =
    they report.  The rendering itself is a server-level closure — it
    merges every lane's view. *)
 let serve_stats t conn req_id view =
-  t.tallies.t_stats_served <- t.tallies.t_stats_served + 1;
-  Counters.incr t.c_stats_served;
+  t.ledger.stats_served <- t.ledger.stats_served + 1;
   let body =
     match t.render_stats with
     | Some render -> render view
@@ -366,10 +295,7 @@ let make_job t ~sid ~cid ~class_idx ~t0 ~req_id req =
     end
 
 let shed t conn ~p0 ~class_idx req_id =
-  t.tallies.t_shed <- t.tallies.t_shed + 1;
-  Counters.incr t.c_shed;
-  Counters.incr t.c_shed_by.(class_idx);
-  t.ctl_shed.(class_idx) <- t.ctl_shed.(class_idx) + 1;
+  bump t.ledger.shed class_idx;
   if t.sh.spans_on then
     Span.record t.sink ~req_id:(-1) ~phase:Span.Shed ~start_ns:p0
       ~dur_ns:(max 0 (now_ns () - p0))
@@ -425,9 +351,7 @@ let dispatch t conn ~p0 req_id req =
     let job = make_job t ~sid ~cid ~class_idx ~t0 ~req_id req in
     if Parallel.submit_to t.sh.pool ~tag:sid ~class_idx ~worker:w job then begin
       t.next_sid <- sid + t.sh.lanes;
-      t.tallies.t_dispatched <- t.tallies.t_dispatched + 1;
-      Counters.incr t.c_dispatched;
-      Counters.incr t.c_dispatched_by.(class_idx);
+      bump t.ledger.dispatched class_idx;
       Hashtbl.replace t.pending sid
         {
           p_cid = cid;
@@ -456,14 +380,14 @@ let rec parse_frames t conn =
   if conn.alive then
     match Reassembly.next conn.rb with
     | Error _ ->
-        t.tallies.t_protocol_errors <- t.tallies.t_protocol_errors + 1;
+        t.ledger.protocol_errors <- t.ledger.protocol_errors + 1;
         close_conn t conn
     | Ok None -> ()
     | Ok (Some payload) -> (
         let p0 = if t.sh.spans_on then now_ns () else 0 in
         match Protocol.decode_request payload with
         | Error _ ->
-            t.tallies.t_protocol_errors <- t.tallies.t_protocol_errors + 1;
+            t.ledger.protocol_errors <- t.ledger.protocol_errors + 1;
             close_conn t conn
         | Ok (req_id, req) ->
             (match req with
@@ -504,22 +428,17 @@ let poll_replies t progress =
                 (* Already answered by a re-dispatched copy (the original
                    worker finished after being declared dead).  Count and
                    drop — the client saw exactly one response. *)
-                t.tallies.t_duplicates <- t.tallies.t_duplicates + 1;
-                Counters.incr t.c_duplicates
+                t.ledger.duplicates <- t.ledger.duplicates + 1
             | Some p -> (
                 Hashtbl.remove t.pending reply.r_sid;
-                t.tallies.t_completed <- t.tallies.t_completed + 1;
-                Counters.incr t.c_completed;
-                Counters.incr t.c_completed_by.(reply.r_class);
                 let now = now_ns () in
                 let sojourn = now - reply.r_t0 in
+                bump
+                  (if sojourn <= t.sh.ctl_latency_ns then t.ledger.good else t.ledger.late)
+                  reply.r_class;
                 Admission.note_completion t.adm ~sojourn_ns:sojourn;
-                Counters.observe t.d_sojourn sojourn;
                 Latency.record t.lat_all sojourn;
                 Latency.record t.lat_class.(reply.r_class) sojourn;
-                t.ctl_completed.(reply.r_class) <- t.ctl_completed.(reply.r_class) + 1;
-                if sojourn <= t.sh.ctl_latency_ns then
-                  t.ctl_good.(reply.r_class) <- t.ctl_good.(reply.r_class) + 1;
                 if t.sh.spans_on then
                   (* worker push -> lane pop-and-buffer: the reply ring
                      hop plus write buffering, the request's last leg *)
@@ -538,7 +457,7 @@ let poll_replies t progress =
                 match Hashtbl.find_opt t.conns reply.r_cid with
                 | Some conn ->
                     Outbuf.add_bytes conn.wb reply.r_buf ~off:0 ~len:reply.r_len
-                | None -> t.tallies.t_orphaned <- t.tallies.t_orphaned + 1));
+                | None -> t.ledger.orphaned <- t.ledger.orphaned + 1));
             Pool.release t.sh.bufs reply.r_buf;
             go ()
       in
@@ -596,7 +515,7 @@ let idle_wait t backoff =
    in [pending] for the next heartbeat round. *)
 
 let redispatch_orphans t =
-  if t.tallies.t_dead_workers > 0 && Parallel.alive_in t.sh.pool ~workers:t.slice > 0
+  if t.ledger.dead_workers > 0 && Parallel.alive_in t.sh.pool ~workers:t.slice > 0
   then begin
     let orphans =
       Hashtbl.fold
@@ -616,8 +535,7 @@ let redispatch_orphans t =
         if Parallel.submit_to t.sh.pool ~tag:sid ~class_idx:p.p_class ~worker:w job
         then begin
           p.p_worker <- w;
-          t.tallies.t_redispatched <- t.tallies.t_redispatched + 1;
-          Counters.incr t.c_redispatched
+          t.ledger.redispatched <- t.ledger.redispatched + 1
         end)
       orphans
   end
@@ -646,8 +564,7 @@ let heartbeat_check t ~now =
           if t.hb_missed.(i) >= t.sh.missed_heartbeats then begin
             ignore (Parallel.mark_dead t.sh.pool ~worker:w : int);
             t.hb_missed.(i) <- 0;
-            t.tallies.t_dead_workers <- t.tallies.t_dead_workers + 1;
-            Counters.incr t.c_workers_dead
+            t.ledger.dead_workers <- t.ledger.dead_workers + 1
           end
         end
         else t.hb_missed.(i) <- 0;
@@ -711,5 +628,5 @@ let run t =
      (dead-worker leftovers whose re-dispatch never landed): stamp it
      so the acceptance ledger closes — accepted = completed + lost +
      dropped + in_flight, with in_flight 0 once every lane exits. *)
-  t.tallies.t_lost <- Hashtbl.length t.pending;
+  t.ledger.lost <- Hashtbl.length t.pending;
   List.iter (fun c -> close_conn t c) (conn_list t)

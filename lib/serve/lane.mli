@@ -10,8 +10,8 @@
     zero-copy framing.
 
     Nothing on the per-request path crosses lanes, so all per-lane
-    state (connections, pending table, tallies, counters, latency,
-    span sink) is single-writer plain mutable state.  Cross-lane reads
+    state (connections, pending table, ledger, latency, span sink) is
+    single-writer plain mutable state.  Cross-lane reads
     of that state — the Stats RPC renderer, [Server.stats] — see
     word-sized plain loads: never torn, eventually consistent, exact
     once the lane's domain is joined.  {!Server} owns lane creation,
@@ -49,45 +49,43 @@ type shared = {
 (** One lane. *)
 type t
 
-(** A consistent-on-join snapshot of one lane's tallies; field meanings
-    match [Server.stats].  [parsed] is derived as
-    [dispatched + shed] from the same two loads the record reports, so
-    the accounting identity holds {e exactly} in every snapshot — even
-    one rendered by another lane racing this lane's dispatch path.
-    [lost] counts requests still pending when the lane exited (their
-    worker died and re-dispatch never landed); [dropped] is the
-    structural reserve for a future queue-drop path, 0 today — both
-    feed the [accepted = completed + lost + dropped + in_flight]
-    ledger the server derives. *)
-type counts = {
-  connections : int;
-  parsed : int;
-  dispatched : int;
-  completed : int;
-  shed : int;
-  lost : int;
-  dropped : int;
-  stats_served : int;
-  protocol_errors : int;
-  orphaned : int;
-  duplicates : int;
-  redispatched : int;
-  dead_workers : int;
+(** The lane's accounting, the only per-request record it keeps: each
+    dispatcher event updates exactly one cell, and only the lane writes
+    them.  The per-class arrays are indexed by {!Protocol.class_of_request}.
+    A completion counts in [good] when its sojourn is within the
+    controller's latency objective ([shared.ctl_latency_ns]) and in
+    [late] otherwise, so completed is [good + late].  Nothing derived
+    is stored: readers compute [parsed = dispatched + shed] and
+    [in_flight = dispatched - completed - lost - dropped] from the
+    loads they report, so both identities hold {e exactly} in every
+    read, even one racing the lane.  Field meanings otherwise match
+    [Server.stats]. *)
+type ledger = private {
+  dispatched : int array;
+  good : int array;
+  late : int array;
+  shed : int array;
+  mutable connections : int;
+  mutable lost : int;
+  mutable dropped : int;
+  mutable stats_served : int;
+  mutable protocol_errors : int;
+  mutable orphaned : int;
+  mutable duplicates : int;
+  mutable redispatched : int;
+  mutable dead_workers : int;
 }
 
-(** [create sh ~id ~reg ~admission] — lane [id] of [sh.lanes], using
-    [reg] as its counter registry (single-writer: only this lane may
-    bump it) and a fresh admission controller with policy [admission].
-    Raises [Invalid_argument] when the lane's worker slice would be
-    empty ([lanes] exceeds the pool's workers). *)
-val create :
-  shared -> id:int -> reg:Tq_obs.Counters.t -> admission:Tq_sched.Admission.policy -> t
+(** [create sh ~id ~admission] — lane [id] of [sh.lanes], with a fresh
+    admission controller with policy [admission].  Raises
+    [Invalid_argument] when the lane's worker slice would be empty
+    ([lanes] exceeds the pool's workers). *)
+val create : shared -> id:int -> admission:Tq_sched.Admission.policy -> t
 
-(** The lane's index in [0, lanes). *)
-val id : t -> int
-
-(** The lane's counter registry (reads are cross-lane safe). *)
-val registry : t -> Tq_obs.Counters.t
+(** The lane's ledger.  Cross-lane reads are word-sized plain loads:
+    never torn, eventually consistent live, exact after the lane's
+    domain joins. *)
+val ledger : t -> ledger
 
 (** The lane's latency registry; pool lanes with [Latency.merge]. *)
 val latency : t -> Tq_obs.Latency.t
@@ -100,22 +98,10 @@ val admission : t -> Tq_sched.Admission.t
 (** Connections currently owned by the lane. *)
 val open_conns : t -> int
 
-(** Snapshot of the lane's tallies (plain cross-lane reads: eventually
-    consistent live, exact after the lane's domain joins). *)
-val counts : t -> counts
-
-(** Requests dispatched but not yet completed by this lane. *)
-val in_flight : t -> int
-
 (** Span records this lane's sink lost to ring overwrites — the
     [obs.span_dropped] per-lane gauge; 0 means every span of every
     request is still in the buffer. *)
 val span_dropped : t -> int
-
-(** [ctl_counts t ~class_idx] — cumulative [(completed, good, shed)]
-    for one request class: the controller's per-lane sensing input,
-    summed across lanes by the lane-0 tick. *)
-val ctl_counts : t -> class_idx:int -> int * int * int
 
 (** [set_stats_renderer t f] wires the server-level closure that
     renders a Stats RPC view across all lanes; the lane answers stats

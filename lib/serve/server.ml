@@ -10,7 +10,7 @@
    listener, the pooled framing buffers, lane lifecycle (lane 0 runs
    on the caller of [serve]; lanes 1.. get their own domains), the
    feedback controller (ticked by lane 0, sensing all lanes), and the
-   merged cross-lane views behind [stats], the Stats RPC and the
+   views of the lanes' ledgers behind [stats], the Stats RPC and the
    Prometheus exposition. *)
 
 module Parallel = Tq_runtime.Parallel
@@ -72,6 +72,7 @@ type stats = {
   shed : int;
   lost : int;
   dropped : int;
+  in_flight : int;
   stats_served : int;
   protocol_errors : int;
   orphaned : int;
@@ -88,6 +89,7 @@ type t = {
   lanes : Lane.t array;
   shared : Lane.shared;
   worker_regs : Counters.t array;  (** one per worker domain ([runtime.*]) *)
+  ctl_reg : Counters.t;  (** [control.*], written by the lane-0 controller tick *)
   spans : Span.t;
   spans_on : bool;
   tail : Tail.t;
@@ -132,8 +134,7 @@ let config_error c =
    domain, parked workers included, so building the apps (about 150k
    words) after the spawn made each collection of the build wait for
    them (DESIGN.md, "Live serving"). *)
-let create ?(obs = Obs.disabled ()) ?(spans = Span.null) ?(tail = Tail.null) ?gc
-    config =
+let create ?(spans = Span.null) ?(tail = Tail.null) ?gc config =
   Option.iter invalid_arg (config_error config);
   let listener = Listener.create ~host:config.host ~port:config.port ~lanes:config.lanes in
   let worker_regs = Array.init config.workers (fun _ -> Counters.create ()) in
@@ -144,7 +145,12 @@ let create ?(obs = Obs.disabled ()) ?(spans = Span.null) ?(tail = Tail.null) ?gc
       ?gc_pause_ns:(Option.map (fun g () -> Gc_events.self_pause_ns g) gc)
       ()
   in
-  let ctl = Option.map (Tq_control.Controller.create ~obs) config.adaptive in
+  let ctl_reg = Counters.create () in
+  let ctl =
+    Option.map
+      (Tq_control.Controller.create ~obs:(Obs.of_counters ctl_reg))
+      config.adaptive
+  in
   let ctl_latency_ns =
     match ctl with
     | Some c ->
@@ -181,11 +187,7 @@ let create ?(obs = Obs.disabled ()) ?(spans = Span.null) ?(tail = Tail.null) ?gc
     }
   in
   let lanes =
-    (* lane 0 writes the caller's observability registry, keeping the
-       single-dispatcher CLI behaviour; extra lanes get their own *)
-    Array.init config.lanes (fun id ->
-        let reg = if id = 0 then obs.Obs.counters else Counters.create () in
-        Lane.create shared ~id ~reg ~admission:config.admission)
+    Array.init config.lanes (fun id -> Lane.create shared ~id ~admission:config.admission)
   in
   let t =
     {
@@ -196,6 +198,7 @@ let create ?(obs = Obs.disabled ()) ?(spans = Span.null) ?(tail = Tail.null) ?gc
       lanes;
       shared;
       worker_regs;
+      ctl_reg;
       spans;
       spans_on = Span.enabled spans;
       tail;
@@ -228,59 +231,86 @@ let create ?(obs = Obs.disabled ()) ?(spans = Span.null) ?(tail = Tail.null) ?gc
 let port t = Listener.port t.listener
 let lanes t = t.config.lanes
 let stop t = Atomic.set t.shared.Lane.stop_flag true
+let draining t = Atomic.get t.shared.Lane.stop_flag
 
-(* Cross-lane sums over each lane's plain tallies: never torn
-   (word-sized loads), eventually consistent live, exact once [serve]
-   returned (domain join orders every lane write before the read). *)
-let stats t =
-  let z =
+(* {2 The ledger, read across lanes}
+
+   Every view reads the lanes' ledgers here: word-sized plain loads,
+   never torn, eventually consistent live and exact once [serve]
+   returned (domain join orders every lane write before the read).
+   Derived counts ([parsed], [completed], [in_flight]) come from the
+   same loads as the cells they sum, so both identities hold exactly
+   in every render. *)
+
+let total = Array.fold_left ( + ) 0
+
+(* [by_class t cells] — the per-class column [cells], summed over lanes. *)
+let by_class t (cells : Lane.ledger -> int array) =
+  Array.init Protocol.class_count (fun i ->
+      Array.fold_left (fun acc lane -> acc + (cells (Lane.ledger lane)).(i)) 0 t.lanes)
+
+let completed_by t =
+  Array.map2 ( + ) (by_class t (fun l -> l.good)) (by_class t (fun l -> l.late))
+
+(* One read of the per-class columns, and the flat [stats] derived
+   from those same loads. *)
+type read = {
+  flat : stats;
+  dispatched_by : int array;
+  completed_by : int array;
+  shed_by : int array;
+}
+
+let read t =
+  let dispatched_by = by_class t (fun l -> l.dispatched)
+  and completed_by = completed_by t
+  and shed_by = by_class t (fun l -> l.shed) in
+  let sum cell = Array.fold_left (fun acc lane -> acc + cell (Lane.ledger lane)) 0 t.lanes in
+  let dispatched = total dispatched_by
+  and completed = total completed_by
+  and shed = total shed_by
+  and lost = sum (fun l -> l.lost)
+  and dropped = sum (fun l -> l.dropped) in
+  let flat =
     {
-      connections = 0;
-      parsed = 0;
-      dispatched = 0;
-      completed = 0;
-      shed = 0;
-      lost = 0;
-      dropped = 0;
-      stats_served = 0;
-      protocol_errors = 0;
-      orphaned = 0;
-      duplicates = 0;
-      redispatched = 0;
-      dead_workers = 0;
+      connections = sum (fun l -> l.connections);
+      parsed = dispatched + shed;
+      dispatched;
+      completed;
+      shed;
+      lost;
+      dropped;
+      in_flight = dispatched - completed - lost - dropped;
+      stats_served = sum (fun l -> l.stats_served);
+      protocol_errors = sum (fun l -> l.protocol_errors);
+      orphaned = sum (fun l -> l.orphaned);
+      duplicates = sum (fun l -> l.duplicates);
+      redispatched = sum (fun l -> l.redispatched);
+      dead_workers = sum (fun l -> l.dead_workers);
     }
   in
-  Array.fold_left
-    (fun acc lane ->
-      let c = Lane.counts lane in
-      {
-        connections = acc.connections + c.Lane.connections;
-        parsed = acc.parsed + c.Lane.parsed;
-        dispatched = acc.dispatched + c.Lane.dispatched;
-        completed = acc.completed + c.Lane.completed;
-        shed = acc.shed + c.Lane.shed;
-        lost = acc.lost + c.Lane.lost;
-        dropped = acc.dropped + c.Lane.dropped;
-        stats_served = acc.stats_served + c.Lane.stats_served;
-        protocol_errors = acc.protocol_errors + c.Lane.protocol_errors;
-        orphaned = acc.orphaned + c.Lane.orphaned;
-        duplicates = acc.duplicates + c.Lane.duplicates;
-        redispatched = acc.redispatched + c.Lane.redispatched;
-        dead_workers = acc.dead_workers + c.Lane.dead_workers;
-      })
-    z t.lanes
+  { flat; dispatched_by; completed_by; shed_by }
 
-let in_flight t = Array.fold_left (fun acc l -> acc + Lane.in_flight l) 0 t.lanes
+let stats t = (read t).flat
+
+let ledger_violations s =
+  let check holds fmt = Printf.ksprintf (fun m -> if holds then [] else [ m ]) fmt in
+  check (s.parsed = s.dispatched + s.shed) "parsed = dispatched + shed (%d <> %d + %d)"
+    s.parsed s.dispatched s.shed
+  @ check
+      (s.dispatched = s.completed + s.lost + s.dropped + s.in_flight)
+      "accepted = completed + lost + dropped + in_flight (%d <> %d + %d + %d + %d)"
+      s.dispatched s.completed s.lost s.dropped s.in_flight
+
 let open_conns t = Array.fold_left (fun acc l -> acc + Lane.open_conns l) 0 t.lanes
-let spans t = t.spans
 let latency t = Latency.merge (Array.to_list (Array.map Lane.latency t.lanes))
 
-(* {2 Merged live views}
+(* {2 Views}
 
    Rendering happens on whichever thread asks (an in-process accessor,
-   or the lane serving a Stats RPC), so gauges are computed into the
-   render-local merged registry — never written into a lane's
-   registry, which has exactly one writer: its lane. *)
+   or the lane serving a Stats RPC), so counters and gauges are
+   written into render-local registries — never into the controller's
+   or a worker's registry, each of which has exactly one writer. *)
 
 let ring_occupancy t =
   let occ = ref 0 in
@@ -292,73 +322,67 @@ let ring_occupancy t =
 let span_dropped t =
   Array.fold_left (fun acc l -> acc + Lane.span_dropped l) 0 t.lanes
 
-let set_gauges t reg =
-  let g name v = Counters.set (Counters.gauge reg name) (float_of_int v) in
-  (* The acceptance ledger, derived from ONE tallies snapshot so the
-     [accepted = completed + lost + dropped + in_flight] identity holds
-     exactly in every render (four independently read cells could be
-     observed mid-bump). *)
-  let s = stats t in
-  g "serve.accepted" s.dispatched;
-  g "serve.lost" s.lost;
-  g "serve.dropped" s.dropped;
-  g "serve.in_flight" (s.dispatched - s.completed - s.lost - s.dropped);
-  g "serve.open_connections" (open_conns t);
-  g "serve.alive_workers" (Parallel.alive_workers t.pool);
-  g "serve.ring_occupancy" (ring_occupancy t);
-  g "serve.lanes" t.config.lanes;
-  g "serve.accept_handoffs" (Listener.handed_off t.listener);
-  g "obs.span_dropped" (span_dropped t);
-  Pool.fill_counters t.bufs reg
-
-(* [serve.parsed] is not a stored tally anywhere (see {!Lane.counts}):
-   re-derive it in each render-local merged registry from the same
-   merged snapshot's dispatched + shed, per class and in total, so the
-   identity is exact within any rendered text. *)
-let derive_parsed reg =
-  let derive name d s =
-    Counters.add (Counters.counter reg name)
-      (Counters.find_count reg d + Counters.find_count reg s)
-  in
-  derive "serve.parsed" "serve.dispatched" "serve.shed";
-  for i = 0 to Protocol.class_count - 1 do
-    let n = Protocol.class_name i in
-    derive ("serve.parsed." ^ n) ("serve.dispatched." ^ n) ("serve.shed." ^ n)
-  done;
+(* The dispatcher's [serve.*] series, from one read of the ledger: the
+   one place the metric names are written.  Gauges are set last, so
+   they overwrite whatever [reg] merged in. *)
+let fill_dispatcher t reg =
+  let r = read t in
+  let s = r.flat in
+  let count name n = Counters.add (Counters.counter reg ("serve." ^ name)) n in
+  let gauge name v = Counters.set (Counters.gauge reg name) (float_of_int v) in
+  count "parsed" s.parsed;
+  count "dispatched" s.dispatched;
+  count "completed" s.completed;
+  count "shed" s.shed;
+  count "stats_served" s.stats_served;
+  count "duplicates" s.duplicates;
+  count "redispatched" s.redispatched;
+  count "workers_dead" s.dead_workers;
+  Array.iteri
+    (fun i d ->
+      let cls = "." ^ Protocol.class_name i in
+      count ("parsed" ^ cls) (d + r.shed_by.(i));
+      count ("dispatched" ^ cls) d;
+      count ("completed" ^ cls) r.completed_by.(i);
+      count ("shed" ^ cls) r.shed_by.(i))
+    r.dispatched_by;
+  gauge "serve.accepted" s.dispatched;
+  gauge "serve.lost" s.lost;
+  gauge "serve.dropped" s.dropped;
+  gauge "serve.in_flight" s.in_flight;
+  gauge "serve.open_connections" (open_conns t);
+  gauge "serve.alive_workers" (Parallel.alive_workers t.pool);
+  gauge "serve.ring_occupancy" (ring_occupancy t);
+  gauge "serve.lanes" t.config.lanes;
+  gauge "serve.accept_handoffs" (Listener.handed_off t.listener);
+  gauge "obs.span_dropped" (span_dropped t);
+  Pool.fill_counters t.bufs reg;
   reg
-
-let lane_regs t = Array.to_list (Array.map Lane.registry t.lanes)
 
 let gc_registries t =
   match t.gc with None -> [] | Some g -> [ Gc_events.counters g ]
 
 let merged_counters t =
-  let merged =
-    derive_parsed
-      (Counters.merged ((lane_regs t @ Array.to_list t.worker_regs) @ gc_registries t))
-  in
-  set_gauges t merged;
-  merged
+  fill_dispatcher t
+    (Counters.merged ((t.ctl_reg :: Array.to_list t.worker_regs) @ gc_registries t))
 
 let snapshot_json t =
-  let s = stats t in
-  let serve = derive_parsed (Counters.merged (lane_regs t)) in
+  let r = read t in
+  let s = r.flat in
   let merged = Counters.merged (Array.to_list t.worker_regs) in
   let b = Buffer.create 2048 in
   Buffer.add_string b "{\n";
   Buffer.add_string b
     (Printf.sprintf
-       "  \"connections\": %d,\n  \"open_connections\": %d,\n  \"parsed\": %d,\n  \
-        \"dispatched\": %d,\n  \"completed\": %d,\n  \"shed\": %d,\n  \
-        \"lost\": %d,\n  \"dropped\": %d,\n  \
-        \"stats_served\": %d,\n  \"protocol_errors\": %d,\n  \"orphaned\": %d,\n  \
-        \"duplicates\": %d,\n  \"redispatched\": %d,\n  \"dead_workers\": %d,\n  \
-        \"in_flight\": %d,\n  \"workers\": %d,\n  \"alive_workers\": %d,\n  \
-        \"ring_occupancy\": %d,\n"
-       s.connections (open_conns t) s.parsed s.dispatched s.completed s.shed s.lost
-       s.dropped s.stats_served s.protocol_errors s.orphaned s.duplicates
-       s.redispatched s.dead_workers
-       (s.dispatched - s.completed - s.lost - s.dropped)
+       "  \"connections\": %d,\n  \"parsed\": %d,\n  \"dispatched\": %d,\n  \
+        \"completed\": %d,\n  \"shed\": %d,\n  \"lost\": %d,\n  \"dropped\": %d,\n  \
+        \"in_flight\": %d,\n  \"stats_served\": %d,\n  \"protocol_errors\": %d,\n  \
+        \"orphaned\": %d,\n  \"duplicates\": %d,\n  \"redispatched\": %d,\n  \
+        \"dead_workers\": %d,\n  \"open_connections\": %d,\n  \"workers\": %d,\n  \
+        \"alive_workers\": %d,\n  \"ring_occupancy\": %d,\n"
+       s.connections s.parsed s.dispatched s.completed s.shed s.lost s.dropped
+       s.in_flight s.stats_served s.protocol_errors s.orphaned s.duplicates
+       s.redispatched s.dead_workers (open_conns t)
        (Parallel.workers t.pool)
        (Parallel.alive_workers t.pool)
        (ring_occupancy t));
@@ -376,13 +400,15 @@ let snapshot_json t =
        (Pool.misses t.bufs) (Pool.oversize t.bufs) (Pool.discarded t.bufs));
   Array.iteri
     (fun i lane ->
-      let c = Lane.counts lane in
+      let l = Lane.ledger lane in
+      let dispatched = total l.dispatched and shed = total l.shed in
       Buffer.add_string b
         (Printf.sprintf
            "{\"lane\": %d, \"connections\": %d, \"parsed\": %d, \"dispatched\": %d, \
             \"completed\": %d, \"shed\": %d, \"span_dropped\": %d}%s"
-           i c.Lane.connections c.Lane.parsed c.Lane.dispatched c.Lane.completed
-           c.Lane.shed (Lane.span_dropped lane)
+           i l.connections (dispatched + shed) dispatched
+           (total l.good + total l.late)
+           shed (Lane.span_dropped lane)
            (if i = Array.length t.lanes - 1 then "" else ", ")))
     t.lanes;
   Buffer.add_string b "]},\n";
@@ -392,19 +418,16 @@ let snapshot_json t =
       Buffer.add_string b
         (Printf.sprintf "  \"control\": %s,\n" (Tq_control.Controller.state_json c)));
   Buffer.add_string b "  \"per_class\": {\n";
-  for i = 0 to Protocol.class_count - 1 do
-    let n = Protocol.class_name i in
-    Buffer.add_string b
-      (Printf.sprintf
-         "    %S: {\"parsed\": %d, \"dispatched\": %d, \"completed\": %d, \"shed\": \
-          %d}%s\n"
-         n
-         (Counters.find_count serve ("serve.parsed." ^ n))
-         (Counters.find_count serve ("serve.dispatched." ^ n))
-         (Counters.find_count serve ("serve.completed." ^ n))
-         (Counters.find_count serve ("serve.shed." ^ n))
-         (if i = Protocol.class_count - 1 then "" else ","))
-  done;
+  Array.iteri
+    (fun i d ->
+      Buffer.add_string b
+        (Printf.sprintf
+           "    %S: {\"parsed\": %d, \"dispatched\": %d, \"completed\": %d, \"shed\": \
+            %d}%s\n"
+           (Protocol.class_name i) (d + r.shed_by.(i)) d r.completed_by.(i)
+           r.shed_by.(i)
+           (if i = Protocol.class_count - 1 then "" else ",")))
+    r.dispatched_by;
   Buffer.add_string b "  },\n";
   Buffer.add_string b
     (Printf.sprintf
@@ -439,18 +462,9 @@ let breakdown t = Profile.of_records (Span.merge t.spans)
 
 (* {2 Tail forensics views} *)
 
-let tail t = t.tail
-
 let outlier_dossiers t ~limit =
   let limit = if limit <= 0 then Tail.retained t.tail else limit in
   Tail.dossiers t.tail ~records:(Span.merge t.spans) ~limit
-
-let outliers_json t ~limit =
-  Tail.dossiers_json ~class_name:Protocol.class_name t.tail
-    (outlier_dossiers t ~limit)
-
-let outliers_text t ~limit =
-  Tail.render ~class_name:Protocol.class_name (outlier_dossiers t ~limit)
 
 let tail_trace t = Tail.to_chrome t.tail (Span.merge t.spans)
 
@@ -458,8 +472,7 @@ let prometheus t =
   (* one merged dispatcher series regardless of lane count — the lane
      split is an implementation axis; the exposition's shape stays what
      single-dispatcher dashboards expect *)
-  let disp = derive_parsed (Counters.merged (lane_regs t)) in
-  set_gauges t disp;
+  let disp = fill_dispatcher t (Counters.merged [ t.ctl_reg ]) in
   (* span-sink overflow per lane: a tiny labelled registry per lane so
      a scrape can pinpoint WHICH lane's buffer wrapped, not just that
      one did (the merged [obs.span_dropped] gauge above is the total) *)
@@ -483,8 +496,6 @@ let prometheus t =
       | Some g -> [ ([ ("role", "gc") ], Gc_events.counters g) ])
   in
   Expo.render registries
-  (* per-class HDR latency; named apart from the serve.sojourn_ns
-     power-of-two dist, which already renders as tq_serve_sojourn_ns *)
   ^ Expo.render_latency ~name:"serve_latency_ns" (latency t)
   ^
   (* Per-stage series come from decomposing the live span buffers — a
@@ -517,14 +528,16 @@ let render_stats t view =
           (match view with
           | Protocol.Stats_breakdown -> Profile.to_json p
           | _ -> Profile.render p)
-  | Protocol.Stats_outliers { limit } ->
+  | Protocol.Stats_outliers { limit } | Protocol.Stats_outliers_text { limit } ->
       if not t.tail_on then
         Error "tail forensics off: run the server with --tail-k > 0"
-      else Ok (outliers_json t ~limit)
-  | Protocol.Stats_outliers_text { limit } ->
-      if not t.tail_on then
-        Error "tail forensics off: run the server with --tail-k > 0"
-      else Ok (outliers_text t ~limit)
+      else
+        let ds = outlier_dossiers t ~limit in
+        Ok
+          (match view with
+          | Protocol.Stats_outliers _ ->
+              Tail.dossiers_json ~class_name:Protocol.class_name t.tail ds
+          | _ -> Tail.render ~class_name:Protocol.class_name ds)
 
 (* {2 The feedback control loop}
 
@@ -542,20 +555,15 @@ let controller_tick t ~now =
           (Tq_control.Controller.config c).Tq_control.Controller.interval_ns
         in
         t.ctl_next_ns <- now + interval;
+        let completed = completed_by t
+        and good = by_class t (fun l -> l.good)
+        and shed = by_class t (fun l -> l.shed) in
         let classes =
           Array.init Protocol.class_count (fun i ->
-              let completed = ref 0 and good = ref 0 and shed = ref 0 in
-              Array.iter
-                (fun lane ->
-                  let cc, gg, ss = Lane.ctl_counts lane ~class_idx:i in
-                  completed := !completed + cc;
-                  good := !good + gg;
-                  shed := !shed + ss)
-                t.lanes;
               {
-                Tq_control.Controller.completed = !completed;
-                good = !good;
-                shed = !shed;
+                Tq_control.Controller.completed = completed.(i);
+                good = good.(i);
+                shed = shed.(i);
               })
         in
         let actions =

@@ -84,7 +84,8 @@ type config = {
     framing buffers. *)
 val default_config : config
 
-(** Dispatcher-side request accounting (a snapshot; see {!stats}). *)
+(** Dispatcher-side request accounting: the lanes' ledgers summed (a
+    snapshot; see {!stats}). *)
 type stats = {
   connections : int;  (** connections accepted over the lifetime *)
   parsed : int;  (** request-work frames successfully decoded *)
@@ -99,6 +100,9 @@ type stats = {
       (** structural reserve for a future queue-drop path, 0 today;
           together with [lost] it closes the acceptance ledger
           [accepted = completed + lost + dropped + in_flight] *)
+  in_flight : int;
+      (** admitted and not yet answered, lost or dropped; 0 once
+          {!serve} has returned *)
   stats_served : int;
       (** Stats RPCs answered at the dispatcher (not counted in
           [parsed], so [parsed = dispatched + shed] stays exact) *)
@@ -126,18 +130,20 @@ type t
     config {!Tq_control.Controller.validate} accepts. *)
 val config_error : config -> string option
 
-(** [create ?obs ?spans ?tail ?gc config] checks [config] (raising
+(** [create ?spans ?tail ?gc config] checks [config] (raising
     [Invalid_argument] with {!config_error}'s message before anything
     is bound or built), binds and listens (raising [Unix.Unix_error] on
     e.g. a busy port), builds every worker's state, the lanes and the
     buffer pool on the calling domain, and spawns the worker domains
     last, so no collection during set-up waits on another domain.
 
-    [obs] receives the dispatcher-owned [serve.*] counters (aggregate
-    and per-class), snapshot gauges and the sojourn distribution; each
-    worker domain additionally owns a private [runtime.*] registry
-    (quanta, yields, stalls, quantum-length / overshoot / probe-cadence
-    distributions) that snapshots merge in lock-free.
+    Each lane keeps one ledger of its dispatcher events; every view
+    ({!stats}, {!snapshot_json}, {!prometheus}, {!merged_counters} and
+    the controller's sensing) reads it.  Each worker domain owns a
+    private [runtime.*] registry (quanta, yields, stalls,
+    quantum-length / overshoot / probe-cadence distributions) that
+    snapshots merge in lock-free; the controller's [control.*] counters
+    live in a registry of their own.
 
     [spans] (default disabled, zero per-request cost) turns on
     cross-domain request spans: the dispatcher records
@@ -150,7 +156,7 @@ val config_error : config -> string option
     reservoir sink that retains the K slowest completions per sliding
     window plus every threshold breach, with controller state and queue
     depths sampled at dispatch time.  Pair it with [spans] to get exact
-    per-stage attribution in the dossiers ({!outliers_json}).
+    per-stage attribution in the dossiers ({!outlier_dossiers}).
 
     [gc] (a running {!Tq_obs.Gc_events} consumer) wires GC telemetry
     in: workers attribute wall-clock stalls to GC vs OS preemption
@@ -160,7 +166,6 @@ val config_error : config -> string option
     Start it with the same span collection to also get GC pause spans
     in the trace. *)
 val create :
-  ?obs:Tq_obs.Obs.t ->
   ?spans:Tq_obs.Span.t ->
   ?tail:Tq_obs.Tail.t ->
   ?gc:Tq_obs.Gc_events.t ->
@@ -182,29 +187,30 @@ val serve : t -> unit
     thread or a signal handler.  Idempotent. *)
 val stop : t -> unit
 
-(** Live accounting snapshot: per-lane tallies summed.  Safe from any
+(** [draining t] — {!stop} has been called: the health check's
+    [503 draining]. *)
+val draining : t -> bool
+
+(** Live accounting snapshot: the lanes' ledgers summed.  Safe from any
     thread — cross-lane reads are word-sized plain loads, never torn,
     eventually consistent while lanes run and exact once {!serve} has
-    returned. *)
+    returned.  [parsed] and [in_flight] are derived from the same loads
+    as the fields they sum, so {!ledger_violations} is [[]] for every
+    snapshot. *)
 val stats : t -> stats
 
-(** Requests admitted but not yet answered ([dispatched - completed]). *)
-val in_flight : t -> int
+(** [ledger_violations s] — one message per broken accounting identity,
+    naming it with its values: [parsed = dispatched + shed] and
+    [accepted = completed + lost + dropped + in_flight] (accepted is
+    [dispatched]).  [[]] when both hold. *)
+val ledger_violations : stats -> string list
 
 (** {2 Live observability}
 
     What the Stats RPC renders; exposed directly for in-process use
-    (tests, embedding).  Every view merges all lanes and computes its
-    gauges into render-local registries, so these are safe from any
-    thread — a lane's own registry keeps exactly one writer. *)
-
-(** The span collection passed to {!create} ({!Tq_obs.Span.null} when
-    none was). *)
-val spans : t -> Tq_obs.Span.t
-
-(** The tail-forensics collection passed to {!create}
-    ({!Tq_obs.Tail.null} when none was). *)
-val tail : t -> Tq_obs.Tail.t
+    (tests, embedding).  Every view reads all lanes' ledgers and writes
+    its counters and gauges into render-local registries, so these are
+    safe from any thread. *)
 
 (** Span records lost to sink-ring overwrites, summed over every lane —
     the [obs.span_dropped] total; 0 means the trace and the stage
@@ -217,16 +223,17 @@ val span_dropped : t -> int
     (HDR percentiles at native resolution). *)
 val latency : t -> Tq_obs.Latency.t
 
-(** One registry aggregating every lane's [serve.*] metrics with every
-    worker's [runtime.*] registry (lock-free merge; eventually
-    consistent), plus the render-time gauges and [serve.pool.*]
-    framing-pool health. *)
+(** One registry with the ledger's [serve.*] counters, every worker's
+    [runtime.*] registry and the controller's [control.*] (lock-free
+    merge; eventually consistent), plus the render-time gauges and
+    [serve.pool.*] framing-pool health. *)
 val merged_counters : t -> Tq_obs.Counters.t
 
-(** The live metrics snapshot as a JSON object: accounting, gauges,
-    the [io_plane] section (lane count, accept spreading, buffer-pool
-    health, per-lane shares), per-class breakdown, runtime totals and
-    the latency ladder — the [Stats_json] RPC body. *)
+(** The live metrics snapshot as a JSON object: the {!stats} fields,
+    gauges, the [io_plane] section (lane count, accept spreading,
+    buffer-pool health, per-lane shares), per-class breakdown, runtime
+    totals and the latency ladder — the [Stats_json] RPC body, and the
+    drain summary [tq_serve] prints and writes to [--stats-out]. *)
 val snapshot_json : t -> string
 
 (** The same snapshot as Prometheus text exposition — the [Stats_text]
@@ -237,6 +244,12 @@ val snapshot_json : t -> string
     decomposition renders as the [tq_serve_stage_ns] histogram
     family. *)
 val prometheus : t -> string
+
+(** [render_stats t view] — the body of one Stats RPC view, or the
+    error the RPC answers with (e.g. the controller or tail forensics
+    is off).  Lanes answer the Stats RPC through it, and
+    {!Http_expo} serves [/metrics] and [/outliers] through it. *)
+val render_stats : t -> Protocol.stats_view -> (string, string) result
 
 (** [breakdown t] — the per-stage sojourn decomposition of the span
     buffers as they stand ({!Tq_obs.Profile.of_records} over a live
@@ -250,14 +263,6 @@ val breakdown : t -> Tq_obs.Profile.t
     per-stage attribution, quantum/stall counts and overlapping
     GC pauses ({!Tq_obs.Tail.dossiers}). *)
 val outlier_dossiers : t -> limit:int -> Tq_obs.Tail.dossier list
-
-(** [outliers_json t ~limit] — the dossiers plus reservoir header as
-    one JSON object: the [Stats_outliers] RPC body. *)
-val outliers_json : t -> limit:int -> string
-
-(** [outliers_text t ~limit] — the dossiers as a human-readable table:
-    the [Stats_outliers_text] RPC body. *)
-val outliers_text : t -> limit:int -> string
 
 (** [tail_trace t] — Chrome trace-event JSON restricted to the retained
     outliers (their spans plus overlapping stall/GC records): the

@@ -629,23 +629,30 @@ let test_experiment_obs_integration () =
     (List.for_all (fun tid -> tid >= 100.0) quantum_tids)
 
 (* The DES records the live server's phases, so Profile decomposes a
-   traced TQ run: every request telescopes exactly into its stages. *)
-let test_traced_tq_run_decomposes () =
-  let obs = Tq_obs.Obs.create () in
-  let r =
-    Experiment.run ~obs ~system:(Presets.tq ()) ~workload:Table1.extreme_bimodal_sim
-      ~rate_rps:1_000_000.0 ~duration_ns:(Time_unit.ms 1.0) ()
-  in
-  let spans = obs.Tq_obs.Obs.spans in
-  check Alcotest.int "no sink overwrote" 0 (Tq_obs.Span.dropped spans);
-  let p = Tq_obs.Profile.of_records (Tq_obs.Span.merge spans) in
-  check Alcotest.int "every request decomposed" r.offered (Tq_obs.Profile.requests p);
-  Alcotest.(check bool) "requests > 0" true (Tq_obs.Profile.requests p > 0);
-  check (Alcotest.float 0.0) "exact fraction" 1.0 (Tq_obs.Profile.exact_fraction p);
-  check Alcotest.int "unattributed" 0 (Tq_obs.Profile.unattributed_count p);
-  check Alcotest.int "ring hop stage = ring_hop_ns each"
-    (Tq_obs.Profile.requests p * Overheads.tq_default.ring_hop_ns)
-    (Tq_obs.Profile.stage_sum_ns p Tq_obs.Profile.S_ring_hop)
+   traced run of each system: every request telescopes exactly into its
+   stages.  Only TQ's ring hop takes time; Shinjuku's assignment op and
+   Caladan's steering hand the job straight to its core. *)
+let test_traced_runs_decompose () =
+  List.iter
+    (fun (name, system, ring_hop_ns) ->
+      let obs = Tq_obs.Obs.create () in
+      let r =
+        Experiment.run ~obs ~system ~workload:Table1.extreme_bimodal_sim
+          ~rate_rps:1_000_000.0 ~duration_ns:(Time_unit.ms 1.0) ()
+      in
+      let spans = obs.Tq_obs.Obs.spans in
+      let check_int what = check Alcotest.int (name ^ ": " ^ what) in
+      check_int "no sink overwrote" 0 (Tq_obs.Span.dropped spans);
+      let p = Tq_obs.Profile.of_records (Tq_obs.Span.merge spans) in
+      check_int "every request decomposed" r.offered (Tq_obs.Profile.requests p);
+      Alcotest.(check bool) (name ^ ": requests > 0") true (r.offered > 0);
+      check (Alcotest.float 0.0) (name ^ ": exact") 1.0 (Tq_obs.Profile.exact_fraction p);
+      check_int "unattributed" 0 (Tq_obs.Profile.unattributed_count p);
+      check_int "ring hop stage" (r.offered * ring_hop_ns)
+        (Tq_obs.Profile.stage_sum_ns p Tq_obs.Profile.S_ring_hop))
+    [ ("tq", Presets.tq (), Overheads.tq_default.ring_hop_ns);
+      ("shinjuku", Presets.shinjuku ~quantum_ns:(Presets.shinjuku_quantum_for "extreme-bimodal") (), 0);
+      ("caladan", Presets.caladan ~mode:Caladan.Iokernel (), 0) ]
 
 let test_experiment_without_obs_has_no_timeseries () =
   let r =
@@ -697,8 +704,7 @@ let suite =
       test_single_dispatcher_max_equals_total;
     Alcotest.test_case "experiment obs integration" `Quick
       test_experiment_obs_integration;
-    Alcotest.test_case "traced tq run decomposes exactly" `Quick
-      test_traced_tq_run_decomposes;
+    Alcotest.test_case "traced runs decompose exactly" `Quick test_traced_runs_decompose;
     Alcotest.test_case "no obs, no timeseries" `Quick
       test_experiment_without_obs_has_no_timeseries;
   ]

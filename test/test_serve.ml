@@ -180,6 +180,7 @@ let test_loopback_smoke () =
       check Alcotest.int "no protocol errors" 0 s.Server.protocol_errors;
       check Alcotest.int "no orphans" 0 s.Server.orphaned)
 
+
 let test_drain_under_load () =
   let srv = Server.create { base_config with ring_capacity = 4096 } in
   let th = Thread.create (fun () -> Server.serve srv) () in
@@ -233,6 +234,62 @@ let run_batch client n =
     ignore (Client.recv client)
   done
 
+(* Each identity [ledger_violations] checks, broken once on a
+   hand-built record, is named; a balanced record names none. *)
+let test_ledger_violations () =
+  let ok =
+    { Server.connections = 1; parsed = 10; dispatched = 7; completed = 5; shed = 3;
+      lost = 1; dropped = 0; in_flight = 1; stats_served = 2; protocol_errors = 0;
+      orphaned = 0; duplicates = 0; redispatched = 1; dead_workers = 1 }
+  in
+  check Alcotest.(list string) "balanced ledger" [] (Server.ledger_violations ok);
+  let names_only needle s =
+    match Server.ledger_violations s with
+    | [ msg ] -> check Alcotest.bool needle true (contains msg needle)
+    | l -> Alcotest.failf "expected one violation naming %s, got [%s]" needle
+             (String.concat "; " l)
+  in
+  names_only "parsed = dispatched + shed" { ok with parsed = 11 };
+  names_only "parsed = dispatched + shed" { ok with shed = 2 };
+  names_only "accepted = completed + lost + dropped + in_flight" { ok with in_flight = 0 };
+  names_only "accepted = completed + lost + dropped + in_flight" { ok with dropped = 1 };
+  check Alcotest.int "both broken, both named" 2
+    (List.length (Server.ledger_violations { ok with dispatched = 8 }))
+
+(* The drain summary [tq_serve --stats-out] writes is [snapshot_json]
+   once every lane has joined.  Benchmark harnesses and CI read these
+   keys from it (the nested ones also from the live Stats RPC, the same
+   renderer); a missing one fails their run. *)
+let test_drain_file_contract () =
+  let spans = Tq_obs.Span.create ~capacity_per_sink:4096 () in
+  let srv = Server.create ~spans base_config in
+  let th = Thread.create (fun () -> Server.serve srv) () in
+  let client = Client.connect ~port:(Server.port srv) () in
+  run_batch client 100;
+  Client.close client;
+  Server.stop srv;
+  Thread.join th;
+  let json =
+    match Tq_util.Json.of_string (Server.snapshot_json srv) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "drain summary does not parse: %s" e
+  in
+  let number path =
+    let at = List.fold_left (fun v k -> Option.bind v (Tq_util.Json.member k)) in
+    match Option.bind (at (Some json) (String.split_on_char '.' path)) Tq_util.Json.number_opt with
+    | Some f -> int_of_float f
+    | None -> Alcotest.failf "drain summary has no number at %s" path
+  in
+  List.iter
+    (fun (path, want) -> check Alcotest.int path want (number path))
+    [ ("parsed", 100); ("dispatched", 100); ("completed", 100); ("runtime.completions", 100);
+      ("shed", 0); ("lost", 0); ("dropped", 0); ("protocol_errors", 0);
+      ("dead_workers", 0); ("redispatched", 0); ("spans.dropped", 0) ];
+  List.iter
+    (fun path -> ignore (number path : int))
+    [ "runtime.quanta"; "runtime.yields"; "runtime.stalls"; "io_plane.pool.hits";
+      "io_plane.pool.misses" ]
+
 let test_stats_rpc () =
   with_server base_config (fun srv ->
       let n = 200 in
@@ -265,7 +322,6 @@ let test_stats_rpc () =
           Printf.sprintf "tq_serve_parsed_total{role=\"dispatcher\"} %d\n" n;
           "# TYPE tq_serve_parsed_total counter";
           "tq_runtime_quanta_total{role=\"worker\",worker=\"0\"}";
-          "# TYPE tq_serve_sojourn_ns histogram";
           "# TYPE tq_serve_latency_ns histogram";
           "# TYPE tq_serve_latency_ns_quantiles summary";
           "quantile=\"0.99\"";
@@ -379,6 +435,8 @@ let suite =
     Alcotest.test_case "reassembly oversized" `Quick test_reassembly_rejects_oversized;
     Alcotest.test_case "loopback smoke" `Quick test_loopback_smoke;
     Alcotest.test_case "drain under load" `Quick test_drain_under_load;
+    Alcotest.test_case "ledger violations named" `Quick test_ledger_violations;
+    Alcotest.test_case "drain file contract" `Quick test_drain_file_contract;
     Alcotest.test_case "stats rpc" `Quick test_stats_rpc;
     Alcotest.test_case "shed visible in stats" `Quick test_shed_visible_in_stats;
     Alcotest.test_case "cross-domain spans" `Quick test_cross_domain_spans;
@@ -1055,14 +1113,7 @@ let test_http_metrics_plane () =
   let tail = Tq_obs.Tail.create ~k:8 () in
   let srv = Server.create ~spans ~tail tail_config in
   let th = Thread.create (fun () -> Server.serve srv) () in
-  let stopped = ref false in
-  let http =
-    Tq_serve.Http_expo.start ~port:0
-      ~metrics:(fun () -> Server.prometheus srv)
-      ~outliers:(fun () -> Server.outliers_json srv ~limit:0)
-      ~healthz:(fun () -> not !stopped)
-      ()
-  in
+  let http = Tq_serve.Http_expo.start ~port:0 srv in
   Fun.protect
     ~finally:(fun () ->
       Tq_serve.Http_expo.stop http;
@@ -1128,13 +1179,14 @@ let test_http_metrics_plane () =
       check Alcotest.bool "json content type" true (contains head "application/json");
       check Alcotest.bool "dossiers served over http" true
         (contains outliers "\"dossiers\"");
-      (* /healthz flips with the callback *)
+      (* /healthz flips when the server is told to drain *)
       let status, _, body = http_get ~port:hport "/healthz" in
       check Alcotest.bool "healthy while serving" true
         (contains status "200" && contains body "ok");
-      stopped := true;
-      let status, _, _ = http_get ~port:hport "/healthz" in
-      check Alcotest.bool "503 when draining" true (contains status "503");
+      Server.stop srv;
+      let status, _, body = http_get ~port:hport "/healthz" in
+      check Alcotest.bool "503 when draining" true
+        (contains status "503" && contains body "draining");
       (* unknown path: 404, connection still answered cleanly *)
       let status, _, _ = http_get ~port:hport "/nope" in
       check Alcotest.bool "404 elsewhere" true (contains status "404");
@@ -1142,12 +1194,32 @@ let test_http_metrics_plane () =
   (* stop is idempotent *)
   Tq_serve.Http_expo.stop http
 
+
+(* A view the server cannot render answers non-200 with the Stats RPC's
+   own message, on the HTTP plane as on the binary one. *)
+let test_http_view_error () =
+  with_server base_config (fun srv ->
+      let http = Tq_serve.Http_expo.start ~port:0 srv in
+      Fun.protect
+        ~finally:(fun () -> Tq_serve.Http_expo.stop http)
+        (fun () ->
+          let status, _, body =
+            http_get ~port:(Tq_serve.Http_expo.port http) "/outliers"
+          in
+          check Alcotest.bool "404 without tail forensics" true (contains status "404");
+          match Server.render_stats srv (Protocol.Stats_outliers { limit = 0 }) with
+          | Error msg ->
+              check Alcotest.bool "body carries the rpc message" true (contains body msg)
+          | Ok _ -> Alcotest.fail "outliers view rendered with tail forensics off"))
+
 let tail_suite =
   [
     Alcotest.test_case "outlier codec roundtrip" `Quick test_outlier_codec_roundtrip;
     Alcotest.test_case "outliers rpc" `Quick test_outliers_rpc;
     Alcotest.test_case "outliers need tail sampling" `Quick test_outliers_need_tail;
     Alcotest.test_case "http metrics plane" `Quick test_http_metrics_plane;
+    Alcotest.test_case "http view error carries the rpc message" `Quick
+      test_http_view_error;
   ]
 
 let suite = suite @ tail_suite
