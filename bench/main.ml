@@ -1,8 +1,8 @@
 (* Micro-benchmarks of this library's primitives, and three host-timed
-   A/B runs that check themselves.
+   runs that check themselves.
 
      dune exec bench/main.exe                       Bechamel table: ns and minor words per run
-     dune exec bench/main.exe -- --serve-bench      loopback serve sweep, lanes=1 vs lanes=2
+     dune exec bench/main.exe -- --serve-bench      loopback serve run, checked against the ledger
      dune exec bench/main.exe -- --tail-bench       loopback serve, tail reservoir off vs k=16
      dune exec bench/main.exe -- --parallel-bench   every figure point at jobs=1 vs jobs=max
 
@@ -314,28 +314,22 @@ let run_microbenchmarks () =
 
 let serve_workers = 2
 
-(* One in-process loopback run: a real Server (lane 0 on a helper
-   thread, extra lanes on their own domains) under the open-loop
-   Load_gen, checked against the ledger's identities. *)
-let serve_once ~label ~lanes ~rate_rps ?spans ?tail () =
+(* One in-process loopback run: a real Server (its lane on a helper
+   thread) under the open-loop Load_gen, checked against the ledger's
+   identities. *)
+let serve_once ~label ~rate_rps ?spans ?tail () =
   let config =
     {
       Tq_serve.Server.default_config with
       port = 0;
       workers = serve_workers;
-      lanes;
       rx_depth = 2048;
       kv_keys = 1024;
     }
   in
   let srv = Tq_serve.Server.create ?spans ?tail config in
   let th = Thread.create (fun () -> Tq_serve.Server.serve srv) () in
-  let lcfg =
-    {
-      (Tq_serve.Load_gen.default_config ~rate_rps ~port:(Tq_serve.Server.port srv)) with
-      server_lanes = lanes;
-    }
-  in
+  let lcfg = Tq_serve.Load_gen.default_config ~rate_rps ~port:(Tq_serve.Server.port srv) in
   let r = Tq_serve.Load_gen.run lcfg in
   let dossiers =
     if Option.is_some tail then Tq_serve.Server.outlier_dossiers srv ~limit:0 else []
@@ -356,42 +350,28 @@ let serve_once ~label ~lanes ~rate_rps ?spans ?tail () =
     label r.throughput_rps (p 50.0) (p 99.0) (p 99.9) r.lag_p99_us r.ok r.shed r.errors;
   (lcfg, r, s, p 99.0, dossiers)
 
-(* 150k offered rps is the calibrated load: enough to saturate one
-   dispatcher lane, so the lanes=2 row shows what sharding the I/O plane
-   buys.  On a multi-core host lanes=2 must improve p99; on one core
-   the lanes only add coordination, so the speedup is not checked. *)
+(* 150k offered rps saturates the dispatcher on a 2-core host: the run
+   must still keep the ledger's identities, answer every request and
+   serve at least a tenth of what was offered. *)
 let run_serve_bench () =
   let rate_rps = 150_000.0 in
   hr ();
-  Printf.printf "Multi-lane serve sweep (lanes 1 and 2, %d workers, %.0f offered rps)\n"
-    serve_workers rate_rps;
+  Printf.printf "Loopback serve check (%d workers, %.0f offered rps)\n" serve_workers rate_rps;
   hr ();
-  let row lanes =
-    let label = Printf.sprintf "lanes=%d" lanes in
-    let lcfg, (r : Tq_serve.Load_gen.result), (s : Tq_serve.Server.stats), p99, _ =
-      serve_once ~label ~lanes ~rate_rps ()
-    in
-    (* Every row must serve at least a tenth of what was offered. *)
-    let offered = rate_rps *. (lcfg.warmup_s +. lcfg.measure_s) /. 10.0 in
-    check (r.throughput_rps >= rate_rps /. 10.0) "%s: %.0f rps < a tenth of %.0f offered"
-      label r.throughput_rps rate_rps;
-    List.iter
-      (fun (what, n) ->
-        check (float_of_int n >= offered) "%s: %s %d < a tenth of the %.0f offered" label
-          what n (offered *. 10.0))
-      [ ("ok", r.ok); ("parsed", s.parsed); ("dispatched", s.dispatched);
-        ("completed", s.completed) ];
-    check (r.outstanding = 0) "%s: %d requests unanswered" label r.outstanding;
-    p99
+  let label = "serve" in
+  let lcfg, (r : Tq_serve.Load_gen.result), (s : Tq_serve.Server.stats), _, _ =
+    serve_once ~label ~rate_rps ()
   in
-  let p99_1 = row 1 in
-  let p99_2 = row 2 in
-  let speedup = if p99_2 > 0.0 then p99_1 /. p99_2 else 1.0 in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "p99 speedup lanes=1 -> lanes=2: %.3fx on %d cores\n" speedup cores;
-  if cores >= 2 then
-    check (speedup > 1.0) "lanes=2 did not improve p99 over lanes=1 on %d cores (%.3fx)"
-      cores speedup
+  let offered = rate_rps *. (lcfg.warmup_s +. lcfg.measure_s) /. 10.0 in
+  check (r.throughput_rps >= rate_rps /. 10.0) "%s: %.0f rps < a tenth of %.0f offered" label
+    r.throughput_rps rate_rps;
+  List.iter
+    (fun (what, n) ->
+      check (float_of_int n >= offered) "%s: %s %d < a tenth of the %.0f offered" label what
+        n (offered *. 10.0))
+    [ ("ok", r.ok); ("parsed", s.parsed); ("dispatched", s.dispatched);
+      ("completed", s.completed) ];
+  check (r.outstanding = 0) "%s: %d requests unanswered" label r.outstanding
 
 (* The reservoir's marginal cost under the same offered load: spans on
    in both rows (dossier attribution rides on them; the sinks hold the
@@ -413,7 +393,7 @@ let run_tail_bench () =
           let spans = Tq_obs.Span.create ~capacity_per_sink:(1 lsl 19) () in
           let tail = if tail_on then Tq_obs.Tail.create ~k () else Tq_obs.Tail.null in
           let label = Printf.sprintf "reservoir %s, run %d" (if tail_on then "on" else "off") i in
-          let _, _, _, p99, dossiers = serve_once ~label ~lanes:1 ~rate_rps ~spans ~tail () in
+          let _, _, _, p99, dossiers = serve_once ~label ~rate_rps ~spans ~tail () in
           (p99, dossiers))
     in
     List.nth (List.sort (fun (a, _) (b, _) -> Float.compare a b) runs) 1
@@ -432,7 +412,7 @@ let run_tail_bench () =
     p99_off p99_on (100.0 *. penalty) retained attributed_fraction;
   check (penalty <= 0.05) "arming the reservoir moved p99 by %+.1f%% (> 5%%)"
     (100.0 *. penalty);
-  (* One lane keeps at most k per window, current and previous. *)
+  (* The lane keeps at most k per window, current and previous. *)
   check (retained >= 4 && retained <= 2 * k) "%d dossiers retained (want 4 to %d)" retained
     (2 * k);
   check (attributed_fraction >= 0.9) "only %.3f of retained dossiers attributed"

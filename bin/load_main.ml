@@ -4,9 +4,7 @@
    answers, then reports achieved throughput and the per-class latency
    ladder, each request timed from its intended send time.  `--json
    FILE` writes the single-run benchmark report, with the generator's
-   own lag; `--lanes N` records the server's dispatcher lane count in
-   that report;
-   `--dashboard` renders SLO burn rates live; `--stats-interval SEC`
+   own lag; `--dashboard` renders SLO burn rates live; `--stats-interval SEC`
    polls the server's Stats RPC; `--trace FILE` fetches the server's
    span trace (server must run with --obs) for Perfetto. *)
 
@@ -24,7 +22,7 @@ let parse_slo s =
       exit 1
 
 let run host port rate connections warmup measure grace seed mix_spec spin_us
-    heavy_frac heavy_spin_us server_lanes json_out quiet slo_specs slo_strict stats_interval dashboard stats_json
+    heavy_frac heavy_spin_us json_out quiet slo_specs slo_strict stats_interval dashboard stats_json
     trace_out breakdown breakdown_json control outliers_n =
   let mix =
     match mix_spec with
@@ -66,7 +64,6 @@ let run host port rate connections warmup measure grace seed mix_spec spin_us
       slo = List.map parse_slo slo_specs;
       stats_interval_s = stats_interval;
       dashboard;
-      server_lanes;
     }
   in
   Option.iter
@@ -228,13 +225,6 @@ let () =
     Arg.(value & opt float 0.0
          & info [ "heavy-spin-us" ] ~doc:"server-side spin per heavy echo request")
   in
-  let server_lanes =
-    Arg.(value & opt int 1
-         & info [ "lanes" ] ~docv:"N"
-             ~doc:"dispatcher lane count the target tq_serve was started with \
-                   (report metadata only — recorded as server_lanes in --json \
-                   output so benchmark reports are self-describing)")
-  in
   let json =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE" ~doc:"write the benchmark report to FILE")
@@ -308,7 +298,7 @@ let () =
   let cmd =
     Cmd.v (Cmd.info "tq_load" ~version:"1.3.0" ~doc)
       Term.(const run $ host $ port $ rate $ connections $ warmup $ measure $ grace
-            $ seed $ mix $ spin $ heavy_frac $ heavy_spin $ server_lanes $ json $ quiet $ slo $ slo_strict
+            $ seed $ mix $ spin $ heavy_frac $ heavy_spin $ json $ quiet $ slo $ slo_strict
             $ stats_interval $ dashboard $ stats_json $ trace $ breakdown
             $ breakdown_json $ control $ outliers)
   in

@@ -70,7 +70,6 @@ let serve host port cores lanes quantum_us ring rx_depth admission kv_keys pool_
       host;
       port;
       workers = cores;
-      lanes;
       quantum_ns;
       ring_capacity = ring;
       rx_depth;
@@ -88,6 +87,8 @@ let serve host port cores lanes quantum_us ring rx_depth admission kv_keys pool_
     Printf.eprintf "tq_serve: %s\n" msg;
     exit 1
   in
+  if lanes <> 1 then
+    reject (Printf.sprintf "--lanes must be 1: the server runs one dispatcher (got %d)" lanes);
   Option.iter reject (Tq_serve.Server.config_error config);
   if obs_capacity < 1 then
     reject (Printf.sprintf "--obs-capacity must be positive (got %d)" obs_capacity);
@@ -159,14 +160,11 @@ let serve host port cores lanes quantum_us ring rx_depth admission kv_keys pool_
       ignore (Sys.signal Sys.sigalrm (Sys.Signal_handle stop));
       ignore (Unix.alarm (max 1 (int_of_float (Float.ceil s))))
   | None -> ());
-  Printf.printf
-    "tq_serve: listening on %s:%d (%d worker cores, %d lane%s, %gus quanta)\n%!" host
+  Printf.printf "tq_serve: listening on %s:%d (%d worker cores, %gus quanta)\n%!" host
     (Tq_serve.Server.port server)
-    cores lanes
-    (if lanes = 1 then "" else "s")
-    quantum_us;
+    cores quantum_us;
   Tq_serve.Server.serve server;
-  (* every lane has joined: the snapshot is exact *)
+  (* the lane has returned: the snapshot is exact *)
   let s = Tq_serve.Server.stats server in
   let summary = Tq_serve.Server.snapshot_json server in
   Printf.printf "tq_serve: drained. %s%!" summary;
@@ -227,9 +225,8 @@ let () =
   let lanes =
     Arg.(value & opt int 1
          & info [ "lanes" ] ~docv:"N"
-             ~doc:"dispatcher lanes (level 1): independent readiness loops sharing \
-                   the listener via accept spreading, each owning a disjoint \
-                   worker slice; must not exceed --cores")
+             ~doc:"kept so older command lines still parse: the server runs one \
+                   dispatcher, so only 1 is accepted")
   in
   let pool_bufs =
     Arg.(value & opt int 1024
@@ -334,7 +331,7 @@ let () =
     Arg.(value & opt int 0
          & info [ "tail-k" ] ~docv:"K"
              ~doc:"always-on tail forensics: retain the K slowest requests per \
-                   lane per window as queryable dossiers (stats-RPC outliers \
+                   window as queryable dossiers (stats-RPC outliers \
                    view, /outliers); 0 disables (zero per-request cost). \
                    Implies spans for per-stage attribution")
   in

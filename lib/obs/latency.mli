@@ -77,8 +77,8 @@ val to_alist : t -> (string * recorder) list
     the pooled percentiles up to the histograms' native resolution).
     Sources are read without locks: call after the recording domains
     have quiesced for an exact cut, or live for an eventually-consistent
-    snapshot.  This is how the multi-lane serve plane aggregates its
-    per-lane sojourn ladders for the Stats RPC. *)
+    snapshot.  The serve plane's views take their copy of the lane's
+    sojourn ladder this way. *)
 val merge : t list -> t
 
 (** [dump t] — one line per recorder: count, mean and the standard

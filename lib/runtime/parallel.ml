@@ -221,30 +221,6 @@ let pick t =
   if !best < 0 then invalid_arg "Parallel.pick: every worker is dead";
   !best
 
-(* The lane-aware variant: JSQ restricted to the caller's worker slice,
-   so a dispatcher lane that owns a subset of the rings (the
-   single-producer-per-ring contract) never steers outside it. *)
-let pick_in t ~workers =
-  let best = ref (-1) in
-  Array.iter
-    (fun i ->
-      if i < 0 || i >= Array.length t.handles then
-        invalid_arg "Parallel.pick_in: no such worker";
-      let h = t.handles.(i) in
-      if not (Atomic.get h.dead) then
-        if !best < 0 || unfinished h < unfinished t.handles.(!best) then best := i)
-    workers;
-  if !best < 0 then invalid_arg "Parallel.pick_in: every worker in the slice is dead";
-  !best
-
-let alive_in t ~workers =
-  Array.fold_left
-    (fun acc i ->
-      if i >= 0 && i < Array.length t.handles && not (Atomic.get t.handles.(i).dead)
-      then acc + 1
-      else acc)
-    0 workers
-
 let submit_to t ?tag ?(class_idx = 0) ~worker job =
   if not t.live then invalid_arg "Parallel.submit_to: pool is shut down";
   if worker < 0 || worker >= Array.length t.handles then

@@ -17,11 +17,8 @@
     other domain exists: in OCaml 5 every minor collection stops every
     domain, parked ones included (DESIGN.md, "Live serving").
     The inject rings are single-producer {e per worker}: at any moment,
-    at most one thread may {!submit_to} a given worker — either one
-    global dispatcher thread owns every ring (the classic layout), or
-    the worker set is partitioned into disjoint slices with one producer
-    each (the multi-lane serve plane, which steers inside its slice with
-    {!pick_in}).  Any thread may read the counters.
+    at most one thread may {!submit_to} a given worker — one dispatcher
+    thread owns every ring.  Any thread may read the counters.
 
     Fidelity caveats (DESIGN.md): wall-clock quanta include OCaml GC
     pauses, and the per-domain minor heaps make this a demonstration of
@@ -94,16 +91,6 @@ val workers : t -> int
     {!mark_dead}.  Raises [Invalid_argument] when every worker is
     dead. *)
 val pick : t -> int
-
-(** [pick_in t ~workers] — JSQ restricted to the worker indices in
-    [workers] (a dispatcher lane's slice), skipping dead workers.
-    Raises [Invalid_argument] when every listed worker is dead or an
-    index is out of range. *)
-val pick_in : t -> workers:int array -> int
-
-(** [alive_in t ~workers] — how many of the listed workers are not
-    marked dead (out-of-range indices count as dead). *)
-val alive_in : t -> workers:int array -> int
 
 (** [submit_to t ?tag ?class_idx ~worker job] — push [job] onto
     [worker]'s inject ring; [false] when the ring is full (shed or

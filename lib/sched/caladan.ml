@@ -40,10 +40,10 @@ type t = {
   (* Stolen jobs on their way to the thief, in two parallel FIFOs (the
      job, its thief), so a hand-off allocates no pair.  Every hand-off
      takes [steal_ns], so they arrive in the order they left, each with
-     one post of [handed_off]. *)
+     one post of [steal_landed]. *)
   hand_off_jobs : Job.t Deque.t;
   hand_off_thieves : Worker.t Deque.t;
-  mutable handed_off : Sim.action;
+  mutable steal_landed : Sim.action;
   metrics : Metrics.t;
   spans_on : bool;
   g_sink : Span.sink;  (** arrivals and RSS steering *)
@@ -71,7 +71,7 @@ let try_steal t (thief : Worker.t) =
     Worker.note_assigned thief;
     Deque.push_back t.hand_off_jobs job;
     Deque.push_back t.hand_off_thieves thief;
-    Sim.post t.sim ~delay:t.config.steal_ns t.handed_off
+    Sim.post t.sim ~delay:t.config.steal_ns t.steal_landed
   end
 
 let hand_off t =
@@ -138,7 +138,7 @@ let create sim ~rng ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
       iokernel = Busy_server.create sim ~serve:(fun req -> !deliver_to req) ();
       hand_off_jobs = Deque.create ();
       hand_off_thieves = Deque.create ();
-      handed_off = Sim.no_action;
+      steal_landed = Sim.no_action;
       metrics;
       spans_on = Span.enabled obs.Tq_obs.Obs.spans;
       g_sink = Span.register obs.Tq_obs.Obs.spans Span.Global;
@@ -150,7 +150,7 @@ let create sim ~rng ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
     }
   in
   deliver_to := deliver t;
-  t.handed_off <- Sim.action sim (fun () -> hand_off t);
+  t.steal_landed <- Sim.action sim (fun () -> hand_off t);
   let overheads = { Overheads.zero with finish_ns = config.finish_ns } in
   t.workers <-
     Array.init config.cores (fun wid ->

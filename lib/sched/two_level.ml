@@ -80,12 +80,13 @@ type t = {
   c_steals : Counters.counter;
   mutable steals : int;
   mutable steal_items : int;
-  (* Jobs riding a dispatcher->worker ring, in two parallel FIFOs (the
-     job, its worker index), so a hop allocates no pair.  Every hop takes
-     [ring_hop_ns], so they arrive in the order they left, each with one
-     post of [hopped]. *)
+  (* Jobs riding a dispatcher->worker ring, in three parallel FIFOs (the
+     job, its worker index, whether this is its first trip), so a hop
+     allocates no tuple.  Every hop takes [ring_hop_ns], so they arrive
+     in the order they left, each with one post of [hopped]. *)
   hop_jobs : Job.t Deque.t;
   hop_workers : int Deque.t;
+  hop_first : bool Deque.t;
   mutable hopped : Sim.action;
 }
 
@@ -148,17 +149,21 @@ let[@inline] pick_worker t (d : dispatcher) =
   else if t.dead_count >= Array.length t.workers then -1
   else Dispatch_policy.choose ~alive:(fun i -> t.marked_alive.(i)) d.chooser t.workers
 
-let rec send_over_ring t job widx =
+let rec send_over_ring t job widx ~first =
   t.acct.on_ring <- t.acct.on_ring + 1;
   Deque.push_back t.hop_jobs job;
   Deque.push_back t.hop_workers widx;
+  Deque.push_back t.hop_first first;
   Sim.post t.sim ~delay:t.config.overheads.ring_hop_ns t.hopped
 
 and hop t =
   let job = Deque.pop_front t.hop_jobs and widx = Deque.pop_front t.hop_workers in
+  let first = Deque.pop_front t.hop_first in
   t.acct.on_ring <- t.acct.on_ring - 1;
   Counters.incr t.c_ring_hops;
-  if t.spans_on then
+  (* Only the first trip is the request's ring-hop boundary: a rescued
+     job's second hop would give it two, and [Profile] would drop it. *)
+  if t.spans_on && first then
     Span.record (Worker.sink t.workers.(widx)) ~req_id:job.Job.id ~phase:Span.Ring_hop
       ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:widx;
   if t.marked_alive.(widx) then begin
@@ -206,7 +211,7 @@ and redispatch t ~from job =
       Span.record (Worker.sink t.workers.(from)) ~req_id:job.Job.id ~phase:Span.Redispatch
         ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:widx;
     Worker.note_assigned t.workers.(widx);
-    send_over_ring t job widx
+    send_over_ring t job widx ~first:false
   end
 
 (* Dispatcher [d_idx] finished its op on [req]: place the job. *)
@@ -233,7 +238,7 @@ let dispatched t d_idx (req : Arrivals.request) =
     let job =
       Job.of_request ~probe_overhead_frac:t.config.overheads.probe_overhead_frac req
     in
-    send_over_ring t job widx
+    send_over_ring t job widx ~first:true
   end
 
 let create sim ~rng ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
@@ -323,6 +328,7 @@ let create sim ~rng ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
       steal_items = 0;
       hop_jobs = Deque.create ();
       hop_workers = Deque.create ();
+      hop_first = Deque.create ();
       hopped = Sim.no_action;
     }
   in

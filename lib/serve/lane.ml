@@ -1,25 +1,17 @@
-(* One dispatcher lane of the multi-lane I/O plane.
+(* The dispatcher lane: TQ's first level over real sockets.
 
-   A lane is a self-contained copy of the classic dispatcher loop: it
-   polls the shared listener (accept spreading hands it an even share
-   of connections), owns those connections outright, steers their
-   parsed requests into its own slice of the worker pool, polls its
-   slice's reply rings and flushes responses back.  Nothing on the
-   per-request path crosses lanes, so every lane-local structure —
+   One loop accepts on the listening socket, owns every connection,
+   steers each parsed request to a worker (KV by key hash, everything
+   else JSQ over every living worker), polls every worker's reply ring
+   and flushes responses back.  The lane is the only producer on every
+   inject ring and the only consumer of every reply ring, so the SPSC
+   contract holds with zero coordination, and every lane structure —
    connection table, pending table, ledger, latency registry, span sink
-   — is single-writer plain mutable state, exactly as in the
-   single-dispatcher design.
+   — is single-writer plain mutable state.
 
-   The worker pool is shared but partitioned: lane [l] of [L] owns
-   workers [w] with [w mod L = l], preserving the SPSC contract (one
-   producer per dispatch ring) with zero coordination.  Three things
-   are deliberately global and cross-lane-safe: the pool's atomic
-   counters (JSQ, in-flight backpressure), the quantum cells the
-   feedback controller actuates, and the buffer pool (a lock-free
-   Treiber stack).  Cross-lane *reads* of a lane's ledger (the Stats
-   RPC, [Server.stats]) see word-sized plain loads: never torn, only
-   eventually consistent — and exact once the lane's domain has been
-   joined. *)
+   Other threads (the HTTP metrics plane, an in-process [Server.stats])
+   read the ledger with word-sized plain loads: never torn, only
+   eventually consistent — and exact once [run] has returned. *)
 
 module Parallel = Tq_runtime.Parallel
 module Spsc_ring = Tq_runtime.Spsc_ring
@@ -48,14 +40,13 @@ type shared = {
   apps : App.t array;
   reply_rings : reply Spsc_ring.t array;  (* indexed by worker *)
   bufs : Pool.t;
-  listener : Listener.t;
+  listen_fd : Unix.file_descr;
   stop_flag : bool Atomic.t;
   paused_until_ns : int Atomic.t;
   spans : Span.t;
   spans_on : bool;
   tail : Tail.t;
   tail_on : bool;
-  lanes : int;
   rx_depth : int;
   drain_timeout_s : float;
   heartbeat_interval_ns : int;
@@ -99,8 +90,8 @@ type ledger = {
 }
 
 (* One admitted-but-unanswered request, keyed by span id: everything
-   needed to re-dispatch to another worker in the slice if its current
-   one is declared dead.  First reply retires the entry; replies that
+   needed to re-dispatch to another worker if its current one is
+   declared dead.  First reply retires the entry; replies that
    find no entry are duplicates and are dropped with a count. *)
 type pending = {
   p_cid : int;
@@ -118,8 +109,8 @@ type pending = {
 
 type t = {
   sh : shared;
-  id : int;
-  slice : int array;  (* global worker indices this lane dispatches to *)
+  workers : int;
+  mutable listening : bool;
   conns : (int, conn) Hashtbl.t;
   pending : (int, pending) Hashtbl.t;
   ledger : ledger;
@@ -129,31 +120,41 @@ type t = {
   lat_all : Latency.recorder;
   lat_class : Latency.recorder array;
   adm : Admission.t;
-  hb_beats : int array;  (* by slice position *)
+  hb_beats : int array;  (* by worker *)
   hb_missed : int array;
   mutable hb_next_ns : int;
   mutable render_stats : (Protocol.stats_view -> (string, string) result) option;
   mutable tick_hook : (now_ns:int -> unit) option;
-  mutable next_cid : int;  (* strided: start [id], step [lanes] *)
+  mutable next_cid : int;
   mutable next_sid : int;
 }
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
-let create sh ~id ~admission =
-  let slice =
-    Array.of_seq
-      (Seq.filter
-         (fun w -> w mod sh.lanes = id)
-         (Seq.init (Parallel.workers sh.pool) Fun.id))
-  in
-  if Array.length slice = 0 then invalid_arg "Lane.create: empty worker slice";
+(* {2 The listening socket} *)
+
+let listen ~host ~port =
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  (try
+     Unix.setsockopt fd SO_REUSEADDR true;
+     Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+     Unix.listen fd 128;
+     Unix.set_nonblock fd
+   with e ->
+     Unix.close fd;
+     raise e);
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (_, p) -> (fd, p)
+  | _ -> (fd, port)
+
+let create sh ~admission =
+  let workers = Parallel.workers sh.pool in
   let latency = Latency.create () in
   let by_class () = Array.make Protocol.class_count 0 in
   {
     sh;
-    id;
-    slice;
+    workers;
+    listening = true;
     conns = Hashtbl.create 64;
     pending = Hashtbl.create 1024;
     ledger =
@@ -172,21 +173,21 @@ let create sh ~id ~admission =
         redispatched = 0;
         dead_workers = 0;
       };
-    sink = Span.register sh.spans (Span.Dispatcher id);
-    tail_sink = Tail.register sh.tail ~lane:id;
+    sink = Span.register sh.spans (Span.Dispatcher 0);
+    tail_sink = Tail.register sh.tail ~lane:0;
     latency;
     lat_all = Latency.recorder latency "all";
     lat_class =
       Array.init Protocol.class_count (fun i ->
           Latency.recorder latency (Protocol.class_name i));
     adm = Admission.create admission;
-    hb_beats = Array.make (Array.length slice) (-1);
-    hb_missed = Array.make (Array.length slice) 0;
+    hb_beats = Array.make workers (-1);
+    hb_missed = Array.make workers 0;
     hb_next_ns = 0;
     render_stats = None;
     tick_hook = None;
-    next_cid = id;
-    next_sid = id;
+    next_cid = 0;
+    next_sid = 0;
   }
 
 let ledger t = t.ledger
@@ -203,6 +204,12 @@ let bump cells i = cells.(i) <- cells.(i) + 1
 
 (* {2 Connection lifecycle} *)
 
+let stop_listening t =
+  if t.listening then begin
+    t.listening <- false;
+    try Unix.close t.sh.listen_fd with Unix.Unix_error _ -> ()
+  end
+
 let close_conn t conn =
   if conn.alive then begin
     conn.alive <- false;
@@ -213,7 +220,7 @@ let close_conn t conn =
 let adopt_fd t fd =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   let cid = t.next_cid in
-  t.next_cid <- cid + t.sh.lanes;
+  t.next_cid <- cid + 1;
   Hashtbl.replace t.conns cid
     { fd; cid; rb = Reassembly.create (); wb = Outbuf.create (); alive = true };
   t.ledger.connections <- t.ledger.connections + 1;
@@ -233,11 +240,10 @@ let add_response t conn resp =
 let shed_response t conn req_id =
   add_response t conn { Protocol.req_id; status = Protocol.Shed; body = "" }
 
-(* Stats requests are introspection, answered synchronously on the lane
-   that owns the connection: they must work during overload (when
-   admission sheds request work) and must not perturb the accounting
-   they report.  The rendering itself is a server-level closure — it
-   merges every lane's view. *)
+(* Stats requests are introspection, answered synchronously on the
+   lane: they must work during overload (when admission sheds request
+   work) and must not perturb the accounting they report.  The
+   rendering itself is a server-level closure. *)
 let serve_stats t conn req_id view =
   t.ledger.stats_served <- t.ledger.stats_served + 1;
   let body =
@@ -311,7 +317,7 @@ let dispatch t conn ~p0 req_id req =
   let class_idx = Protocol.class_of_request req in
   let pool_load = Parallel.in_flight t.sh.pool in
   let admitted =
-    Parallel.alive_in t.sh.pool ~workers:t.slice > 0
+    Parallel.alive_workers t.sh.pool > 0
     && pool_load < t.sh.rx_depth
     && Admission.admit t.adm ~in_system:pool_load
   in
@@ -321,15 +327,12 @@ let dispatch t conn ~p0 req_id req =
     let w =
       match key with
       | Some key ->
-          (* Keyed steering inside the slice, unless the home worker
-             died — consistency yields to availability (its store is
-             gone anyway).  Keys are consistent per lane, and a client
-             connection sticks to one lane for its lifetime; see the
-             DESIGN.md caveat on cross-lane key placement. *)
-          let w = t.slice.(Hashtbl.hash key mod Array.length t.slice) in
-          if Parallel.worker_alive t.sh.pool ~worker:w then w
-          else Parallel.pick_in t.sh.pool ~workers:t.slice
-      | None -> Parallel.pick_in t.sh.pool ~workers:t.slice
+          (* Keyed steering, unless the home worker died —
+             consistency yields to availability (its store is gone
+             anyway). *)
+          let w = Hashtbl.hash key mod t.workers in
+          if Parallel.worker_alive t.sh.pool ~worker:w then w else Parallel.pick t.sh.pool
+      | None -> Parallel.pick t.sh.pool
     in
     let sid = t.next_sid in
     let cid = conn.cid in
@@ -350,7 +353,7 @@ let dispatch t conn ~p0 req_id req =
     let t0 = now_ns () in
     let job = make_job t ~sid ~cid ~class_idx ~t0 ~req_id req in
     if Parallel.submit_to t.sh.pool ~tag:sid ~class_idx ~worker:w job then begin
-      t.next_sid <- sid + t.sh.lanes;
+      t.next_sid <- sid + 1;
       bump t.ledger.dispatched class_idx;
       Hashtbl.replace t.pending sid
         {
@@ -395,12 +398,14 @@ let rec parse_frames t conn =
             | _ -> dispatch t conn ~p0 req_id req);
             parse_frames t conn)
 
-let accept_new t progress =
-  match Listener.poll t.sh.listener ~lane:t.id with
-  | [] -> ()
-  | fds ->
+let rec accept_new t progress =
+  match Unix.accept ~cloexec:true t.sh.listen_fd with
+  | fd, _ ->
+      Unix.set_nonblock fd;
       progress := true;
-      List.iter (adopt_fd t) fds
+      adopt_fd t fd;
+      accept_new t progress
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR | ECONNABORTED), _, _) -> ()
 
 let read_conn t chunk progress conn =
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
@@ -415,9 +420,8 @@ let read_conn t chunk progress conn =
 let conn_list t = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
 
 let poll_replies t progress =
-  Array.iter
-    (fun w ->
-      let ring = t.sh.reply_rings.(w) in
+  Array.iteri
+    (fun w ring ->
       let rec go () =
         match Spsc_ring.try_pop ring with
         | None -> ()
@@ -462,7 +466,7 @@ let poll_replies t progress =
             go ()
       in
       go ())
-    t.slice
+    t.sh.reply_rings
 
 let flush_conn t progress conn =
   if not (Outbuf.is_empty conn.wb) then begin
@@ -478,45 +482,44 @@ let flush_conn t progress conn =
 let pending_writes t =
   Hashtbl.fold (fun _ c acc -> acc || not (Outbuf.is_empty c.wb)) t.conns false
 
-let reply_rings_empty t =
-  Array.for_all (fun w -> Spsc_ring.length t.sh.reply_rings.(w) = 0) t.slice
+(* Every worker done with what it was assigned, and every reply ring
+   empty.  A killed worker's count freezes above zero, so after a kill
+   the lane polls instead of blocking. *)
+let workers_quiet t =
+  let quiet = ref true in
+  Array.iteri
+    (fun w ring ->
+      if Spsc_ring.length ring > 0 || Parallel.worker_in_flight t.sh.pool ~worker:w > 0
+      then quiet := false)
+    t.sh.reply_rings;
+  !quiet
 
-let slice_in_flight t =
-  Array.fold_left
-    (fun acc w -> acc + Parallel.worker_in_flight t.sh.pool ~worker:w)
-    0 t.slice
-
-(* Block on socket readiness only when this lane's whole pipeline is
-   quiet.  With work in flight the lane polls, like the paper's
-   dedicated dispatcher core — but through a spin-then-park backoff, so
-   on a machine where lanes and workers share cores a reply-less poll
-   round hands the core to the workers (see {!Tq_runtime.Backoff}).
-   The select timeout also bounds cross-lane accept-handoff latency. *)
+(* Block on socket readiness only when the whole pipeline is quiet.
+   With work in flight the lane polls, like the paper's dedicated
+   dispatcher core — but through a spin-then-park backoff, so on a
+   machine where the lane and workers share cores a reply-less poll
+   round hands the core to the workers (see {!Tq_runtime.Backoff}). *)
 let idle_wait t backoff =
-  if slice_in_flight t = 0 && reply_rings_empty t && not (pending_writes t) then begin
+  if workers_quiet t && not (pending_writes t) then begin
     let fds = List.map (fun c -> c.fd) (conn_list t) in
-    let fds =
-      if Listener.is_open t.sh.listener then Listener.fd t.sh.listener :: fds
-      else fds
-    in
+    let fds = if t.listening then t.sh.listen_fd :: fds else fds in
     match Unix.select fds [] [] 0.02 with
     | _ -> ()
-    | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   end
   else Tq_runtime.Backoff.once backoff
 
 (* {2 Worker health: heartbeats, death verdicts, re-dispatch}
 
-   Per-lane over the lane's own slice: requests stranded on a worker
-   declared dead are re-submitted to living slice workers under their
-   original span id, so the client still gets exactly one response (the
-   duplicate filter in [poll_replies] absorbs any race with a
-   not-quite-dead original).  A full replacement ring leaves the entry
-   in [pending] for the next heartbeat round. *)
+   Requests stranded on a worker declared dead are re-submitted to
+   living workers under their original span id, so the client still
+   gets exactly one response (the duplicate filter in [poll_replies]
+   absorbs any race with a not-quite-dead original).  A full
+   replacement ring leaves the entry in [pending] for the next
+   heartbeat round. *)
 
 let redispatch_orphans t =
-  if t.ledger.dead_workers > 0 && Parallel.alive_in t.sh.pool ~workers:t.slice > 0
-  then begin
+  if t.ledger.dead_workers > 0 && Parallel.alive_workers t.sh.pool > 0 then begin
     let orphans =
       Hashtbl.fold
         (fun sid p acc ->
@@ -527,7 +530,7 @@ let redispatch_orphans t =
     in
     List.iter
       (fun (sid, p) ->
-        let w = Parallel.pick_in t.sh.pool ~workers:t.slice in
+        let w = Parallel.pick t.sh.pool in
         let job =
           make_job t ~sid ~cid:p.p_cid ~class_idx:p.p_class ~t0:p.p_t0
             ~req_id:p.p_req_id p.p_req
@@ -546,30 +549,29 @@ let redispatch_orphans t =
    and its pending requests move.  Idle workers always beat, so quiet
    periods never accumulate misses.  A verdict is not final: a worker
    whose beats advance after it was declared dead was only stalled, and
-   rejoins the slice (a killed domain never beats again).  Requests it
+   rejoins dispatch (a killed domain never beats again).  Requests it
    still holds complete normally; any already re-dispatched elsewhere
    are answered once, by whichever copy finishes first. *)
 let heartbeat_check t ~now =
   if t.sh.heartbeat_interval_ns > 0 && now >= t.hb_next_ns then begin
     t.hb_next_ns <- now + t.sh.heartbeat_interval_ns;
-    Array.iteri
-      (fun i w ->
-        let b = Parallel.beats t.sh.pool ~worker:w in
-        if not (Parallel.worker_alive t.sh.pool ~worker:w) then begin
-          if b <> t.hb_beats.(i) then Parallel.revive t.sh.pool ~worker:w
+    for w = 0 to t.workers - 1 do
+      let b = Parallel.beats t.sh.pool ~worker:w in
+      if not (Parallel.worker_alive t.sh.pool ~worker:w) then begin
+        if b <> t.hb_beats.(w) then Parallel.revive t.sh.pool ~worker:w
+      end
+      else if b = t.hb_beats.(w) && Parallel.worker_in_flight t.sh.pool ~worker:w > 0
+      then begin
+        t.hb_missed.(w) <- t.hb_missed.(w) + 1;
+        if t.hb_missed.(w) >= t.sh.missed_heartbeats then begin
+          ignore (Parallel.mark_dead t.sh.pool ~worker:w : int);
+          t.hb_missed.(w) <- 0;
+          t.ledger.dead_workers <- t.ledger.dead_workers + 1
         end
-        else if b = t.hb_beats.(i) && Parallel.worker_in_flight t.sh.pool ~worker:w > 0
-        then begin
-          t.hb_missed.(i) <- t.hb_missed.(i) + 1;
-          if t.hb_missed.(i) >= t.sh.missed_heartbeats then begin
-            ignore (Parallel.mark_dead t.sh.pool ~worker:w : int);
-            t.hb_missed.(i) <- 0;
-            t.ledger.dead_workers <- t.ledger.dead_workers + 1
-          end
-        end
-        else t.hb_missed.(i) <- 0;
-        t.hb_beats.(i) <- b)
-      t.slice;
+      end
+      else t.hb_missed.(w) <- 0;
+      t.hb_beats.(w) <- b
+    done;
     redispatch_orphans t
   end
 
@@ -577,7 +579,7 @@ let heartbeat_check t ~now =
 
 let run t =
   (* the latency recorders were created on the thread that built the
-     server; this lane's domain records into them from here on *)
+     server; the thread running the lane records into them from here on *)
   Latency.adopt t.lat_all;
   Array.iter Latency.adopt t.lat_class;
   let chunk = Bytes.create 65536 in
@@ -591,16 +593,15 @@ let run t =
     (match t.tick_hook with Some f -> f ~now_ns:now | None -> ());
     if (not !stopping) && Atomic.get t.sh.stop_flag then begin
       (* Graceful drain: no new connections, no new frames; everything
-         already dispatched still completes and flushes.  The first
-         lane to notice closes the shared listener (idempotent). *)
+         already dispatched still completes and flushes. *)
       stopping := true;
       stop_deadline := Unix.gettimeofday () +. t.sh.drain_timeout_s;
-      Listener.close t.sh.listener
+      stop_listening t
     end;
     if now < Atomic.get t.sh.paused_until_ns then ()
-      (* dispatcher outage (fault hook): nothing moves on any lane — no
-         accepts, no replies, no heartbeat verdicts — exactly like a
-         wedged dispatcher thread; workers keep serving their rings *)
+      (* dispatcher outage (fault hook): nothing moves — no accepts,
+         no replies, no heartbeat verdicts — exactly like a wedged
+         dispatcher thread; workers keep serving their rings *)
     else begin
       heartbeat_check t ~now;
       if not !stopping then begin
@@ -627,6 +628,6 @@ let run t =
   (* Anything still pending after the drain gave up is lost for good
      (dead-worker leftovers whose re-dispatch never landed): stamp it
      so the acceptance ledger closes — accepted = completed + lost +
-     dropped + in_flight, with in_flight 0 once every lane exits. *)
+     dropped + in_flight, with in_flight 0 once the lane exits. *)
   t.ledger.lost <- Hashtbl.length t.pending;
   List.iter (fun c -> close_conn t c) (conn_list t)

@@ -1,44 +1,39 @@
-(** One dispatcher lane of the multi-lane I/O plane.
+(** The dispatcher lane: TQ's first level over real sockets.
 
-    A lane is a self-contained copy of the classic dispatcher loop:
-    it polls the shared {!Listener} (accept spreading hands it an even
-    share of connections), owns those connections outright, steers
-    their parsed requests into its own slice of the worker pool
-    (workers [w] with [w mod lanes = lane_id] — preserving the SPSC
-    one-producer-per-ring contract with zero coordination), polls its
-    slice's reply rings and flushes responses back through pooled
-    zero-copy framing.
+    One loop accepts on the listening socket, owns every connection,
+    steers each parsed request to a worker (KV by key hash, everything
+    else JSQ over every living worker), polls every worker's reply ring
+    and flushes responses back through pooled zero-copy framing.  The
+    lane is the one producer of every inject ring and the one consumer
+    of every reply ring.
 
-    Nothing on the per-request path crosses lanes, so all per-lane
-    state (connections, pending table, ledger, latency, span sink) is
-    single-writer plain mutable state.  Cross-lane reads
-    of that state — the Stats RPC renderer, [Server.stats] — see
-    word-sized plain loads: never torn, eventually consistent, exact
-    once the lane's domain is joined.  {!Server} owns lane creation,
-    lifecycle and the merged views; this interface exists for it and
-    for whitebox tests. *)
+    All lane state (connections, pending table, ledger, latency, span
+    sink) is single-writer plain mutable state.  Reads from other
+    threads — the HTTP metrics plane, [Server.stats] — see word-sized
+    plain loads: never torn, eventually consistent, exact once {!run}
+    has returned.  {!Server} owns the lane's creation, lifecycle and
+    views; this interface exists for it and for whitebox tests. *)
 
 (** What a worker pushes onto its reply ring: ids, stamps and the
     response frame in a pooled buffer.  Abstract outside the plane —
     {!Server} only needs the type to size the rings. *)
 type reply
 
-(** Everything the lanes share: the partitioned worker pool, the apps
-    and reply rings (indexed by global worker), the buffer pool, the
-    listener, the stop/pause controls and the fixed serving knobs. *)
+(** What the lane shares with the server: the worker pool, the apps
+    and reply rings (indexed by worker), the buffer pool, the listening
+    socket, the stop/pause controls and the fixed serving knobs. *)
 type shared = {
   pool : Tq_runtime.Parallel.t;
   apps : App.t array;
   reply_rings : reply Tq_runtime.Spsc_ring.t array;
   bufs : Pool.t;
-  listener : Listener.t;
+  listen_fd : Unix.file_descr;  (** from {!listen}; the lane closes it *)
   stop_flag : bool Atomic.t;
-  paused_until_ns : int Atomic.t;  (** all lanes idle until this stamp *)
+  paused_until_ns : int Atomic.t;  (** the lane idles until this stamp *)
   spans : Tq_obs.Span.t;
   spans_on : bool;
-  tail : Tq_obs.Tail.t;  (** tail-forensics reservoirs, one sink per lane *)
+  tail : Tq_obs.Tail.t;  (** tail-forensics reservoirs; the lane registers sink 0 *)
   tail_on : bool;
-  lanes : int;
   rx_depth : int;
   drain_timeout_s : float;
   heartbeat_interval_ns : int;
@@ -46,7 +41,7 @@ type shared = {
   ctl_latency_ns : int;  (** the controller objective's "good" cutoff *)
 }
 
-(** One lane. *)
+(** The lane. *)
 type t
 
 (** The lane's accounting, the only per-request record it keeps: each
@@ -76,47 +71,49 @@ type ledger = private {
   mutable dead_workers : int;
 }
 
-(** [create sh ~id ~admission] — lane [id] of [sh.lanes], with a fresh
-    admission controller with policy [admission].  Raises
-    [Invalid_argument] when the lane's worker slice would be empty
-    ([lanes] exceeds the pool's workers). *)
-val create : shared -> id:int -> admission:Tq_sched.Admission.policy -> t
+(** [listen ~host ~port] binds, listens (backlog 128) and sets the
+    socket nonblocking; returns it with the bound port ([port] 0 asks
+    the kernel for an ephemeral one).  [Unix.Unix_error] propagates
+    from bind. *)
+val listen : host:string -> port:int -> Unix.file_descr * int
 
-(** The lane's ledger.  Cross-lane reads are word-sized plain loads:
-    never torn, eventually consistent live, exact after the lane's
-    domain joins. *)
+(** [create sh ~admission] — the lane over [sh], with a fresh admission
+    controller with policy [admission]. *)
+val create : shared -> admission:Tq_sched.Admission.policy -> t
+
+(** The lane's ledger.  Reads from other threads are word-sized plain
+    loads: never torn, eventually consistent live, exact after {!run}
+    returns. *)
 val ledger : t -> ledger
 
-(** The lane's latency registry; pool lanes with [Latency.merge]. *)
+(** The lane's latency registry. *)
 val latency : t -> Tq_obs.Latency.t
 
 (** The lane's admission controller — the feedback controller retunes
-    every lane through [Admission.set_policy] (the policy cell is
-    atomic). *)
+    it through [Admission.set_policy] (the policy cell is atomic). *)
 val admission : t -> Tq_sched.Admission.t
 
 (** Connections currently owned by the lane. *)
 val open_conns : t -> int
 
-(** Span records this lane's sink lost to ring overwrites — the
-    [obs.span_dropped] per-lane gauge; 0 means every span of every
-    request is still in the buffer. *)
+(** Span records the lane's sink lost to ring overwrites — the
+    dispatcher's [obs.span_dropped] gauge; 0 means every dispatcher
+    span of every request is still in the buffer. *)
 val span_dropped : t -> int
 
 (** [set_stats_renderer t f] wires the server-level closure that
-    renders a Stats RPC view across all lanes; the lane answers stats
-    requests synchronously through it.  Must be set before {!run}. *)
+    renders a Stats RPC view; the lane answers stats requests
+    synchronously through it.  Must be set before {!run}. *)
 val set_stats_renderer :
   t -> (Protocol.stats_view -> (string, string) result) -> unit
 
 (** [set_tick t f] — a hook called once per loop pass with the current
     wall clock; the server installs the controller tick and live-fault
-    schedule on lane 0.  Must be set before {!run}. *)
+    schedule.  Must be set before {!run}. *)
 val set_tick : t -> (now_ns:int -> unit) -> unit
 
 (** [run t] — the lane loop: accept/read/dispatch/reply/flush until the
-    shared stop flag is observed and the lane's own work has drained
-    (bounded by [drain_timeout_s]).  Blocks; call from the lane's
-    domain.  Closes the lane's connections on exit; the caller retains
-    pool shutdown and listener close. *)
+    shared stop flag is observed and the work has drained (bounded by
+    [drain_timeout_s]).  Blocks.  Closes the listening socket and every
+    connection on exit; the caller retains pool shutdown. *)
 val run : t -> unit

@@ -40,7 +40,6 @@ type config = {
   slo : Slo.objective list;
   stats_interval_s : float option;
   dashboard : bool;
-  server_lanes : int;
 }
 
 let default_config ~rate_rps ~port =
@@ -57,7 +56,6 @@ let default_config ~rate_rps ~port =
     slo = [];
     stats_interval_s = None;
     dashboard = false;
-    server_lanes = 1;
   }
 
 type result = {
@@ -374,9 +372,7 @@ let to_json ?outliers config r =
   Buffer.add_string b (Tq_util.Bench_meta.json_fields ());
   Buffer.add_string b "  \"benchmark\": \"tq_serve loopback\",\n";
   Buffer.add_string b
-    (Printf.sprintf "  \"server_lanes\": %d,\n  \"host_cores\": %d,\n"
-       config.server_lanes
-       (Domain.recommended_domain_count ()));
+    (Printf.sprintf "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ()));
   Buffer.add_string b
     (Printf.sprintf "  \"connections\": %d,\n  \"offered_rps\": %.0f,\n"
        config.connections config.rate_rps);

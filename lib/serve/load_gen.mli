@@ -59,15 +59,10 @@ type config = {
       (** render a live ANSI dashboard to stderr (SLO burn rates, the
           goodput window and achieved throughput as
           {!Tq_util.Ascii_chart} curves) *)
-  server_lanes : int;
-      (** the dispatcher lane count the target server was started with
-          ([tq_serve --lanes]); pure report metadata so the emitted
-          JSON is self-describing — the generator's behavior does not
-          depend on it *)
 }
 
 (** Loopback, 8 connections, 0.5 s warmup, 2 s measurement, 2 s grace,
-    [default_mix], no stats polling or dashboard, [server_lanes = 1];
+    [default_mix], no stats polling or dashboard;
     [rate_rps] has no default — choose the offered load. *)
 val default_config : rate_rps:float -> port:int -> config
 
@@ -112,8 +107,8 @@ val run : config -> result
 
 (** [to_json ?outliers config result] — the single-run benchmark report
     ([tq_load --json], the CI serve-smoke artifact): offered vs
-    achieved rate, loss/shed accounting, the generator's lag, lane
-    metadata and the per-class latency ladder.  [outliers], when given,
+    achieved rate, loss/shed accounting, the generator's lag, the host's
+    core count and the per-class latency ladder.  [outliers], when given,
     is spliced in verbatim as the ["outliers"] field — pass the server's
     [Stats_outliers] body ([tq_load --outliers N]) to embed the
     slow-request dossiers in the report. *)

@@ -2,7 +2,7 @@
    hot path.
 
    Workers acquire a buffer, encode a response frame into it, and ship
-   it across the reply ring; the owning dispatcher lane blits the frame
+   it across the reply ring; the dispatcher lane blits the frame
    into the connection's write accumulator and releases the buffer.
    Acquire and release therefore happen on different domains, so the
    free list is a Treiber stack over [Atomic.compare_and_set] — the GC

@@ -1,8 +1,8 @@
 (** A lock-free pool of fixed-size byte buffers for reply framing.
 
-    The multi-lane serve plane encodes each response into a pooled
-    [Bytes] on the worker domain, ships it over the reply ring, and the
-    owning dispatcher lane blits it into the connection's write
+    The serve plane encodes each response into a pooled [Bytes] on the
+    worker domain, ships it over the reply ring, and the dispatcher
+    lane blits it into the connection's write
     accumulator and returns it here — so the framing hot path reuses a
     small set of long-lived buffers instead of allocating per reply,
     cutting minor-GC pressure where the PR 6 stage breakdown showed the

@@ -1,17 +1,13 @@
-(* The serving front-end: a multi-lane I/O plane over a shared,
-   partitioned worker pool.
+(* The serving front-end: one dispatcher lane over a worker pool.
 
-   Each of the [lanes] dispatcher lanes ({!Lane}) owns a shard of the
-   connections (dealt out by the shared {!Listener}'s accept
-   spreading) and a disjoint slice of the workers, and runs the
-   classic accept/read/dispatch/reply/flush loop independently —
-   workers never touch a socket; lanes never run request work.  This
-   module owns what is genuinely global: the pool and apps, the
-   listener, the pooled framing buffers, lane lifecycle (lane 0 runs
-   on the caller of [serve]; lanes 1.. get their own domains), the
-   feedback controller (ticked by lane 0, sensing all lanes), and the
-   views of the lanes' ledgers behind [stats], the Stats RPC and the
-   Prometheus exposition. *)
+   The lane ({!Lane}) runs the accept/read/dispatch/reply/flush loop
+   over every connection and every worker — workers never touch a
+   socket; the lane never runs request work.  This module owns the
+   rest: the pool and apps, the listening socket, the pooled framing
+   buffers, the lane's lifecycle (it runs on the caller of [serve]),
+   the feedback controller (ticked by the lane), and the views of the
+   lane's ledger behind [stats], the Stats RPC and the Prometheus
+   exposition. *)
 
 module Parallel = Tq_runtime.Parallel
 module Spsc_ring = Tq_runtime.Spsc_ring
@@ -29,7 +25,6 @@ type config = {
   host : string;
   port : int;
   workers : int;
-  lanes : int;
   quantum_ns : int;
   ring_capacity : int;
   rx_depth : int;
@@ -49,7 +44,6 @@ let default_config =
     host = "127.0.0.1";
     port = 0;
     workers = 4;
-    lanes = 1;
     quantum_ns = 100_000;
     ring_capacity = 256;
     rx_depth = 1024;
@@ -82,14 +76,13 @@ type stats = {
 }
 
 type t = {
-  config : config;
-  listener : Listener.t;
+  port : int;
   pool : Parallel.t;
   bufs : Pool.t;
-  lanes : Lane.t array;
+  lane : Lane.t;
   shared : Lane.shared;
   worker_regs : Counters.t array;  (** one per worker domain ([runtime.*]) *)
-  ctl_reg : Counters.t;  (** [control.*], written by the lane-0 controller tick *)
+  ctl_reg : Counters.t;  (** [control.*], written by the lane's controller tick *)
   spans : Span.t;
   spans_on : bool;
   tail : Tail.t;
@@ -110,8 +103,6 @@ let config_error c =
     match validate v with () -> None | exception Invalid_argument msg -> Some msg
   in
   if c.workers < 1 then bad "workers must be positive (got %d)" c.workers
-  else if c.lanes < 1 || c.lanes > c.workers then
-    bad "lanes must be in [1, workers] (got %d of %d)" c.lanes c.workers
   else if c.quantum_ns < 1 then bad "quantum_ns must be positive (got %d)" c.quantum_ns
   else if c.ring_capacity < 1 then
     bad "ring_capacity must be positive (got %d)" c.ring_capacity
@@ -136,7 +127,7 @@ let config_error c =
    them (DESIGN.md, "Live serving"). *)
 let create ?(spans = Span.null) ?(tail = Tail.null) ?gc config =
   Option.iter invalid_arg (config_error config);
-  let listener = Listener.create ~host:config.host ~port:config.port ~lanes:config.lanes in
+  let listen_fd, port = Lane.listen ~host:config.host ~port:config.port in
   let worker_regs = Array.init config.workers (fun _ -> Counters.create ()) in
   let pool =
     Parallel.create ~workers:config.workers ~quantum_ns:config.quantum_ns
@@ -171,14 +162,13 @@ let create ?(spans = Span.null) ?(tail = Tail.null) ?gc config =
             Spsc_ring.create ~capacity:(max 1024 (4 * config.ring_capacity)));
       bufs =
         Pool.create ~max_pooled:config.pool_bufs ~buf_bytes:config.pool_buf_bytes ();
-      listener;
+      listen_fd;
       stop_flag = Atomic.make false;
       paused_until_ns = Atomic.make 0;
       spans;
       spans_on = Span.enabled spans;
       tail;
       tail_on = Tail.enabled tail;
-      lanes = config.lanes;
       rx_depth = config.rx_depth;
       drain_timeout_s = config.drain_timeout_s;
       heartbeat_interval_ns = int_of_float (config.heartbeat_interval_s *. 1e9);
@@ -186,16 +176,13 @@ let create ?(spans = Span.null) ?(tail = Tail.null) ?gc config =
       ctl_latency_ns;
     }
   in
-  let lanes =
-    Array.init config.lanes (fun id -> Lane.create shared ~id ~admission:config.admission)
-  in
+  let lane = Lane.create shared ~admission:config.admission in
   let t =
     {
-      config;
-      listener;
+      port;
       pool;
       bufs = shared.Lane.bufs;
-      lanes;
+      lane;
       shared;
       worker_regs;
       ctl_reg;
@@ -219,38 +206,25 @@ let create ?(spans = Span.null) ?(tail = Tail.null) ?gc config =
           | Tq_control.Controller.Set_quantum { class_idx; quantum_ns } ->
               Parallel.set_quantum pool ?class_idx ~quantum_ns ()
           | Tq_control.Controller.Set_shed_limit { max_in_system } ->
-              Array.iter
-                (fun lane ->
-                  Admission.set_policy (Lane.admission lane)
-                    (Admission.Queue_limit { max_in_system }))
-                lanes)
+              Admission.set_policy (Lane.admission lane)
+                (Admission.Queue_limit { max_in_system }))
         (Tq_control.Controller.initial_actions c));
   Parallel.start pool;
   t
 
-let port t = Listener.port t.listener
-let lanes t = t.config.lanes
+let port t = t.port
 let stop t = Atomic.set t.shared.Lane.stop_flag true
 let draining t = Atomic.get t.shared.Lane.stop_flag
 
-(* {2 The ledger, read across lanes}
+(* {2 Reading the ledger}
 
-   Every view reads the lanes' ledgers here: word-sized plain loads,
+   Every view reads the lane's ledger here: word-sized plain loads,
    never torn, eventually consistent live and exact once [serve]
-   returned (domain join orders every lane write before the read).
-   Derived counts ([parsed], [completed], [in_flight]) come from the
-   same loads as the cells they sum, so both identities hold exactly
-   in every render. *)
+   returned.  Each cell is loaded once and the derived counts
+   ([parsed], [completed], [in_flight]) come from those same loads, so
+   both identities hold exactly in every render. *)
 
 let total = Array.fold_left ( + ) 0
-
-(* [by_class t cells] — the per-class column [cells], summed over lanes. *)
-let by_class t (cells : Lane.ledger -> int array) =
-  Array.init Protocol.class_count (fun i ->
-      Array.fold_left (fun acc lane -> acc + (cells (Lane.ledger lane)).(i)) 0 t.lanes)
-
-let completed_by t =
-  Array.map2 ( + ) (by_class t (fun l -> l.good)) (by_class t (fun l -> l.late))
 
 (* One read of the per-class columns, and the flat [stats] derived
    from those same loads. *)
@@ -258,22 +232,24 @@ type read = {
   flat : stats;
   dispatched_by : int array;
   completed_by : int array;
+  good_by : int array;
   shed_by : int array;
 }
 
 let read t =
-  let dispatched_by = by_class t (fun l -> l.dispatched)
-  and completed_by = completed_by t
-  and shed_by = by_class t (fun l -> l.shed) in
-  let sum cell = Array.fold_left (fun acc lane -> acc + cell (Lane.ledger lane)) 0 t.lanes in
+  let l = Lane.ledger t.lane in
+  let dispatched_by = Array.copy l.dispatched
+  and good_by = Array.copy l.good
+  and shed_by = Array.copy l.shed in
+  let completed_by = Array.map2 ( + ) good_by l.late in
   let dispatched = total dispatched_by
   and completed = total completed_by
   and shed = total shed_by
-  and lost = sum (fun l -> l.lost)
-  and dropped = sum (fun l -> l.dropped) in
+  and lost = l.lost
+  and dropped = l.dropped in
   let flat =
     {
-      connections = sum (fun l -> l.connections);
+      connections = l.connections;
       parsed = dispatched + shed;
       dispatched;
       completed;
@@ -281,15 +257,15 @@ let read t =
       lost;
       dropped;
       in_flight = dispatched - completed - lost - dropped;
-      stats_served = sum (fun l -> l.stats_served);
-      protocol_errors = sum (fun l -> l.protocol_errors);
-      orphaned = sum (fun l -> l.orphaned);
-      duplicates = sum (fun l -> l.duplicates);
-      redispatched = sum (fun l -> l.redispatched);
-      dead_workers = sum (fun l -> l.dead_workers);
+      stats_served = l.stats_served;
+      protocol_errors = l.protocol_errors;
+      orphaned = l.orphaned;
+      duplicates = l.duplicates;
+      redispatched = l.redispatched;
+      dead_workers = l.dead_workers;
     }
   in
-  { flat; dispatched_by; completed_by; shed_by }
+  { flat; dispatched_by; completed_by; good_by; shed_by }
 
 let stats t = (read t).flat
 
@@ -302,15 +278,16 @@ let ledger_violations s =
       "accepted = completed + lost + dropped + in_flight (%d <> %d + %d + %d + %d)"
       s.dispatched s.completed s.lost s.dropped s.in_flight
 
-let open_conns t = Array.fold_left (fun acc l -> acc + Lane.open_conns l) 0 t.lanes
-let latency t = Latency.merge (Array.to_list (Array.map Lane.latency t.lanes))
+(* a copy the caller owns: clearing it leaves the lane's registry alone *)
+let latency t = Latency.merge [ Lane.latency t.lane ]
 
 (* {2 Views}
 
    Rendering happens on whichever thread asks (an in-process accessor,
-   or the lane serving a Stats RPC), so counters and gauges are
-   written into render-local registries — never into the controller's
-   or a worker's registry, each of which has exactly one writer. *)
+   the HTTP plane, or the lane serving a Stats RPC), so counters and
+   gauges are written into render-local registries — never into the
+   controller's or a worker's registry, each of which has exactly one
+   writer. *)
 
 let ring_occupancy t =
   let occ = ref 0 in
@@ -319,8 +296,7 @@ let ring_occupancy t =
   done;
   !occ
 
-let span_dropped t =
-  Array.fold_left (fun acc l -> acc + Lane.span_dropped l) 0 t.lanes
+let span_dropped t = Lane.span_dropped t.lane
 
 (* The dispatcher's [serve.*] series, from one read of the ledger: the
    one place the metric names are written.  Gauges are set last, so
@@ -350,11 +326,9 @@ let fill_dispatcher t reg =
   gauge "serve.lost" s.lost;
   gauge "serve.dropped" s.dropped;
   gauge "serve.in_flight" s.in_flight;
-  gauge "serve.open_connections" (open_conns t);
+  gauge "serve.open_connections" (Lane.open_conns t.lane);
   gauge "serve.alive_workers" (Parallel.alive_workers t.pool);
   gauge "serve.ring_occupancy" (ring_occupancy t);
-  gauge "serve.lanes" t.config.lanes;
-  gauge "serve.accept_handoffs" (Listener.handed_off t.listener);
   gauge "obs.span_dropped" (span_dropped t);
   Pool.fill_counters t.bufs reg;
   reg
@@ -382,36 +356,17 @@ let snapshot_json t =
         \"alive_workers\": %d,\n  \"ring_occupancy\": %d,\n"
        s.connections s.parsed s.dispatched s.completed s.shed s.lost s.dropped
        s.in_flight s.stats_served s.protocol_errors s.orphaned s.duplicates
-       s.redispatched s.dead_workers (open_conns t)
+       s.redispatched s.dead_workers (Lane.open_conns t.lane)
        (Parallel.workers t.pool)
        (Parallel.alive_workers t.pool)
        (ring_occupancy t));
-  (* the I/O plane: lane count, accept spreading and framing-pool health,
-     plus each lane's own share of the work *)
+  (* the I/O plane: framing-pool health *)
   Buffer.add_string b
     (Printf.sprintf
-       "  \"io_plane\": {\"lanes\": %d, \"accepted\": %d, \"handed_off\": %d, \
-        \"pool\": {\"buf_bytes\": %d, \"pooled\": %d, \"hits\": %d, \"misses\": %d, \
-        \"oversize\": %d, \"discarded\": %d}, \"per_lane\": ["
-       t.config.lanes
-       (Listener.accepted t.listener)
-       (Listener.handed_off t.listener)
+       "  \"io_plane\": {\"pool\": {\"buf_bytes\": %d, \"pooled\": %d, \"hits\": %d, \
+        \"misses\": %d, \"oversize\": %d, \"discarded\": %d}},\n"
        (Pool.buf_bytes t.bufs) (Pool.pooled t.bufs) (Pool.hits t.bufs)
        (Pool.misses t.bufs) (Pool.oversize t.bufs) (Pool.discarded t.bufs));
-  Array.iteri
-    (fun i lane ->
-      let l = Lane.ledger lane in
-      let dispatched = total l.dispatched and shed = total l.shed in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"lane\": %d, \"connections\": %d, \"parsed\": %d, \"dispatched\": %d, \
-            \"completed\": %d, \"shed\": %d, \"span_dropped\": %d}%s"
-           i l.connections (dispatched + shed) dispatched
-           (total l.good + total l.late)
-           shed (Lane.span_dropped lane)
-           (if i = Array.length t.lanes - 1 then "" else ", ")))
-    t.lanes;
-  Buffer.add_string b "]},\n";
   (match t.ctl with
   | None -> ()
   | Some c ->
@@ -469,26 +424,10 @@ let outlier_dossiers t ~limit =
 let tail_trace t = Tail.to_chrome t.tail (Span.merge t.spans)
 
 let prometheus t =
-  (* one merged dispatcher series regardless of lane count — the lane
-     split is an implementation axis; the exposition's shape stays what
-     single-dispatcher dashboards expect *)
   let disp = fill_dispatcher t (Counters.merged [ t.ctl_reg ]) in
-  (* span-sink overflow per lane: a tiny labelled registry per lane so
-     a scrape can pinpoint WHICH lane's buffer wrapped, not just that
-     one did (the merged [obs.span_dropped] gauge above is the total) *)
-  let lane_drop_regs =
-    List.mapi
-      (fun i lane ->
-        let reg = Counters.create () in
-        Counters.set
-          (Counters.gauge reg "obs.span_dropped")
-          (float_of_int (Lane.span_dropped lane));
-        ([ ("role", "lane"); ("lane", string_of_int i) ], reg))
-      (Array.to_list t.lanes)
-  in
   let registries =
-    (([ ("role", "dispatcher") ], disp) :: lane_drop_regs)
-    @ List.mapi
+    ([ ("role", "dispatcher") ], disp)
+    :: List.mapi
         (fun i reg -> ([ ("role", "worker"); ("worker", string_of_int i) ], reg))
         (Array.to_list t.worker_regs)
     @ (match t.gc with
@@ -507,8 +446,8 @@ let prometheus t =
 
 (* {2 The Stats RPC renderer}
 
-   Wired into every lane; runs on whichever lane's connection carries
-   the request.  All inputs are cross-lane-safe reads. *)
+   Wired into the lane, and called by the HTTP plane from its own
+   thread.  All inputs are reads safe from any thread. *)
 
 let render_stats t view =
   match view with
@@ -541,10 +480,9 @@ let render_stats t view =
 
 (* {2 The feedback control loop}
 
-   Ticked by lane 0; senses the whole plane (per-class tallies summed
-   over every lane — racy-but-sound monotone counters) and actuates
-   globally: the quantum cells are shared pool atomics, the shed limit
-   lands on every lane's admission policy cell. *)
+   Ticked by the lane; senses the ledger's per-class tallies and
+   actuates the pool's quantum cells and the lane's admission policy
+   cell. *)
 
 let controller_tick t ~now =
   match t.ctl with
@@ -555,15 +493,13 @@ let controller_tick t ~now =
           (Tq_control.Controller.config c).Tq_control.Controller.interval_ns
         in
         t.ctl_next_ns <- now + interval;
-        let completed = completed_by t
-        and good = by_class t (fun l -> l.good)
-        and shed = by_class t (fun l -> l.shed) in
+        let r = read t in
         let classes =
           Array.init Protocol.class_count (fun i ->
               {
-                Tq_control.Controller.completed = completed.(i);
-                good = good.(i);
-                shed = shed.(i);
+                Tq_control.Controller.completed = r.completed_by.(i);
+                good = r.good_by.(i);
+                shed = r.shed_by.(i);
               })
         in
         let actions =
@@ -581,11 +517,8 @@ let controller_tick t ~now =
             | Tq_control.Controller.Set_quantum { class_idx; quantum_ns } ->
                 Parallel.set_quantum t.pool ?class_idx ~quantum_ns ()
             | Tq_control.Controller.Set_shed_limit { max_in_system } ->
-                Array.iter
-                  (fun lane ->
-                    Admission.set_policy (Lane.admission lane)
-                      (Admission.Queue_limit { max_in_system }))
-                  t.lanes)
+                Admission.set_policy (Lane.admission t.lane)
+                  (Admission.Queue_limit { max_in_system }))
           actions
       end
 
@@ -604,20 +537,12 @@ let control_json t = Option.map Tq_control.Controller.state_json t.ctl
 let alive_workers t = Parallel.alive_workers t.pool
 
 let serve t =
-  let renderer = render_stats t in
-  Array.iter (fun lane -> Lane.set_stats_renderer lane renderer) t.lanes;
-  Lane.set_tick t.lanes.(0) (fun ~now_ns:now ->
+  Lane.set_stats_renderer t.lane (render_stats t);
+  Lane.set_tick t.lane (fun ~now_ns:now ->
       (match t.tick_hook with Some f -> f ~now_ns:now | None -> ());
       (* the fault schedule above may have just paused the plane; the
          controller honours the pause like everything else *)
       if now >= Atomic.get t.shared.Lane.paused_until_ns then
         controller_tick t ~now);
-  let extra =
-    Array.init
-      (Array.length t.lanes - 1)
-      (fun i -> Domain.spawn (fun () -> Lane.run t.lanes.(i + 1)))
-  in
-  Lane.run t.lanes.(0);
-  Array.iter Domain.join extra;
-  ignore (Parallel.shutdown t.pool : Parallel.stats);
-  Listener.close t.listener
+  Lane.run t.lane;
+  ignore (Parallel.shutdown t.pool : Parallel.stats)

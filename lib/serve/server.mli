@@ -1,19 +1,14 @@
 (** The live multicore RPC server: TQ's two-level structure over real
     sockets.
 
-    Level 1 is the I/O plane — [lanes] independent dispatcher lanes
-    ({!Lane}).  Each lane owns a shard of the connections (dealt out by
-    the shared {!Listener}'s round-robin accept spreading) and a
-    disjoint slice of the workers (worker [w] belongs to lane
-    [w mod lanes]), and runs the classic dispatcher loop: reassemble
-    length-prefixed frames, steer each request (KV by key hash within
-    the slice so per-key state stays on one core, everything else JSQ
-    over the slice's in-flight counters), and write completed responses
-    back through pooled zero-copy framing ({!Pool},
-    {!Protocol.Outbuf}).  Lanes never execute request work — blind
-    scheduling, per-*request* dispatcher cost; with [lanes = 1] the
-    plane is exactly the single-dispatcher design.  Lane 0 runs on the
-    thread that calls {!serve}; lanes 1.. get their own domains.
+    Level 1 is one dispatcher lane ({!Lane}) on the thread that calls
+    {!serve}.  It owns every connection and runs the classic
+    dispatcher loop: reassemble length-prefixed frames, steer each
+    request (KV by key hash so per-key state stays on one core,
+    everything else JSQ over every worker's in-flight counter), and
+    write completed responses back through pooled zero-copy framing
+    ({!Pool}, {!Protocol.Outbuf}).  The lane never executes request
+    work — blind scheduling, per-*request* dispatcher cost.
 
     Level 2 is a persistent {!Tq_runtime.Parallel} pool: worker domains
     that force-multitask request fibers with wall-clock quanta and push
@@ -37,10 +32,6 @@ type config = {
   host : string;  (** bind address; default loopback *)
   port : int;  (** 0 picks an ephemeral port (see {!port}) *)
   workers : int;  (** worker domains *)
-  lanes : int;
-      (** dispatcher lanes; must not exceed [workers] (each lane needs
-          a non-empty worker slice).  1 = the classic single-dispatcher
-          layout, byte-identical on the wire *)
   quantum_ns : int;  (** forced-multitasking quantum (wall clock) *)
   ring_capacity : int;  (** dispatcher->worker ring depth *)
   rx_depth : int;
@@ -66,9 +57,8 @@ type config = {
           heartbeat monitor; [0] disables the monitor *)
   missed_heartbeats : int;
       (** consecutive no-progress windows before a worker holding work
-          is declared dead and its requests are re-dispatched (each
-          lane monitors its own slice); a dead worker that beats again
-          rejoins its slice *)
+          is declared dead and its requests are re-dispatched; a dead
+          worker that beats again rejoins dispatch *)
   pool_bufs : int;
       (** framing buffers kept on the shared reply-buffer pool's free
           list ({!Pool}); more buffers, fewer allocation misses under
@@ -78,14 +68,14 @@ type config = {
           larger fall back to exact fresh allocations *)
 }
 
-(** Loopback, 4 workers, 1 lane, 100 us quanta, 256-deep rings,
+(** Loopback, 4 workers, 100 us quanta, 256-deep rings,
     rx_depth 1024, accept-all admission, no controller,
     50 ms heartbeats with a 4-miss death verdict, 1024 pooled 4 KiB
     framing buffers. *)
 val default_config : config
 
-(** Dispatcher-side request accounting: the lanes' ledgers summed (a
-    snapshot; see {!stats}). *)
+(** Dispatcher-side request accounting: the lane's ledger (a snapshot;
+    see {!stats}). *)
 type stats = {
   connections : int;  (** connections accepted over the lifetime *)
   parsed : int;  (** request-work frames successfully decoded *)
@@ -93,7 +83,7 @@ type stats = {
   completed : int;  (** responses popped from reply rings *)
   shed : int;  (** rejected by ring-depth or admission policy *)
   lost : int;
-      (** admitted requests still pending when their lane exited (their
+      (** admitted requests still pending when the lane exited (their
           worker died and re-dispatch never landed); 0 after a clean
           drain *)
   dropped : int;
@@ -123,9 +113,8 @@ type t
 (** [config_error config] — the first rule [config] breaks, as a
     one-line message naming the field and the value ([None] when every
     rule holds): positive [workers], [quantum_ns], [ring_capacity],
-    [rx_depth] and [missed_heartbeats]; [lanes] in [\[1, workers\]];
-    non-negative [kv_keys], [heartbeat_interval_s] and [pool_bufs];
-    [pool_buf_bytes] at least {!Pool.min_buf_bytes}; an [admission]
+    [rx_depth] and [missed_heartbeats]; non-negative [kv_keys],
+    [heartbeat_interval_s] and [pool_bufs]; [pool_buf_bytes] at least {!Pool.min_buf_bytes}; an [admission]
     policy {!Tq_sched.Admission.validate} accepts; an [adaptive]
     config {!Tq_control.Controller.validate} accepts. *)
 val config_error : config -> string option
@@ -133,11 +122,11 @@ val config_error : config -> string option
 (** [create ?spans ?tail ?gc config] checks [config] (raising
     [Invalid_argument] with {!config_error}'s message before anything
     is bound or built), binds and listens (raising [Unix.Unix_error] on
-    e.g. a busy port), builds every worker's state, the lanes and the
+    e.g. a busy port), builds every worker's state, the lane and the
     buffer pool on the calling domain, and spawns the worker domains
     last, so no collection during set-up waits on another domain.
 
-    Each lane keeps one ledger of its dispatcher events; every view
+    The lane keeps one ledger of its dispatcher events; every view
     ({!stats}, {!snapshot_json}, {!prometheus}, {!merged_counters} and
     the controller's sensing) reads it.  Each worker domain owns a
     private [runtime.*] registry (quanta, yields, stalls,
@@ -152,7 +141,7 @@ val config_error : config -> string option
     ({!Tq_obs.Span.merge}) into one Perfetto timeline.
 
     [tail] (default {!Tq_obs.Tail.null}, zero per-request cost) turns
-    on always-on tail forensics: each lane registers one bounded
+    on always-on tail forensics: the lane registers one bounded
     reservoir sink that retains the K slowest completions per sliding
     window plus every threshold breach, with controller state and queue
     depths sampled at dispatch time.  Pair it with [spans] to get exact
@@ -175,15 +164,12 @@ val create :
 (** The actually bound port — [config.port] unless that was 0. *)
 val port : t -> int
 
-(** The configured lane count. *)
-val lanes : t -> int
-
-(** [serve t] runs lane 0's dispatcher loop in the calling thread,
-    spawns one domain per extra lane, and returns once every lane has
-    observed {!stop} and drained.  Call at most once. *)
+(** [serve t] runs the dispatcher lane in the calling thread and
+    returns once it has observed {!stop} and drained.  Call at most
+    once. *)
 val serve : t -> unit
 
-(** [stop t] requests graceful drain on every lane; safe from another
+(** [stop t] requests graceful drain; safe from another
     thread or a signal handler.  Idempotent. *)
 val stop : t -> unit
 
@@ -191,11 +177,11 @@ val stop : t -> unit
     [503 draining]. *)
 val draining : t -> bool
 
-(** Live accounting snapshot: the lanes' ledgers summed.  Safe from any
-    thread — cross-lane reads are word-sized plain loads, never torn,
-    eventually consistent while lanes run and exact once {!serve} has
-    returned.  [parsed] and [in_flight] are derived from the same loads
-    as the fields they sum, so {!ledger_violations} is [[]] for every
+(** Live accounting snapshot of the lane's ledger.  Safe from any
+    thread — word-sized plain loads, never torn, eventually consistent
+    while the lane runs and exact once {!serve} has returned.
+    [parsed] and [in_flight] are derived from the same loads as the
+    fields they sum, so {!ledger_violations} is [[]] for every
     snapshot. *)
 val stats : t -> stats
 
@@ -208,19 +194,18 @@ val ledger_violations : stats -> string list
 (** {2 Live observability}
 
     What the Stats RPC renders; exposed directly for in-process use
-    (tests, embedding).  Every view reads all lanes' ledgers and writes
+    (tests, embedding).  Every view reads the lane's ledger and writes
     its counters and gauges into render-local registries, so these are
     safe from any thread. *)
 
-(** Span records lost to sink-ring overwrites, summed over every lane —
-    the [obs.span_dropped] total; 0 means the trace and the stage
-    attribution are complete. *)
+(** Span records the dispatcher's sink lost to ring overwrites — the
+    [obs.span_dropped] gauge; 0 means every dispatcher span is still
+    in the buffer. *)
 val span_dropped : t -> int
 
 (** Completion sojourn latencies (dispatch to reply-ring pop), per
-    request class plus ["all"] — each lane records its own registry as
-    it polls replies; this pools them with {!Tq_obs.Latency.merge}
-    (HDR percentiles at native resolution). *)
+    request class plus ["all"]: a copy of the registry the lane records
+    as it polls replies (HDR percentiles at native resolution). *)
 val latency : t -> Tq_obs.Latency.t
 
 (** One registry with the ledger's [serve.*] counters, every worker's
@@ -230,24 +215,21 @@ val latency : t -> Tq_obs.Latency.t
 val merged_counters : t -> Tq_obs.Counters.t
 
 (** The live metrics snapshot as a JSON object: the {!stats} fields,
-    gauges, the [io_plane] section (lane count, accept spreading,
-    buffer-pool health, per-lane shares), per-class breakdown, runtime
-    totals and the latency ladder — the [Stats_json] RPC body, and the
+    gauges, the [io_plane] section (buffer-pool health), per-class
+    breakdown, runtime totals and the latency ladder — the [Stats_json] RPC body, and the
     drain summary [tq_serve] prints and writes to [--stats-out]. *)
 val snapshot_json : t -> string
 
 (** The same snapshot as Prometheus text exposition — the [Stats_text]
-    RPC body.  The lanes render as one merged [role="dispatcher"]
-    series (the lane split is an implementation axis, so the
-    exposition's shape is lane-count independent); workers carry
-    [role] / [worker] labels; with spans enabled the per-stage
+    RPC body.  The lane renders as the [role="dispatcher"] series;
+    workers carry [role] / [worker] labels; with spans enabled the per-stage
     decomposition renders as the [tq_serve_stage_ns] histogram
     family. *)
 val prometheus : t -> string
 
 (** [render_stats t view] — the body of one Stats RPC view, or the
     error the RPC answers with (e.g. the controller or tail forensics
-    is off).  Lanes answer the Stats RPC through it, and
+    is off).  The lane answers the Stats RPC through it, and
     {!Http_expo} serves [/metrics] and [/outliers] through it. *)
 val render_stats : t -> Protocol.stats_view -> (string, string) result
 
@@ -290,12 +272,12 @@ val inject_stall : t -> worker:int -> duration_ns:int -> unit
     re-dispatches its pending requests — no request is lost. *)
 val kill_worker : t -> worker:int -> unit
 
-(** [pause_dispatcher t ~duration_ns] — every lane does nothing (no
+(** [pause_dispatcher t ~duration_ns] — the lane does nothing (no
     accepts, reads, replies or verdicts) until the deadline: a
-    wedged-I/O-plane fault.  Workers keep serving their rings. *)
+    wedged-dispatcher fault.  Workers keep serving their rings. *)
 val pause_dispatcher : t -> duration_ns:int -> unit
 
-(** [on_tick t f] — call [f ~now_ns] once per lane-0 loop pass (before
+(** [on_tick t f] — call [f ~now_ns] once per lane loop pass (before
     anything else moves, pause included); the hook a fault schedule
     driver ({!Tq_fault.Live}) uses to fire timed events without a
     thread.  Set before {!serve}. *)

@@ -286,13 +286,13 @@ let test_latency_owner_check () =
       (match Domain.join off_domain with
       | `Raised -> ()
       | `Recorded -> Alcotest.fail "off-domain record must raise under the owner check");
-      let handed_off =
+      let adopter =
         Domain.spawn (fun () ->
             Latency.adopt r;
             Latency.record r 30;
             Latency.count r)
       in
-      check Alcotest.int "adopt legitimises the hand-off" 2 (Domain.join handed_off);
+      check Alcotest.int "adopt legitimises the hand-off" 2 (Domain.join adopter);
       (* ownership moved with the adopt: the creating domain is now the
          foreign one *)
       (match Latency.record r 40 with

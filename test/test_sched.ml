@@ -628,6 +628,11 @@ let test_experiment_obs_integration () =
   Alcotest.(check bool) "quanta on worker tracks (tid >= 100)" true
     (List.for_all (fun tid -> tid >= 100.0) quantum_tids)
 
+let traced_systems =
+  [ ("tq", Presets.tq (), Overheads.tq_default.ring_hop_ns);
+    ("shinjuku", Presets.shinjuku ~quantum_ns:(Presets.shinjuku_quantum_for "extreme-bimodal") (), 0);
+    ("caladan", Presets.caladan ~mode:Caladan.Iokernel (), 0) ]
+
 (* The DES records the live server's phases, so Profile decomposes a
    traced run of each system: every request telescopes exactly into its
    stages.  Only TQ's ring hop takes time; Shinjuku's assignment op and
@@ -650,9 +655,37 @@ let test_traced_runs_decompose () =
       check_int "unattributed" 0 (Tq_obs.Profile.unattributed_count p);
       check_int "ring hop stage" (r.offered * ring_hop_ns)
         (Tq_obs.Profile.stage_sum_ns p Tq_obs.Profile.S_ring_hop))
-    [ ("tq", Presets.tq (), Overheads.tq_default.ring_hop_ns);
-      ("shinjuku", Presets.shinjuku ~quantum_ns:(Presets.shinjuku_quantum_for "extreme-bimodal") (), 0);
-      ("caladan", Presets.caladan ~mode:Caladan.Iokernel (), 0) ]
+    traced_systems;
+  (* A core killed mid-run: TQ rescues the jobs queued on it and sends
+     them over the ring again, yet every completed request still has
+     one boundary of each kind and decomposes. *)
+  List.iter
+    (fun (name, system, _) ->
+      let obs = Tq_obs.Obs.create () in
+      let duration_ns = Time_unit.ms 1.0 in
+      let r =
+        Tq_fault.Fault_experiment.run ~obs ~system ~workload:Table1.extreme_bimodal_sim
+          {
+            (Tq_fault.Fault_experiment.default_config ~rate_rps:1_000_000.0 ~duration_ns)
+            with
+            faults = [ Tq_fault.Plan.Kill { wid = 3; at_ns = duration_ns / 2 } ];
+            retry = None;
+          }
+      in
+      let spans = obs.Tq_obs.Obs.spans in
+      let check_int what = check Alcotest.int (name ^ " with a kill: " ^ what) in
+      check_int "kill injected" 1 r.kills;
+      check_int "no sink overwrote" 0 (Tq_obs.Span.dropped spans);
+      (match r.acct with
+      | Some a ->
+          Alcotest.(check bool) (name ^ ": a job was re-dispatched") true
+            (a.redispatches > 0)
+      | None -> ());
+      let p = Tq_obs.Profile.of_records (Tq_obs.Span.merge spans) in
+      Alcotest.(check bool) (name ^ ": requests decomposed") true
+        (Tq_obs.Profile.requests p > 0);
+      check_int "unattributed" 0 (Tq_obs.Profile.unattributed_count p))
+    traced_systems
 
 let test_experiment_without_obs_has_no_timeseries () =
   let r =

@@ -257,7 +257,7 @@ let test_ledger_violations () =
     (List.length (Server.ledger_violations { ok with dispatched = 8 }))
 
 (* The drain summary [tq_serve --stats-out] writes is [snapshot_json]
-   once every lane has joined.  Benchmark harnesses and CI read these
+   once the lane has returned.  Benchmark harnesses and CI read these
    keys from it (the nested ones also from the live Stats RPC, the same
    renderer); a missing one fails their run. *)
 let test_drain_file_contract () =
@@ -628,9 +628,9 @@ let test_stall_and_pause_ride_through () =
       check Alcotest.int "zero loss" s.Server.dispatched s.Server.completed;
       Client.close client)
 
-(* A stall well past the death verdict on a lane's only worker: once
-   the worker beats again the verdict must be reversed, or the lane
-   would shed every later request for the rest of the run. *)
+(* A stall well past the death verdict on the only worker: once the
+   worker beats again the verdict must be reversed, or the lane would
+   shed every later request for the rest of the run. *)
 let test_stalled_worker_revives () =
   let config =
     { base_config with Server.workers = 1; heartbeat_interval_s = 0.01;
@@ -754,7 +754,7 @@ let fault_suite =
 
 let suite = suite @ fault_suite
 
-(* --- the multi-lane I/O plane: pooled framing and lane sharding --- *)
+(* --- the I/O plane: pooled framing and the wire --- *)
 
 (* encode_response_into must produce byte-for-byte what response_frame
    produces, even into a buffer full of stale garbage (the pool hands
@@ -867,70 +867,12 @@ let test_pool_recycles () =
   check Alcotest.bool "scrub zeroes reused buffers" true
     (Bytes.for_all (fun c -> c = '\x00') b')
 
-let test_multi_lane_loopback () =
-  with_server { base_config with Server.lanes = 2 } (fun srv ->
-      check Alcotest.int "server reports its lanes" 2 (Server.lanes srv);
-      let n = 2_000 in
-      let clients = Array.init 4 (fun _ -> Client.connect ~port:(Server.port srv) ()) in
-      let answered = Array.make n false in
-      (* window of 32 per connection, ids striped across clients *)
-      let window = 32 in
-      let inflight = Array.make 4 0 in
-      let recv_one c k =
-        let resp = Client.recv clients.(c) in
-        let id = resp.Protocol.req_id in
-        check Alcotest.bool "id belongs to this connection" true (id mod 4 = c);
-        check Alcotest.bool "answered once" false answered.(id);
-        answered.(id) <- true;
-        (match resp.Protocol.status with
-        | Protocol.Ok -> ()
-        | Protocol.Shed -> Alcotest.fail "shed under tiny load"
-        | Protocol.Error msg -> Alcotest.failf "handler error: %s" msg);
-        inflight.(c) <- inflight.(c) - k
-      in
-      for i = 0 to n - 1 do
-        let c = i mod 4 in
-        Client.send clients.(c) ~req_id:i (nth_request i);
-        inflight.(c) <- inflight.(c) + 1;
-        if inflight.(c) >= window then recv_one c 1
-      done;
-      Array.iteri
-        (fun c _ ->
-          while inflight.(c) > 0 do
-            recv_one c 1
-          done)
-        clients;
-      check Alcotest.bool "every request answered across lanes" true
-        (Array.for_all Fun.id answered);
-      (* exact accounting survives the sharding *)
-      let s = Server.stats srv in
-      check Alcotest.int "parsed all" n s.Server.parsed;
-      check Alcotest.int "completions conserved" n s.Server.completed;
-      check Alcotest.int "parsed = dispatched + shed" s.Server.parsed
-        (s.Server.dispatched + s.Server.shed);
-      check Alcotest.int "no orphans" 0 s.Server.orphaned;
-      check Alcotest.int "connections counted once" 4 s.Server.connections;
-      (* the snapshot's io_plane section: right lane count, accept
-         spreading gave both lanes connections, per-lane identity *)
-      let body = Client.stats clients.(0) in
-      check Alcotest.bool "io_plane present" true (contains body "\"io_plane\"");
-      check Alcotest.bool "snapshot shows 2 lanes" true (contains body "\"lanes\": 2");
-      check Alcotest.bool "lane 0 took connections" false
-        (contains body "{\"lane\": 0, \"connections\": 0,");
-      check Alcotest.bool "lane 1 took connections" false
-        (contains body "{\"lane\": 1, \"connections\": 0,");
-      (* sojourns from both lanes pool into one ladder *)
-      check Alcotest.int "latency merged across lanes" n
-        (Tq_obs.Latency.count (Tq_obs.Latency.recorder (Server.latency srv) "all"));
-      Array.iter Client.close clients)
-
-(* lanes=1 must be byte-identical on the wire to the classic
+(* The server must be byte-identical on the wire to the classic
    single-dispatcher server: drive a raw socket with a strict
    request/response window of 1 and compare every response frame
    against the golden encoding. *)
-let test_lanes1_wire_byte_compat () =
+let test_wire_byte_compat () =
   with_server base_config (fun srv ->
-      check Alcotest.int "default config is single-lane" 1 (Server.lanes srv);
       let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.connect fd
         (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", Server.port srv));
@@ -961,16 +903,44 @@ let test_lanes1_wire_byte_compat () =
       done;
       Unix.close fd)
 
-let lane_suite =
+(* Key placement is one function of the key for every connection: what
+   one connection writes, another reads back, with the keys spread
+   over four workers' stores. *)
+let test_kv_across_connections () =
+  with_server { base_config with workers = 4 } (fun srv ->
+      let writer = Client.connect ~port:(Server.port srv) ()
+      and reader = Client.connect ~port:(Server.port srv) () in
+      let keys = 64 in
+      let body c req =
+        let resp = Client.call c req in
+        check Alcotest.bool "answered ok" true (resp.Protocol.status = Protocol.Ok);
+        resp.Protocol.body
+      in
+      for i = 0 to keys - 1 do
+        let value = Printf.sprintf "new%d" i in
+        check Alcotest.string "set acks" "+"
+          (body writer (Protocol.Kv_set { key = App.kv_key i; value }))
+      done;
+      for i = 0 to keys - 1 do
+        check Alcotest.string
+          (Printf.sprintf "key %d written on another connection" i)
+          (Printf.sprintf "+new%d" i)
+          (body reader (Protocol.Kv_get { key = App.kv_key i }))
+      done;
+      Client.close writer;
+      Client.close reader)
+
+let io_suite =
   [
     Alcotest.test_case "zero-copy framing" `Quick test_zero_copy_framing;
     test_pool_reuse_no_bleed;
     Alcotest.test_case "pool recycles buffers" `Quick test_pool_recycles;
-    Alcotest.test_case "multi-lane loopback" `Quick test_multi_lane_loopback;
-    Alcotest.test_case "lanes=1 wire byte-compat" `Quick test_lanes1_wire_byte_compat;
+    Alcotest.test_case "lanes=1 wire byte-compat" `Quick test_wire_byte_compat;
+    Alcotest.test_case "kv reads see writes from another connection" `Quick
+      test_kv_across_connections;
   ]
 
-let suite = suite @ lane_suite
+let suite = suite @ io_suite
 
 (* --- tail forensics: the outliers views and the HTTP metrics plane --- *)
 
@@ -988,12 +958,11 @@ let test_outlier_codec_roundtrip () =
       Protocol.Stats_outliers_text { limit = 10 };
     ]
 
-let tail_config = { base_config with lanes = 2 }
 
 let test_outliers_rpc () =
   let spans = Tq_obs.Span.create ~capacity_per_sink:16_384 () in
   let tail = Tq_obs.Tail.create ~k:8 () in
-  let srv = Server.create ~spans ~tail tail_config in
+  let srv = Server.create ~spans ~tail base_config in
   let th = Thread.create (fun () -> Server.serve srv) () in
   let n = 200 in
   let client = Client.connect ~port:(Server.port srv) () in
@@ -1025,8 +994,7 @@ let test_outliers_rpc () =
       check Alcotest.int "stages telescope to the sojourn exactly" sum
         d.Tq_obs.Tail.d_sojourn_ns;
       let e = d.Tq_obs.Tail.d_entry in
-      check Alcotest.bool "lane in range" true
-        (e.Tq_obs.Tail.e_lane >= 0 && e.Tq_obs.Tail.e_lane < 2);
+      check Alcotest.int "the lane's sink" 0 e.Tq_obs.Tail.e_lane;
       check Alcotest.bool "worker in range" true
         (e.Tq_obs.Tail.e_worker >= 0 && e.Tq_obs.Tail.e_worker < 2);
       check Alcotest.bool "controller quantum sampled" true
@@ -1111,7 +1079,7 @@ let metric_value body line_prefix =
 let test_http_metrics_plane () =
   let spans = Tq_obs.Span.create ~capacity_per_sink:16_384 () in
   let tail = Tq_obs.Tail.create ~k:8 () in
-  let srv = Server.create ~spans ~tail tail_config in
+  let srv = Server.create ~spans ~tail base_config in
   let th = Thread.create (fun () -> Server.serve srv) () in
   let http = Tq_serve.Http_expo.start ~port:0 srv in
   Fun.protect
@@ -1170,9 +1138,9 @@ let test_http_metrics_plane () =
           "tq_serve_dispatched_total{role=\"dispatcher\"}";
           "tq_serve_shed_total{role=\"dispatcher\"}";
         ];
-      (* per-lane span-drop gauges ride the exposition *)
-      check Alcotest.bool "span_dropped exposed per lane" true
-        (contains metrics "tq_obs_span_dropped{role=\"lane\"");
+      (* the dispatcher's span-drop gauge rides the exposition *)
+      check Alcotest.bool "span_dropped exposed for the dispatcher" true
+        (contains metrics "tq_obs_span_dropped{role=\"dispatcher\"}");
       (* /outliers serves the dossier JSON *)
       let status, head, outliers = http_get ~port:hport "/outliers" in
       check Alcotest.bool "200 on /outliers" true (contains status "200");
@@ -1274,11 +1242,7 @@ let test_config_rejected () =
       Alcotest.check_raises name (Invalid_argument msg) (fun () ->
           ignore (Server.create config : Server.t)))
     [
-      ("workers 0", { base with workers = 0; lanes = 1 },
-       "workers must be positive (got 0)");
-      ("lanes 0", { base with lanes = 0 }, "lanes must be in [1, workers] (got 0 of 2)");
-      ("lanes > workers", { base with lanes = 3 },
-       "lanes must be in [1, workers] (got 3 of 2)");
+      ("workers 0", { base with workers = 0 }, "workers must be positive (got 0)");
       ("quantum 0", { base with quantum_ns = 0 }, "quantum_ns must be positive (got 0)");
       ("ring 0", { base with ring_capacity = 0 },
        "ring_capacity must be positive (got 0)");
