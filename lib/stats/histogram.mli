@@ -11,12 +11,16 @@ type t
     (default 32, power of two) bounds relative error. *)
 val create : ?sub_buckets:int -> max_value:int -> unit -> t
 
+(** [record t v] counts [v] once, clamped to [0, max_value]. *)
 val record : t -> int -> unit
 
 (** [record_n t v ~count] records [v] [count] times. *)
 val record_n : t -> int -> count:int -> unit
 
+(** [count t] is the number of values recorded. *)
 val count : t -> int
+
+(** [max_recorded t] is the largest value recorded (after clamping). *)
 val max_recorded : t -> int
 
 (** [percentile t p] returns a representative value at percentile [p]. *)
@@ -32,4 +36,5 @@ val iter_buckets : t -> (lo:int -> hi:int -> count:int -> unit) -> unit
 (** [fraction_above t v] is the fraction of recorded values > [v]. *)
 val fraction_above : t -> int -> float
 
+(** [clear t] forgets every recorded value. *)
 val clear : t -> unit

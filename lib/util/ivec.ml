@@ -24,22 +24,4 @@ let set t i x =
   check_bounds t i;
   t.data.(i) <- x
 
-let clear t = t.len <- 0
 let to_array t = Array.sub t.data 0 t.len
-
-let sorted_copy t =
-  let a = to_array t in
-  Array.sort compare a;
-  a
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
-let fold f init t =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc

@@ -1,4 +1,4 @@
-(** Growable int arrays (unboxed), mirror of {!Fvec}. *)
+(** Growable int arrays (unboxed). *)
 
 type t
 
@@ -7,8 +7,4 @@ val length : t -> int
 val push : t -> int -> unit
 val get : t -> int -> int
 val set : t -> int -> int -> unit
-val clear : t -> unit
 val to_array : t -> int array
-val sorted_copy : t -> int array
-val iter : (int -> unit) -> t -> unit
-val fold : ('a -> int -> 'a) -> 'a -> t -> 'a

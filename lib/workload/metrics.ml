@@ -76,15 +76,8 @@ let total_completed t =
 let sojourn_percentile t ~class_idx p = Sample_set.percentile t.sojourn.(class_idx) p
 let slowdown_percentile t ~class_idx p = Sample_set.percentile t.slowdown.(class_idx) p
 
-let merged sets =
-  let merged = Sample_set.create () in
-  Array.iter
-    (fun s -> Array.iter (Sample_set.add merged) (Sample_set.to_sorted_array s))
-    sets;
-  merged
-
-let overall_sojourn_percentile t p = Sample_set.percentile (merged t.sojourn) p
-let overall_slowdown_percentile t p = Sample_set.percentile (merged t.slowdown) p
+let overall_sojourn_percentile t p = Sample_set.union_percentile t.sojourn p
+let overall_slowdown_percentile t p = Sample_set.union_percentile t.slowdown p
 let mean_sojourn t ~class_idx = Sample_set.mean t.sojourn.(class_idx)
 let class_count t = Service_dist.class_count t.workload
 let class_name t i = Service_dist.class_name t.workload i
@@ -93,15 +86,12 @@ let eventual_completed t =
   Array.fold_left (fun acc s -> acc + Sample_set.count s) 0 t.eventual
 
 let eventual_percentile t ~class_idx p = Sample_set.percentile t.eventual.(class_idx) p
-let overall_eventual_percentile t p = Sample_set.percentile (merged t.eventual) p
+let overall_eventual_percentile t p = Sample_set.union_percentile t.eventual p
 
 (* Post-warm-up requests that completed within [deadline_ns] of their
    original arrival: the numerator of goodput. *)
 let goodput_within t ~deadline_ns =
   let deadline = float_of_int deadline_ns in
   Array.fold_left
-    (fun acc s ->
-      Array.fold_left
-        (fun acc v -> if v <= deadline then acc + 1 else acc)
-        acc (Sample_set.to_sorted_array s))
+    (Sample_set.fold (fun acc v -> if v <= deadline then acc + 1 else acc))
     0 t.eventual

@@ -37,13 +37,64 @@ let test_percentile_bounds () =
     (Invalid_argument "Sample_set.percentile: p out of range") (fun () ->
       ignore (Sample_set.percentile s 101.0))
 
-let test_mean_std () =
+let test_sorted_copy_keeps_order () =
   let s = Sample_set.create () in
-  List.iter (Sample_set.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  check (Alcotest.float 1e-9) "mean" 5.0 (Sample_set.mean s);
-  check (Alcotest.float 1e-6) "sample std" (sqrt (32.0 /. 7.0)) (Sample_set.std_dev s);
-  check (Alcotest.float 1e-9) "max" 9.0 (Sample_set.max_value s);
-  check (Alcotest.float 1e-9) "min" 2.0 (Sample_set.min_value s)
+  List.iter (Sample_set.add s) [ 3.0; 1.0; 2.0 ];
+  check Alcotest.(array (float 0.0)) "sorted" [| 1.0; 2.0; 3.0 |] (Sample_set.to_sorted_array s);
+  check Alcotest.(list (float 0.0)) "insertion order kept" [ 3.0; 1.0; 2.0 ]
+    (List.rev (Sample_set.fold (fun acc x -> x :: acc) [] s))
+
+(* The store against a plain list; the mean must equal the
+   left-to-right sum exactly ([Float.equal] holds between nans). *)
+let matches_list_model xs =
+  let s = Sample_set.create () in
+  List.iter (Sample_set.add s) xs;
+  let n = List.length xs in
+  let sorted = Array.of_list (List.sort compare xs) in
+  let nearest_rank p =
+    if n = 0 then nan
+    else
+      let k = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
+      sorted.(Int.max 0 (Int.min (n - 1) k))
+  in
+  Sample_set.count s = n
+  && Float.equal (Sample_set.mean s) (List.fold_left ( +. ) 0.0 xs /. float_of_int n)
+  && Sample_set.to_sorted_array s = sorted
+  && List.for_all
+       (fun p -> Float.equal (Sample_set.percentile s p) (nearest_rank p))
+       [ 0.0; 0.1; 1.0; 25.0; 50.0; 75.0; 90.0; 99.0; 99.9; 99.99; 100.0 ]
+
+let test_matches_list_model =
+  qtest ~count:60 "sample set matches a list model"
+    QCheck.(list_of_size (Gen.int_range 0 5000) (float_bound_exclusive 1000.0))
+    matches_list_model
+
+(* Each side of the first two segment boundaries (1024, 3072). *)
+let test_segment_edges () =
+  let rng = Prng.create ~seed:5L in
+  List.iter
+    (fun n ->
+      let xs = List.init n (fun _ -> Prng.float rng 1000.0) in
+      Alcotest.(check bool) (Printf.sprintf "%d samples match the model" n) true
+        (matches_list_model xs))
+    [ 1023; 1024; 1025; 3071; 3072; 3073 ]
+
+(* 100,000 adds fill segments of 1024 .. 65536 floats: 130,048 words
+   plus one header each.  A store that doubled by copying would
+   allocate 261,120.  A full collection first leaves the heap room, so
+   no collection in the loop promotes or allocates anything else. *)
+let test_add_major_words () =
+  let s = Sample_set.create () in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).major_words in
+  for i = 1 to 100_000 do
+    Sample_set.add s (float_of_int i)
+  done;
+  let words = (Gc.quick_stat ()).major_words -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "100,000 adds allocate %.0f major words, at most 131,072" words)
+    true (words <= 131_072.0);
+  check Alcotest.int "count" 100_000 (Sample_set.count s)
 
 let test_percentile_monotone =
   qtest "percentiles are monotone in p"
@@ -52,7 +103,7 @@ let test_percentile_monotone =
       let s = Sample_set.create () in
       List.iter (Sample_set.add s) xs;
       let ps = [ 1.0; 25.0; 50.0; 90.0; 99.0; 100.0 ] in
-      let vs = Sample_set.percentiles s ps in
+      let vs = List.map (Sample_set.percentile s) ps in
       let rec mono = function
         | a :: (b :: _ as rest) -> a <= b && mono rest
         | _ -> true
@@ -120,7 +171,10 @@ let suite =
     Alcotest.test_case "percentile unsorted" `Quick test_percentile_unsorted_input;
     Alcotest.test_case "empty stats" `Quick test_empty_stats;
     Alcotest.test_case "percentile bounds" `Quick test_percentile_bounds;
-    Alcotest.test_case "mean/std" `Quick test_mean_std;
+    Alcotest.test_case "sorted copy keeps insertion order" `Quick test_sorted_copy_keeps_order;
+    test_matches_list_model;
+    Alcotest.test_case "sample set at segment edges" `Quick test_segment_edges;
+    Alcotest.test_case "100k adds allocate the segments only" `Quick test_add_major_words;
     test_percentile_monotone;
     Alcotest.test_case "histogram exact small" `Quick test_histogram_exact_small;
     test_histogram_relative_error;

@@ -2,7 +2,6 @@
 
 module Prng = Tq_util.Prng
 module Queue = Tq_util.Event_queue
-module Fvec = Tq_util.Fvec
 module Ivec = Tq_util.Ivec
 module Fenwick = Tq_util.Fenwick
 module Deque = Tq_util.Ring_deque
@@ -296,33 +295,7 @@ let test_heap_allocation_free () =
          ignore (Queue.top_key q + Queue.pop q : int)));
   check Alcotest.int "still 16 entries" 16 (Queue.length q)
 
-(* --- Fvec / Ivec --- *)
-
-let test_fvec_basic () =
-  let v = Fvec.create () in
-  for i = 1 to 100 do
-    Fvec.push v (float_of_int i)
-  done;
-  check Alcotest.int "length" 100 (Fvec.length v);
-  check (Alcotest.float 1e-9) "get" 7.0 (Fvec.get v 6);
-  check (Alcotest.float 1e-9) "mean" 50.5 (Fvec.mean v);
-  Fvec.set v 0 1000.0;
-  check (Alcotest.float 1e-9) "set" 1000.0 (Fvec.get v 0);
-  Fvec.clear v;
-  check Alcotest.int "cleared" 0 (Fvec.length v)
-
-let test_fvec_bounds () =
-  let v = Fvec.create () in
-  Fvec.push v 1.0;
-  Alcotest.check_raises "oob" (Invalid_argument "Fvec: index out of bounds") (fun () ->
-      ignore (Fvec.get v 1))
-
-let test_fvec_sorted () =
-  let v = Fvec.create () in
-  List.iter (Fvec.push v) [ 3.0; 1.0; 2.0 ];
-  check Alcotest.(array (float 1e-9)) "sorted" [| 1.0; 2.0; 3.0 |] (Fvec.sorted_copy v);
-  check Alcotest.(array (float 1e-9)) "original order kept" [| 3.0; 1.0; 2.0 |]
-    (Fvec.to_array v)
+(* --- Ivec --- *)
 
 let test_ivec_basic () =
   let v = Ivec.create ~capacity:1 () in
@@ -331,9 +304,7 @@ let test_ivec_basic () =
   done;
   check Alcotest.int "length" 1000 (Ivec.length v);
   check Alcotest.int "get" 999 (Ivec.get v 0);
-  let sorted = Ivec.sorted_copy v in
-  check Alcotest.int "sorted min" 0 sorted.(0);
-  check Alcotest.int "fold sum" (999 * 1000 / 2) (Ivec.fold ( + ) 0 v)
+  check Alcotest.int "to_array last" 0 (Ivec.to_array v).(999)
 
 (* --- Fenwick --- *)
 
@@ -517,9 +488,6 @@ let suite =
     test_heap_interleaved;
     test_heap_model;
     Alcotest.test_case "heap push+pop allocation-free" `Quick test_heap_allocation_free;
-    Alcotest.test_case "fvec basic" `Quick test_fvec_basic;
-    Alcotest.test_case "fvec bounds" `Quick test_fvec_bounds;
-    Alcotest.test_case "fvec sorted" `Quick test_fvec_sorted;
     Alcotest.test_case "ivec basic" `Quick test_ivec_basic;
     test_fenwick_vs_naive;
     Alcotest.test_case "fenwick range" `Quick test_fenwick_range;

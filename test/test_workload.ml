@@ -139,6 +139,53 @@ let test_metrics_rejects_bad_record () =
     (Invalid_argument "Metrics.record: finish before arrival") (fun () ->
       Metrics.record m ~class_idx:0 ~arrival_ns:100 ~finish_ns:50 ~service_ns:10)
 
+(* A two-class run of 6,000 requests, 499 of them inside the warm-up,
+   recorded into [Metrics] and into per-class sets here.  The reference
+   merges the old way: sort each class, re-add, sort again. *)
+let test_metrics_overall_matches_reference () =
+  let module S = Tq_stats.Sample_set in
+  let w = Table1.extreme_bimodal_sim and warmup_ns = 50_000 in
+  let m = Metrics.create ~workload:w ~warmup_ns in
+  let sets () = Array.init (Service_dist.class_count w) (fun _ -> S.create ()) in
+  let sojourn = sets () and slowdown = sets () and eventual = sets () in
+  let rng = Prng.create ~seed:37L in
+  for i = 1 to 6_000 do
+    let class_idx, service_ns = sample w rng in
+    let arrival_ns = i * 100 in
+    let finish_ns = arrival_ns + service_ns + Prng.int rng 20_000 in
+    let eventual_ns = finish_ns + (Prng.int rng 3 * 10_000) in
+    Metrics.record m ~class_idx ~arrival_ns ~finish_ns ~service_ns;
+    Metrics.record_eventual m ~class_idx ~arrival_ns ~finish_ns:eventual_ns;
+    if arrival_ns >= warmup_ns then begin
+      let s = float_of_int (finish_ns - arrival_ns) in
+      S.add sojourn.(class_idx) s;
+      S.add slowdown.(class_idx) (s /. float_of_int (Int.max 1 service_ns));
+      S.add eventual.(class_idx) (float_of_int (eventual_ns - arrival_ns))
+    end
+  done;
+  let sorted sets = Array.concat (Array.to_list (Array.map S.to_sorted_array sets)) in
+  let reference sets p =
+    let all = S.create () in
+    Array.iter (S.add all) (sorted sets);
+    S.percentile all p
+  in
+  check Alcotest.int "post-warm-up requests" 5_501 (Metrics.total_completed m);
+  List.iter
+    (fun p ->
+      let same what sets got =
+        check (Alcotest.float 0.0) (Printf.sprintf "overall %s p%g" what p) (reference sets p) got
+      in
+      same "sojourn" sojourn (Metrics.overall_sojourn_percentile m p);
+      same "slowdown" slowdown (Metrics.overall_slowdown_percentile m p);
+      same "eventual" eventual (Metrics.overall_eventual_percentile m p))
+    [ 0.0; 1.0; 50.0; 90.0; 99.0; 99.9; 100.0 ];
+  List.iter
+    (fun d ->
+      let within = Array.fold_left (fun n v -> if v <= float_of_int d then n + 1 else n) 0 in
+      check Alcotest.int (Printf.sprintf "goodput within %d ns" d) (within (sorted eventual))
+        (Metrics.goodput_within m ~deadline_ns:d))
+    [ 0; 5_000; 20_000; 40_000; max_int ]
+
 let suite =
   [
     Alcotest.test_case "make validates ratios" `Quick test_make_validates_ratios;
@@ -155,6 +202,8 @@ let suite =
     Alcotest.test_case "metrics warmup" `Quick test_metrics_warmup_discard;
     Alcotest.test_case "metrics per class" `Quick test_metrics_per_class;
     Alcotest.test_case "metrics rejects bad record" `Quick test_metrics_rejects_bad_record;
+    Alcotest.test_case "metrics overall percentiles match a re-sorted merge" `Quick
+      test_metrics_overall_matches_reference;
   ]
 
 (* --- Empirical distribution --- *)
