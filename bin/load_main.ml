@@ -92,87 +92,78 @@ let run host port rate connections warmup measure grace seed mix_spec spin_us
     if stats_interval <> None then
       Printf.printf "tq_load: %d stats polls collected\n" (List.length r.stats_polls)
   end;
-  (* Tail forensics: fetch after the run so the reservoirs cover the
-     measurement window.  The text view prints, the JSON view embeds in
-     the --json report (server needs --tail-k). *)
+  (* Post-run views, fetched after the run so the server's reservoirs
+     and span buffers cover the measurement window, all over one
+     connection.  A view that fails is reported and the run still
+     writes every view that succeeded; the exit status says so last. *)
+  let failed = ref [] in
+  let conn = lazy (Tq_serve.Client.connect ~host ~port ()) in
+  let fetch what view =
+    match Tq_serve.Client.stats ~view (Lazy.force conn) with
+    | body -> Some body
+    | exception e ->
+        Printf.eprintf "tq_load: %s fetch failed: %s\n" what (Printexc.to_string e);
+        failed := what :: !failed;
+        None
+  in
+  let write_file path body =
+    let oc = open_out path in
+    output_string oc body;
+    close_out oc
+  in
+  (* Tail forensics: the text view prints, the JSON view embeds in the
+     --json report (server needs --tail-k). *)
   let outlier_json =
     match outliers_n with
     | None -> None
-    | Some n -> (
-        try
-          let c = Tq_serve.Client.connect ~host ~port () in
-          let fetch view = Tq_serve.Client.stats ~view c in
-          print_string
-            (fetch (Tq_serve.Protocol.Stats_outliers_text { limit = n }));
-          let body = fetch (Tq_serve.Protocol.Stats_outliers { limit = n }) in
-          Tq_serve.Client.close c;
-          Some body
-        with e ->
-          Printf.eprintf "tq_load: outliers fetch failed: %s\n"
-            (Printexc.to_string e);
-          None)
+    | Some n ->
+        Option.bind
+          (fetch "outliers" (Tq_serve.Protocol.Stats_outliers_text { limit = n }))
+          (fun text ->
+            print_string text;
+            fetch "outliers" (Tq_serve.Protocol.Stats_outliers { limit = n }))
   in
   (match json_out with
   | Some path ->
-      let oc = open_out path in
-      output_string oc (Tq_serve.Load_gen.to_json ?outliers:outlier_json config r);
-      close_out oc;
+      write_file path (Tq_serve.Load_gen.to_json ?outliers:outlier_json config r);
       if not quiet then Printf.printf "tq_load: wrote %s\n" path
   | None -> ());
   (match stats_json with
   | Some path -> (
       match List.rev r.stats_polls with
       | (_, body) :: _ ->
-          let oc = open_out path in
-          output_string oc body;
-          close_out oc;
+          write_file path body;
           if not quiet then Printf.printf "tq_load: wrote server stats to %s\n" path
       | [] -> Printf.eprintf "tq_load: no stats polls succeeded, %s not written\n" path)
   | None -> ());
-  (match trace_out with
-  | Some path -> (
-      try
-        let c = Tq_serve.Client.connect ~host ~port () in
-        let body = Tq_serve.Client.stats ~view:Tq_serve.Protocol.Stats_trace c in
-        Tq_serve.Client.close c;
-        let oc = open_out path in
-        output_string oc body;
-        close_out oc;
-        if not quiet then
-          Printf.printf "tq_load: wrote server span trace to %s (%d bytes)\n" path
-            (String.length body)
-      with e ->
-        Printf.eprintf "tq_load: trace fetch failed: %s\n" (Printexc.to_string e))
-  | None -> ());
-  (* Per-stage sojourn decomposition, fetched after the run so the
-     server's span buffers cover the measurement window. *)
-  (if breakdown || breakdown_json <> None then
-     try
-       let c = Tq_serve.Client.connect ~host ~port () in
-       let fetch view = Tq_serve.Client.stats ~view c in
-       if breakdown then
-         print_string (fetch Tq_serve.Protocol.Stats_breakdown_text);
-       (match breakdown_json with
-       | Some path ->
-           let body = fetch Tq_serve.Protocol.Stats_breakdown in
-           let oc = open_out path in
-           output_string oc body;
-           close_out oc;
-           if not quiet then Printf.printf "tq_load: wrote stage breakdown to %s\n" path
-       | None -> ());
-       Tq_serve.Client.close c
-     with e ->
-       Printf.eprintf "tq_load: breakdown fetch failed: %s\n" (Printexc.to_string e));
+  Option.iter
+    (fun path ->
+      Option.iter
+        (fun body ->
+          write_file path body;
+          if not quiet then
+            Printf.printf "tq_load: wrote server span trace to %s (%d bytes)\n" path
+              (String.length body))
+        (fetch "trace" Tq_serve.Protocol.Stats_trace))
+    trace_out;
+  (* Per-stage sojourn decomposition (server needs --obs). *)
+  if breakdown then
+    Option.iter print_string (fetch "breakdown" Tq_serve.Protocol.Stats_breakdown_text);
+  Option.iter
+    (fun path ->
+      Option.iter
+        (fun body ->
+          write_file path body;
+          if not quiet then Printf.printf "tq_load: wrote stage breakdown to %s\n" path)
+        (fetch "breakdown-json" Tq_serve.Protocol.Stats_breakdown))
+    breakdown_json;
   (* The controller's own view of the run: what the server's feedback
      loop did while we were loading it (needs tq_serve --adaptive). *)
-  (if control then
-     try
-       let c = Tq_serve.Client.connect ~host ~port () in
-       let body = Tq_serve.Client.stats ~view:Tq_serve.Protocol.Stats_control c in
-       Tq_serve.Client.close c;
-       Printf.printf "tq_load: controller state: %s\n" body
-     with e ->
-       Printf.eprintf "tq_load: control fetch failed: %s\n" (Printexc.to_string e));
+  if control then
+    Option.iter
+      (Printf.printf "tq_load: controller state: %s\n")
+      (fetch "control" Tq_serve.Protocol.Stats_control);
+  if Lazy.is_val conn then Tq_serve.Client.close (Lazy.force conn);
   if r.received = 0 then begin
     Printf.eprintf "tq_load: no responses received\n";
     exit 1
@@ -193,6 +184,11 @@ let run host port rate connections warmup measure grace seed mix_spec spin_us
         breached;
       exit 3
     end
+  end;
+  if !failed <> [] then begin
+    Printf.eprintf "tq_load: %d post-run view(s) failed: %s\n" (List.length !failed)
+      (String.concat ", " (List.rev !failed));
+    exit 4
   end
 
 let () =
@@ -295,8 +291,18 @@ let () =
                    needs --tail-k)")
   in
   let doc = "Open-loop Poisson load generator for tq_serve." in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"on a bad flag, or when no response arrived."
+    :: Cmd.Exit.info 3 ~doc:"when $(b,--slo-strict) finds an SLO breached."
+    :: Cmd.Exit.info 4
+         ~doc:"when a post-run view that was asked for ($(b,--outliers), \
+               $(b,--trace), $(b,--breakdown), $(b,--breakdown-json), \
+               $(b,--control)) could not be fetched; every view that was \
+               fetched is still written first."
+    :: Cmd.Exit.defaults
+  in
   let cmd =
-    Cmd.v (Cmd.info "tq_load" ~version:"1.3.0" ~doc)
+    Cmd.v (Cmd.info "tq_load" ~version:"1.3.0" ~doc ~exits)
       Term.(const run $ host $ port $ rate $ connections $ warmup $ measure $ grace
             $ seed $ mix $ spin $ heavy_frac $ heavy_spin $ json $ quiet $ slo $ slo_strict
             $ stats_interval $ dashboard $ stats_json $ trace $ breakdown

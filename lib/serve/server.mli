@@ -1,13 +1,13 @@
 (** The live multicore RPC server: TQ's two-level structure over real
     sockets.
 
-    Level 1 is one dispatcher lane ({!Lane}) on the thread that calls
-    {!serve}.  It owns every connection and runs the classic
-    dispatcher loop: reassemble length-prefixed frames, steer each
-    request (KV by key hash so per-key state stays on one core,
-    everything else JSQ over every worker's in-flight counter), and
-    write completed responses back through pooled zero-copy framing
-    ({!Pool}, {!Protocol.Outbuf}).  The lane never executes request
+    Level 1 is one dispatcher loop, {!serve}, on the thread that calls
+    it.  It owns every connection and runs the classic dispatcher
+    pass: reassemble length-prefixed frames, steer each request (KV by
+    key hash so per-key state stays on one core, everything else JSQ
+    over every worker's in-flight counter), and write completed
+    responses back through pooled zero-copy framing
+    ({!Pool}, {!Protocol.Outbuf}).  The loop never executes request
     work — blind scheduling, per-*request* dispatcher cost.
 
     Level 2 is a persistent {!Tq_runtime.Parallel} pool: worker domains
@@ -74,7 +74,7 @@ type config = {
     framing buffers. *)
 val default_config : config
 
-(** Dispatcher-side request accounting: the lane's ledger (a snapshot;
+(** Dispatcher-side request accounting: the loop's ledger (a snapshot;
     see {!stats}). *)
 type stats = {
   connections : int;  (** connections accepted over the lifetime *)
@@ -83,7 +83,7 @@ type stats = {
   completed : int;  (** responses popped from reply rings *)
   shed : int;  (** rejected by ring-depth or admission policy *)
   lost : int;
-      (** admitted requests still pending when the lane exited (their
+      (** admitted requests still pending when the loop exited (their
           worker died and re-dispatch never landed); 0 after a clean
           drain *)
   dropped : int;
@@ -122,11 +122,11 @@ val config_error : config -> string option
 (** [create ?spans ?tail ?gc config] checks [config] (raising
     [Invalid_argument] with {!config_error}'s message before anything
     is bound or built), binds and listens (raising [Unix.Unix_error] on
-    e.g. a busy port), builds every worker's state, the lane and the
-    buffer pool on the calling domain, and spawns the worker domains
+    e.g. a busy port), builds every worker's state, the loop's state
+    and the buffer pool on the calling domain, and spawns the worker domains
     last, so no collection during set-up waits on another domain.
 
-    The lane keeps one ledger of its dispatcher events; every view
+    The loop keeps one ledger of its dispatcher events; every view
     ({!stats}, {!snapshot_json}, {!prometheus}, {!merged_counters} and
     the controller's sensing) reads it.  Each worker domain owns a
     private [runtime.*] registry (quanta, yields, stalls,
@@ -141,7 +141,7 @@ val config_error : config -> string option
     ({!Tq_obs.Span.merge}) into one Perfetto timeline.
 
     [tail] (default {!Tq_obs.Tail.null}, zero per-request cost) turns
-    on always-on tail forensics: the lane registers one bounded
+    on always-on tail forensics: the loop registers one bounded
     reservoir sink that retains the K slowest completions per sliding
     window plus every threshold breach, with controller state and queue
     depths sampled at dispatch time.  Pair it with [spans] to get exact
@@ -164,7 +164,7 @@ val create :
 (** The actually bound port — [config.port] unless that was 0. *)
 val port : t -> int
 
-(** [serve t] runs the dispatcher lane in the calling thread and
+(** [serve t] runs the dispatcher loop in the calling thread and
     returns once it has observed {!stop} and drained.  Call at most
     once. *)
 val serve : t -> unit
@@ -177,9 +177,9 @@ val stop : t -> unit
     [503 draining]. *)
 val draining : t -> bool
 
-(** Live accounting snapshot of the lane's ledger.  Safe from any
+(** Live accounting snapshot of the loop's ledger.  Safe from any
     thread — word-sized plain loads, never torn, eventually consistent
-    while the lane runs and exact once {!serve} has returned.
+    while the loop runs and exact once {!serve} has returned.
     [parsed] and [in_flight] are derived from the same loads as the
     fields they sum, so {!ledger_violations} is [[]] for every
     snapshot. *)
@@ -194,7 +194,7 @@ val ledger_violations : stats -> string list
 (** {2 Live observability}
 
     What the Stats RPC renders; exposed directly for in-process use
-    (tests, embedding).  Every view reads the lane's ledger and writes
+    (tests, embedding).  Every view reads the loop's ledger and writes
     its counters and gauges into render-local registries, so these are
     safe from any thread. *)
 
@@ -204,7 +204,7 @@ val ledger_violations : stats -> string list
 val span_dropped : t -> int
 
 (** Completion sojourn latencies (dispatch to reply-ring pop), per
-    request class plus ["all"]: a copy of the registry the lane records
+    request class plus ["all"]: a copy of the registry the loop records
     as it polls replies (HDR percentiles at native resolution). *)
 val latency : t -> Tq_obs.Latency.t
 
@@ -221,7 +221,7 @@ val merged_counters : t -> Tq_obs.Counters.t
 val snapshot_json : t -> string
 
 (** The same snapshot as Prometheus text exposition — the [Stats_text]
-    RPC body.  The lane renders as the [role="dispatcher"] series;
+    RPC body.  The loop renders as the [role="dispatcher"] series;
     workers carry [role] / [worker] labels; with spans enabled the per-stage
     decomposition renders as the [tq_serve_stage_ns] histogram
     family. *)
@@ -229,7 +229,7 @@ val prometheus : t -> string
 
 (** [render_stats t view] — the body of one Stats RPC view, or the
     error the RPC answers with (e.g. the controller or tail forensics
-    is off).  The lane answers the Stats RPC through it, and
+    is off).  The loop answers the Stats RPC through it, and
     {!Http_expo} serves [/metrics] and [/outliers] through it. *)
 val render_stats : t -> Protocol.stats_view -> (string, string) result
 
@@ -272,12 +272,12 @@ val inject_stall : t -> worker:int -> duration_ns:int -> unit
     re-dispatches its pending requests — no request is lost. *)
 val kill_worker : t -> worker:int -> unit
 
-(** [pause_dispatcher t ~duration_ns] — the lane does nothing (no
+(** [pause_dispatcher t ~duration_ns] — the loop does nothing (no
     accepts, reads, replies or verdicts) until the deadline: a
     wedged-dispatcher fault.  Workers keep serving their rings. *)
 val pause_dispatcher : t -> duration_ns:int -> unit
 
-(** [on_tick t f] — call [f ~now_ns] once per lane loop pass (before
+(** [on_tick t f] — call [f ~now_ns] once per dispatcher loop pass (before
     anything else moves, pause included); the hook a fault schedule
     driver ({!Tq_fault.Live}) uses to fire timed events without a
     thread.  Set before {!serve}. *)

@@ -1523,3 +1523,138 @@ let exec_suite =
   ]
 
 let suite = suite @ exec_suite
+
+(* --- Misbehaving clients: the loop's close, orphan and deadline paths --- *)
+
+(* Runs [f] against a live server, then stops it and waits for [serve]
+   to return: the result of [f] and the drained ledger. *)
+let drained config f =
+  let srv = Server.create config in
+  let th = Thread.create Server.serve srv in
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Server.stop srv;
+        Thread.join th)
+      (fun () -> f srv)
+  in
+  (r, Server.stats srv)
+
+let wait_until what holds =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (holds ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  if not (holds ()) then Alcotest.failf "timed out waiting for %s" what
+
+(* A raw socket with a receive timeout, so a server that never closes
+   it fails the test instead of hanging it. *)
+let raw_connect srv =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  fd
+
+let write_all fd b =
+  let off = ref 0 in
+  while !off < Bytes.length b do
+    off := !off + Unix.write fd b !off (Bytes.length b - !off)
+  done
+
+(* Response frames read until the server closes the connection. *)
+let frames_until_eof fd =
+  let rb = Protocol.Reassembly.create () and chunk = Bytes.create 65536 in
+  let rec go n =
+    match Protocol.Reassembly.next rb with
+    | Ok (Some _) -> go (n + 1)
+    | Error msg -> Alcotest.failf "response stream: %s" msg
+    | Ok None -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> n
+        | k ->
+            Protocol.Reassembly.add rb chunk k;
+            go n)
+  in
+  go 0
+
+(* A length prefix over the frame cap, and a well-sized frame with an
+   unknown request tag: each closes its own connection with no reply
+   and counts one protocol error, while a third connection is served. *)
+let test_malformed_frames () =
+  let oversized = Bytes.create 4 in
+  Bytes.set_int32_be oversized 0 (Int32.of_int (Protocol.max_frame_bytes + 1));
+  let unknown_tag = Bytes.create 13 in
+  Bytes.set_int32_be unknown_tag 0 9l;
+  Bytes.set_int64_be unknown_tag 4 7L;
+  Bytes.set_uint8 unknown_tag 12 99;
+  let (), s =
+    drained base_config (fun srv ->
+        List.iter
+          (fun frame ->
+            let fd = raw_connect srv in
+            write_all fd frame;
+            check Alcotest.int "closed with no reply" 0 (frames_until_eof fd);
+            Unix.close fd)
+          [ oversized; unknown_tag ];
+        let c = Client.connect ~port:(Server.port srv) () in
+        let resp = Client.call c (Protocol.Echo { spin_ns = 0; payload = "still here" }) in
+        Client.close c;
+        check Alcotest.bool "third connection served" true
+          (resp.Protocol.status = Protocol.Ok && resp.Protocol.body = "still here"))
+  in
+  check Alcotest.int "two protocol errors" 2 s.Server.protocol_errors;
+  check Alcotest.int "one request served" 1 s.Server.completed;
+  check Alcotest.(list string) "ledger balanced" [] (Server.ledger_violations s)
+
+(* The client hangs up while its 20 ms request runs: the reply finds no
+   connection and is counted orphaned, and the request still completes. *)
+let test_vanished_client () =
+  let (), s =
+    drained base_config (fun srv ->
+        let c = Client.connect ~port:(Server.port srv) () in
+        Client.send c ~req_id:0 (Protocol.Echo { spin_ns = 20_000_000; payload = "" });
+        wait_until "dispatch" (fun () -> (Server.stats srv).Server.dispatched = 1);
+        Client.close c;
+        wait_until "the orphaned reply" (fun () -> (Server.stats srv).Server.orphaned = 1))
+  in
+  check Alcotest.int "orphaned" 1 s.Server.orphaned;
+  check Alcotest.int "dispatched = completed" s.Server.dispatched s.Server.completed;
+  check Alcotest.int "none lost" 0 s.Server.lost
+
+(* A client pipelines 16 MiB of echo replies, more than both socket
+   buffers hold, and reads none.  The drain finishes every request but
+   gives up flushing at the deadline: [serve] returns promptly and the
+   client then reads fewer replies than it sent before EOF. *)
+let test_unread_replies_drain_deadline () =
+  let n = 1024 and payload = String.make 16_384 'x' in
+  let config = { base_config with ring_capacity = 4096; drain_timeout_s = 0.2 } in
+  let (fd, stopped_at), s =
+    drained config (fun srv ->
+        let fd = raw_connect srv in
+        let b = Buffer.create ((n + 1) * 16_400) in
+        for i = 0 to n - 1 do
+          Protocol.encode_request b ~req_id:i (Protocol.Echo { spin_ns = 0; payload })
+        done;
+        write_all fd (Buffer.to_bytes b);
+        wait_until "every request parsed" (fun () -> (Server.stats srv).Server.parsed = n);
+        (fd, Unix.gettimeofday ()))
+  in
+  let drain_s = Unix.gettimeofday () -. stopped_at in
+  check Alcotest.bool (Printf.sprintf "serve returned in %.2f s" drain_s) true (drain_s < 2.0);
+  check Alcotest.int "dispatched = completed" s.Server.dispatched s.Server.completed;
+  check Alcotest.int "none lost" 0 s.Server.lost;
+  let got = frames_until_eof fd in
+  Unix.close fd;
+  check Alcotest.bool (Printf.sprintf "%d of %d replies reached the client" got n) true
+    (got < n)
+
+let misbehaving_suite =
+  [
+    Alcotest.test_case "malformed frames close only their connection" `Quick
+      test_malformed_frames;
+    Alcotest.test_case "vanished client's reply is orphaned" `Quick test_vanished_client;
+    Alcotest.test_case "unread replies stop at the drain deadline" `Quick
+      test_unread_replies_drain_deadline;
+  ]
+
+let suite = suite @ misbehaving_suite
