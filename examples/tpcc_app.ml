@@ -49,7 +49,7 @@ let live_database () =
         class_idx = 0;
         work =
           (fun ~wid:_ ->
-            ignore (Transactions.run db rng kind ~now_ns:0);
+            ignore (Transactions.run db rng kind);
             (* Credit the Table 1 service time so quanta preempt long
                Delivery/StockLevel transactions. *)
             Virtual_work.work clock (Transactions.service_time_ns kind));

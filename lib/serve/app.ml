@@ -68,7 +68,7 @@ let outcome_body : Transactions.outcome -> string = function
   | Delivered { orders } -> Printf.sprintf "delivered:%d" orders
   | Stock_low { count } -> Printf.sprintf "stock_low:%d" count
 
-let execute t ~now_ns ~req_id (req : Protocol.request) =
+let execute t ~req_id (req : Protocol.request) =
   match
     match req with
     | Echo { spin_ns; payload } ->
@@ -81,7 +81,7 @@ let execute t ~now_ns ~req_id (req : Protocol.request) =
     | Kv_set { key; value } ->
         Tq_kv.Store.put t.kv key value;
         "+"
-    | Tpcc { kind } -> outcome_body (Transactions.run t.db t.rng kind ~now_ns)
+    | Tpcc { kind } -> outcome_body (Transactions.run t.db t.rng kind)
     | Stats _ ->
         (* Stats requests are answered at the dispatcher; one reaching a
            worker app is a server bug, not a client error. *)

@@ -28,7 +28,7 @@ val kv_key : int -> string
     [Printf.sprintf "value%06d" i]. *)
 val kv_value : int -> string
 
-(** [execute t ~now_ns req] runs one request to completion (yielding at
+(** [execute t ~req_id req] runs one request to completion (yielding at
     probes) and returns its response.  Handler exceptions become
     [Protocol.Error] responses rather than killing the worker. *)
-val execute : t -> now_ns:int -> req_id:int -> Protocol.request -> Protocol.response
+val execute : t -> req_id:int -> Protocol.request -> Protocol.response

@@ -596,7 +596,9 @@ let render_stats t view =
   match view with
   | Protocol.Stats_json -> Ok (snapshot_json t)
   | Protocol.Stats_text -> Ok (prometheus t)
-  | Protocol.Stats_trace -> Ok (Span.to_chrome ~process:"tq_serve" t.spans)
+  | Protocol.Stats_trace ->
+      if not t.spans_on then Error "span trace needs spans: run the server with --obs"
+      else Ok (Span.to_chrome ~process:"tq_serve" t.spans)
   | Protocol.Stats_control -> (
       match t.ctl with
       | Some c -> Ok (Tq_control.Controller.state_json c)
@@ -753,7 +755,7 @@ let make_job t ~sid ~cid ~class_idx ~t0 ~req_id req =
   fun ~wid ->
     let app = apps.(wid) in
     let ring = rings.(wid) in
-    let resp = App.execute app ~now_ns:(now_ns ()) ~req_id req in
+    let resp = App.execute app ~req_id req in
     let len = Protocol.response_frame_len resp in
     let buf = Pool.acquire bufs ~len in
     let n = Protocol.encode_response_into buf ~off:0 resp in

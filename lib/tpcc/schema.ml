@@ -14,20 +14,6 @@ type customer = {
 type item = { i_price : int }
 type stock = { mutable s_quantity : int; mutable s_ytd : int; mutable s_order_cnt : int }
 
-type order = {
-  o_c_id : int;
-  o_entry_ns : int;
-  mutable o_carrier_id : int option;
-  o_ol_cnt : int;
-}
-
-type order_line = {
-  ol_i_id : int;
-  ol_quantity : int;
-  ol_amount : int;
-  mutable ol_delivered : bool;
-}
-
 type scale = {
   warehouses : int;
   districts_per_warehouse : int;
@@ -38,6 +24,47 @@ type scale = {
 let default_scale =
   { warehouses = 2; districts_per_warehouse = 10; customers_per_district = 100; items = 1000 }
 
+(* An append-only int column in chunks of [1 lsl bits] ints.  A chunk
+   is never copied once allocated: growth copies only the spine, one
+   word per chunk. *)
+module Col = struct
+  type t = { bits : int; mutable chunks : int array array; mutable len : int }
+
+  let create ~bits = { bits; chunks = [||]; len = 0 }
+  let length c = c.len
+  let get c i = c.chunks.(i lsr c.bits).(i land ((1 lsl c.bits) - 1))
+  let set c i x = c.chunks.(i lsr c.bits).(i land ((1 lsl c.bits) - 1)) <- x
+
+  let push c x =
+    let k = c.len lsr c.bits and j = c.len land ((1 lsl c.bits) - 1) in
+    if j = 0 then begin
+      if k = Array.length c.chunks then begin
+        let spine = Array.make (max 4 (2 * k)) [||] in
+        Array.blit c.chunks 0 spine 0 k;
+        c.chunks <- spine
+      end;
+      c.chunks.(k) <- Array.make (1 lsl c.bits) 0
+    end;
+    c.chunks.(k).(j) <- x;
+    c.len <- c.len + 1
+end
+
+(* Packed order header, low bits first: carrier (4 bits, 0 = none),
+   ol_cnt (4), c_id (20), index of the first line in [lines] (the other
+   35).  Packed line: delivered (1 bit), quantity (4), amount in cents
+   (24), item id (20). *)
+let id_bits = 20
+let max_ids = 1 lsl id_bits
+let amount_bits = 24
+
+let[@inline] field v ~shift ~bits = (v lsr shift) land ((1 lsl bits) - 1)
+let h_carrier h = field h ~shift:0 ~bits:4
+let h_ol_cnt h = field h ~shift:4 ~bits:4
+let h_c_id h = field h ~shift:8 ~bits:id_bits
+let h_first h = h lsr (8 + id_bits)
+
+type order = int
+
 type t = {
   sc : scale;
   warehouses_tbl : warehouse array;
@@ -45,15 +72,24 @@ type t = {
   customers_tbl : customer array;  (** (w * D + d) * C + c *)
   items_tbl : item array;
   stocks_tbl : stock array;  (** w * items + i *)
-  orders_tbl : (int * int * int, order) Hashtbl.t;
-  order_lines_tbl : (int * int * int * int, order_line) Hashtbl.t;
+  orders : Col.t;  (** packed headers, in insertion order *)
+  lines : Col.t;  (** packed lines; an order's lines are contiguous *)
+  order_index : Col.t array;  (** per district: o - 1 -> position in [orders] *)
   new_orders : int Tq_util.Ring_deque.t array;  (** per district *)
-  last_order : (int * int * int, int) Hashtbl.t;  (** (w,d,c) -> o *)
+  last_order : int array;  (** (w * D + d) * C + c -> o, 0 = none *)
+  item_stamp : int array;  (** i -> stamp of the set that holds it *)
+  mutable stamp : int;
 }
 
 let create ?(seed = 77L) ?(scale = default_scale) () =
-  let rng = Prng.create ~seed in
   let sc = scale in
+  if
+    sc.warehouses < 1 || sc.districts_per_warehouse < 1 || sc.customers_per_district < 1
+    || sc.items < 1
+  then invalid_arg "Schema.create: every scale count must be at least 1";
+  if sc.customers_per_district > max_ids || sc.items > max_ids then
+    invalid_arg "Schema.create: customer and item ids must fit 20 bits";
+  let rng = Prng.create ~seed in
   let n_districts = sc.warehouses * sc.districts_per_warehouse in
   (* customer c is named [last_name (c mod 1000)]: build each name once
      and share it across districts *)
@@ -79,10 +115,13 @@ let create ?(seed = 77L) ?(scale = default_scale) () =
     stocks_tbl =
       Array.init (sc.warehouses * sc.items) (fun _ ->
           { s_quantity = 10 + Prng.int rng 91; s_ytd = 0; s_order_cnt = 0 });
-    orders_tbl = Hashtbl.create 4096;
-    order_lines_tbl = Hashtbl.create 16_384;
+    orders = Col.create ~bits:10;
+    lines = Col.create ~bits:12;
+    order_index = Array.init n_districts (fun _ -> Col.create ~bits:8);
     new_orders = Array.init n_districts (fun _ -> Tq_util.Ring_deque.create ());
-    last_order = Hashtbl.create 1024;
+    last_order = Array.make (n_districts * sc.customers_per_district) 0;
+    item_stamp = Array.make sc.items 0;
+    stamp = 1;
   }
 
 let scale t = t.sc
@@ -99,9 +138,11 @@ let district_index t ~w ~d =
 
 let district t ~w ~d = t.districts_tbl.(district_index t ~w ~d)
 
-let customer t ~w ~d ~c =
+let customer_index t ~w ~d ~c =
   check (c >= 0 && c < t.sc.customers_per_district);
-  t.customers_tbl.((district_index t ~w ~d * t.sc.customers_per_district) + c)
+  (district_index t ~w ~d * t.sc.customers_per_district) + c
+
+let customer t ~w ~d ~c = t.customers_tbl.(customer_index t ~w ~d ~c)
 
 let customers_by_last_name t ~w ~d name =
   let base = district_index t ~w ~d * t.sc.customers_per_district in
@@ -119,16 +160,61 @@ let stock t ~w ~i =
   check (w >= 0 && w < t.sc.warehouses && i >= 0 && i < t.sc.items);
   t.stocks_tbl.((w * t.sc.items) + i)
 
-let insert_order t ~w ~d ~o order =
-  Hashtbl.replace t.orders_tbl (w, d, o) order;
-  Hashtbl.replace t.last_order (w, d, order.o_c_id) o
+let fits v ~bits = v >= 0 && v < 1 lsl bits
 
-let order t ~w ~d ~o = Hashtbl.find_opt t.orders_tbl (w, d, o)
+let insert_order t ~w ~d ~o ~c ~ol_cnt =
+  let index = t.order_index.(district_index t ~w ~d) in
+  if o <> Col.length index + 1 then
+    invalid_arg "Schema.insert_order: o must be one past the district's newest order";
+  if c < 0 || c >= t.sc.customers_per_district || not (fits ol_cnt ~bits:4) then
+    invalid_arg "Schema.insert_order: customer or line count out of range";
+  let g = Col.length t.orders in
+  if g > 0 then begin
+    let h = Col.get t.orders (g - 1) in
+    if h_first h + h_ol_cnt h <> Col.length t.lines then
+      invalid_arg "Schema.insert_order: the newest order lacks lines"
+  end;
+  Col.push t.orders
+    ((Col.length t.lines lsl (8 + id_bits)) lor (c lsl 8) lor (ol_cnt lsl 4));
+  Col.push index g;
+  t.last_order.(customer_index t ~w ~d ~c) <- o;
+  g
 
-let insert_order_line t ~w ~d ~o ~ol line =
-  Hashtbl.replace t.order_lines_tbl (w, d, o, ol) line
+let order t ~w ~d ~o =
+  let index = t.order_index.(district_index t ~w ~d) in
+  if o >= 1 && o <= Col.length index then Some (Col.get index (o - 1)) else None
 
-let order_line t ~w ~d ~o ~ol = Hashtbl.find_opt t.order_lines_tbl (w, d, o, ol)
+let order_c_id t g = h_c_id (Col.get t.orders g)
+let order_carrier t g = h_carrier (Col.get t.orders g)
+let order_ol_cnt t g = h_ol_cnt (Col.get t.orders g)
+
+let set_carrier t g carrier =
+  if carrier < 1 || carrier > 15 then invalid_arg "Schema.set_carrier: carrier in [1, 15]";
+  Col.set t.orders g ((Col.get t.orders g land lnot 15) lor carrier)
+
+let insert_order_line t g ~ol ~i ~quantity ~amount =
+  let h = Col.get t.orders g in
+  if g <> Col.length t.orders - 1 || ol >= h_ol_cnt h || ol <> Col.length t.lines - h_first h
+  then invalid_arg "Schema.insert_order_line: ol must be the newest order's next line";
+  if i < 0 || i >= t.sc.items || not (fits quantity ~bits:4 && fits amount ~bits:amount_bits)
+  then invalid_arg "Schema.insert_order_line: item, quantity or amount out of range";
+  Col.push t.lines ((i lsl (5 + amount_bits)) lor (amount lsl 5) lor (quantity lsl 1))
+
+let line_index t g ~ol =
+  let h = Col.get t.orders g in
+  let l = h_first h + ol in
+  check (ol >= 0 && ol < h_ol_cnt h && l < Col.length t.lines);
+  l
+
+let line t g ~ol = Col.get t.lines (line_index t g ~ol)
+let line_item t g ~ol = field (line t g ~ol) ~shift:(5 + amount_bits) ~bits:id_bits
+let line_quantity t g ~ol = field (line t g ~ol) ~shift:1 ~bits:4
+let line_amount t g ~ol = field (line t g ~ol) ~shift:5 ~bits:amount_bits
+let line_delivered t g ~ol = line t g ~ol land 1 = 1
+
+let deliver_line t g ~ol =
+  let l = line_index t g ~ol in
+  Col.set t.lines l (Col.get t.lines l lor 1)
 
 let push_new_order t ~w ~d ~o =
   Tq_util.Ring_deque.push_back t.new_orders.(district_index t ~w ~d) o
@@ -140,4 +226,15 @@ let pop_new_order t ~w ~d =
 let new_order_depth t ~w ~d =
   Tq_util.Ring_deque.length t.new_orders.(district_index t ~w ~d)
 
-let last_order_id t ~w ~d ~c = Hashtbl.find_opt t.last_order (w, d, c)
+let last_order_id t ~w ~d ~c =
+  match t.last_order.(customer_index t ~w ~d ~c) with 0 -> None | o -> Some o
+
+let clear_items t = t.stamp <- t.stamp + 1
+
+let add_item t ~i =
+  check (i >= 0 && i < t.sc.items);
+  if t.item_stamp.(i) = t.stamp then false
+  else begin
+    t.item_stamp.(i) <- t.stamp;
+    true
+  end

@@ -2,8 +2,15 @@
 
     The five-transaction OLTP workload supplies the paper's multi-modal
     service-time distribution (Table 1) and a realistic example
-    application.  Money is in integer cents; rows live in hash tables
-    keyed by the standard composite keys. *)
+    application.  Money is in integer cents.
+
+    The fixed-size tables (warehouses, districts, customers, items,
+    stock) are arrays of records indexed by their composite keys.  The
+    tables that grow with every NewOrder are flat int columns: one
+    packed header per order, one packed int per order line, and per
+    district a dense index from [o - 1] to the order's header.  The
+    columns grow in chunks that are never copied, so no insert copies a
+    large array. *)
 
 type warehouse = { mutable w_ytd : int }
 type district = { mutable d_next_o_id : int; mutable d_ytd : int }
@@ -18,21 +25,6 @@ type customer = {
 
 type item = { i_price : int }
 type stock = { mutable s_quantity : int; mutable s_ytd : int; mutable s_order_cnt : int }
-
-type order = {
-  o_c_id : int;
-  o_entry_ns : int;
-  mutable o_carrier_id : int option;
-  o_ol_cnt : int;
-}
-
-type order_line = {
-  ol_i_id : int;
-  ol_quantity : int;
-  ol_amount : int;
-  mutable ol_delivered : bool;
-}
-
 type t
 
 type scale = {
@@ -46,8 +38,13 @@ type scale = {
     districts each, 100 customers per district, 1000 items. *)
 val default_scale : scale
 
+(** Customer and item ids are packed into 20-bit fields, so a scale has
+    at most [max_ids] customers per district and [max_ids] items. *)
+val max_ids : int
+
 (** [create ?seed ?scale ()] loads initial data (stock ~ uniform 10-100,
-    prices uniform 1-100 dollars). *)
+    prices uniform 1-100 dollars).  Raises [Invalid_argument] for a
+    scale with a count below 1 or ids that do not fit {!max_ids}. *)
 val create : ?seed:int64 -> ?scale:scale -> unit -> t
 
 val scale : t -> scale
@@ -64,12 +61,47 @@ val customers_by_last_name : t -> w:int -> d:int -> string -> int list
 val item : t -> i:int -> item
 val stock : t -> w:int -> i:int -> stock
 
-(** Orders. *)
+(** {2 Orders and order lines}
 
-val insert_order : t -> w:int -> d:int -> o:int -> order -> unit
+    An order is named by a handle that {!insert_order} returns and
+    {!order} finds.  Its lines are numbered [0 .. order_ol_cnt - 1] and
+    are inserted right after it, in that order. *)
+
+type order = private int
+
+(** [insert_order t ~w ~d ~o ~c ~ol_cnt] stores order [o] of customer
+    [c], undelivered.  Order ids of a district are dense from 1, so [o]
+    must be one past the district's newest order; [ol_cnt] is in
+    [0, 15].  Raises [Invalid_argument] otherwise. *)
+val insert_order : t -> w:int -> d:int -> o:int -> c:int -> ol_cnt:int -> order
+
+(** [order t ~w ~d ~o] — the handle of order [o], if it exists. *)
 val order : t -> w:int -> d:int -> o:int -> order option
-val insert_order_line : t -> w:int -> d:int -> o:int -> ol:int -> order_line -> unit
-val order_line : t -> w:int -> d:int -> o:int -> ol:int -> order_line option
+
+val order_c_id : t -> order -> int
+
+(** [order_carrier t o] — the carrier that delivered [o]; 0 while it is
+    undelivered. *)
+val order_carrier : t -> order -> int
+
+val order_ol_cnt : t -> order -> int
+
+(** [set_carrier t o carrier] records delivery; [carrier] is in [1, 15]. *)
+val set_carrier : t -> order -> int -> unit
+
+(** [insert_order_line t o ~ol ~i ~quantity ~amount] stores line [ol]
+    of [o], undelivered.  Raises [Invalid_argument] unless [ol] is the
+    order's next line, [quantity] is in [0, 15] and [amount] in
+    [0, 2^24). *)
+val insert_order_line : t -> order -> ol:int -> i:int -> quantity:int -> amount:int -> unit
+
+(** Line accessors; raise [Not_found] for a line not stored. *)
+
+val line_item : t -> order -> ol:int -> int
+val line_quantity : t -> order -> ol:int -> int
+val line_amount : t -> order -> ol:int -> int
+val line_delivered : t -> order -> ol:int -> bool
+val deliver_line : t -> order -> ol:int -> unit
 
 (** New-order queue (per district, FIFO). *)
 
@@ -80,3 +112,14 @@ val new_order_depth : t -> w:int -> d:int -> int
 (** [last_order_id t ~w ~d ~c] — newest order id of the customer, if
     any. *)
 val last_order_id : t -> w:int -> d:int -> c:int -> int option
+
+(** {2 An item set}
+
+    StockLevel's distinct-items set, kept in the database so a query
+    allocates none: one stamp per item. *)
+
+(** [clear_items t] empties the set. *)
+val clear_items : t -> unit
+
+(** [add_item t ~i] adds item [i] and tells whether it was absent. *)
+val add_item : t -> i:int -> bool

@@ -58,15 +58,14 @@ let pick_customer_for_lookup db rng ~w ~d =
   end
   else pick_customer db rng
 
-let new_order db rng ~now_ns =
+let new_order db rng =
   let w = pick_warehouse db rng and d = pick_district db rng in
   let c = pick_customer db rng in
   let district = Schema.district db ~w ~d in
   let o_id = district.d_next_o_id in
   district.d_next_o_id <- o_id + 1;
   let ol_cnt = 5 + Prng.int rng 11 in
-  Schema.insert_order db ~w ~d ~o:o_id
-    { o_c_id = c; o_entry_ns = now_ns; o_carrier_id = None; o_ol_cnt = ol_cnt };
+  let order = Schema.insert_order db ~w ~d ~o:o_id ~c ~ol_cnt in
   let total = ref 0 in
   for ol = 0 to ol_cnt - 1 do
     let i = pick_item db rng in
@@ -80,8 +79,7 @@ let new_order db rng ~now_ns =
     stock.s_order_cnt <- stock.s_order_cnt + 1;
     let amount = quantity * item.i_price in
     total := !total + amount;
-    Schema.insert_order_line db ~w ~d ~o:o_id ~ol
-      { ol_i_id = i; ol_quantity = quantity; ol_amount = amount; ol_delivered = false }
+    Schema.insert_order_line db order ~ol ~i ~quantity ~amount
   done;
   Schema.push_new_order db ~w ~d ~o:o_id;
   Ordered { o_id; total = !total }
@@ -108,10 +106,8 @@ let order_status db rng =
   | Some o_id ->
       let order = Option.get (Schema.order db ~w ~d ~o:o_id) in
       let undelivered = ref 0 in
-      for ol = 0 to order.o_ol_cnt - 1 do
-        match Schema.order_line db ~w ~d ~o:o_id ~ol with
-        | Some line when not line.ol_delivered -> incr undelivered
-        | _ -> ()
+      for ol = 0 to Schema.order_ol_cnt db order - 1 do
+        if not (Schema.line_delivered db order ~ol) then incr undelivered
       done;
       Status { last_order = Some o_id; undelivered_lines = !undelivered }
 
@@ -126,16 +122,13 @@ let delivery db rng =
     | None -> ()
     | Some o_id ->
         let order = Option.get (Schema.order db ~w ~d ~o:o_id) in
-        order.o_carrier_id <- Some carrier;
+        Schema.set_carrier db order carrier;
         let total = ref 0 in
-        for ol = 0 to order.o_ol_cnt - 1 do
-          match Schema.order_line db ~w ~d ~o:o_id ~ol with
-          | Some line ->
-              line.ol_delivered <- true;
-              total := !total + line.ol_amount
-          | None -> ()
+        for ol = 0 to Schema.order_ol_cnt db order - 1 do
+          Schema.deliver_line db order ~ol;
+          total := !total + Schema.line_amount db order ~ol
         done;
-        let customer = Schema.customer db ~w ~d ~c:order.o_c_id in
+        let customer = Schema.customer db ~w ~d ~c:(Schema.order_c_id db order) in
         customer.c_balance <- customer.c_balance + !total;
         customer.c_delivery_cnt <- customer.c_delivery_cnt + 1;
         incr delivered
@@ -147,27 +140,21 @@ let stock_level db rng =
      of a district. *)
   let w = pick_warehouse db rng and d = pick_district db rng in
   let threshold = 10 + Prng.int rng 11 in
-  let district = Schema.district db ~w ~d in
-  let next = district.d_next_o_id in
-  let seen = Hashtbl.create 64 in
+  let next = (Schema.district db ~w ~d).d_next_o_id in
+  Schema.clear_items db;
   let low = ref 0 in
   for o = max 1 (next - 20) to next - 1 do
-    match Schema.order db ~w ~d ~o with
-    | None -> ()
-    | Some order ->
-        for ol = 0 to order.o_ol_cnt - 1 do
-          match Schema.order_line db ~w ~d ~o ~ol with
-          | Some line when not (Hashtbl.mem seen line.ol_i_id) ->
-              Hashtbl.replace seen line.ol_i_id ();
-              if (Schema.stock db ~w ~i:line.ol_i_id).s_quantity < threshold then incr low
-          | _ -> ()
-        done
+    let order = Option.get (Schema.order db ~w ~d ~o) in
+    for ol = 0 to Schema.order_ol_cnt db order - 1 do
+      let i = Schema.line_item db order ~ol in
+      if Schema.add_item db ~i && (Schema.stock db ~w ~i).s_quantity < threshold then incr low
+    done
   done;
   Stock_low { count = !low }
 
-let run db rng kind ~now_ns =
+let run db rng kind =
   match kind with
-  | New_order -> new_order db rng ~now_ns
+  | New_order -> new_order db rng
   | Payment -> payment db rng
   | Order_status -> order_status db rng
   | Delivery -> delivery db rng

@@ -21,11 +21,11 @@ type outcome =
 (** Each transaction picks its own inputs (warehouse, district, customer,
     items) from the PRNG, as the TPC-C driver would. *)
 
-val new_order : Schema.t -> Tq_util.Prng.t -> now_ns:int -> outcome
+val new_order : Schema.t -> Tq_util.Prng.t -> outcome
 val payment : Schema.t -> Tq_util.Prng.t -> outcome
 val order_status : Schema.t -> Tq_util.Prng.t -> outcome
 val delivery : Schema.t -> Tq_util.Prng.t -> outcome
 val stock_level : Schema.t -> Tq_util.Prng.t -> outcome
 
-(** [run db rng kind ~now_ns] dispatches on the kind. *)
-val run : Schema.t -> Tq_util.Prng.t -> kind -> now_ns:int -> outcome
+(** [run db rng kind] dispatches on the kind. *)
+val run : Schema.t -> Tq_util.Prng.t -> kind -> outcome

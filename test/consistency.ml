@@ -15,7 +15,7 @@ let check db =
       fail "warehouse %d: w_ytd %d <> sum of district ytd %d" w warehouse.w_ytd !district_sum
   done;
   (* C2/C3: order ids are dense below d_next_o_id, and every order's
-     line count matches o_ol_cnt. *)
+     line count matches its ol_cnt. *)
   for w = 0 to sc.warehouses - 1 do
     for d = 0 to sc.districts_per_warehouse - 1 do
       let next = (Schema.district db ~w ~d).d_next_o_id in
@@ -23,24 +23,25 @@ let check db =
         match Schema.order db ~w ~d ~o with
         | None -> fail "district (%d,%d): missing order %d < next_o_id %d" w d o next
         | Some order ->
+            let ol_cnt = Schema.order_ol_cnt db order in
             let lines = ref 0 in
             let delivered_lines = ref 0 in
-            for ol = 0 to order.o_ol_cnt - 1 do
-              match Schema.order_line db ~w ~d ~o ~ol with
-              | Some line ->
+            for ol = 0 to ol_cnt - 1 do
+              match Schema.line_delivered db order ~ol with
+              | delivered ->
                   incr lines;
-                  if line.ol_delivered then incr delivered_lines
-              | None -> ()
+                  if delivered then incr delivered_lines
+              | exception Not_found -> ()
             done;
-            if !lines <> order.o_ol_cnt then
-              fail "order (%d,%d,%d): %d lines, expected %d" w d o !lines order.o_ol_cnt;
+            if !lines <> ol_cnt then
+              fail "order (%d,%d,%d): %d lines, expected %d" w d o !lines ol_cnt;
             (* C4: delivery is atomic per order. *)
-            (match order.o_carrier_id with
-            | Some _ when !delivered_lines <> order.o_ol_cnt ->
+            if Schema.order_carrier db order <> 0 then begin
+              if !delivered_lines <> ol_cnt then
                 fail "order (%d,%d,%d): delivered order with undelivered lines" w d o
-            | None when !delivered_lines <> 0 ->
-                fail "order (%d,%d,%d): undelivered order with delivered lines" w d o
-            | _ -> ())
+            end
+            else if !delivered_lines <> 0 then
+              fail "order (%d,%d,%d): undelivered order with delivered lines" w d o
       done
     done
   done;
@@ -56,7 +57,7 @@ let check db =
             (match Schema.order db ~w ~d ~o with
             | None -> fail "district (%d,%d): queued order %d does not exist" w d o
             | Some order ->
-                if order.o_carrier_id <> None then
+                if Schema.order_carrier db order <> 0 then
                   fail "district (%d,%d): queued order %d already delivered" w d o);
             Schema.push_new_order db ~w ~d ~o
       done

@@ -561,6 +561,15 @@ let test_control_view_needs_adaptive () =
         (Server.control_json srv = None);
       Client.close client)
 
+let test_trace_view_needs_obs () =
+  with_server base_config (fun srv ->
+      let client = Client.connect ~port:(Server.port srv) () in
+      (match Client.stats ~view:Protocol.Stats_trace client with
+      | exception Failure msg ->
+          check Alcotest.bool "error names the fix" true (contains msg "--obs")
+      | body -> Alcotest.failf "expected an error response, got: %s" body);
+      Client.close client)
+
 (* Kill a worker domain mid-load: the heartbeat monitor must notice,
    re-dispatch its pending requests to the survivor, and the drain
    invariant (zero admitted requests lost) must hold end to end. *)
@@ -709,23 +718,28 @@ let test_live_fault_schedule () =
   let th = Thread.create (fun () -> Server.serve srv) () in
   let n = 800 in
   let client = Client.connect ~port:(Server.port srv) () in
-  for i = 0 to n - 1 do
-    Client.send client ~req_id:i (Protocol.Echo { spin_ns = 50_000; payload = "" })
-  done;
-  let answered = ref 0 in
-  for _ = 1 to n do
-    match (Client.recv client).Protocol.status with
-    | Protocol.Ok | Protocol.Shed -> incr answered
-    | Protocol.Error msg -> Alcotest.failf "handler error: %s" msg
-  done;
-  check Alcotest.int "every request answered through the schedule" n !answered;
-  check Alcotest.int "both events fired" 2 (Tq_fault.Live.fired live);
-  let s = Server.stats srv in
-  check Alcotest.int "zero loss under the schedule" s.Server.dispatched s.Server.completed;
-  check Alcotest.int "the killed worker was declared dead" 1 s.Server.dead_workers;
-  Server.stop srv;
-  Thread.join th;
-  Client.close client
+  (* a failed check must not leave the server's worker domains running
+     into the tests after this one *)
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop srv;
+      Thread.join th;
+      Client.close client)
+    (fun () ->
+      for i = 0 to n - 1 do
+        Client.send client ~req_id:i (Protocol.Echo { spin_ns = 50_000; payload = "" })
+      done;
+      let answered = ref 0 in
+      for _ = 1 to n do
+        match (Client.recv client).Protocol.status with
+        | Protocol.Ok | Protocol.Shed -> incr answered
+        | Protocol.Error msg -> Alcotest.failf "handler error: %s" msg
+      done;
+      check Alcotest.int "every request answered through the schedule" n !answered;
+      check Alcotest.int "both events fired" 2 (Tq_fault.Live.fired live);
+      let s = Server.stats srv in
+      check Alcotest.int "zero loss under the schedule" s.Server.dispatched s.Server.completed;
+      check Alcotest.int "the killed worker was declared dead" 1 s.Server.dead_workers)
 
 let test_live_parse_errors () =
   (match Tq_fault.Live.parse "stall@5:w0:10, pause@8:3 ,kill@9:w2" with
@@ -744,6 +758,7 @@ let fault_suite =
     Alcotest.test_case "adaptive controller live" `Quick test_adaptive_controller_live;
     Alcotest.test_case "control view needs --adaptive" `Quick
       test_control_view_needs_adaptive;
+    Alcotest.test_case "trace view needs --obs" `Quick test_trace_view_needs_obs;
     Alcotest.test_case "kill worker: zero-loss recovery" `Quick test_kill_worker_recovery;
     Alcotest.test_case "stall + pause ride through" `Quick
       test_stall_and_pause_ride_through;
@@ -1206,7 +1221,7 @@ let test_prefill_contents () =
     [ 0; 9; 10; 123_456; 999_999; 1_000_000; 12_345_678; -1; -42; min_int; max_int ];
   let app = App.create ~kv_keys:1024 ~seed:1L () in
   let get key =
-    (App.execute app ~now_ns:0 ~req_id:0 (Protocol.Kv_get { key })).Protocol.body
+    (App.execute app ~req_id:0 (Protocol.Kv_get { key })).Protocol.body
   in
   for i = 0 to 1023 do
     check Alcotest.string "prefilled value"
@@ -1375,7 +1390,7 @@ let test_finished_request_one_slice () =
           class_idx = 0;
           work =
             (fun ~wid:_ ->
-              let r = App.execute app ~now_ns:0 ~req_id req in
+              let r = App.execute app ~req_id req in
               bodies := r.Protocol.status :: !bodies);
         })
     requests;

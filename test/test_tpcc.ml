@@ -29,7 +29,7 @@ let test_bad_ids_rejected () =
 let test_new_order_effects () =
   let db = fresh_db () in
   let rng = Prng.create ~seed:1L in
-  match Transactions.new_order db rng ~now_ns:42 with
+  match Transactions.new_order db rng with
   | Transactions.Ordered { o_id; total } ->
       check Alcotest.int "first order id" 1 o_id;
       Alcotest.(check bool) "positive total" true (total > 0);
@@ -48,7 +48,7 @@ let test_new_order_effects () =
 let test_new_order_lines_match_total () =
   let db = fresh_db () in
   let rng = Prng.create ~seed:2L in
-  match Transactions.new_order db rng ~now_ns:0 with
+  match Transactions.new_order db rng with
   | Transactions.Ordered { o_id; total } ->
       (* Find the order and re-sum its lines. *)
       let found = ref false in
@@ -58,12 +58,13 @@ let test_new_order_lines_match_total () =
           | Some order when not !found ->
               found := true;
               let sum = ref 0 in
-              for ol = 0 to order.o_ol_cnt - 1 do
-                match Schema.order_line db ~w ~d ~o:o_id ~ol with
-                | Some line ->
-                    Alcotest.(check bool) "undelivered" false line.ol_delivered;
-                    sum := !sum + line.ol_amount
-                | None -> Alcotest.fail "missing order line"
+              for ol = 0 to Schema.order_ol_cnt db order - 1 do
+                match Schema.line_amount db order ~ol with
+                | amount ->
+                    Alcotest.(check bool) "undelivered" false
+                      (Schema.line_delivered db order ~ol);
+                    sum := !sum + amount
+                | exception Not_found -> Alcotest.fail "missing order line"
               done;
               check Alcotest.int "lines sum to total" total !sum
           | _ -> ()
@@ -95,7 +96,7 @@ let test_delivery_drains_queue () =
   let db = fresh_db () in
   let rng = Prng.create ~seed:4L in
   for _ = 1 to 50 do
-    ignore (Transactions.new_order db rng ~now_ns:0)
+    ignore (Transactions.new_order db rng)
   done;
   let pending w =
     let total = ref 0 in
@@ -118,7 +119,7 @@ let test_delivery_credits_customer () =
   (* Total customer balance starts at 0; new orders do not change it,
      deliveries credit line totals. *)
   for _ = 1 to 30 do
-    ignore (Transactions.new_order db rng ~now_ns:0)
+    ignore (Transactions.new_order db rng)
   done;
   let total_balance () =
     let acc = ref 0 in
@@ -141,7 +142,7 @@ let test_order_status_after_delivery () =
   let db = fresh_db () in
   let rng = Prng.create ~seed:6L in
   for _ = 1 to 100 do
-    ignore (Transactions.new_order db rng ~now_ns:0)
+    ignore (Transactions.new_order db rng)
   done;
   (* Every order is undelivered at this point. *)
   (match Transactions.order_status db rng with
@@ -164,7 +165,7 @@ let test_stock_level_counts () =
   let db = fresh_db () in
   let rng = Prng.create ~seed:7L in
   for _ = 1 to 50 do
-    ignore (Transactions.new_order db rng ~now_ns:0)
+    ignore (Transactions.new_order db rng)
   done;
   match Transactions.stock_level db rng with
   | Transactions.Stock_low { count } -> Alcotest.(check bool) "count sane" true (count >= 0)
@@ -174,7 +175,7 @@ let test_stock_never_negative () =
   let db = fresh_db () in
   let rng = Prng.create ~seed:8L in
   for _ = 1 to 500 do
-    ignore (Transactions.new_order db rng ~now_ns:0)
+    ignore (Transactions.new_order db rng)
   done;
   let sc = Schema.scale db in
   for w = 0 to sc.warehouses - 1 do
@@ -210,10 +211,10 @@ let test_service_times_match_table1 () =
 let test_run_dispatch () =
   let db = fresh_db () in
   let rng = Prng.create ~seed:11L in
-  (match Transactions.run db rng Transactions.Payment ~now_ns:0 with
+  (match Transactions.run db rng Transactions.Payment with
   | Transactions.Paid _ -> ()
   | _ -> Alcotest.fail "dispatch payment");
-  match Transactions.run db rng Transactions.New_order ~now_ns:0 with
+  match Transactions.run db rng Transactions.New_order with
   | Transactions.Ordered _ -> ()
   | _ -> Alcotest.fail "dispatch new order"
 
@@ -245,7 +246,7 @@ let test_consistency_after_mixed_load () =
   let rng = Prng.create ~seed:31L in
   for _ = 1 to 2_000 do
     let kind = Transactions.sample_kind rng in
-    ignore (Transactions.run db rng kind ~now_ns:0)
+    ignore (Transactions.run db rng kind)
   done;
   check Alcotest.(list string) "consistent after 2000 transactions" []
     (Consistency.check db);
@@ -255,7 +256,7 @@ let test_consistency_detects_corruption () =
   let db = fresh_db () in
   let rng = Prng.create ~seed:32L in
   for _ = 1 to 50 do
-    ignore (Transactions.new_order db rng ~now_ns:0)
+    ignore (Transactions.new_order db rng)
   done;
   (* Corrupt: bump a warehouse YTD without touching districts. *)
   let w0 = Schema.warehouse db ~w:0 in
@@ -347,7 +348,7 @@ let test_item_popularity_skewed () =
   let db = fresh_db () in
   let rng = Prng.create ~seed:49L in
   for _ = 1 to 400 do
-    ignore (Transactions.new_order db rng ~now_ns:0)
+    ignore (Transactions.new_order db rng)
   done;
   let sc = Schema.scale db in
   let counts = Array.init sc.items (fun i -> (Schema.stock db ~w:0 ~i).s_order_cnt) in
@@ -425,3 +426,137 @@ let test_initial_load_rows () =
 
 let suite =
   suite @ [ Alcotest.test_case "initial load rows" `Quick test_initial_load_rows ]
+
+(* --- Transcript pin: the store's layout must not move any outcome --- *)
+
+let outcome_line : Transactions.outcome -> string = function
+  | Ordered { o_id; total } -> Printf.sprintf "ordered:%d:%d" o_id total
+  | Paid { amount } -> Printf.sprintf "paid:%d" amount
+  | Status { last_order; undelivered_lines } ->
+      Printf.sprintf "status:%d:%d" (Option.value ~default:(-1) last_order) undelivered_lines
+  | Delivered { orders } -> Printf.sprintf "delivered:%d" orders
+  | Stock_low { count } -> Printf.sprintf "stock_low:%d" count
+
+(* 20k transactions at the Table 1 ratios from fixed seeds, digested
+   outcome by outcome.  The digest was taken from the hash-table store
+   this one replaced. *)
+let test_transcript_pinned () =
+  let db = Schema.create ~seed:21L () in
+  let rng = Prng.create ~seed:22L in
+  let buf = Buffer.create (1 lsl 18) in
+  for _ = 1 to 20_000 do
+    let kind = Transactions.sample_kind rng in
+    Buffer.add_string buf (outcome_line (Transactions.run db rng kind));
+    Buffer.add_char buf '\n'
+  done;
+  check Alcotest.string "outcome digest" "0317d47fb0433cee492f197792cac9fb"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)));
+  check Alcotest.(list string) "consistent after the transcript" [] (Consistency.check db)
+
+let suite =
+  suite @ [ Alcotest.test_case "transcript pinned" `Quick test_transcript_pinned ]
+
+(* --- The packed order store --- *)
+
+(* Live heap words the order side keeps per NewOrder: the district
+   index entry, the packed header, ~10 packed lines and the new-order
+   queue entry.  The tuple-keyed hash tables this store replaced kept
+   ~161; this store measured 13.9. *)
+let test_order_growth_gate () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let db = fresh_db () in
+  let rng = Prng.create ~seed:12L in
+  let before = live () in
+  let n = 10_000 in
+  for _ = 1 to n do
+    ignore (Transactions.new_order db rng)
+  done;
+  let per_order = float_of_int (live () - before) /. float_of_int n in
+  ignore (Sys.opaque_identity db);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per order <= 16" per_order)
+    true (per_order <= 16.0)
+
+let test_scale_must_fit_fields () =
+  let rejects what scale =
+    match Schema.create ~scale () with
+    | _ -> Alcotest.failf "accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  let d = Schema.default_scale in
+  check Alcotest.int "ids are 20-bit fields" (1 lsl 20) Schema.max_ids;
+  rejects "too many customers" { d with customers_per_district = Schema.max_ids + 1 };
+  rejects "too many items" { d with items = Schema.max_ids + 1 };
+  rejects "no warehouses" { d with warehouses = 0 };
+  rejects "no items" { d with items = 0 }
+
+(* Orders of two districts interleave in the shared columns; each reads
+   back its own fields, and the store refuses what it cannot pack or
+   what would break an order's run of lines. *)
+let test_order_columns_round_trip () =
+  let db = fresh_db () in
+  let a = Schema.insert_order db ~w:0 ~d:3 ~o:1 ~c:99 ~ol_cnt:2 in
+  Schema.insert_order_line db a ~ol:0 ~i:999 ~quantity:10 ~amount:100_000;
+  Schema.insert_order_line db a ~ol:1 ~i:0 ~quantity:1 ~amount:100;
+  let b = Schema.insert_order db ~w:1 ~d:3 ~o:1 ~c:7 ~ol_cnt:15 in
+  let bad what f =
+    match f () with
+    | () -> Alcotest.failf "accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  bad "a line of an older order" (fun () ->
+      Schema.insert_order_line db a ~ol:1 ~i:1 ~quantity:1 ~amount:1);
+  bad "a line out of turn" (fun () ->
+      Schema.insert_order_line db b ~ol:1 ~i:1 ~quantity:1 ~amount:1);
+  bad "an unpackable quantity" (fun () ->
+      Schema.insert_order_line db b ~ol:0 ~i:1 ~quantity:16 ~amount:1);
+  bad "an unknown item" (fun () ->
+      Schema.insert_order_line db b ~ol:0 ~i:1000 ~quantity:1 ~amount:1);
+  bad "an order while the newest lacks lines" (fun () ->
+      ignore (Schema.insert_order db ~w:0 ~d:3 ~o:2 ~c:0 ~ol_cnt:1));
+  for ol = 0 to 14 do
+    Schema.insert_order_line db b ~ol ~i:(500 + ol) ~quantity:ol ~amount:(1 lsl 24 - 1)
+  done;
+  bad "a gap in the district's order ids" (fun () ->
+      ignore (Schema.insert_order db ~w:0 ~d:3 ~o:3 ~c:0 ~ol_cnt:1));
+  bad "a carrier past 15" (fun () -> Schema.set_carrier db a 16);
+  Schema.set_carrier db a 10;
+  Schema.deliver_line db a ~ol:1;
+  let same o = Schema.order db ~w:0 ~d:3 ~o:1 = Some o in
+  Alcotest.(check bool) "order finds the handle" true (same a);
+  check Alcotest.(list int) "order a"
+    [ 99; 10; 2; 999; 10; 100_000; 0; 1; 100 ]
+    [ Schema.order_c_id db a; Schema.order_carrier db a; Schema.order_ol_cnt db a;
+      Schema.line_item db a ~ol:0; Schema.line_quantity db a ~ol:0;
+      Schema.line_amount db a ~ol:0; Schema.line_item db a ~ol:1;
+      Schema.line_quantity db a ~ol:1; Schema.line_amount db a ~ol:1 ];
+  check Alcotest.(list bool) "only the delivered line" [ false; true ]
+    [ Schema.line_delivered db a ~ol:0; Schema.line_delivered db a ~ol:1 ];
+  check Alcotest.(list int) "order b"
+    [ 7; 0; 15; 514; 14; 1 lsl 24 - 1 ]
+    [ Schema.order_c_id db b; Schema.order_carrier db b; Schema.order_ol_cnt db b;
+      Schema.line_item db b ~ol:14; Schema.line_quantity db b ~ol:14;
+      Schema.line_amount db b ~ol:14 ];
+  Alcotest.check_raises "no line past ol_cnt" Not_found (fun () ->
+      ignore (Schema.line_item db a ~ol:2));
+  check Alcotest.(option int) "newest order of the customer" (Some 1)
+    (Schema.last_order_id db ~w:1 ~d:3 ~c:7);
+  Alcotest.(check bool) "no order 2 yet" true (Schema.order db ~w:0 ~d:3 ~o:2 = None);
+  Schema.clear_items db;
+  let first = Schema.add_item db ~i:5 in
+  let again = Schema.add_item db ~i:5 in
+  let other = Schema.add_item db ~i:6 in
+  check Alcotest.(list bool) "item set" [ true; false; true ] [ first; again; other ];
+  Schema.clear_items db;
+  Alcotest.(check bool) "cleared" true (Schema.add_item db ~i:5)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "order growth gate" `Quick test_order_growth_gate;
+      Alcotest.test_case "scale must fit fields" `Quick test_scale_must_fit_fields;
+      Alcotest.test_case "order columns round trip" `Quick test_order_columns_round_trip;
+    ]
