@@ -171,6 +171,32 @@ let test_admission () =
          incr n;
          ignore (Tq_sched.Admission.admit a ~in_system:(!n land 127))))
 
+(* The live dispatcher's worker pick, once per request in
+   [Server.dispatch]: a pool that is built but never started, so every
+   worker reads idle and the whole scan runs. *)
+let test_parallel_pick ~workers =
+  let pool = Tq_runtime.Parallel.create ~workers () in
+  Test.make
+    ~name:(Printf.sprintf "parallel pick (%d workers)" workers)
+    (Staged.stage (fun () -> ignore (Tq_runtime.Parallel.pick pool)))
+
+(* The DES dispatcher's JSQ-MSQ choice at [sim_des]'s 16 cores, two of
+   them marked dead. *)
+let test_choose_masked () =
+  let module Sched = Tq_sched in
+  let sim = Tq_engine.Sim.create () in
+  let workers =
+    Array.init 16 (fun wid ->
+        Sched.Worker.create sim ~wid ~rng:(Tq_util.Prng.create ~seed:1L)
+          ~policy:Sched.Worker.Fcfs ~overheads:Sched.Overheads.zero ~on_finish:ignore ())
+  in
+  let alive = Array.init 16 (fun i -> i <> 3 && i <> 11) in
+  let c =
+    Sched.Dispatch_policy.(make_chooser Jsq_msq ~rng:(Tq_util.Prng.create ~seed:2L))
+  in
+  Test.make ~name:"des choose jsq-msq (16 cores, 2 dead)"
+    (Staged.stage (fun () -> ignore (Sched.Dispatch_policy.choose c ~alive workers)))
+
 (* What every request on the serve path pays for cross-domain spans;
    without --obs the server holds [null_sink]s. *)
 let test_span ~name sink =
@@ -277,6 +303,10 @@ let run_microbenchmarks () =
       (test_backoff (), None);
       (test_serve_codec (), None);
       (test_admission (), None);
+      (test_parallel_pick ~workers:2, None);
+      (test_parallel_pick ~workers:8, None);
+      (test_parallel_pick ~workers:32, None);
+      (test_choose_masked (), None);
       (test_span ~name:"span record (enabled)" (live_span_sink ()), Some 228.4);
       (test_span ~name:"span record (disabled)" Tq_obs.Span.null_sink, Some 41.2);
       (test_tail_offer ~name:"tail offer (enabled, reject)" (filled_tail_sink ()), Some 87.1);

@@ -8,6 +8,7 @@ type worker_handle = {
   assigned : int Atomic.t;  (** written by dispatcher *)
   finished : int Atomic.t;  (** written by worker *)
   yields : int Atomic.t;
+  quanta : int Atomic.t;  (** serviced quanta of the worker's current tasks (MSQ) *)
   beats : int Atomic.t;  (** liveness heartbeat: bumped once per loop pass *)
   stall_until_ns : int Atomic.t;  (** fault hook: busy-occupy until this stamp *)
   killed : bool Atomic.t;  (** fault hook: domain exits at next loop pass *)
@@ -140,6 +141,7 @@ let worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta
       end;
       drain_inject ();
       let ran = Task_worker.run_slice worker in
+      Atomic.set handle.quanta (Task_worker.current_quanta worker);
       Atomic.set handle.yields (Task_worker.total_yields worker);
       if ran then begin
         Backoff.reset backoff;
@@ -181,6 +183,7 @@ let create ?(workers = 4) ?(quantum_ns = 100_000) ?(ring_capacity = 256)
           assigned = Atomic.make 0;
           finished = Atomic.make 0;
           yields = Atomic.make 0;
+          quanta = Atomic.make 0;
           beats = Atomic.make 0;
           stall_until_ns = Atomic.make 0;
           killed = Atomic.make false;
@@ -209,15 +212,22 @@ let worker_alive t ~worker = not (Atomic.get t.handles.(worker).dead)
 let alive_workers t =
   Array.fold_left (fun acc h -> if Atomic.get h.dead then acc else acc + 1) 0 t.handles
 
-(* JSQ over the living: a worker marked dead keeps whatever counters it
-   froze with, so it must never win the argmin again. *)
+(* JSQ-MSQ over the living, as [Worker.jsq_msq] picks in the DES: a
+   worker marked dead keeps whatever counters it froze with, so it must
+   never win again.  An index loop, so a dispatch allocates nothing. *)
 let pick t =
-  let best = ref (-1) in
-  Array.iteri
-    (fun i h ->
-      if not (Atomic.get h.dead) then
-        if !best < 0 || unfinished h < unfinished t.handles.(!best) then best := i)
-    t.handles;
+  let best = ref (-1) and best_load = ref max_int and best_q = ref 0 in
+  for i = 0 to Array.length t.handles - 1 do
+    let h = t.handles.(i) in
+    if not (Atomic.get h.dead) then begin
+      let load = unfinished h and q = Atomic.get h.quanta in
+      if load < !best_load || (load = !best_load && q > !best_q) then begin
+        best := i;
+        best_load := load;
+        best_q := q
+      end
+    end
+  done;
   if !best < 0 then invalid_arg "Parallel.pick: every worker is dead";
   !best
 

@@ -2,7 +2,7 @@
 
     One dispatcher (the thread that created the handle) load-balances
     jobs over worker domains through per-worker SPSC inject rings,
-    using JSQ on the workers' atomic assigned/finished counters; each
+    using JSQ-MSQ on the workers' atomic counters ({!pick}); each
     worker domain drains its ring straight into its fiber queue and
     runs the forced-multitasking scheduler loop over those fibers with
     a wall clock — the paper's per-core processor sharing.  As in TQ,
@@ -86,10 +86,12 @@ val start : t -> unit
     per-class quantum override table read by {!set_quantum}). *)
 val workers : t -> int
 
-(** [pick t] — the least-loaded worker right now (JSQ over
-    assigned-minus-finished), skipping workers marked dead by
-    {!mark_dead}.  Raises [Invalid_argument] when every worker is
-    dead. *)
+(** [pick t] — the paper's JSQ-MSQ choice right now: the least-loaded
+    worker (assigned minus finished); among those, the one whose current
+    tasks have serviced the most quanta (each worker publishes its count
+    once per loop pass); among those, the lowest index.  Skips workers
+    marked dead by {!mark_dead} and allocates nothing.  Raises
+    [Invalid_argument] when every worker is dead. *)
 val pick : t -> int
 
 (** [submit_to t ?tag ?class_idx ~worker job] — push [job] onto

@@ -35,6 +35,9 @@ type t = {
   config : config;
   rng : Prng.t;
   mutable workers : Worker.t array;
+  (* Every entry true: with no health tracking a dead core's queue is
+     still a steal victim, and [Worker.first_idle] skips the dead. *)
+  all_alive : bool array;
   queued : int ref;  (** jobs queued over all workers, kept by [Worker] *)
   iokernel : Arrivals.request Busy_server.t;
   (* Stolen jobs on their way to the thief, in two parallel FIFOs (the
@@ -61,7 +64,7 @@ type t = {
 let try_steal t (thief : Worker.t) =
   if !(t.queued) > 0 then begin
     (* Some queue holds a job, so there is a victim and a job to take. *)
-    let victim = t.workers.(Worker.longest_queue t.workers) in
+    let victim = t.workers.(Worker.longest_queue ~alive:t.all_alive t.workers) in
     let job = Worker.steal victim in
     t.steals <- t.steals + 1;
     Counters.incr t.c_steals;
@@ -114,7 +117,7 @@ let deliver t (req : Arrivals.request) =
      again, but it is no thief. *)
   Worker.enqueue worker job;
   if Worker.queue_length worker > 0 then begin
-    let i = Worker.first_idle t.workers in
+    let i = Worker.first_idle ~alive:t.all_alive t.workers in
     if i >= 0 && t.workers.(i) != worker then try_steal t t.workers.(i)
   end
 
@@ -134,6 +137,7 @@ let create sim ~rng ~config ~metrics ?(obs = Tq_obs.Obs.disabled ())
       config;
       rng;
       workers = [||];
+      all_alive = Array.make config.cores true;
       queued = ref 0;
       iokernel = Busy_server.create sim ~serve:(fun req -> !deliver_to req) ();
       hand_off_jobs = Deque.create ();
@@ -188,7 +192,7 @@ let kill_worker t ~wid =
   Worker.kill t.workers.(wid);
   (* Give an already-idle core a chance to rescue the dead core's queue
      right away; later rescues ride the normal idle transitions. *)
-  let i = Worker.first_idle t.workers in
+  let i = Worker.first_idle ~alive:t.all_alive t.workers in
   if i >= 0 then try_steal t t.workers.(i)
 
 let lost_jobs t =

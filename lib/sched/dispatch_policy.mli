@@ -11,17 +11,17 @@ type t =
   | Jsq_random  (** JSQ; ties broken uniformly at random *)
   | Random  (** uniform random core (TQ-RAND) *)
   | Power_of_two  (** best of two random cores (TQ-POWER-TWO) *)
-  | Round_robin  (** cyclic assignment *)
 
-(** Mutable chooser state (round-robin cursor). *)
+(** A policy with the PRNG its random draws take. *)
 type chooser
 
 val make_chooser : t -> rng:Tq_util.Prng.t -> chooser
 
-(** [choose chooser workers] picks the worker index for the next job,
-    reading each worker's dispatcher-visible counters.  [alive], when
-    given, restricts the choice to indices it accepts — the dispatcher's
-    health-tracking filter; raises [Invalid_argument] if it accepts
-    none.  Fault-free callers omit it and get the historical PRNG
-    stream unchanged. *)
-val choose : ?alive:(int -> bool) -> chooser -> Worker.t array -> int
+(** [choose chooser ~alive workers] picks the worker index for the next
+    job among those with [alive.(i)] (the dispatcher's health estimate,
+    one entry per worker), reading each worker's dispatcher-visible
+    counters.  Random draws range over the alive indices in index
+    order, so with every entry [true] a seed draws what it draws over
+    all the workers.  Raises [Invalid_argument] when no entry is
+    [true]. *)
+val choose : chooser -> alive:bool array -> Worker.t array -> int

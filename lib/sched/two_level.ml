@@ -98,20 +98,12 @@ type t = {
    hop. *)
 let try_steal t ~thief_wid =
   let thief = t.workers.(thief_wid) in
-  let best = ref (-1) and best_len = ref 0 in
-  Array.iteri
-    (fun i w ->
-      if i <> thief_wid && t.marked_alive.(i) then begin
-        let len = Worker.queue_length w in
-        if len > !best_len then begin
-          best := i;
-          best_len := len
-        end
-      end)
-    t.workers;
-  if !best >= 0 then begin
-    let victim = t.workers.(!best) in
-    let want = !best_len - (!best_len / 2) in
+  (* The thief's own queue is empty, so it is never the victim. *)
+  let best = Worker.longest_queue ~alive:t.marked_alive t.workers in
+  if best >= 0 then begin
+    let victim = t.workers.(best) in
+    let len = Worker.queue_length victim in
+    let want = len - (len / 2) in
     let rec grab k acc =
       if k = 0 then acc
       else
@@ -129,7 +121,7 @@ let try_steal t ~thief_wid =
           Worker.note_assigned thief;
           if t.spans_on then
             Span.record (Worker.sink thief) ~req_id:job.Job.id ~phase:Span.Steal
-              ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:!best)
+              ~start_ns:(Sim.now t.sim) ~dur_ns:0 ~arg:best)
         jobs;
       ignore
         (Sim.schedule_after t.sim ~delay:t.config.overheads.ring_hop_ns (fun () ->
@@ -141,13 +133,10 @@ let try_steal t ~thief_wid =
 let in_system t =
   t.acct.accepted - t.acct.completed - t.acct.lost - t.acct.dropped_no_worker
 
-(* Pick a worker the dispatcher believes alive; -1 if none is.
-   Fault-free runs (no core ever marked dead) take the unfiltered path,
-   consuming the PRNG stream exactly as before faults existed. *)
+(* Pick a worker the dispatcher believes alive; -1 if none is. *)
 let[@inline] pick_worker t (d : dispatcher) =
-  if t.dead_count = 0 then Dispatch_policy.choose d.chooser t.workers
-  else if t.dead_count >= Array.length t.workers then -1
-  else Dispatch_policy.choose ~alive:(fun i -> t.marked_alive.(i)) d.chooser t.workers
+  if t.dead_count >= Array.length t.workers then -1
+  else Dispatch_policy.choose d.chooser ~alive:t.marked_alive t.workers
 
 let rec send_over_ring t job widx ~first =
   t.acct.on_ring <- t.acct.on_ring + 1;
@@ -174,16 +163,10 @@ and hop t =
        idle transition (which may never fire if it is already
        parked). *)
     if t.steal && Worker.queue_length t.workers.(widx) > 0 then begin
-      let thief = ref (-1) in
-      Array.iteri
-        (fun i w ->
-          if
-            !thief < 0 && i <> widx && t.marked_alive.(i)
-            && (not (Worker.is_busy w))
-            && Worker.queue_length w = 0
-          then thief := i)
-        t.workers;
-      if !thief >= 0 then try_steal t ~thief_wid:!thief
+      (* A live core that is not busy has an empty queue, and [widx],
+         with a queue, is busy or dead: the thief is some other core. *)
+      let thief = Worker.first_idle ~alive:t.marked_alive t.workers in
+      if thief >= 0 then try_steal t ~thief_wid:thief
     end
   end
   else begin

@@ -340,42 +340,38 @@ let[@inline] unfinished t = t.assigned - t.finished
 let current_quanta t = t.current_quanta
 
 (* One pass with no allocation, reading the counters in place: a
-   dispatch is one call here rather than one or two per worker. *)
-let jsq_msq workers =
-  let best = ref 0 in
-  let best_load = ref (unfinished workers.(0)) in
-  let best_q = ref workers.(0).current_quanta in
-  for i = 1 to Array.length workers - 1 do
+   dispatch is one call here rather than one or two per worker.  -1 when
+   no entry of [alive] is set. *)
+let jsq_msq ~alive workers =
+  let best = ref (-1) and best_load = ref max_int and best_q = ref 0 in
+  for i = 0 to Array.length workers - 1 do
     let w = workers.(i) in
     let load = unfinished w in
-    if load < !best_load then begin
+    if alive.(i) && (load < !best_load || (load = !best_load && w.current_quanta > !best_q))
+    then begin
       best := i;
       best_load := load;
-      best_q := w.current_quanta
-    end
-    else if load = !best_load && w.current_quanta > !best_q then begin
-      best := i;
       best_q := w.current_quanta
     end
   done;
   !best
 
-(* Caladan's two per-event scans, one call each for the same reason. *)
-let longest_queue workers =
+(* The steal scans, one call each for the same reason. *)
+let longest_queue ~alive workers =
   let best = ref (-1) and best_len = ref 0 in
   for i = 0 to Array.length workers - 1 do
     let len = Deque.length workers.(i).queue in
-    if len > !best_len then begin
+    if alive.(i) && len > !best_len then begin
       best := i;
       best_len := len
     end
   done;
   !best
 
-let first_idle workers =
+let first_idle ~alive workers =
   let n = Array.length workers in
   let i = ref 0 in
-  while !i < n && (workers.(!i).busy || workers.(!i).dead) do
+  while !i < n && (workers.(!i).busy || workers.(!i).dead || not alive.(!i)) do
     incr i
   done;
   if !i < n then !i else -1

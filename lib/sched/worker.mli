@@ -82,19 +82,22 @@ val unfinished : t -> int
 (** Sum of serviced quanta over the jobs currently on the core (MSQ). *)
 val current_quanta : t -> int
 
-(** [jsq_msq workers] is the unfiltered JSQ-MSQ pick: the index of the
+(** The scans below read one [alive] mask with an entry per worker and
+    pass over the workers whose entry is [false].
+
+    [jsq_msq ~alive workers] is the JSQ-MSQ pick: the index of the
     worker with the fewest {!unfinished} jobs; among those, the one with
     the most {!current_quanta} (likely the least remaining work); among
-    those, the lowest index.  [workers] must not be empty. *)
-val jsq_msq : t array -> int
+    those, the lowest index.  -1 when no worker is alive. *)
+val jsq_msq : alive:bool array -> t array -> int
 
-(** [longest_queue workers] is the index of the first worker with the
-    longest run queue, or -1 when every queue is empty. *)
-val longest_queue : t array -> int
+(** [longest_queue ~alive workers] is the index of the first worker
+    with the longest run queue, or -1 when every such queue is empty. *)
+val longest_queue : alive:bool array -> t array -> int
 
-(** [first_idle workers] is the index of the first worker that is
-    neither busy nor dead, or -1 if there is none. *)
-val first_idle : t array -> int
+(** [first_idle ~alive workers] is the index of the first worker that
+    is neither busy nor dead, or -1 if there is none. *)
+val first_idle : alive:bool array -> t array -> int
 
 val finished_jobs : t -> int
 val busy_ns : t -> int

@@ -3,7 +3,7 @@
 
    [serve] is the loop: it accepts on the listening socket, owns every
    connection, steers each parsed request to a worker (KV by key hash,
-   everything else JSQ over every living worker), polls every worker's
+   everything else JSQ-MSQ over every living worker), polls every worker's
    reply ring and flushes responses back.  Workers never touch a
    socket; the loop never runs request work.  It is the only producer
    on every inject ring and the only consumer of every reply ring, so

@@ -4,9 +4,9 @@
     Level 1 is one dispatcher loop, {!serve}, on the thread that calls
     it.  It owns every connection and runs the classic dispatcher
     pass: reassemble length-prefixed frames, steer each request (KV by
-    key hash so per-key state stays on one core, everything else JSQ
-    over every worker's in-flight counter), and write completed
-    responses back through pooled zero-copy framing
+    key hash so per-key state stays on one core, everything else
+    JSQ-MSQ over every living worker), and write completed responses
+    back through pooled zero-copy framing
     ({!Pool}, {!Protocol.Outbuf}).  The loop never executes request
     work — blind scheduling, per-*request* dispatcher cost.
 

@@ -351,13 +351,16 @@ let test_injector_deterministic_and_monotone () =
 
 (* --- Conservation under faults (TQ accounting regression) --- *)
 
-let test_conservation_under_faults () =
+(* Four TQ cores at 70% load under 20% stalls, with core 1 killed half
+   way and the health monitor marking cores dead and alive: returns the
+   system and the conservation identity's samples and violations. *)
+let faulted_two_level ?obs ~dispatch_policy () =
   let sim = Sim.create () in
   let rng = Prng.create ~seed:7L in
   let workload = Table1.exp1 in
   let metrics = Metrics.create ~workload ~warmup_ns:0 in
-  let config = { Two_level.default_config with cores = 4 } in
-  let t = Two_level.create sim ~rng:(Prng.split rng) ~config ~metrics () in
+  let config = { Two_level.default_config with cores = 4; dispatch_policy } in
+  let t = Two_level.create sim ~rng:(Prng.split rng) ~config ~metrics ?obs () in
   let duration_ns = 1_000_000 in
   ignore
     (Two_level.install_health_monitor t ~interval_ns:10_000 ~until_ns:duration_ns ()
@@ -392,10 +395,16 @@ let test_conservation_under_faults () =
   in
   Sim.run sim;
   check_conservation ();
+  (t, !issued, !samples, !violations)
+
+let test_conservation_under_faults () =
+  let t, issued, samples, violations =
+    faulted_two_level ~dispatch_policy:Tq_sched.Dispatch_policy.Jsq_msq ()
+  in
   let a = Two_level.accounting t in
-  check Alcotest.bool "enough samples" true (!samples > 100);
-  check Alcotest.int "conservation held at every sample" 0 !violations;
-  check Alcotest.int "every arrival accounted" !issued a.submitted;
+  check Alcotest.bool "enough samples" true (samples > 100);
+  check Alcotest.int "conservation held at every sample" 0 violations;
+  check Alcotest.int "every arrival accounted" issued a.submitted;
   check Alcotest.int "drained: nothing left in the system" 0 (Two_level.in_system t);
   check Alcotest.int "accepted = completed + lost + dropped at drain" a.accepted
     (a.completed + a.lost + a.dropped_no_worker);
@@ -403,6 +412,59 @@ let test_conservation_under_faults () =
   check Alcotest.bool "snapshot consistent at drain" true
     (let queued, in_flight, busy = Two_level.obs_snapshot t in
      queued = 0 && in_flight = 0 && busy = 0)
+
+(* The same faults under each policy: conservation holds, and no
+   dispatch or rescue names a core the dispatcher believed dead at that
+   instant.  A decision at the very instant of a verdict may precede it,
+   so only decisions strictly inside a dead interval count. *)
+let test_faults_under_every_policy () =
+  List.iter
+    (fun (name, dispatch_policy) ->
+      let obs = Tq_obs.Obs.create () in
+      let t, issued, _, violations = faulted_two_level ~obs ~dispatch_policy () in
+      let a = Two_level.accounting t in
+      let check_int what = check Alcotest.int (name ^ ": " ^ what) in
+      check_int "conservation held at every sample" 0 violations;
+      check_int "every arrival accounted" issued a.submitted;
+      check_int "drained" a.accepted (a.completed + a.lost + a.dropped_no_worker);
+      let spans = obs.Tq_obs.Obs.spans in
+      check_int "no sink overwrote" 0 (Tq_obs.Span.dropped spans);
+      let records = Tq_obs.Span.merge spans in
+      (* (time, wid, marked dead) verdicts, in time order *)
+      let marks =
+        List.filter_map
+          (fun (r : Tq_obs.Span.record) ->
+            match r.phase with
+            | Tq_obs.Span.Mark_dead -> Some (r.start_ns, r.arg, true)
+            | Tq_obs.Span.Mark_alive -> Some (r.start_ns, r.arg, false)
+            | _ -> None)
+          records
+      in
+      let dead_at wid time =
+        (not (List.exists (fun (at, w, _) -> w = wid && at = time) marks))
+        && List.fold_left
+             (fun dead (at, w, d) -> if w = wid && at < time then d else dead)
+             false marks
+      in
+      let masked = ref 0 and to_dead = ref 0 in
+      List.iter
+        (fun (r : Tq_obs.Span.record) ->
+          match r.phase with
+          | Tq_obs.Span.Dispatch | Tq_obs.Span.Redispatch ->
+              let time = r.start_ns + r.dur_ns in
+              if List.exists (fun w -> dead_at w time) [ 0; 1; 2; 3 ] then incr masked;
+              if dead_at r.arg time then incr to_dead
+          | _ -> ())
+        records;
+      check Alcotest.bool (name ^ ": decisions made under a mask") true (!masked > 0);
+      check_int "decisions naming a core marked dead" 0 !to_dead)
+    Tq_sched.Dispatch_policy.
+      [
+        ("jsq-msq", Jsq_msq);
+        ("jsq-random", Jsq_random);
+        ("random", Random);
+        ("power-of-two", Power_of_two);
+      ]
 
 (* --- Dispatcher health tracking: mark dead, re-dispatch, revive --- *)
 
@@ -837,6 +899,7 @@ let suite =
     Alcotest.test_case "injector deterministic, intensity monotone" `Quick
       test_injector_deterministic_and_monotone;
     Alcotest.test_case "conservation under faults" `Quick test_conservation_under_faults;
+    Alcotest.test_case "faults under every policy" `Quick test_faults_under_every_policy;
     Alcotest.test_case "mark-dead re-dispatches queued jobs" `Quick
       test_mark_dead_redispatches_queued_jobs;
     Alcotest.test_case "stalled core marked dead then revived" `Quick

@@ -608,11 +608,47 @@ let test_parallel_revive () =
   let stats = Parallel.shutdown pool in
   check Alcotest.int "held job completed" 1 stats.Parallel.per_worker_finished.(1)
 
+(* Equal loads go to the worker whose current task has serviced more
+   quanta.  Quantum 1 ns: worker 1's task yields at every probe, while
+   worker 0's task never probes and so finishes no quantum. *)
+let test_parallel_pick_msq_tie () =
+  let pool = Parallel.create ~workers:2 ~quantum_ns:1 () in
+  Parallel.start pool;
+  let release = Atomic.make false in
+  let backoff = Backoff.create () in
+  assert (
+    Parallel.submit_to pool ~worker:1 (fun ~wid:_ ->
+        while not (Atomic.get release) do
+          Probe_api.probe ()
+        done));
+  while (Parallel.stats pool).Parallel.yields < 5 do
+    Backoff.once backoff
+  done;
+  assert (
+    Parallel.submit_to pool ~worker:0 (fun ~wid:_ ->
+        while not (Atomic.get release) do
+          Domain.cpu_relax ()
+        done));
+  check Alcotest.(pair int int) "equal loads" (1, 1)
+    (Parallel.worker_in_flight pool ~worker:0, Parallel.worker_in_flight pool ~worker:1);
+  check Alcotest.int "the tie goes to the most serviced quanta" 1 (Parallel.pick pool);
+  Atomic.set release true;
+  ignore (Parallel.shutdown pool)
+
+(* [Server.dispatch] calls [pick] once per request. *)
+let test_parallel_pick_allocation_free () =
+  let pool = Parallel.create ~workers:8 () in
+  check (Alcotest.float 0.0) "minor words per pick over 8 workers" 0.0
+    (Test_util.minor_words_per_call (fun () -> ignore (Parallel.pick pool : int)))
+
 let placement_suite =
   [
     Alcotest.test_case "parallel runs where placed" `Quick
       test_parallel_runs_where_placed;
     Alcotest.test_case "parallel revive" `Quick test_parallel_revive;
+    Alcotest.test_case "parallel pick msq tie" `Quick test_parallel_pick_msq_tie;
+    Alcotest.test_case "parallel pick allocation-free" `Quick
+      test_parallel_pick_allocation_free;
   ]
 
 let suite = suite @ stall_suite @ placement_suite

@@ -145,6 +145,8 @@ let test_worker_steal () =
 
 (* --- Dispatch policies --- *)
 
+let all_alive n = Array.make n true
+
 let workers_with_loads sim loads =
   (* Fabricate dispatcher-visible loads via assignment counters. *)
   Array.mapi
@@ -163,7 +165,7 @@ let test_jsq_picks_min () =
   let sim = Sim.create () in
   let workers = workers_with_loads sim [| 3; 1; 2 |] in
   let c = Dispatch_policy.make_chooser Dispatch_policy.Jsq_random ~rng:(Prng.create ~seed:3L) in
-  check Alcotest.int "least loaded" 1 (Dispatch_policy.choose c workers)
+  check Alcotest.int "least loaded" 1 (Dispatch_policy.choose c ~alive:(all_alive 3) workers)
 
 let test_msq_tiebreak () =
   let sim = Sim.create () in
@@ -202,7 +204,7 @@ let test_msq_tiebreak () =
   let q0 = Worker.current_quanta w0 and q1 = Worker.current_quanta w1 in
   let expected = if q1 > q0 then 1 else 0 in
   check Alcotest.int "picks max serviced quanta" expected
-    (Dispatch_policy.choose c [| w0; w1 |]);
+    (Dispatch_policy.choose c ~alive:(all_alive 2) [| w0; w1 |]);
   (* Five workers: w0 is the most loaded (and has the most quanta);
      w1..w4 tie at least load; w2 and w3 tie at the most quanta among
      them.  Load first, then quanta, then the lower index: w2. *)
@@ -233,21 +235,105 @@ let test_msq_tiebreak () =
   Alcotest.(check bool) "w2 and w3 tie above w1 and w4" true
     (quanta.(2) = quanta.(3) && quanta.(2) > quanta.(1) && quanta.(1) = quanta.(4));
   check Alcotest.int "least load, most quanta, lowest index" 2
-    (Dispatch_policy.choose c workers)
+    (Dispatch_policy.choose c ~alive:(all_alive 5) workers)
 
 let test_msq_allocation_free () =
   let sim = Sim.create () in
   let workers = workers_with_loads sim (Array.make 16 0) in
   let c = Dispatch_policy.make_chooser Dispatch_policy.Jsq_msq ~rng:(Prng.create ~seed:5L) in
+  let words alive =
+    Test_util.minor_words_per_call (fun () ->
+        ignore (Dispatch_policy.choose c ~alive workers : int))
+  in
   check (Alcotest.float 0.0) "minor words per choice over 16 idle workers" 0.0
-    (Test_util.minor_words_per_call (fun () -> ignore (Dispatch_policy.choose c workers : int)))
+    (words (all_alive 16));
+  check (Alcotest.float 0.0) "minor words per choice with dead entries" 0.0
+    (words (Array.init 16 (fun i -> i mod 5 <> 2)))
 
-let test_round_robin_cycles () =
-  let sim = Sim.create () in
-  let workers = workers_with_loads sim [| 0; 0; 0 |] in
-  let c = Dispatch_policy.make_chooser Dispatch_policy.Round_robin ~rng:(Prng.create ~seed:6L) in
-  let picks = List.init 6 (fun _ -> Dispatch_policy.choose c workers) in
-  check Alcotest.(list int) "cycles" [ 0; 1; 2; 0; 1; 2 ] picks
+(* Set a worker's dispatcher-visible load to [load]. *)
+let set_load w load =
+  while Worker.unfinished w < load do
+    Worker.note_assigned w
+  done;
+  while Worker.unfinished w > load do
+    Worker.note_unassigned w
+  done
+
+(* With every core alive each random policy draws what its formula over
+   all n cores draws, so fault-free runs keep their PRNG stream. *)
+let test_policy_draws_pinned () =
+  let n = 8 in
+  let workers = workers_with_loads (Sim.create ()) (Array.make n 0) in
+  let load i = Worker.unfinished workers.(i) in
+  let reference policy r =
+    match policy with
+    | Dispatch_policy.Random -> Prng.int r n
+    | Dispatch_policy.Power_of_two ->
+        let a = Prng.int r n in
+        let b = (a + 1 + Prng.int r (n - 1)) mod n in
+        if load a < load b then a
+        else if load b < load a then b
+        else if Prng.bool r then a
+        else b
+    | Dispatch_policy.Jsq_random -> (
+        let best = List.fold_left min max_int (List.init n load) in
+        (* the k-th tie counted from the highest index *)
+        let ties = List.filter (fun i -> load i = best) (List.init n (fun i -> n - 1 - i)) in
+        match ties with [ i ] -> i | _ -> List.nth ties (Prng.int r (List.length ties)))
+    | Dispatch_policy.Jsq_msq -> assert false
+  in
+  List.iter
+    (fun (name, policy) ->
+      let c = Dispatch_policy.make_chooser policy ~rng:(Prng.create ~seed:31L) in
+      let r = Prng.create ~seed:31L and loads = Prng.create ~seed:32L in
+      let expected = ref [] and got = ref [] in
+      for _ = 1 to 1_000 do
+        Array.iter (fun w -> set_load w (Prng.int loads 3)) workers;
+        expected := reference policy r :: !expected;
+        got := Dispatch_policy.choose c ~alive:(all_alive n) workers :: !got
+      done;
+      check Alcotest.(list int) (name ^ ": 1,000 seeded draws") !expected !got)
+    [
+      ("random", Dispatch_policy.Random);
+      ("power of two", Dispatch_policy.Power_of_two);
+      ("jsq random", Dispatch_policy.Jsq_random);
+    ]
+
+(* Any mask with a core alive: every policy names an alive core, the JSQ
+   policies a least-loaded one, and JSQ-MSQ (every quanta count 0) the
+   lowest of those. *)
+let masked_choice_is_alive =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"masked choice is alive and least loaded"
+       QCheck.(pair (list_of_size Gen.(int_range 1 16) (pair (int_bound 3) bool)) int)
+       (fun (cores, seed) ->
+         let n = List.length cores in
+         let loads = Array.of_list (List.map fst cores) in
+         let alive = Array.of_list (List.map snd cores) in
+         alive.(seed land max_int mod n) <- true;
+         let workers = workers_with_loads (Sim.create ()) loads in
+         let least = ref max_int and lowest = ref (-1) in
+         Array.iteri
+           (fun i load ->
+             if alive.(i) && load < !least then begin
+               least := load;
+               lowest := i
+             end)
+           loads;
+         List.for_all
+           (fun policy ->
+             let c = Dispatch_policy.make_chooser policy ~rng:(Prng.create ~seed:(Int64.of_int seed)) in
+             List.for_all
+               (fun _ ->
+                 let i = Dispatch_policy.choose c ~alive workers in
+                 alive.(i)
+                 &&
+                 match policy with
+                 | Dispatch_policy.Jsq_msq -> i = !lowest
+                 | Dispatch_policy.Jsq_random -> loads.(i) = !least
+                 | Dispatch_policy.Random | Dispatch_policy.Power_of_two -> true)
+               (List.init 20 Fun.id))
+           Dispatch_policy.[ Jsq_msq; Jsq_random; Random; Power_of_two ]))
 
 let test_random_in_range () =
   let sim = Sim.create () in
@@ -255,7 +341,7 @@ let test_random_in_range () =
   let c = Dispatch_policy.make_chooser Dispatch_policy.Random ~rng:(Prng.create ~seed:7L) in
   let seen = Array.make 4 false in
   for _ = 1 to 200 do
-    let i = Dispatch_policy.choose c workers in
+    let i = Dispatch_policy.choose c ~alive:(all_alive 4) workers in
     Alcotest.(check bool) "in range" true (i >= 0 && i < 4);
     seen.(i) <- true
   done;
@@ -266,7 +352,8 @@ let test_power_of_two_prefers_lighter () =
   let workers = workers_with_loads sim [| 10; 0 |] in
   let c = Dispatch_policy.make_chooser Dispatch_policy.Power_of_two ~rng:(Prng.create ~seed:8L) in
   for _ = 1 to 50 do
-    check Alcotest.int "always the idle one of the pair" 1 (Dispatch_policy.choose c workers)
+    check Alcotest.int "always the idle one of the pair" 1
+      (Dispatch_policy.choose c ~alive:(all_alive 2) workers)
   done
 
 (* --- Two-level system --- *)
@@ -708,7 +795,8 @@ let suite =
     Alcotest.test_case "jsq picks min" `Quick test_jsq_picks_min;
     Alcotest.test_case "msq tiebreak" `Quick test_msq_tiebreak;
     Alcotest.test_case "msq allocation-free" `Quick test_msq_allocation_free;
-    Alcotest.test_case "round robin" `Quick test_round_robin_cycles;
+    Alcotest.test_case "policy draws pinned" `Quick test_policy_draws_pinned;
+    masked_choice_is_alive;
     Alcotest.test_case "random in range" `Quick test_random_in_range;
     Alcotest.test_case "power of two" `Quick test_power_of_two_prefers_lighter;
     Alcotest.test_case "two-level conservation" `Quick test_two_level_conservation;
