@@ -110,6 +110,17 @@ let test_spsc () =
          ignore (Tq_runtime.Spsc_ring.try_push ring 1);
          ignore (Tq_runtime.Spsc_ring.try_pop ring)))
 
+(* Set-up, on the per-primitive axis: one worker's app (its KV prefill
+   and TPC-C load) and one reply ring, each built from scratch. *)
+let test_app_create () =
+  Test.make ~name:"app create (1024 keys)"
+    (Staged.stage (fun () -> ignore (Tq_serve.App.create ~kv_keys:1024 ~seed:1L ())))
+
+let test_spsc_create () =
+  Test.make ~name:"spsc_ring create (1024)"
+    (Staged.stage (fun () ->
+         ignore (Tq_runtime.Spsc_ring.create ~capacity:1024 : int Tq_runtime.Spsc_ring.t)))
+
 let test_skiplist () =
   let sl = Tq_kv.Skiplist.create () in
   for i = 0 to 9_999 do
@@ -297,6 +308,8 @@ let run_microbenchmarks () =
       (test_fiber (), None);
       (test_probe (), None);
       (test_spsc (), None);
+      (test_spsc_create (), None);
+      (test_app_create (), None);
       (test_skiplist (), None);
       (test_cache (), None);
       (test_deque (), None);

@@ -62,8 +62,8 @@ let live_database () =
   Hashtbl.iter
     (fun kind count -> Printf.printf "  %-12s %5d\n" (Transactions.kind_name kind) count)
     counts;
-  let w0 = Tq_tpcc.Schema.warehouse db ~w:0 in
-  Printf.printf "warehouse 0 YTD: $%.2f\n" (float_of_int w0.w_ytd /. 100.0)
+  let w0 = (Tq_tpcc.Schema.w_ytd db).(Tq_tpcc.Schema.warehouse_index db ~w:0) in
+  Printf.printf "warehouse 0 YTD: $%.2f\n" (float_of_int w0 /. 100.0)
 
 let () =
   simulated_comparison ();

@@ -11,6 +11,8 @@ type 'a node = {
 
 type 'a t = {
   head : 'a node;  (** sentinel with empty key, never returned *)
+  tails : 'a node array;  (** last node of each level; [head] where none *)
+  update : 'a node array;  (** insert's scratch: the predecessor per level *)
   rng : Prng.t;
   mutable level : int;  (** highest level in use, >= 1 *)
   mutable length : int;
@@ -22,10 +24,13 @@ let make_node ~key ~value ~level ~address =
   { key; value; forward = Array.make level None; address }
 
 let create ?(seed = 0x5EEDL) () =
+  (* The sentinel's value is never read: every accessor starts from
+     [head.forward] and only returns real nodes. *)
+  let head = make_node ~key:"" ~value:(Obj.magic 0) ~level:max_level ~address:0 in
   {
-    (* The sentinel's value is never read: every accessor starts from
-       [head.forward] and only returns real nodes. *)
-    head = make_node ~key:"" ~value:(Obj.magic 0) ~level:max_level ~address:0;
+    head;
+    tails = Array.make max_level head;
+    update = Array.make max_level head;
     rng = Prng.create ~seed;
     level = 1;
     length = 0;
@@ -42,8 +47,9 @@ let random_level t =
   let rec go level = if level < max_level && Prng.bernoulli t.rng ~p:0.25 then go (level + 1) else level in
   go 1
 
-(* Walk down the towers recording the rightmost node < key per level. *)
-let find_predecessors t key update =
+(* Walk down the towers to the rightmost node < key; with [record], note
+   that node per level in [t.update]. *)
+let descend t key ~record =
   let node = ref t.head in
   for level = t.level - 1 downto 0 do
     let continue = ref true in
@@ -54,36 +60,47 @@ let find_predecessors t key update =
           node := next
       | _ -> continue := false
     done;
-    update.(level) <- !node
+    if record then t.update.(level) <- !node
   done;
   !node
 
+(* Link a new node after [preds.(l)] on each of its levels.  A key above
+   every stored key goes after [t.tails] with no search: the prefill
+   inserts its keys in order.  The search would end at the same nodes
+   and the tower is drawn the same way, so both paths build the same
+   list.  A traced insert still searches, so the trace still shows the
+   walk. *)
+let link t preds key value =
+  let level = random_level t in
+  if level > t.level then begin
+    for l = t.level to level - 1 do
+      preds.(l) <- t.head
+    done;
+    t.level <- level
+  end;
+  let node = make_node ~key ~value ~level ~address:t.next_address in
+  let some = Some node in
+  t.next_address <- t.next_address + 64;
+  for l = 0 to level - 1 do
+    let pred = preds.(l) in
+    node.forward.(l) <- pred.forward.(l);
+    pred.forward.(l) <- some;
+    if pred == t.tails.(l) then t.tails.(l) <- node
+  done;
+  t.length <- t.length + 1
+
 let insert t key value =
-  let update = Array.make max_level t.head in
-  let pred = find_predecessors t key update in
-  match pred.forward.(0) with
-  | Some next when next.key = key ->
-      touch t next;
-      next.value <- value
-  | _ ->
-      let level = random_level t in
-      if level > t.level then begin
-        for l = t.level to level - 1 do
-          update.(l) <- t.head
-        done;
-        t.level <- level
-      end;
-      let node = make_node ~key ~value ~level ~address:t.next_address in
-      t.next_address <- t.next_address + 64;
-      for l = 0 to level - 1 do
-        node.forward.(l) <- update.(l).forward.(l);
-        update.(l).forward.(l) <- Some node
-      done;
-      t.length <- t.length + 1
+  if Option.is_none t.tracer && key > t.tails.(0).key then link t t.tails key value
+  else
+    let pred = descend t key ~record:true in
+    match pred.forward.(0) with
+    | Some next when next.key = key ->
+        touch t next;
+        next.value <- value
+    | _ -> link t t.update key value
 
 let find t key =
-  let update = Array.make max_level t.head in
-  let pred = find_predecessors t key update in
+  let pred = descend t key ~record:false in
   match pred.forward.(0) with
   | Some next when next.key = key ->
       touch t next;
@@ -93,8 +110,7 @@ let find t key =
 let mem t key = Option.is_some (find t key)
 
 let iter_from t key f =
-  let update = Array.make max_level t.head in
-  let pred = find_predecessors t key update in
+  let pred = descend t key ~record:false in
   let rec go = function
     | None -> ()
     | Some node ->
@@ -106,8 +122,7 @@ let iter_from t key f =
 type 'a cursor = { owner : 'a t; mutable at : 'a node option }
 
 let seek t key =
-  let update = Array.make max_level t.head in
-  let pred = find_predecessors t key update in
+  let pred = descend t key ~record:false in
   { owner = t; at = pred.forward.(0) }
 
 let cursor_next c =
@@ -133,8 +148,5 @@ let min_binding t =
   match t.head.forward.(0) with Some n -> Some (n.key, n.value) | None -> None
 
 let max_binding t =
-  let rec go best = function
-    | None -> best
-    | Some node -> go (Some (node.key, node.value)) node.forward.(0)
-  in
-  go None t.head.forward.(0)
+  let last = t.tails.(0) in
+  if last == t.head then None else Some (last.key, last.value)

@@ -3,11 +3,14 @@
 
    The live server has a dispatcher thread plus N worker domains, so one
    shared ring would be a data race.  Every domain registers its own
-   bounded sink (the Spsc_ring idiom: per-cell Atomics so record
-   publication is ordered with the cursor update, single writer per
-   sink) and a merge step stitches the per-domain buffers into one
-   timeline keyed by request id.  A simulated system registers one sink
-   per lane it writes, on its single domain, and stamps virtual ns.
+   bounded sink (single writer per sink; per-cell Atomics, because the
+   sink overwrites its oldest records and has no consumer cursor, so a
+   reader may read a cell while the writer replaces it) and a merge
+   step stitches the per-domain buffers into one timeline keyed by
+   request id.  Building a sink's cells with [Array.init] of fresh
+   Atomics forces a minor collection once a sink passes 256 cells.  A
+   simulated system registers one sink per lane it writes, on its single
+   domain, and stamps virtual ns.
 
    The hot-path contract: a sink of a disabled collection is
    [null_sink] (capacity 0), so a record call costs one branch and

@@ -3,7 +3,11 @@
     The dispatcher-to-worker channel from the paper's implementation
     (Section 4): the dispatcher pushes requests, the worker's scheduler
     coroutine polls.  Exactly one producer thread and one consumer
-    thread may use a given ring. *)
+    thread may use a given ring.
+
+    The cells are one plain array, ordered by the two atomic cursors,
+    so [create] allocates no block per cell (and never makes the
+    runtime collect first) and [try_push] allocates nothing. *)
 
 type 'a t
 

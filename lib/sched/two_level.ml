@@ -95,11 +95,15 @@ type t = {
    the dispatcher believes alive; assignment credit moves at steal time
    (thief [note_assigned], victim debited inside [Worker.steal]) so the
    conservation identity holds while the batch rides the transfer
-   hop. *)
+   hop.  A thief marked dead steals nothing: if it then died, nothing
+   would rescue what it took, since marking it dead again is a no-op. *)
 let try_steal t ~thief_wid =
   let thief = t.workers.(thief_wid) in
   (* The thief's own queue is empty, so it is never the victim. *)
-  let best = Worker.longest_queue ~alive:t.marked_alive t.workers in
+  let best =
+    if t.marked_alive.(thief_wid) then Worker.longest_queue ~alive:t.marked_alive t.workers
+    else -1
+  in
   if best >= 0 then begin
     let victim = t.workers.(best) in
     let len = Worker.queue_length victim in

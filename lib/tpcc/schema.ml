@@ -1,19 +1,5 @@
 module Prng = Tq_util.Prng
 
-type warehouse = { mutable w_ytd : int }
-type district = { mutable d_next_o_id : int; mutable d_ytd : int }
-
-type customer = {
-  c_last : string;
-  mutable c_balance : int;
-  mutable c_ytd_payment : int;
-  mutable c_payment_cnt : int;
-  mutable c_delivery_cnt : int;
-}
-
-type item = { i_price : int }
-type stock = { mutable s_quantity : int; mutable s_ytd : int; mutable s_order_cnt : int }
-
 type scale = {
   warehouses : int;
   districts_per_warehouse : int;
@@ -67,11 +53,18 @@ type order = int
 
 type t = {
   sc : scale;
-  warehouses_tbl : warehouse array;
-  districts_tbl : district array;  (** w * D + d *)
-  customers_tbl : customer array;  (** (w * D + d) * C + c *)
-  items_tbl : item array;
-  stocks_tbl : stock array;  (** w * items + i *)
+  last_names : string array;  (** customer c is named [last_names.(c mod 1000)] *)
+  w_ytd : int array;  (** w *)
+  d_next_o_id : int array;  (** w * D + d *)
+  d_ytd : int array;
+  c_balance : int array;  (** (w * D + d) * C + c *)
+  c_ytd_payment : int array;
+  c_payment_cnt : int array;
+  c_delivery_cnt : int array;
+  i_price : int array;  (** i *)
+  s_quantity : int array;  (** w * items + i *)
+  s_ytd : int array;
+  s_order_cnt : int array;
   orders : Col.t;  (** packed headers, in insertion order *)
   lines : Col.t;  (** packed lines; an order's lines are contiguous *)
   order_index : Col.t array;  (** per district: o - 1 -> position in [orders] *)
@@ -91,35 +84,32 @@ let create ?(seed = 77L) ?(scale = default_scale) () =
     invalid_arg "Schema.create: customer and item ids must fit 20 bits";
   let rng = Prng.create ~seed in
   let n_districts = sc.warehouses * sc.districts_per_warehouse in
-  (* customer c is named [last_name (c mod 1000)]: build each name once
-     and share it across districts *)
-  let last_names =
-    Array.init (min 1000 sc.customers_per_district) Nurand.last_name
-  in
+  let n_customers = n_districts * sc.customers_per_district in
+  (* Every fixed table is int columns, so building one allocates a
+     single block and never makes [Array.init] force a minor collection
+     for a fresh first element.  All stock quantities are drawn before
+     any item price, the order the initial load has always had. *)
+  let s_quantity = Array.init (sc.warehouses * sc.items) (fun _ -> 10 + Prng.int rng 91) in
+  let i_price = Array.init sc.items (fun _ -> 100 + Prng.int rng 9_901) in
   {
     sc;
-    warehouses_tbl = Array.init sc.warehouses (fun _ -> { w_ytd = 0 });
-    districts_tbl = Array.init n_districts (fun _ -> { d_next_o_id = 1; d_ytd = 0 });
-    customers_tbl =
-      Array.init (n_districts * sc.customers_per_district) (fun idx ->
-          let c = idx mod sc.customers_per_district in
-          {
-            c_last = last_names.(c mod 1000);
-            c_balance = 0;
-            c_ytd_payment = 0;
-            c_payment_cnt = 0;
-            c_delivery_cnt = 0;
-          });
-    items_tbl =
-      Array.init sc.items (fun _ -> { i_price = 100 + Prng.int rng 9_901 });
-    stocks_tbl =
-      Array.init (sc.warehouses * sc.items) (fun _ ->
-          { s_quantity = 10 + Prng.int rng 91; s_ytd = 0; s_order_cnt = 0 });
+    last_names = Array.init (min 1000 sc.customers_per_district) Nurand.last_name;
+    w_ytd = Array.make sc.warehouses 0;
+    d_next_o_id = Array.make n_districts 1;
+    d_ytd = Array.make n_districts 0;
+    c_balance = Array.make n_customers 0;
+    c_ytd_payment = Array.make n_customers 0;
+    c_payment_cnt = Array.make n_customers 0;
+    c_delivery_cnt = Array.make n_customers 0;
+    i_price;
+    s_quantity;
+    s_ytd = Array.make (sc.warehouses * sc.items) 0;
+    s_order_cnt = Array.make (sc.warehouses * sc.items) 0;
     orders = Col.create ~bits:10;
     lines = Col.create ~bits:12;
     order_index = Array.init n_districts (fun _ -> Col.create ~bits:8);
     new_orders = Array.init n_districts (fun _ -> Tq_util.Ring_deque.create ());
-    last_order = Array.make (n_districts * sc.customers_per_district) 0;
+    last_order = Array.make n_customers 0;
     item_stamp = Array.make sc.items 0;
     stamp = 1;
   }
@@ -128,37 +118,49 @@ let scale t = t.sc
 
 let check cond = if not cond then raise Not_found
 
-let warehouse t ~w =
+let warehouse_index t ~w =
   check (w >= 0 && w < t.sc.warehouses);
-  t.warehouses_tbl.(w)
+  w
 
 let district_index t ~w ~d =
   check (w >= 0 && w < t.sc.warehouses && d >= 0 && d < t.sc.districts_per_warehouse);
   (w * t.sc.districts_per_warehouse) + d
 
-let district t ~w ~d = t.districts_tbl.(district_index t ~w ~d)
-
 let customer_index t ~w ~d ~c =
   check (c >= 0 && c < t.sc.customers_per_district);
   (district_index t ~w ~d * t.sc.customers_per_district) + c
 
-let customer t ~w ~d ~c = t.customers_tbl.(customer_index t ~w ~d ~c)
+let item_index t ~i =
+  check (i >= 0 && i < t.sc.items);
+  i
+
+let stock_index t ~w ~i =
+  check (w >= 0 && w < t.sc.warehouses && i >= 0 && i < t.sc.items);
+  (w * t.sc.items) + i
+
+let w_ytd t = t.w_ytd
+let d_next_o_id t = t.d_next_o_id
+let d_ytd t = t.d_ytd
+let c_balance t = t.c_balance
+let c_ytd_payment t = t.c_ytd_payment
+let c_payment_cnt t = t.c_payment_cnt
+let c_delivery_cnt t = t.c_delivery_cnt
+let i_price t = t.i_price
+let s_quantity t = t.s_quantity
+let s_ytd t = t.s_ytd
+let s_order_cnt t = t.s_order_cnt
+
+let c_last t ~w ~d ~c =
+  ignore (customer_index t ~w ~d ~c : int);
+  t.last_names.(c mod 1000)
 
 let customers_by_last_name t ~w ~d name =
-  let base = district_index t ~w ~d * t.sc.customers_per_district in
+  ignore (district_index t ~w ~d : int);
   let matches = ref [] in
   for c = t.sc.customers_per_district - 1 downto 0 do
-    if t.customers_tbl.(base + c).c_last = name then matches := c :: !matches
+    if t.last_names.(c mod 1000) = name then matches := c :: !matches
   done;
   !matches
-
-let item t ~i =
-  check (i >= 0 && i < t.sc.items);
-  t.items_tbl.(i)
-
-let stock t ~w ~i =
-  check (w >= 0 && w < t.sc.warehouses && i >= 0 && i < t.sc.items);
-  t.stocks_tbl.((w * t.sc.items) + i)
 
 let fits v ~bits = v >= 0 && v < 1 lsl bits
 

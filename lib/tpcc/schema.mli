@@ -4,27 +4,15 @@
     service-time distribution (Table 1) and a realistic example
     application.  Money is in integer cents.
 
-    The fixed-size tables (warehouses, districts, customers, items,
-    stock) are arrays of records indexed by their composite keys.  The
-    tables that grow with every NewOrder are flat int columns: one
+    Every table is flat int columns.  The fixed-size tables (warehouses,
+    districts, customers, items, stock) are one [int array] per field,
+    indexed by the row's composite key, so building them allocates no
+    block per row.  The tables that grow with every NewOrder are one
     packed header per order, one packed int per order line, and per
-    district a dense index from [o - 1] to the order's header.  The
+    district a dense index from [o - 1] to the order's header.  Those
     columns grow in chunks that are never copied, so no insert copies a
     large array. *)
 
-type warehouse = { mutable w_ytd : int }
-type district = { mutable d_next_o_id : int; mutable d_ytd : int }
-
-type customer = {
-  c_last : string;  (** spec last name: syllables of (id mod 1000) *)
-  mutable c_balance : int;
-  mutable c_ytd_payment : int;
-  mutable c_payment_cnt : int;
-  mutable c_delivery_cnt : int;
-}
-
-type item = { i_price : int }
-type stock = { mutable s_quantity : int; mutable s_ytd : int; mutable s_order_cnt : int }
 type t
 
 type scale = {
@@ -49,17 +37,49 @@ val create : ?seed:int64 -> ?scale:scale -> unit -> t
 
 val scale : t -> scale
 
-(** Row accessors; raise [Not_found] for out-of-range ids. *)
+(** {2 The fixed tables}
 
-val warehouse : t -> w:int -> warehouse
-val district : t -> w:int -> d:int -> district
-val customer : t -> w:int -> d:int -> c:int -> customer
+    A row is an index; a field is a column read or written at that
+    index, as in [(s_quantity db).(stock_index db ~w ~i)].  The index
+    functions raise [Not_found] for out-of-range ids. *)
+
+val warehouse_index : t -> w:int -> int
+val district_index : t -> w:int -> d:int -> int
+val customer_index : t -> w:int -> d:int -> c:int -> int
+val item_index : t -> i:int -> int
+val stock_index : t -> w:int -> i:int -> int
+
+(** Warehouse column, by {!warehouse_index}. *)
+val w_ytd : t -> int array
+
+(** District columns, by {!district_index}. *)
+
+val d_next_o_id : t -> int array
+val d_ytd : t -> int array
+
+(** Customer columns, by {!customer_index}. *)
+
+val c_balance : t -> int array
+val c_ytd_payment : t -> int array
+val c_payment_cnt : t -> int array
+val c_delivery_cnt : t -> int array
+
+(** Item column, by {!item_index}. *)
+val i_price : t -> int array
+
+(** Stock columns, by {!stock_index}. *)
+
+val s_quantity : t -> int array
+val s_ytd : t -> int array
+val s_order_cnt : t -> int array
+
+(** [c_last t ~w ~d ~c] — the spec last name: syllables of
+    [c mod 1000], one string shared by every customer that has it. *)
+val c_last : t -> w:int -> d:int -> c:int -> string
 
 (** [customers_by_last_name t ~w ~d name] — ascending customer ids with
     that last name (the spec's secondary index). *)
 val customers_by_last_name : t -> w:int -> d:int -> string -> int list
-val item : t -> i:int -> item
-val stock : t -> w:int -> i:int -> stock
 
 (** {2 Orders and order lines}
 

@@ -61,23 +61,25 @@ let pick_customer_for_lookup db rng ~w ~d =
 let new_order db rng =
   let w = pick_warehouse db rng and d = pick_district db rng in
   let c = pick_customer db rng in
-  let district = Schema.district db ~w ~d in
-  let o_id = district.d_next_o_id in
-  district.d_next_o_id <- o_id + 1;
+  let next_o_id = Schema.d_next_o_id db and dist = Schema.district_index db ~w ~d in
+  let o_id = next_o_id.(dist) in
+  next_o_id.(dist) <- o_id + 1;
   let ol_cnt = 5 + Prng.int rng 11 in
   let order = Schema.insert_order db ~w ~d ~o:o_id ~c ~ol_cnt in
+  let i_price = Schema.i_price db and s_quantity = Schema.s_quantity db in
+  let s_ytd = Schema.s_ytd db and s_order_cnt = Schema.s_order_cnt db in
   let total = ref 0 in
   for ol = 0 to ol_cnt - 1 do
     let i = pick_item db rng in
     let quantity = 1 + Prng.int rng 10 in
-    let item = Schema.item db ~i in
-    let stock = Schema.stock db ~w ~i in
+    let price = i_price.(Schema.item_index db ~i) in
+    let s = Schema.stock_index db ~w ~i in
     (* TPC-C replenishment rule: restock by 91 when running low. *)
-    if stock.s_quantity - quantity < 10 then stock.s_quantity <- stock.s_quantity + 91;
-    stock.s_quantity <- stock.s_quantity - quantity;
-    stock.s_ytd <- stock.s_ytd + quantity;
-    stock.s_order_cnt <- stock.s_order_cnt + 1;
-    let amount = quantity * item.i_price in
+    if s_quantity.(s) - quantity < 10 then s_quantity.(s) <- s_quantity.(s) + 91;
+    s_quantity.(s) <- s_quantity.(s) - quantity;
+    s_ytd.(s) <- s_ytd.(s) + quantity;
+    s_order_cnt.(s) <- s_order_cnt.(s) + 1;
+    let amount = quantity * price in
     total := !total + amount;
     Schema.insert_order_line db order ~ol ~i ~quantity ~amount
   done;
@@ -88,14 +90,17 @@ let payment db rng =
   let w = pick_warehouse db rng and d = pick_district db rng in
   let c = pick_customer_for_lookup db rng ~w ~d in
   let amount = 100 + Prng.int rng 500_000 in
-  let warehouse = Schema.warehouse db ~w in
-  let district = Schema.district db ~w ~d in
-  let customer = Schema.customer db ~w ~d ~c in
-  warehouse.w_ytd <- warehouse.w_ytd + amount;
-  district.d_ytd <- district.d_ytd + amount;
-  customer.c_balance <- customer.c_balance - amount;
-  customer.c_ytd_payment <- customer.c_ytd_payment + amount;
-  customer.c_payment_cnt <- customer.c_payment_cnt + 1;
+  let wi = Schema.warehouse_index db ~w in
+  let di = Schema.district_index db ~w ~d in
+  let ci = Schema.customer_index db ~w ~d ~c in
+  let w_ytd = Schema.w_ytd db and d_ytd = Schema.d_ytd db in
+  let c_balance = Schema.c_balance db and c_ytd_payment = Schema.c_ytd_payment db in
+  let c_payment_cnt = Schema.c_payment_cnt db in
+  w_ytd.(wi) <- w_ytd.(wi) + amount;
+  d_ytd.(di) <- d_ytd.(di) + amount;
+  c_balance.(ci) <- c_balance.(ci) - amount;
+  c_ytd_payment.(ci) <- c_ytd_payment.(ci) + amount;
+  c_payment_cnt.(ci) <- c_payment_cnt.(ci) + 1;
   Paid { amount }
 
 let order_status db rng =
@@ -128,9 +133,10 @@ let delivery db rng =
           Schema.deliver_line db order ~ol;
           total := !total + Schema.line_amount db order ~ol
         done;
-        let customer = Schema.customer db ~w ~d ~c:(Schema.order_c_id db order) in
-        customer.c_balance <- customer.c_balance + !total;
-        customer.c_delivery_cnt <- customer.c_delivery_cnt + 1;
+        let ci = Schema.customer_index db ~w ~d ~c:(Schema.order_c_id db order) in
+        let c_balance = Schema.c_balance db and c_delivery_cnt = Schema.c_delivery_cnt db in
+        c_balance.(ci) <- c_balance.(ci) + !total;
+        c_delivery_cnt.(ci) <- c_delivery_cnt.(ci) + 1;
         incr delivered
   done;
   Delivered { orders = !delivered }
@@ -140,14 +146,16 @@ let stock_level db rng =
      of a district. *)
   let w = pick_warehouse db rng and d = pick_district db rng in
   let threshold = 10 + Prng.int rng 11 in
-  let next = (Schema.district db ~w ~d).d_next_o_id in
+  let next = (Schema.d_next_o_id db).(Schema.district_index db ~w ~d) in
+  let s_quantity = Schema.s_quantity db in
   Schema.clear_items db;
   let low = ref 0 in
   for o = max 1 (next - 20) to next - 1 do
     let order = Option.get (Schema.order db ~w ~d ~o) in
     for ol = 0 to Schema.order_ol_cnt db order - 1 do
       let i = Schema.line_item db order ~ol in
-      if Schema.add_item db ~i && (Schema.stock db ~w ~i).s_quantity < threshold then incr low
+      if Schema.add_item db ~i && s_quantity.(Schema.stock_index db ~w ~i) < threshold then
+        incr low
     done
   done;
   Stock_low { count = !low }

@@ -6,19 +6,19 @@ let check db =
   let fail fmt = Format.kasprintf (fun s -> violations := s :: !violations) fmt in
   (* C1: warehouse YTD equals the sum of its districts' YTD. *)
   for w = 0 to sc.warehouses - 1 do
-    let warehouse = Schema.warehouse db ~w in
+    let w_ytd = (Schema.w_ytd db).(Schema.warehouse_index db ~w) in
     let district_sum = ref 0 in
     for d = 0 to sc.districts_per_warehouse - 1 do
-      district_sum := !district_sum + (Schema.district db ~w ~d).d_ytd
+      district_sum := !district_sum + (Schema.d_ytd db).(Schema.district_index db ~w ~d)
     done;
-    if warehouse.w_ytd <> !district_sum then
-      fail "warehouse %d: w_ytd %d <> sum of district ytd %d" w warehouse.w_ytd !district_sum
+    if w_ytd <> !district_sum then
+      fail "warehouse %d: w_ytd %d <> sum of district ytd %d" w w_ytd !district_sum
   done;
   (* C2/C3: order ids are dense below d_next_o_id, and every order's
      line count matches its ol_cnt. *)
   for w = 0 to sc.warehouses - 1 do
     for d = 0 to sc.districts_per_warehouse - 1 do
-      let next = (Schema.district db ~w ~d).d_next_o_id in
+      let next = (Schema.d_next_o_id db).(Schema.district_index db ~w ~d) in
       for o = 1 to next - 1 do
         match Schema.order db ~w ~d ~o with
         | None -> fail "district (%d,%d): missing order %d < next_o_id %d" w d o next
@@ -66,7 +66,7 @@ let check db =
   (* C6: stock quantities are non-negative (replenishment rule). *)
   for w = 0 to sc.warehouses - 1 do
     for i = 0 to sc.items - 1 do
-      if (Schema.stock db ~w ~i).s_quantity < 0 then
+      if (Schema.s_quantity db).(Schema.stock_index db ~w ~i) < 0 then
         fail "stock (%d,%d): negative quantity" w i
     done
   done;

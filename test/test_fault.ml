@@ -497,6 +497,34 @@ let test_mark_dead_redispatches_queued_jobs () =
     (not (Two_level.worker_marked_alive t ~wid:0));
   check Alcotest.int "one core believed alive" 1 (Two_level.alive_worker_count t)
 
+(* A core marked dead must not steal: nothing rescues a queue it takes
+   if it then dies, since marking a dead-marked core dead again is a
+   no-op.  Core 0 is marked dead while both cores are busy, goes idle
+   with core 1's queue behind it, then is killed. *)
+let test_dead_marked_core_steals_nothing () =
+  let sim = Sim.create () in
+  let rng = Prng.create ~seed:11L in
+  let metrics = Metrics.create ~workload:Table1.exp1 ~warmup_ns:0 in
+  let config = { Two_level.default_config with cores = 2 } in
+  let t = Two_level.create sim ~rng ~config ~metrics ~steal:true () in
+  ignore
+    (Sim.schedule_at sim ~time:0 (fun () ->
+         for i = 1 to 8 do
+           Two_level.submit t (req ~req_id:i ~service_ns:20_000 ~arrival_ns:0 ())
+         done)
+      : Sim.event);
+  ignore
+    (Sim.schedule_at sim ~time:1_000 (fun () -> Two_level.mark_worker_dead t ~wid:0)
+      : Sim.event);
+  ignore
+    (Sim.schedule_at sim ~time:30_000 (fun () -> Worker.kill (Two_level.workers t).(0))
+      : Sim.event);
+  Sim.run sim;
+  let a = Two_level.accounting t in
+  check Alcotest.int "steals by the dead-marked core" 0 (Two_level.steals t);
+  check Alcotest.int "nothing stranded" 0 (Two_level.in_system t);
+  check Alcotest.int "completed or lost with the core, every job" 8 (a.completed + a.lost)
+
 let test_stalled_core_marked_dead_then_revived () =
   let sim = Sim.create () in
   let rng = Prng.create ~seed:3L in
@@ -902,6 +930,8 @@ let suite =
     Alcotest.test_case "faults under every policy" `Quick test_faults_under_every_policy;
     Alcotest.test_case "mark-dead re-dispatches queued jobs" `Quick
       test_mark_dead_redispatches_queued_jobs;
+    Alcotest.test_case "dead-marked core steals nothing" `Quick
+      test_dead_marked_core_steals_nothing;
     Alcotest.test_case "stalled core marked dead then revived" `Quick
       test_stalled_core_marked_dead_then_revived;
     Alcotest.test_case "1/16 cores killed: graceful degradation" `Quick

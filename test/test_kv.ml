@@ -432,3 +432,125 @@ let iterator_suite =
   ]
 
 let suite = suite @ iterator_suite
+
+(* --- The in-order append path and the array-free walk --- *)
+
+(* Keys inserted in four orders: ascending (every insert past the
+   maximum), descending, as drawn, and each twice with a new value.
+   Half the runs insert with a tracer set, so inserts past the maximum
+   take the search path there.  Every read agrees with [Map]. *)
+let test_skiplist_orders_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"skiplist matches Map in every insert order"
+       QCheck.(
+         triple (int_bound 3) bool
+           (small_list (pair (string_of_size (Gen.int_range 0 4)) small_int)))
+       (fun (order, traced, bindings) ->
+         let module M = Stdlib.Map.Make (String) in
+         let by_key = List.sort (fun (a, _) (b, _) -> compare a b) bindings in
+         let inserts =
+           match order with
+           | 0 -> by_key
+           | 1 -> List.rev by_key
+           | 2 -> bindings
+           | _ -> List.concat_map (fun (k, v) -> [ (k, v); (k, v + 1) ]) bindings
+         in
+         let sl = Skiplist.create () in
+         if traced then Skiplist.set_tracer sl (Some ignore);
+         let model =
+           List.fold_left
+             (fun m (k, v) ->
+               Skiplist.insert sl k v;
+               M.add k v m)
+             M.empty inserts
+         in
+         let from probe =
+           let seen = ref [] in
+           Skiplist.iter_from sl probe (fun k v ->
+               seen := (k, v) :: !seen;
+               true);
+           List.rev !seen
+         in
+         let seek probe =
+           let c = Skiplist.seek sl probe in
+           let rec drain acc =
+             match Skiplist.cursor_next c with Some b -> drain (b :: acc) | None -> List.rev acc
+           in
+           drain []
+         in
+         let probes = "" :: "zzzzz" :: List.concat_map (fun (k, _) -> [ k; k ^ "a" ]) bindings in
+         List.for_all
+           (fun p ->
+             let expect = List.of_seq (M.to_seq_from p model) in
+             Skiplist.find sl p = M.find_opt p model && from p = expect && seek p = expect)
+           probes
+         && Skiplist.to_sorted_list sl = M.bindings model
+         && Skiplist.length sl = M.cardinal model
+         && Skiplist.min_binding sl = M.min_binding_opt model
+         && Skiplist.max_binding sl = M.max_binding_opt model))
+
+(* A hit allocates its [Some] and nothing else: no per-lookup search
+   array. *)
+let test_skiplist_find_allocation () =
+  let sl = Skiplist.create () in
+  for i = 0 to 1023 do
+    Skiplist.insert sl (Printf.sprintf "key%06d" i) i
+  done;
+  let hit = "key000517" and miss = "key000517x" in
+  check (Alcotest.float 0.0) "words per hit" 2.0
+    (Test_util.minor_words_per_call (fun () -> ignore (Skiplist.find sl hit : int option)));
+  check (Alcotest.float 0.0) "words per miss" 0.0
+    (Test_util.minor_words_per_call (fun () -> ignore (Skiplist.find sl miss : int option)))
+
+(* A store prefilled in key order, as a live worker's is, then untraced
+   SETs that overwrite, fall between keys and go past the maximum, then
+   traced GETs and SETs of each kind: every answer and every touched
+   address, digested.  The digest was taken from the store whose every
+   insert searched from the head. *)
+let test_store_trace_pinned () =
+  let s = Store.create () in
+  for i = 0 to 1023 do
+    Store.put s (Printf.sprintf "key%06d" i) (Printf.sprintf "value%06d" i)
+  done;
+  let rng = Tq_util.Prng.create ~seed:5L in
+  let out = Buffer.create 8192 in
+  let key () = Printf.sprintf "key%06d" (Tq_util.Prng.int rng 1100) in
+  let between () = Printf.sprintf "key%06dm" (Tq_util.Prng.int rng 1100) in
+  let next_new = ref 5000 in
+  let past_max () =
+    incr next_new;
+    Printf.sprintf "key%06d" !next_new
+  in
+  let sets () =
+    for _ = 1 to 50 do
+      Store.put s (key ()) "x";
+      Store.put s (between ()) "y";
+      Store.put s (past_max ()) "z"
+    done
+  in
+  let gets () =
+    for _ = 1 to 200 do
+      Buffer.add_string out (Option.value ~default:"-" (Store.get s (key ())));
+      Buffer.add_string out (Option.value ~default:"-" (Store.get s (between ())))
+    done
+  in
+  sets ();
+  let trace =
+    Store.trace_of s (fun () ->
+        gets ();
+        sets ();
+        gets ())
+  in
+  Array.iter (fun a -> Buffer.add_string out (Printf.sprintf ",%d" a)) trace;
+  check Alcotest.int "trace length" 12444 (Array.length trace);
+  check Alcotest.string "trace digest" "58204c26d664f82c230b88203b299826"
+    (Digest.to_hex (Digest.string (Buffer.contents out)))
+
+let suite =
+  suite
+  @ [
+      test_skiplist_orders_model;
+      Alcotest.test_case "skiplist find allocates only its option" `Quick
+        test_skiplist_find_allocation;
+      Alcotest.test_case "store trace pinned" `Quick test_store_trace_pinned;
+    ]

@@ -340,6 +340,56 @@ let test_ring_cross_domain () =
   done;
   check Alcotest.int "all values transferred" (n * (n + 1) / 2) (Domain.join consumer)
 
+(* Boxed payloads across two domains: the cells are plain array slots
+   ordered only by the atomic cursors, so every value popped must be the
+   one pushed, in order, while both sides allocate and collect.  A small
+   ring wraps constantly; a 1024-cell one lives in the major heap, so
+   each push stores a young block into an old array. *)
+let test_ring_cross_domain_boxed () =
+  List.iter
+    (fun capacity ->
+      let r = Spsc_ring.create ~capacity in
+      let n = 50_000 in
+      let consumer =
+        Domain.spawn (fun () ->
+            let bad = ref 0 and received = ref 0 in
+            while !received < n do
+              match Spsc_ring.try_pop r with
+              | Some (i, s, f) ->
+                  if i <> !received || s <> string_of_int i || f <> float_of_int i then incr bad;
+                  incr received
+              | None -> Domain.cpu_relax ()
+            done;
+            !bad)
+      in
+      for i = 0 to n - 1 do
+        let v = (i, string_of_int i, float_of_int i) in
+        while not (Spsc_ring.try_push r v) do
+          Domain.cpu_relax ()
+        done
+      done;
+      check Alcotest.int
+        (Printf.sprintf "values out of order or torn (capacity %d)" capacity)
+        0 (Domain.join consumer))
+    [ 3; 1024 ]
+
+(* Building a reply ring forces no minor collection (a fresh block as
+   [Array.init]'s first element of a long array would), and a push
+   allocates nothing. *)
+let test_ring_allocation () =
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let r = Spsc_ring.create ~capacity:1024 in
+  check Alcotest.int "minor collections to create 1024 cells" 0
+    ((Gc.quick_stat ()).Gc.minor_collections - before);
+  let v = Some 1 in
+  let words = Gc.minor_words () in
+  for _ = 1 to 1024 do
+    ignore (Spsc_ring.try_push r v : bool)
+  done;
+  check (Alcotest.float 0.0) "minor words for 1024 pushes" 0.0 (Gc.minor_words () -. words);
+  check Alcotest.(option (option int)) "pop" (Some v) (Spsc_ring.try_pop r)
+
 (* --- Parallel executor --- *)
 
 (* Submit a fixed batch and shut down; the pre-redesign [Parallel.run]
@@ -393,6 +443,8 @@ let suite =
     Alcotest.test_case "ring capacity" `Quick test_ring_capacity;
     Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
     Alcotest.test_case "ring cross domain" `Quick test_ring_cross_domain;
+    Alcotest.test_case "ring cross domain boxed" `Quick test_ring_cross_domain_boxed;
+    Alcotest.test_case "ring set-up and push allocation" `Quick test_ring_allocation;
     Alcotest.test_case "parallel completes" `Quick test_parallel_completes;
     Alcotest.test_case "parallel balances" `Quick test_parallel_balances;
   ]

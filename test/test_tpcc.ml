@@ -10,21 +10,20 @@ let test_initial_load () =
   let db = fresh_db () in
   let sc = Schema.scale db in
   check Alcotest.int "warehouses" 2 sc.warehouses;
-  let w = Schema.warehouse db ~w:0 in
-  check Alcotest.int "ytd starts 0" 0 w.w_ytd;
-  let d = Schema.district db ~w:1 ~d:9 in
-  check Alcotest.int "next order id" 1 d.d_next_o_id;
-  let s = Schema.stock db ~w:0 ~i:0 in
-  Alcotest.(check bool) "stock in range" true (s.s_quantity >= 10 && s.s_quantity <= 100);
-  let i = Schema.item db ~i:500 in
-  Alcotest.(check bool) "price in range" true (i.i_price >= 100 && i.i_price <= 10_000)
+  check Alcotest.int "ytd starts 0" 0 (Schema.w_ytd db).(Schema.warehouse_index db ~w:0);
+  check Alcotest.int "next order id" 1
+    (Schema.d_next_o_id db).(Schema.district_index db ~w:1 ~d:9);
+  let s = (Schema.s_quantity db).(Schema.stock_index db ~w:0 ~i:0) in
+  Alcotest.(check bool) "stock in range" true (s >= 10 && s <= 100);
+  let p = (Schema.i_price db).(Schema.item_index db ~i:500) in
+  Alcotest.(check bool) "price in range" true (p >= 100 && p <= 10_000)
 
 let test_bad_ids_rejected () =
   let db = fresh_db () in
   Alcotest.check_raises "bad warehouse" Not_found (fun () ->
-      ignore (Schema.warehouse db ~w:99));
+      ignore (Schema.warehouse_index db ~w:99));
   Alcotest.check_raises "bad customer" Not_found (fun () ->
-      ignore (Schema.customer db ~w:0 ~d:0 ~c:1000))
+      ignore (Schema.customer_index db ~w:0 ~d:0 ~c:1000))
 
 let test_new_order_effects () =
   let db = fresh_db () in
@@ -37,7 +36,7 @@ let test_new_order_effects () =
       let advanced = ref 0 and queued = ref 0 in
       for w = 0 to 1 do
         for d = 0 to 9 do
-          if (Schema.district db ~w ~d).d_next_o_id = 2 then incr advanced;
+          if (Schema.d_next_o_id db).(Schema.district_index db ~w ~d) = 2 then incr advanced;
           queued := !queued + Schema.new_order_depth db ~w ~d
         done
       done;
@@ -82,12 +81,12 @@ let test_payment_conservation () =
     | Transactions.Paid { amount } -> paid := !paid + amount
     | _ -> Alcotest.fail "expected Paid"
   done;
-  let warehouse_ytd = (Schema.warehouse db ~w:0).w_ytd + (Schema.warehouse db ~w:1).w_ytd in
+  let warehouse_ytd = Array.fold_left ( + ) 0 (Schema.w_ytd db) in
   check Alcotest.int "warehouse ytd = sum payments" !paid warehouse_ytd;
   let district_ytd = ref 0 in
   for w = 0 to 1 do
     for d = 0 to 9 do
-      district_ytd := !district_ytd + (Schema.district db ~w ~d).d_ytd
+      district_ytd := !district_ytd + (Schema.d_ytd db).(Schema.district_index db ~w ~d)
     done
   done;
   check Alcotest.int "district ytd = sum payments" !paid !district_ytd
@@ -126,7 +125,7 @@ let test_delivery_credits_customer () =
     for w = 0 to 1 do
       for d = 0 to 9 do
         for c = 0 to 99 do
-          acc := !acc + (Schema.customer db ~w ~d ~c).c_balance
+          acc := !acc + (Schema.c_balance db).(Schema.customer_index db ~w ~d ~c)
         done
       done
     done;
@@ -180,7 +179,8 @@ let test_stock_never_negative () =
   let sc = Schema.scale db in
   for w = 0 to sc.warehouses - 1 do
     for i = 0 to sc.items - 1 do
-      Alcotest.(check bool) "stock >= 0" true ((Schema.stock db ~w ~i).s_quantity >= 0)
+      Alcotest.(check bool) "stock >= 0" true
+        ((Schema.s_quantity db).(Schema.stock_index db ~w ~i) >= 0)
     done
   done
 
@@ -259,8 +259,8 @@ let test_consistency_detects_corruption () =
     ignore (Transactions.new_order db rng)
   done;
   (* Corrupt: bump a warehouse YTD without touching districts. *)
-  let w0 = Schema.warehouse db ~w:0 in
-  w0.w_ytd <- w0.w_ytd + 1;
+  let w_ytd = Schema.w_ytd db and w0 = Schema.warehouse_index db ~w:0 in
+  w_ytd.(w0) <- w_ytd.(w0) + 1;
   Alcotest.(check bool) "violation reported" true (Consistency.check db <> []);
   Alcotest.(check bool) "check_exn raises" true
     (try
@@ -337,7 +337,8 @@ let test_payment_by_name_touches_named_customer () =
   for w = 0 to 1 do
     for d = 0 to 9 do
       for c = 0 to 99 do
-        total_payments := !total_payments + (Schema.customer db ~w ~d ~c).c_payment_cnt
+        total_payments :=
+          !total_payments + (Schema.c_payment_cnt db).(Schema.customer_index db ~w ~d ~c)
       done
     done
   done;
@@ -351,7 +352,9 @@ let test_item_popularity_skewed () =
     ignore (Transactions.new_order db rng)
   done;
   let sc = Schema.scale db in
-  let counts = Array.init sc.items (fun i -> (Schema.stock db ~w:0 ~i).s_order_cnt) in
+  let counts =
+    Array.init sc.items (fun i -> (Schema.s_order_cnt db).(Schema.stock_index db ~w:0 ~i))
+  in
   Array.sort compare counts;
   let hottest = counts.(sc.items - 1) in
   let total = Array.fold_left ( + ) 0 counts in
@@ -389,29 +392,33 @@ let test_initial_load_rows () =
       let label what = Printf.sprintf "seed %Ld: %s" seed what in
       for w = 0 to scale.Schema.warehouses - 1 do
         for i = 0 to scale.items - 1 do
-          let s = Schema.stock db ~w ~i in
+          let s = Schema.stock_index db ~w ~i in
           check Alcotest.(list int) (label "stock row")
             [ 10 + Prng.int rng 91; 0; 0 ]
-            [ s.s_quantity; s.s_ytd; s.s_order_cnt ]
+            (List.map (fun col -> (col db).(s)) Schema.[ s_quantity; s_ytd; s_order_cnt ])
         done
       done;
       for i = 0 to scale.items - 1 do
         check Alcotest.int (label "item price")
-          (100 + Prng.int rng 9_901) (Schema.item db ~i).i_price
+          (100 + Prng.int rng 9_901)
+          (Schema.i_price db).(Schema.item_index db ~i)
       done;
       for w = 0 to scale.warehouses - 1 do
-        check Alcotest.int (label "warehouse ytd") 0 (Schema.warehouse db ~w).w_ytd;
+        check Alcotest.int (label "warehouse ytd") 0
+          (Schema.w_ytd db).(Schema.warehouse_index db ~w);
         for d = 0 to scale.districts_per_warehouse - 1 do
-          let dist = Schema.district db ~w ~d in
+          let dist = Schema.district_index db ~w ~d in
           check Alcotest.(list int) (label "district row") [ 1; 0 ]
-            [ dist.d_next_o_id; dist.d_ytd ];
+            (List.map (fun col -> (col db).(dist)) Schema.[ d_next_o_id; d_ytd ]);
           check Alcotest.int (label "no new orders") 0 (Schema.new_order_depth db ~w ~d);
           for c = 0 to scale.customers_per_district - 1 do
-            let cu = Schema.customer db ~w ~d ~c in
+            let cu = Schema.customer_index db ~w ~d ~c in
             check Alcotest.string (label "c_last") (Nurand.last_name (c mod 1000))
-              cu.c_last;
+              (Schema.c_last db ~w ~d ~c);
             check Alcotest.(list int) (label "customer counters") [ 0; 0; 0; 0 ]
-              [ cu.c_balance; cu.c_ytd_payment; cu.c_payment_cnt; cu.c_delivery_cnt ];
+              (List.map
+                 (fun col -> (col db).(cu))
+                 Schema.[ c_balance; c_ytd_payment; c_payment_cnt; c_delivery_cnt ]);
             check Alcotest.(option int) (label "no orders") None
               (Schema.last_order_id db ~w ~d ~c)
           done
