@@ -13,6 +13,7 @@ type worker_handle = {
   stall_until_ns : int Atomic.t;  (** fault hook: busy-occupy until this stamp *)
   killed : bool Atomic.t;  (** fault hook: domain exits at next loop pass *)
   dead : bool Atomic.t;  (** dispatcher verdict: excluded from JSQ/in-flight *)
+  park : Park.t;  (** where the idle worker sleeps; a push, stop, kill or stall wakes it *)
 }
 
 type t = {
@@ -24,13 +25,14 @@ type t = {
   class_quanta : int Atomic.t array;  (** per-class overrides; <= 0 = inherit *)
   mutable live : bool;  (** false after shutdown; guarded by the producer thread *)
   next_tag : int Atomic.t;  (** fallback task-id source, shared by all producers *)
+  drained : Park.t;  (** where [drain] sleeps; every finish wakes it *)
 }
 
 (* Builds one worker's whole state on the calling domain — its sink,
    counters and fiber scheduler — and returns the loop its domain will
    run, so [start] allocates nothing beyond the spawn itself. *)
 let worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta
-    ~stop ~spans ~reg ~track_probes ~stall_threshold_ns ~gc_pause_ns =
+    ~stop ~drained ~on_finish ~spans ~reg ~track_probes ~stall_threshold_ns ~gc_pause_ns =
   let clock = Clock.wall () in
   let obs =
     match reg with
@@ -98,7 +100,10 @@ let worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta
   let worker =
     Task_worker.create ~obs ~wid ~track_probes ~on_quantum ~class_quantum ~clock
       ~quantum_ns
-      ~on_finish:(fun _ -> Atomic.incr handle.finished)
+      ~on_finish:(fun _ ->
+        on_finish ~wid;
+        Atomic.incr handle.finished;
+        Park.wake drained)
       ()
   in
   (* Admission = handing a task to the fiber scheduler, which
@@ -120,13 +125,20 @@ let worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta
   in
   (* Persistent service loop: exits only when the stop flag is up AND
      both the ring and the local run queue are empty — admitted work is
-     never abandoned (the zero-loss drain guarantee).  Fault hooks break
-     that ideal on purpose: [killed] makes the domain exit immediately,
-     abandoning whatever it holds (the dispatcher's heartbeat monitor is
-     responsible for noticing and re-dispatching); [stall_until_ns]
-     busy-occupies the core without serving — a CPU antagonist — during
-     which the heartbeat stops, exactly like a real stuck worker. *)
-  let backoff = Backoff.create () in
+     never abandoned (the zero-loss drain guarantee).  With nothing to
+     run it parks until a push, [stop], a kill or a stall wakes it
+     ({!Park}), so an idle worker neither spins nor beats.  Fault hooks
+     break the ideal on purpose: [killed] makes the domain exit
+     immediately, abandoning whatever it holds (the dispatcher's
+     heartbeat monitor is responsible for noticing and re-dispatching);
+     [stall_until_ns] busy-occupies the core without serving — a CPU
+     antagonist — during which the heartbeat stops, exactly like a real
+     stuck worker. *)
+  let woken () =
+    Spsc_ring.length handle.inject > 0
+    || Atomic.get stop || Atomic.get handle.killed
+    || Atomic.get handle.stall_until_ns > 0
+  in
   let rec loop () =
     Atomic.incr handle.beats;
     if Atomic.get handle.killed then ()
@@ -143,15 +155,12 @@ let worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta
       let ran = Task_worker.run_slice worker in
       Atomic.set handle.quanta (Task_worker.current_quanta worker);
       Atomic.set handle.yields (Task_worker.total_yields worker);
-      if ran then begin
-        Backoff.reset backoff;
-        loop ()
-      end
+      if ran then loop ()
       else begin
         last_end := -1;
         if Atomic.get stop && Spsc_ring.length handle.inject = 0 then ()
         else begin
-          Backoff.once backoff;
+          Park.park handle.park woken;
           loop ()
         end
       end
@@ -161,7 +170,7 @@ let worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta
 
 let create ?(workers = 4) ?(quantum_ns = 100_000) ?(ring_capacity = 256)
     ?(classes = 0) ?(spans = Span.null) ?worker_counters ?stall_threshold_ns
-    ?gc_pause_ns () =
+    ?gc_pause_ns ?(on_finish = fun ~wid:_ -> ()) () =
   if workers < 1 then invalid_arg "Parallel.create: need at least one worker";
   (match worker_counters with
   | Some regs when Array.length regs <> workers ->
@@ -188,18 +197,20 @@ let create ?(workers = 4) ?(quantum_ns = 100_000) ?(ring_capacity = 256)
           stall_until_ns = Atomic.make 0;
           killed = Atomic.make false;
           dead = Atomic.make false;
+          park = Park.create ();
         })
   in
+  let drained = Park.create () in
   let loops =
     Array.mapi
       (fun wid handle ->
         let reg = Option.map (fun regs -> regs.(wid)) worker_counters in
         worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta ~stop
-          ~spans ~reg ~track_probes ~stall_threshold_ns ~gc_pause_ns)
+          ~drained ~on_finish ~spans ~reg ~track_probes ~stall_threshold_ns ~gc_pause_ns)
       handles
   in
   { handles; loops; domains = [||]; stop; base_quantum; class_quanta; live = true;
-    next_tag = Atomic.make 0 }
+    next_tag = Atomic.make 0; drained }
 
 let start t =
   if not t.live then invalid_arg "Parallel.start: pool is shut down";
@@ -244,6 +255,7 @@ let submit_to t ?tag ?(class_idx = 0) ~worker job =
   if Spsc_ring.try_push handle.inject { Task_worker.task_id; class_idx; work = job }
   then begin
     Atomic.incr handle.assigned;
+    Park.wake handle.park;
     true
   end
   else false
@@ -257,6 +269,7 @@ let in_flight t =
 
 let worker_in_flight t ~worker = unfinished t.handles.(worker)
 let ring_depth t ~worker = Spsc_ring.length t.handles.(worker).inject
+let parked t ~worker = Park.sleeping t.handles.(worker).park
 
 (* {2 Live actuation and fault hooks} *)
 
@@ -280,16 +293,23 @@ let quantum_ns t ?class_idx () =
 let beats t ~worker = Atomic.get t.handles.(worker).beats
 
 let stall_worker t ~worker ~duration_ns ~now_ns =
-  if duration_ns > 0 then
-    Atomic.set t.handles.(worker).stall_until_ns (now_ns + duration_ns)
+  if duration_ns > 0 then begin
+    let h = t.handles.(worker) in
+    Atomic.set h.stall_until_ns (now_ns + duration_ns);
+    Park.wake h.park
+  end
 
-let kill_worker t ~worker = Atomic.set t.handles.(worker).killed true
+let kill_worker t ~worker =
+  let h = t.handles.(worker) in
+  Atomic.set h.killed true;
+  Park.wake h.park
 
 let mark_dead t ~worker =
   let h = t.handles.(worker) in
   if Atomic.get h.dead then 0
   else begin
     Atomic.set h.dead true;
+    Park.wake t.drained;
     unfinished h
   end
 
@@ -303,15 +323,16 @@ let stats t =
   }
 
 let drain t =
-  let backoff = Backoff.create () in
-  while in_flight t > 0 do
-    Backoff.once backoff
+  let idle () = in_flight t = 0 in
+  while not (idle ()) do
+    Park.park t.drained idle
   done
 
 let shutdown t =
   if t.live then begin
     t.live <- false;
     Atomic.set t.stop true;
+    Array.iter (fun h -> Park.wake h.park) t.handles;
     Array.iter Domain.join t.domains
   end;
   stats t

@@ -11,11 +11,14 @@
 
     The handle is persistent: {!create} builds every worker's state on
     the calling domain, {!start} spawns the worker domains, and they
-    keep polling their rings until {!shutdown}, so a server can submit
+    serve their rings until {!shutdown}, so a server can submit
     requests for its whole lifetime instead of draining one fixed batch.
     Splitting the two lets a caller finish its own set-up before any
     other domain exists: in OCaml 5 every minor collection stops every
     domain, parked ones included (DESIGN.md, "Live serving").
+    A worker with nothing to run parks on its own {!Park} until a
+    submit, {!shutdown}, {!kill_worker} or {!stall_worker} wakes it:
+    idle workers neither spin nor sleep on a timer.
     The inject rings are single-producer {e per worker}: at any moment,
     at most one thread may {!submit_to} a given worker — one dispatcher
     thread owns every ring.  Any thread may read the counters.
@@ -64,7 +67,12 @@ type t
       least half explained by GC pause growth bumps [runtime.stall_gc],
       otherwise [runtime.stall_other].  Without the hook every stall
       lands in [runtime.stall_unknown] and the quantum path pays one
-      extra branch, nothing else. *)
+      extra branch, nothing else.
+    - [on_finish] — called on the worker's domain each time a job
+      finishes, with the worker's id: after the job's last slice has
+      been stamped and before the job counts as finished ({!in_flight},
+      {!drain}).  A job that leaves its result for this hook to publish
+      has it seen only after the slice that made it has ended. *)
 val create :
   ?workers:int ->
   ?quantum_ns:int ->
@@ -74,6 +82,7 @@ val create :
   ?worker_counters:Tq_obs.Counters.t array ->
   ?stall_threshold_ns:int ->
   ?gc_pause_ns:(unit -> int) ->
+  ?on_finish:(wid:int -> unit) ->
   unit ->
   t
 
@@ -102,6 +111,7 @@ val pick : t -> int
     passes its request id so worker quanta stitch to dispatcher spans.
     Untagged jobs get a pool-unique id.  [class_idx] (default 0)
     selects the job's quantum class for {!set_quantum} overrides.
+    A parked worker is woken.
     Raises [Invalid_argument] after {!shutdown} or for an out-of-range
     worker. *)
 val submit_to :
@@ -138,9 +148,10 @@ val quantum_ns : t -> ?class_idx:int -> unit -> int
     the dispatcher (see {!Tq_serve.Server}'s heartbeat monitor). *)
 
 (** [beats t ~worker] — the worker's loop-pass heartbeat counter.  A
-    worker that is executing, polling or backing off beats continuously;
-    one that is killed, stalled or wedged stops.  Monotone; sample and
-    difference to detect progress. *)
+    worker that is executing beats continuously; one that is parked
+    with nothing to do, killed, stalled or wedged does not.  Judge only
+    a worker that holds work ({!worker_in_flight}).  Monotone; sample
+    and difference to detect progress. *)
 val beats : t -> worker:int -> int
 
 (** [stall_worker t ~worker ~duration_ns ~now_ns] — make the worker
@@ -187,12 +198,18 @@ val worker_in_flight : t -> worker:int -> int
     a slow request saw at dispatch. *)
 val ring_depth : t -> worker:int -> int
 
+(** [parked t ~worker] — the worker has nothing to run and is parked,
+    or is about to park, waiting for a push. *)
+val parked : t -> worker:int -> bool
+
 (** Live snapshot of the pool's counters (safe from any thread). *)
 val stats : t -> stats
 
-(** [drain t] blocks until {!in_flight} reaches zero.  Only meaningful
-    once the producer has stopped submitting; jobs already admitted all
-    finish — the zero-loss half of graceful shutdown. *)
+(** [drain t] blocks until {!in_flight} reaches zero, parked between
+    checks: every finish and every {!mark_dead} wakes it.  Only
+    meaningful once the producer has stopped submitting; jobs already
+    admitted all finish — the zero-loss half of graceful shutdown.  One
+    thread at a time may drain. *)
 val drain : t -> unit
 
 (** [shutdown t] drains, stops the workers, joins their domains and

@@ -298,7 +298,8 @@ let run config =
   in
   let sending = ref true in
   let grace_deadline = ref max_int in
-  let backoff = Tq_runtime.Backoff.create () in
+  (* empty poll rounds since the last one that moved something *)
+  let idle_rounds = ref 0 in
   (try
      while !sending || (Hashtbl.length pending > 0 && now_ns () < !grace_deadline) do
        let now = now_ns () in
@@ -337,14 +338,18 @@ let run config =
        Array.iter flush_conn conns;
        Array.iter receive_conn conns;
        if ticking && now >= !next_tick then tick now;
-       (* On a core shared with the server, an empty poll round must
-          yield rather than spin (catch-up sending keeps the offered
-          rate honest across the nap). *)
+       (* On a core shared with the server, empty poll rounds spin a
+          little and then nap 50 us, handing it the core (catch-up
+          sending keeps the offered rate honest across the nap). *)
        if !progress then begin
          progress := false;
-         Tq_runtime.Backoff.reset backoff
+         idle_rounds := 0
        end
-       else Tq_runtime.Backoff.once backoff
+       else begin
+         incr idle_rounds;
+         if !idle_rounds <= 200 then Domain.cpu_relax ()
+         else try Unix.sleepf 5e-5 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+       end
      done
    with End_of_file -> ());
   Array.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) conns;

@@ -19,6 +19,7 @@
    consistent — and exact once [serve] has returned. *)
 
 module Parallel = Tq_runtime.Parallel
+module Park = Tq_runtime.Park
 module Spsc_ring = Tq_runtime.Spsc_ring
 module Admission = Tq_sched.Admission
 module Counters = Tq_obs.Counters
@@ -99,12 +100,28 @@ type reply = {
   r_len : int;
 }
 
+(* The way back from the workers to the loop: per-worker reply rings,
+   the slot a finished job leaves its reply in until its slice ends,
+   and the doorbell.  Built before the pool, whose finish hook
+   publishes through it. *)
+type back = {
+  rings : reply Spsc_ring.t array;  (* indexed by worker *)
+  outbox : reply array;
+  space : Park.t array;  (* where a worker waits on its full reply ring *)
+  parked : bool Atomic.t;  (* the loop is in, or about to enter, a blocking select *)
+  bell_r : Unix.file_descr;  (* the doorbell: workers wake a parked loop *)
+  bell_w : Unix.file_descr;
+  bell_lock : Mutex.t;  (* orders a ring against the close in [serve] *)
+  mutable bell_open : bool;
+}
+
 type conn = {
   fd : Unix.file_descr;
   cid : int;
   rb : Reassembly.t;
   wb : Outbuf.t;
   mutable alive : bool;
+  mutable dirty : bool;  (* on the loop's list of connections to flush *)
 }
 
 (* The loop's only per-request record: each event updates exactly one
@@ -156,7 +173,7 @@ type t = {
   port : int;
   pool : Parallel.t;
   apps : App.t array;
-  reply_rings : reply Spsc_ring.t array;  (* indexed by worker *)
+  back : back;
   bufs : Pool.t;
   listen_fd : Unix.file_descr;
   stop_flag : bool Atomic.t;
@@ -172,7 +189,15 @@ type t = {
   ctl_latency_ns : int;
   workers : int;
   mutable listening : bool;
+  mutable stopping : bool;
   conns : (int, conn) Hashtbl.t;
+  by_fd : (Unix.file_descr, conn) Hashtbl.t;
+  mutable read_fds : Unix.file_descr list;  (* bell, listener, connections *)
+  mutable fds_stale : bool;  (* a connection or the listener came or went *)
+  mutable dirty_conns : conn array;  (* connections with output, [n_dirty] of them *)
+  mutable n_dirty : int;
+  mutable progress : bool;  (* this pass moved a byte, a request or a reply *)
+  mutable minor_mark : float;  (* this domain's minor words at the loop's last collection *)
   pending : (int, pending) Hashtbl.t;
   ledger : ledger;
   sink : Span.sink;
@@ -195,6 +220,50 @@ type t = {
 }
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+
+(* {2 The doorbell}
+
+   The loop parks in one [select] over its sockets and the read end of
+   a pipe.  Before it blocks it raises [parked], then looks at every
+   reply ring and the stop flag once more; a worker that pushed a
+   reply, or a [stop], reads [parked] and writes one byte.  The flag
+   and the ring cursors are sequentially consistent atomics, so either
+   the loop sees the reply or the pusher sees the flag: no lost
+   wake-up.  The compare-and-set lets one byte through per park. *)
+
+let bell = Bytes.make 1 '!'
+
+let ring_bell b =
+  if Atomic.get b.parked && Atomic.compare_and_set b.parked true false then begin
+    Mutex.lock b.bell_lock;
+    (if b.bell_open then
+       try ignore (Unix.single_write b.bell_w bell 0 1 : int) with Unix.Unix_error _ -> ());
+    Mutex.unlock b.bell_lock
+  end
+
+let no_reply =
+  { r_cid = -1; r_sid = -1; r_class = 0; r_t0 = 0; r_done = 0; r_buf = Bytes.empty; r_len = 0 }
+
+(* The pool's finish hook, on the worker's domain: it runs after the
+   finished job's last slice is stamped, so the loop cannot pop a reply
+   before the slice that made it has ended (the stage decomposition
+   needs that order), and before the job counts as finished, so a
+   drained pool has pushed every reply.  A full ring means the loop is
+   awake or paused (it parks only once every reply ring is empty), so
+   the worker parks until the loop's next pop wakes it. *)
+let publish b ~wid =
+  let reply = b.outbox.(wid) in
+  if reply != no_reply then begin
+    b.outbox.(wid) <- no_reply;
+    let ring = b.rings.(wid) in
+    if not (Spsc_ring.try_push ring reply) then begin
+      let has_space () = Spsc_ring.length ring < Spsc_ring.capacity ring in
+      while not (Spsc_ring.try_push ring reply) do
+        Park.park b.space.(wid) has_space
+      done
+    end;
+    ring_bell b
+  end
 
 (* Every rule [create] needs, checked before anything is bound or
    built; the first one broken is the error. *)
@@ -244,12 +313,30 @@ let listen ~host ~port =
    them (DESIGN.md, "Live serving"). *)
 let create ?(spans = Span.null) ?(tail = Tail.null) ?gc config =
   Option.iter invalid_arg (config_error config);
+  let minor_mark = Gc.minor_words () in
   let listen_fd, port = listen ~host:config.host ~port:config.port in
   let worker_regs = Array.init config.workers (fun _ -> Counters.create ()) in
+  let bell_r, bell_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock bell_r;
+  Unix.set_nonblock bell_w;
+  let back =
+    {
+      rings =
+        Array.init config.workers (fun _ ->
+            Spsc_ring.create ~capacity:(max 1024 (4 * config.ring_capacity)));
+      outbox = Array.make config.workers no_reply;
+      space = Array.init config.workers (fun _ -> Park.create ());
+      parked = Atomic.make false;
+      bell_r;
+      bell_w;
+      bell_lock = Mutex.create ();
+      bell_open = true;
+    }
+  in
   let pool =
     Parallel.create ~workers:config.workers ~quantum_ns:config.quantum_ns
       ~ring_capacity:config.ring_capacity ~classes:Protocol.class_count ~spans
-      ~worker_counters:worker_regs
+      ~worker_counters:worker_regs ~on_finish:(publish back)
       ?gc_pause_ns:(Option.map (fun g () -> Gc_events.self_pause_ns g) gc)
       ()
   in
@@ -272,10 +359,7 @@ let create ?(spans = Span.null) ?(tail = Tail.null) ?gc config =
           ~seed:(Int64.add config.seed (Int64.of_int i))
           ())
   in
-  let reply_rings =
-    Array.init config.workers (fun _ ->
-        Spsc_ring.create ~capacity:(max 1024 (4 * config.ring_capacity)))
-  in
+
   let bufs = Pool.create ~max_pooled:config.pool_bufs ~buf_bytes:config.pool_buf_bytes () in
   let workers = Parallel.workers pool in
   let latency = Latency.create () in
@@ -285,7 +369,7 @@ let create ?(spans = Span.null) ?(tail = Tail.null) ?gc config =
       port;
       pool;
       apps;
-      reply_rings;
+      back;
       bufs;
       listen_fd;
       stop_flag = Atomic.make false;
@@ -301,7 +385,15 @@ let create ?(spans = Span.null) ?(tail = Tail.null) ?gc config =
       ctl_latency_ns;
       workers;
       listening = true;
+      stopping = false;
       conns = Hashtbl.create 64;
+      by_fd = Hashtbl.create 64;
+      read_fds = [];
+      fds_stale = true;
+      dirty_conns = [||];
+      n_dirty = 0;
+      progress = false;
+      minor_mark;
       pending = Hashtbl.create 1024;
       ledger =
         {
@@ -356,8 +448,11 @@ let create ?(spans = Span.null) ?(tail = Tail.null) ?gc config =
   t
 
 let port t = t.port
-let stop t = Atomic.set t.stop_flag true
+let stop t =
+  Atomic.set t.stop_flag true;
+  ring_bell t.back
 let draining t = Atomic.get t.stop_flag
+let parked t = Atomic.get t.back.parked
 
 (* {2 Reading the ledger}
 
@@ -690,6 +785,7 @@ let in_flight t = total t.ledger.dispatched - total t.ledger.good - total t.ledg
 let stop_listening t =
   if t.listening then begin
     t.listening <- false;
+    t.fds_stale <- true;
     try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
   end
 
@@ -697,6 +793,8 @@ let close_conn t conn =
   if conn.alive then begin
     conn.alive <- false;
     Hashtbl.remove t.conns conn.cid;
+    Hashtbl.remove t.by_fd conn.fd;
+    t.fds_stale <- true;
     try Unix.close conn.fd with Unix.Unix_error _ -> ()
   end
 
@@ -704,12 +802,31 @@ let adopt_fd t fd =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   let cid = t.next_cid in
   t.next_cid <- cid + 1;
-  Hashtbl.replace t.conns cid
-    { fd; cid; rb = Reassembly.create (); wb = Outbuf.create (); alive = true };
+  let conn =
+    { fd; cid; rb = Reassembly.create (); wb = Outbuf.create (); alive = true;
+      dirty = false }
+  in
+  Hashtbl.replace t.conns cid conn;
+  Hashtbl.replace t.by_fd fd conn;
+  t.fds_stale <- true;
   t.ledger.connections <- t.ledger.connections + 1;
   if t.spans_on then
     Span.record t.sink ~req_id:(-1) ~phase:Span.Accept ~start_ns:(now_ns ())
       ~dur_ns:0 ~arg:cid
+
+(* A connection with output joins the loop's flush list once; a pass
+   flushes only the connections on it, not every connection. *)
+let mark_dirty t conn =
+  if not conn.dirty then begin
+    conn.dirty <- true;
+    if t.n_dirty = Array.length t.dirty_conns then begin
+      let grown = Array.make (max 16 (2 * t.n_dirty)) conn in
+      Array.blit t.dirty_conns 0 grown 0 t.n_dirty;
+      t.dirty_conns <- grown
+    end;
+    t.dirty_conns.(t.n_dirty) <- conn;
+    t.n_dirty <- t.n_dirty + 1
+  end
 
 (* Dispatcher-side responses (shed verdicts, stats bodies) go through
    the same pooled zero-copy path as worker replies. *)
@@ -718,6 +835,7 @@ let add_response t conn resp =
   let buf = Pool.acquire t.bufs ~len in
   let n = Protocol.encode_response_into buf ~off:0 resp in
   Outbuf.add_bytes conn.wb buf ~off:0 ~len:n;
+  mark_dirty t conn;
   Pool.release t.bufs buf
 
 let shed_response t conn req_id =
@@ -742,40 +860,27 @@ let serve_stats t conn req_id view =
 (* {2 Dispatch} *)
 
 (* The worker-side closure for one request: execute on the running
-   worker's app, encode into a pooled buffer, push onto that worker's
-   reply ring.  The app and ring are looked up from the [wid] the pool
-   passes at execution — the worker the job was submitted to — so the
-   closure needs no placement argument and each reply ring keeps one
-   producer, its own worker. *)
+   worker's app, encode into a pooled buffer, and leave the reply in
+   that worker's outbox for [publish].  The app and outbox are looked
+   up from the [wid] the pool passes at execution — the worker the job
+   was submitted to — so the closure needs no placement argument and
+   each reply ring keeps one producer, its own worker. *)
 let make_job t ~sid ~cid ~class_idx ~t0 ~req_id req =
-  let apps = t.apps in
-  let rings = t.reply_rings in
-  let bufs = t.bufs in
-  let spans_on = t.spans_on in
   fun ~wid ->
-    let app = apps.(wid) in
-    let ring = rings.(wid) in
-    let resp = App.execute app ~req_id req in
+    let resp = App.execute t.apps.(wid) ~req_id req in
     let len = Protocol.response_frame_len resp in
-    let buf = Pool.acquire bufs ~len in
+    let buf = Pool.acquire t.bufs ~len in
     let n = Protocol.encode_response_into buf ~off:0 resp in
-    let reply =
+    t.back.outbox.(wid) <-
       {
         r_cid = cid;
         r_sid = sid;
         r_class = class_idx;
         r_t0 = t0;
-        r_done = (if spans_on then now_ns () else 0);
+        r_done = (if t.spans_on then now_ns () else 0);
         r_buf = buf;
         r_len = n;
       }
-    in
-    if not (Spsc_ring.try_push ring reply) then begin
-      let backoff = Tq_runtime.Backoff.create () in
-      while not (Spsc_ring.try_push ring reply) do
-        Tq_runtime.Backoff.once backoff
-      done
-    end
 
 let shed t conn ~p0 ~class_idx req_id =
   bump t.ledger.shed class_idx;
@@ -829,31 +934,37 @@ let dispatch t conn ~p0 req_id req =
     in
     let t0 = now_ns () in
     let job = make_job t ~sid ~cid ~class_idx ~t0 ~req_id req in
+    Hashtbl.replace t.pending sid
+      {
+        p_cid = cid;
+        p_req_id = req_id;
+        p_req = req;
+        p_class = class_idx;
+        p_t0 = t0;
+        p_worker = w;
+        p_quantum_ns = q_ns;
+        p_cap = cap;
+        p_inject = inj;
+      };
+    (* The Dispatch span ends just before the push: once the job is on
+       the ring the worker may stamp its pickup before this thread
+       reads the clock again. *)
+    let t1 = if t.spans_on then now_ns () else 0 in
     if Parallel.submit_to t.pool ~tag:sid ~class_idx ~worker:w job then begin
       t.next_sid <- sid + 1;
       bump t.ledger.dispatched class_idx;
-      Hashtbl.replace t.pending sid
-        {
-          p_cid = cid;
-          p_req_id = req_id;
-          p_req = req;
-          p_class = class_idx;
-          p_t0 = t0;
-          p_worker = w;
-          p_quantum_ns = q_ns;
-          p_cap = cap;
-          p_inject = inj;
-        };
       if t.spans_on then begin
         Span.record t.sink ~req_id:sid ~phase:Span.Parse ~start_ns:p0
           ~dur_ns:(max 0 (t0 - p0)) ~arg:conn.cid;
         Span.record t.sink ~req_id:sid ~phase:Span.Dispatch ~start_ns:t0
-          ~dur_ns:(now_ns () - t0) ~arg:w
+          ~dur_ns:(t1 - t0) ~arg:w
       end
     end
-    else
+    else begin
       (* the chosen core's ring is full: backpressure, shed at the door *)
+      Hashtbl.remove t.pending sid;
       shed t conn ~p0 ~class_idx req_id
+    end
   end
 
 let rec parse_frames t conn =
@@ -875,116 +986,218 @@ let rec parse_frames t conn =
             | _ -> dispatch t conn ~p0 req_id req);
             parse_frames t conn)
 
-let rec accept_new t progress =
+(* The loop reads only what its [select] reported ready: one accept
+   for a ready listener, one read for a ready connection.  A blind call
+   that finds nothing raises [Unix_error EAGAIN], 9 minor words each. *)
+let accept_one t =
   match Unix.accept ~cloexec:true t.listen_fd with
   | fd, _ ->
       Unix.set_nonblock fd;
-      progress := true;
-      adopt_fd t fd;
-      accept_new t progress
+      t.progress <- true;
+      adopt_fd t fd
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR | ECONNABORTED), _, _) -> ()
 
-let read_conn t chunk progress conn =
+let read_conn t chunk conn =
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | 0 -> close_conn t conn
   | n ->
-      progress := true;
+      t.progress <- true;
       Reassembly.add conn.rb chunk n;
       parse_frames t conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> close_conn t conn
 
-let conn_list t = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
+let complete t ~worker reply =
+  match Hashtbl.find_opt t.pending reply.r_sid with
+  | None ->
+      (* Already answered by a re-dispatched copy (the original worker
+         finished after being declared dead).  Count and drop — the
+         client saw exactly one response. *)
+      t.ledger.duplicates <- t.ledger.duplicates + 1
+  | Some p -> (
+      Hashtbl.remove t.pending reply.r_sid;
+      let now = now_ns () in
+      let sojourn = now - reply.r_t0 in
+      bump (if sojourn <= t.ctl_latency_ns then t.ledger.good else t.ledger.late) reply.r_class;
+      Admission.note_completion t.adm ~sojourn_ns:sojourn;
+      Latency.record t.lat_all sojourn;
+      Latency.record t.lat_class.(reply.r_class) sojourn;
+      if t.spans_on then
+        (* worker push -> loop pop-and-buffer: the reply ring hop plus
+           write buffering, the request's last leg *)
+        Span.record t.sink ~req_id:reply.r_sid ~phase:Span.Reply_flush
+          ~start_ns:reply.r_done
+          ~dur_ns:(max 0 (now - reply.r_done))
+          ~arg:reply.r_cid;
+      if t.tail_on then
+        (* [worker] is the ring owner, i.e. the worker that executed the
+           request — after a re-dispatch, the replacement rather than
+           the first placement *)
+        Tail.offer t.tail_sink ~now_ns:now ~seq:reply.r_sid ~class_idx:reply.r_class
+          ~worker ~sojourn_ns:sojourn ~t0_ns:reply.r_t0 ~quantum_ns:p.p_quantum_ns
+          ~cap:p.p_cap ~inject_depth:p.p_inject;
+      match Hashtbl.find t.conns reply.r_cid with
+      | conn ->
+          Outbuf.add_bytes conn.wb reply.r_buf ~off:0 ~len:reply.r_len;
+          mark_dirty t conn
+      | exception Not_found -> t.ledger.orphaned <- t.ledger.orphaned + 1)
 
-let poll_replies t progress =
-  Array.iteri
-    (fun w ring ->
-      let rec go () =
-        match Spsc_ring.try_pop ring with
-        | None -> ()
-        | Some reply ->
-            progress := true;
-            (match Hashtbl.find_opt t.pending reply.r_sid with
-            | None ->
-                (* Already answered by a re-dispatched copy (the original
-                   worker finished after being declared dead).  Count and
-                   drop — the client saw exactly one response. *)
-                t.ledger.duplicates <- t.ledger.duplicates + 1
-            | Some p -> (
-                Hashtbl.remove t.pending reply.r_sid;
-                let now = now_ns () in
-                let sojourn = now - reply.r_t0 in
-                bump
-                  (if sojourn <= t.ctl_latency_ns then t.ledger.good else t.ledger.late)
-                  reply.r_class;
-                Admission.note_completion t.adm ~sojourn_ns:sojourn;
-                Latency.record t.lat_all sojourn;
-                Latency.record t.lat_class.(reply.r_class) sojourn;
-                if t.spans_on then
-                  (* worker push -> loop pop-and-buffer: the reply ring
-                     hop plus write buffering, the request's last leg *)
-                  Span.record t.sink ~req_id:reply.r_sid ~phase:Span.Reply_flush
-                    ~start_ns:reply.r_done
-                    ~dur_ns:(max 0 (now - reply.r_done))
-                    ~arg:reply.r_cid;
-                if t.tail_on then
-                  (* [w] is the ring owner, i.e. the worker that
-                     executed the request — after a re-dispatch, the
-                     replacement rather than the first placement *)
-                  Tail.offer t.tail_sink ~now_ns:now ~seq:reply.r_sid
-                    ~class_idx:reply.r_class ~worker:w ~sojourn_ns:sojourn
-                    ~t0_ns:reply.r_t0 ~quantum_ns:p.p_quantum_ns ~cap:p.p_cap
-                    ~inject_depth:p.p_inject;
-                match Hashtbl.find_opt t.conns reply.r_cid with
-                | Some conn ->
-                    Outbuf.add_bytes conn.wb reply.r_buf ~off:0 ~len:reply.r_len
-                | None -> t.ledger.orphaned <- t.ledger.orphaned + 1));
-            Pool.release t.bufs reply.r_buf;
-            go ()
-      in
-      go ())
-    t.reply_rings
+(* Each pop may free the slot a worker parked on a full ring waits for. *)
+let poll_replies t =
+  for w = 0 to Array.length t.back.rings - 1 do
+    let ring = t.back.rings.(w) in
+    let more = ref true in
+    while !more do
+      match Spsc_ring.try_pop ring with
+      | None -> more := false
+      | Some reply ->
+          t.progress <- true;
+          complete t ~worker:w reply;
+          Pool.release t.bufs reply.r_buf
+    done;
+    Park.wake t.back.space.(w)
+  done
 
-let flush_conn t progress conn =
-  if not (Outbuf.is_empty conn.wb) then begin
-    let buf, off, len = Outbuf.peek conn.wb in
-    match Unix.write conn.fd buf off len with
-    | n ->
-        if n > 0 then progress := true;
-        Outbuf.consume conn.wb n
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> close_conn t conn
+let flush_conn t conn =
+  let buf, off, len = Outbuf.peek conn.wb in
+  match Unix.write conn.fd buf off len with
+  | n ->
+      if n > 0 then t.progress <- true;
+      Outbuf.consume conn.wb n
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> close_conn t conn
+
+(* Flush the connections with output; the ones a full socket buffer
+   leaves with output stay on the list, and the park waits for them to
+   become writable. *)
+let flush_dirty t =
+  let kept = ref 0 in
+  for i = 0 to t.n_dirty - 1 do
+    let c = t.dirty_conns.(i) in
+    if c.alive && not (Outbuf.is_empty c.wb) then flush_conn t c;
+    if c.alive && not (Outbuf.is_empty c.wb) then begin
+      t.dirty_conns.(!kept) <- c;
+      incr kept
+    end
+    else c.dirty <- false
+  done;
+  t.n_dirty <- !kept
+
+(* {2 The park}
+
+   One [select] per pass, over the doorbell, the listener and every
+   connection, plus the connections with output still pending.  A pass
+   that moved anything polls (timeout 0); a pass that moved nothing
+   parks until a socket is ready, a worker rings, [stop] rings, or the
+   loop's next timer is due: heartbeat, controller tick, tick hook,
+   pause end or drain deadline. *)
+
+(* The loop's share of its domain's minor heap, in words: at a park,
+   a loop that has allocated this much since its last collection (or
+   since [create] began) collects.  A domain keeps resident every page
+   of its minor heap it has touched, and allocation restarts at the top
+   after each collection, so the loop touches about this much of its
+   heap however large the heap is, and the workers fill their own heaps
+   no further between collections.  The heap is not resized: [Gc.set]
+   of the minor heap while other domains ran crashed OCaml 5.1.
+   DESIGN.md ("Live serving") has the measurement behind the size. *)
+let minor_heap_words = 65_536
+
+(* How often an installed tick hook is run while the loop is parked. *)
+let tick_hook_period_ns = 1_000_000
+
+let bound_minor_heap t =
+  if Gc.minor_words () -. t.minor_mark >= float_of_int minor_heap_words then begin
+    Gc.minor ();
+    t.minor_mark <- Gc.minor_words ()
   end
 
-let pending_writes t =
-  Hashtbl.fold (fun _ c acc -> acc || not (Outbuf.is_empty c.wb)) t.conns false
+let replies_waiting t =
+  let waiting = ref false in
+  for w = 0 to Array.length t.back.rings - 1 do
+    if Spsc_ring.length t.back.rings.(w) > 0 then waiting := true
+  done;
+  !waiting
 
-(* Every worker done with what it was assigned, and every reply ring
-   empty.  A killed worker's count freezes above zero, so after a kill
-   the loop polls instead of blocking. *)
-let workers_quiet t =
-  let quiet = ref true in
-  Array.iteri
-    (fun w ring ->
-      if Spsc_ring.length ring > 0 || Parallel.worker_in_flight t.pool ~worker:w > 0
-      then quiet := false)
-    t.reply_rings;
-  !quiet
+(* A request whose reply has not been popped, on a worker not declared
+   dead: what the drain must still wait for. *)
+let held_by_living_worker t =
+  Hashtbl.fold
+    (fun _ p held -> held || Parallel.worker_alive t.pool ~worker:p.p_worker)
+    t.pending false
 
-(* Block on socket readiness only when the whole pipeline is quiet.
-   With work in flight the loop polls, like the paper's dedicated
-   dispatcher core — but through a spin-then-park backoff, so on a
-   machine where the loop and workers share cores a reply-less poll
-   round hands the core to the workers (see {!Tq_runtime.Backoff}). *)
-let idle_wait t backoff =
-  if workers_quiet t && not (pending_writes t) then begin
-    let fds = List.map (fun c -> c.fd) (conn_list t) in
-    let fds = if t.listening then t.listen_fd :: fds else fds in
-    match Unix.select fds [] [] 0.02 with
+let next_timer_ns t ~now ~paused_until ~stop_deadline_ns =
+  let tick =
+    match t.tick_hook with Some _ -> now + tick_hook_period_ns | None -> max_int
+  in
+  if now < paused_until then Int.min tick paused_until
+  else begin
+    let d = ref (if stop_deadline_ns > now then Int.min tick stop_deadline_ns else tick) in
+    if t.heartbeat_interval_ns > 0 then d := Int.min !d t.hb_next_ns;
+    (match t.ctl with Some _ -> d := Int.min !d t.ctl_next_ns | None -> ());
+    !d
+  end
+
+let read_fds t =
+  if t.stopping then [ t.back.bell_r ]
+  else begin
+    if t.fds_stale then begin
+      t.fds_stale <- false;
+      let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.by_fd [] in
+      t.read_fds <- t.back.bell_r :: (if t.listening then t.listen_fd :: fds else fds)
+    end;
+    t.read_fds
+  end
+
+let write_fds t =
+  let fds = ref [] in
+  for i = 0 to t.n_dirty - 1 do
+    fds := t.dirty_conns.(i).fd :: !fds
+  done;
+  !fds
+
+let on_ready t chunk fd =
+  if fd = t.back.bell_r then
+    (* empty the pipe: one byte per ring, a few at most *)
+    match Unix.read t.back.bell_r chunk 0 64 with
     | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  end
-  else Tq_runtime.Backoff.once backoff
+    | exception Unix.Unix_error _ -> ()
+  else if t.listening && fd = t.listen_fd then accept_one t
+  else
+    match Hashtbl.find t.by_fd fd with
+    | conn -> read_conn t chunk conn
+    | exception Not_found -> ()
+
+let rec on_ready_all t chunk = function
+  | [] -> ()
+  | fd :: rest ->
+      on_ready t chunk fd;
+      on_ready_all t chunk rest
+
+(* [io] is false during a dispatcher pause: then only the doorbell is
+   watched, so a [stop] still wakes the loop and nothing else moves. *)
+let await t chunk ~now ~deadline_ns ~io =
+  let block = not t.progress in
+  t.progress <- false;
+  if block then begin
+    bound_minor_heap t;
+    Atomic.set t.back.parked true
+  end;
+  let timeout =
+    if (not block)
+       || (io && replies_waiting t)
+       || (Atomic.get t.stop_flag && not t.stopping)
+    then 0.0
+    else if deadline_ns = max_int then -1.0
+    else Float.of_int (Int.max 0 (deadline_ns - now)) *. 1e-9
+  in
+  let reads = if io then read_fds t else [ t.back.bell_r ] in
+  let writes = if io && t.n_dirty > 0 then write_fds t else [] in
+  match Unix.select reads writes [] timeout with
+  | ready, _, _ ->
+      Atomic.set t.back.parked false;
+      on_ready_all t chunk ready
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> Atomic.set t.back.parked false
 
 (* {2 Worker health: heartbeats, death verdicts, re-dispatch}
 
@@ -1023,8 +1236,9 @@ let redispatch_orphans t =
 (* Progress-based liveness: a worker that made no loop pass across a
    whole heartbeat window while holding work is suspect; after
    [missed_heartbeats] consecutive suspect windows it is declared dead
-   and its pending requests move.  Idle workers always beat, so quiet
-   periods never accumulate misses.  A verdict is not final: a worker
+   and its pending requests move.  An idle worker parks and stops
+   beating, but it holds no work, so quiet periods never accumulate
+   misses.  A verdict is not final: a worker
    whose beats advance after it was declared dead was only stalled, and
    rejoins dispatch (a killed domain never beats again).  Requests it
    still holds complete normally; any already re-dispatched elsewhere
@@ -1058,55 +1272,55 @@ let serve t =
   Latency.adopt t.lat_all;
   Array.iter Latency.adopt t.lat_class;
   let chunk = Bytes.create 65536 in
-  let stopping = ref false in
-  let stop_deadline = ref infinity in
+  let stop_deadline_ns = ref max_int in
   let running = ref true in
-  let backoff = Tq_runtime.Backoff.create () in
   while !running do
-    let progress = ref false in
     let now = now_ns () in
     (match t.tick_hook with Some f -> f ~now_ns:now | None -> ());
     (* the fault schedule above may have just paused the plane; the
        controller honours the pause like everything else *)
-    if now >= Atomic.get t.paused_until_ns then controller_tick t ~now;
-    if (not !stopping) && Atomic.get t.stop_flag then begin
+    let paused_until = Atomic.get t.paused_until_ns in
+    if now >= paused_until then controller_tick t ~now;
+    if (not t.stopping) && Atomic.get t.stop_flag then begin
       (* Graceful drain: no new connections, no new frames; everything
          already dispatched still completes and flushes. *)
-      stopping := true;
-      stop_deadline := Unix.gettimeofday () +. t.drain_timeout_s;
+      t.stopping <- true;
+      stop_deadline_ns := now + int_of_float (t.drain_timeout_s *. 1e9);
       stop_listening t
     end;
-    if now < Atomic.get t.paused_until_ns then ()
-      (* dispatcher outage (fault hook): nothing moves — no accepts,
-         no replies, no heartbeat verdicts — exactly like a wedged
+    let io = now >= paused_until in
+    if io then begin
+      (* while paused (fault hook) nothing moves — no accepts, no
+         replies, no heartbeat verdicts — exactly like a wedged
          dispatcher thread; workers keep serving their rings *)
-    else begin
       heartbeat_check t ~now;
-      if not !stopping then begin
-        accept_new t progress;
-        List.iter (fun c -> read_conn t chunk progress c) (conn_list t)
-      end;
-      poll_replies t progress;
-      List.iter (fun c -> flush_conn t progress c) (conn_list t);
-      if !stopping then begin
-        let drained = in_flight t = 0 in
-        if drained && not (pending_writes t) then running := false
-        else if Unix.gettimeofday () > !stop_deadline then begin
+      poll_replies t;
+      flush_dirty t;
+      if t.stopping then
+        if in_flight t = 0 && t.n_dirty = 0 then running := false
+        else if now > !stop_deadline_ns && not (held_by_living_worker t) then
           (* Unresponsive clients: finishing dispatched work is still
-             unconditional — only their unflushed bytes are abandoned. *)
-          Parallel.drain t.pool;
-          poll_replies t progress;
+             unconditional — only their unflushed bytes are abandoned.
+             The loop keeps popping replies until then, so no worker
+             waits on a full reply ring. *)
           running := false
-        end
-      end
     end;
-    if !progress then Tq_runtime.Backoff.reset backoff
-    else if !running then idle_wait t backoff
+    if !running then
+      await t chunk ~now ~io
+        ~deadline_ns:
+          (next_timer_ns t ~now ~paused_until ~stop_deadline_ns:!stop_deadline_ns)
   done;
   (* Anything still pending after the drain gave up is lost for good
      (dead-worker leftovers whose re-dispatch never landed): stamp it
      so the acceptance ledger closes — accepted = completed + lost +
      dropped + in_flight, with in_flight 0 once the loop exits. *)
   t.ledger.lost <- Hashtbl.length t.pending;
-  List.iter (fun c -> close_conn t c) (conn_list t);
-  ignore (Parallel.shutdown t.pool : Parallel.stats)
+  List.iter (close_conn t) (Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []);
+  ignore (Parallel.shutdown t.pool : Parallel.stats);
+  Mutex.lock t.back.bell_lock;
+  t.back.bell_open <- false;
+  (try
+     Unix.close t.back.bell_r;
+     Unix.close t.back.bell_w
+   with Unix.Unix_error _ -> ());
+  Mutex.unlock t.back.bell_lock

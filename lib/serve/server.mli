@@ -13,7 +13,7 @@
     Level 2 is a persistent {!Tq_runtime.Parallel} pool: worker domains
     that force-multitask request fibers with wall-clock quanta and push
     encoded responses onto per-worker SPSC reply rings the dispatcher
-    polls.
+    drains, ringing its doorbell when it is parked.
 
     Overload protection happens at the socket boundary, before any
     dispatch cost: a NIC-style ring-depth gate (shed when pool-wide
@@ -166,8 +166,17 @@ val port : t -> int
 
 (** [serve t] runs the dispatcher loop in the calling thread and
     returns once it has observed {!stop} and drained.  Call at most
-    once. *)
+    once.  Between passes with nothing to do the loop parks in one
+    [select] over its sockets and a doorbell that workers ring with a
+    reply, until its next timer.  Before it parks, a loop that has
+    allocated {!minor_heap_words} since its last collection (or since
+    {!create} began) runs a minor collection. *)
 val serve : t -> unit
+
+(** How much of its domain's minor heap, in words, the loop fills
+    before it collects at a park (DESIGN.md, "Live serving", has the
+    measurement behind it). *)
+val minor_heap_words : int
 
 (** [stop t] requests graceful drain; safe from another
     thread or a signal handler.  Idempotent. *)
@@ -176,6 +185,11 @@ val stop : t -> unit
 (** [draining t] — {!stop} has been called: the health check's
     [503 draining]. *)
 val draining : t -> bool
+
+(** [parked t] — the loop has nothing to do and is blocked in its
+    [select], or about to block: a worker's reply or {!stop} rings its
+    doorbell. *)
+val parked : t -> bool
 
 (** Live accounting snapshot of the loop's ledger.  Safe from any
     thread — word-sized plain loads, never torn, eventually consistent

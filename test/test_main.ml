@@ -12,6 +12,7 @@ let () =
       ("kv", Test_kv.suite);
       ("tpcc", Test_tpcc.suite);
       ("runtime", Test_runtime.suite);
+      ("park", Test_runtime.park_suite);
       ("extensions", Test_extensions.suite);
       ("queueing", Test_queueing.suite);
       ("net", Test_net.suite);

@@ -451,17 +451,20 @@ let suite =
 
 (* --- Parallel: the persistent handle API behind tq_serve --- *)
 
+(* The test's own retry pause while a ring is full or a counter has
+   not moved yet: it frees the core for the workers. *)
+let nap () = Unix.sleepf 1e-5
+
 let test_parallel_handle_lifecycle () =
   let pool = Parallel.create ~workers:2 ~ring_capacity:8 () in
   Parallel.start pool;
   check Alcotest.int "workers" 2 (Parallel.workers pool);
   let hits = Array.init 2 (fun _ -> Atomic.make 0) in
   let submitted = ref 0 in
-  let backoff = Backoff.create () in
   for i = 0 to 99 do
     let w = i mod 2 in
     while not (Parallel.submit_to pool ~worker:w (fun ~wid:_ -> Atomic.incr hits.(w))) do
-      Backoff.once backoff
+      nap ()
     done;
     incr submitted
   done;
@@ -505,7 +508,6 @@ let test_parallel_shutdown_drains_backlog () =
   Parallel.start pool;
   let ran = Atomic.make 0 in
   let n = 200 in
-  let backoff = Backoff.create () in
   for _ = 1 to n do
     while
       not
@@ -515,7 +517,7 @@ let test_parallel_shutdown_drains_backlog () =
              done;
              Atomic.incr ran))
     do
-      Backoff.once backoff
+      nap ()
     done
   done;
   let stats = Parallel.shutdown pool in
@@ -549,7 +551,6 @@ let stall_counts gc_pause_ns =
       ~worker_counters:regs ?gc_pause_ns ()
   in
   Parallel.start pool;
-  let backoff = Backoff.create () in
   while
     not
       (Parallel.submit pool (fun ~wid:_ ->
@@ -560,7 +561,7 @@ let stall_counts gc_pause_ns =
              Probe_api.probe ()
            done))
   do
-    Backoff.once backoff
+    nap ()
   done;
   ignore (Parallel.shutdown pool);
   let count name = Tq_obs.Counters.find_count regs.(0) name in
@@ -614,7 +615,6 @@ let test_parallel_runs_where_placed () =
   Parallel.start pool;
   let n = 48 in
   let misplaced = Atomic.make 0 in
-  let backoff = Backoff.create () in
   for _ = 1 to n do
     while
       not
@@ -624,7 +624,7 @@ let test_parallel_runs_where_placed () =
              done;
              if wid <> 0 then Atomic.incr misplaced))
     do
-      Backoff.once backoff
+      nap ()
     done
   done;
   let stats = Parallel.shutdown pool in
@@ -638,14 +638,13 @@ let test_parallel_revive () =
   let pool = Parallel.create ~workers:2 () in
   Parallel.start pool;
   let release = Atomic.make false in
-  let backoff = Backoff.create () in
   assert (
     Parallel.submit_to pool ~worker:1 (fun ~wid:_ ->
         while not (Atomic.get release) do
           Domain.cpu_relax ()
         done));
   while Parallel.worker_in_flight pool ~worker:1 = 0 do
-    Backoff.once backoff
+    nap ()
   done;
   check Alcotest.int "verdict reports the held job" 1 (Parallel.mark_dead pool ~worker:1);
   check Alcotest.int "second verdict is a no-op" 0 (Parallel.mark_dead pool ~worker:1);
@@ -667,14 +666,13 @@ let test_parallel_pick_msq_tie () =
   let pool = Parallel.create ~workers:2 ~quantum_ns:1 () in
   Parallel.start pool;
   let release = Atomic.make false in
-  let backoff = Backoff.create () in
   assert (
     Parallel.submit_to pool ~worker:1 (fun ~wid:_ ->
         while not (Atomic.get release) do
           Probe_api.probe ()
         done));
   while (Parallel.stats pool).Parallel.yields < 5 do
-    Backoff.once backoff
+    nap ()
   done;
   assert (
     Parallel.submit_to pool ~worker:0 (fun ~wid:_ ->
@@ -704,3 +702,122 @@ let placement_suite =
   ]
 
 let suite = suite @ stall_suite @ placement_suite
+
+(* --- Park and wake: no lost wake-up --- *)
+
+(* Spin (freeing the core now and then) until [cond] holds or
+   [seconds] pass; true when it held. *)
+let wait_for ?(seconds = 5.0) cond =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go spins =
+    if cond () then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      if spins land 63 = 63 then Thread.yield () else Domain.cpu_relax ();
+      go (spins + 1)
+    end
+  in
+  go 0
+
+(* Two domains, the test's and one worker's.  Before each push the
+   producer waits until the worker has raised its sleeping flag, so
+   every push races the worker's last look at its ring: the window a
+   lost wake-up would need.  Each task must finish within the bound;
+   a lost wake-up leaves it on the ring forever. *)
+let park_bound_s = 1.0
+
+let test_park_stress () =
+  let pool = Parallel.create ~workers:1 () in
+  Parallel.start pool;
+  let done_ = Atomic.make 0 in
+  let n = 10_000 in
+  let slowest = ref 0.0 in
+  for i = 1 to n do
+    if not (wait_for (fun () -> Parallel.parked pool ~worker:0)) then
+      Alcotest.failf "task %d: the worker never parked" i;
+    let t0 = Unix.gettimeofday () in
+    assert (Parallel.submit_to pool ~worker:0 (fun ~wid:_ -> Atomic.incr done_));
+    if not (wait_for ~seconds:park_bound_s (fun () -> Atomic.get done_ = i)) then
+      Alcotest.failf "task %d not run within %.1f s of its push: a lost wake-up" i
+        park_bound_s;
+    slowest := Float.max !slowest (Unix.gettimeofday () -. t0)
+  done;
+  let stats = Parallel.shutdown pool in
+  check Alcotest.int "every task ran" n stats.Parallel.completed;
+  check Alcotest.bool
+    (Printf.sprintf "slowest push-to-finish %.3f ms within the bound" (!slowest *. 1e3))
+    true (!slowest < park_bound_s)
+
+(* Every fault hook reaches a parked worker, and [shutdown] returns
+   with parked, stalled and killed workers in the pool. *)
+let test_park_faults () =
+  let pool = Parallel.create ~workers:3 () in
+  Parallel.start pool;
+  let all_parked () =
+    Parallel.parked pool ~worker:0 && Parallel.parked pool ~worker:1
+    && Parallel.parked pool ~worker:2
+  in
+  check Alcotest.bool "every idle worker parks" true (wait_for all_parked);
+  let beats w = Parallel.beats pool ~worker:w in
+  let b0 = beats 0 and b1 = beats 1 in
+  Parallel.kill_worker pool ~worker:0;
+  check Alcotest.bool "a kill wakes the parked worker, which exits" true
+    (wait_for (fun () -> beats 0 > b0 && not (Parallel.parked pool ~worker:0)));
+  Parallel.stall_worker pool ~worker:1 ~duration_ns:20_000_000
+    ~now_ns:(Clock.now_ns (Clock.wall ()));
+  check Alcotest.bool "a stall wakes the parked worker" true
+    (wait_for (fun () -> beats 1 > b1));
+  check Alcotest.bool "after the stall it parks again" true
+    (wait_for (fun () -> Parallel.parked pool ~worker:1));
+  let ran = Atomic.make false in
+  assert (Parallel.submit_to pool ~worker:1 (fun ~wid:_ -> Atomic.set ran true));
+  check Alcotest.bool "and serves the next push" true (wait_for (fun () -> Atomic.get ran));
+  Parallel.stall_worker pool ~worker:2 ~duration_ns:50_000_000
+    ~now_ns:(Clock.now_ns (Clock.wall ()));
+  let returned = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        ignore (Parallel.shutdown pool : Parallel.stats);
+        Atomic.set returned true)
+      ()
+  in
+  check Alcotest.bool "shutdown returns with a killed, a parked and a stalled worker" true
+    (wait_for ~seconds:10.0 (fun () -> Atomic.get returned));
+  Thread.join th
+
+(* [drain] parks until the last finish wakes it. *)
+let test_park_drain () =
+  let pool = Parallel.create ~workers:2 () in
+  Parallel.start pool;
+  let release = Atomic.make false in
+  for w = 0 to 1 do
+    assert (
+      Parallel.submit_to pool ~worker:w (fun ~wid:_ ->
+          while not (Atomic.get release) do
+            Domain.cpu_relax ()
+          done))
+  done;
+  let drained = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        Parallel.drain pool;
+        Atomic.set drained true)
+      ()
+  in
+  Unix.sleepf 0.01;
+  check Alcotest.bool "drain waits while jobs run" false (Atomic.get drained);
+  Atomic.set release true;
+  check Alcotest.bool "the last finish wakes the drain" true
+    (wait_for (fun () -> Atomic.get drained));
+  Thread.join th;
+  ignore (Parallel.shutdown pool : Parallel.stats)
+
+(* Its own suite, so CI can run it many times in a row by name. *)
+let park_suite =
+  [
+    Alcotest.test_case "lost wake-up stress" `Quick test_park_stress;
+    Alcotest.test_case "parked worker: kill, stall, stop" `Quick test_park_faults;
+    Alcotest.test_case "drain wakes on finish" `Quick test_park_drain;
+  ]

@@ -524,6 +524,24 @@ let adaptive_config =
     missed_heartbeats = 3;
   }
 
+(* The fault tests' batches hold tens of milliseconds of work, so the
+   5 ms objective above is breached and the controller would shed most
+   of a batch, leaving the worker they kill idle, unsuspected and never
+   declared dead.  Under this controller the admission limit cannot
+   fall below the batch, so no request is shed and the victim holds
+   work when it dies. *)
+let no_shed_config ~batch =
+  match adaptive_config.Server.adaptive with
+  | None -> assert false
+  | Some ctl ->
+      let floor = max batch ctl.Tq_control.Controller.shed_initial in
+      {
+        adaptive_config with
+        Server.adaptive =
+          Some { ctl with Tq_control.Controller.shed_min = floor; shed_initial = floor };
+        ring_capacity = 4_096;
+      }
+
 let test_adaptive_controller_live () =
   with_server adaptive_config (fun srv ->
       let client = Client.connect ~port:(Server.port srv) () in
@@ -574,10 +592,9 @@ let test_trace_view_needs_obs () =
    re-dispatch its pending requests to the survivor, and the drain
    invariant (zero admitted requests lost) must hold end to end. *)
 let test_kill_worker_recovery () =
-  let config = { adaptive_config with Server.ring_capacity = 4_096 } in
-  let srv = Server.create config in
-  let th = Thread.create (fun () -> Server.serve srv) () in
   let n = 600 in
+  let srv = Server.create (no_shed_config ~batch:n) in
+  let th = Thread.create (fun () -> Server.serve srv) () in
   let client = Client.connect ~port:(Server.port srv) () in
   for i = 0 to n - 1 do
     Client.send client ~req_id:i (Protocol.Echo { spin_ns = 50_000; payload = "" })
@@ -599,6 +616,7 @@ let test_kill_worker_recovery () =
   done;
   check Alcotest.int "every request answered" n (!ok + !shed);
   let s = Server.stats srv in
+  check Alcotest.int "nothing shed under the no-shed controller" 0 s.Server.shed;
   check Alcotest.int "zero loss across the kill" s.Server.dispatched s.Server.completed;
   check Alcotest.int "death verdict reached" 1 s.Server.dead_workers;
   check Alcotest.bool "orphans re-dispatched to the survivor" true
@@ -704,8 +722,8 @@ let test_live_fault_schedule () =
   in
   let live = Tq_fault.Live.create events in
   check Alcotest.int "two events pending" 2 (Tq_fault.Live.pending live);
-  let config = { adaptive_config with Server.ring_capacity = 4_096 } in
-  let srv = Server.create config in
+  let n = 800 in
+  let srv = Server.create (no_shed_config ~batch:n) in
   let actions =
     {
       Tq_fault.Live.stall =
@@ -716,7 +734,6 @@ let test_live_fault_schedule () =
   in
   Server.on_tick srv (fun ~now_ns -> ignore (Tq_fault.Live.poll live ~now_ns actions : int));
   let th = Thread.create (fun () -> Server.serve srv) () in
-  let n = 800 in
   let client = Client.connect ~port:(Server.port srv) () in
   (* a failed check must not leave the server's worker domains running
      into the tests after this one *)
@@ -738,6 +755,7 @@ let test_live_fault_schedule () =
       check Alcotest.int "every request answered through the schedule" n !answered;
       check Alcotest.int "both events fired" 2 (Tq_fault.Live.fired live);
       let s = Server.stats srv in
+      check Alcotest.int "nothing shed under the no-shed controller" 0 s.Server.shed;
       check Alcotest.int "zero loss under the schedule" s.Server.dispatched s.Server.completed;
       check Alcotest.int "the killed worker was declared dead" 1 s.Server.dead_workers)
 
@@ -1699,3 +1717,115 @@ let misbehaving_suite =
   ]
 
 let suite = suite @ misbehaving_suite
+
+(* --- The park: the loop waits on work, not on a timer --- *)
+
+let wait_for ?(seconds = 5.0) cond =
+  let deadline = Unix.gettimeofday () +. seconds in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.0002
+  done;
+  cond ()
+
+(* [f ()] in a thread, within [seconds]: a lost wake-up shows as a
+   client blocked for ever, so the test times the call from outside and
+   fails instead of hanging ([stop] rings the doorbell, which frees the
+   blocked client before the failure is reported). *)
+let within srv ~seconds what f =
+  let result = Atomic.make None in
+  let th = Thread.create (fun () -> Atomic.set result (Some (f ()))) () in
+  if not (wait_for ~seconds (fun () -> Atomic.get result <> None)) then begin
+    Server.stop srv;
+    Thread.join th;
+    Alcotest.failf "%s: no answer within %.1f s" what seconds
+  end;
+  Thread.join th;
+  Option.get (Atomic.get result)
+
+(* With no heartbeat and no controller the parked loop has no timer at
+   all, so only the doorbell can wake it for a reply.  A long request
+   holds the only worker; once the loop has parked with it in flight, a
+   short request on a second connection must come back well before the
+   long one ends (processor sharing gives it a quantum at once). *)
+let test_parked_loop_answers () =
+  let config = { base_config with Server.workers = 1; heartbeat_interval_s = 0.0 } in
+  let srv = Server.create config in
+  let th = Thread.create (fun () -> Server.serve srv) () in
+  let long = Client.connect ~port:(Server.port srv) () in
+  let short = Client.connect ~port:(Server.port srv) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop srv;
+      Thread.join th;
+      Client.close long;
+      Client.close short)
+    (fun () ->
+      ignore (within srv ~seconds:5.0 "warm-up echo" (fun () ->
+                  Client.call short (Protocol.Echo { spin_ns = 0; payload = "w" })));
+      Client.send long ~req_id:1 (Protocol.Echo { spin_ns = 200_000_000; payload = "l" });
+      check Alcotest.bool "the loop parks with the long request in flight" true
+        (wait_for (fun () ->
+             (Server.stats srv).Server.in_flight = 1 && Server.parked srv));
+      let t0 = Unix.gettimeofday () in
+      let r =
+        within srv ~seconds:5.0 "short request sent to a parked loop" (fun () ->
+            Client.call short (Protocol.Echo { spin_ns = 0; payload = "s" }))
+      in
+      let took = Unix.gettimeofday () -. t0 in
+      check Alcotest.string "short reply" "s" r.Protocol.body;
+      check Alcotest.bool
+        (Printf.sprintf "short reply in %.1f ms, before the long one ends" (took *. 1e3))
+        true (took < 0.1);
+      let r = within srv ~seconds:5.0 "long request" (fun () -> Client.recv long) in
+      check Alcotest.string "long reply" "l" r.Protocol.body)
+
+(* The loop's garbage per request, for a paced echo batch: the client
+   runs on its own domain, so this domain's minor words are the loop's
+   (and the idle test thread's).  A loop that spins between requests
+   allocates by the pass, not by the request; one that parks allocates
+   for the work it does.  Minor collections are the whole process's:
+   each one stops every domain. *)
+let paced_words_bound = 300.0  (* a loop that spun measured 3.4k-4.1k *)
+let paced_collections_bound = 5  (* a loop that spun measured 7-8 *)
+
+let test_paced_echo_garbage () =
+  let srv = Server.create { base_config with Server.workers = 1 } in
+  let th = Thread.create (fun () -> Server.serve srv) () in
+  let n = 400 in
+  let port = Server.port srv in
+  let words0 = Gc.minor_words () and gcs0 = (Gc.quick_stat ()).Gc.minor_collections in
+  let client =
+    Domain.spawn (fun () ->
+        let c = Client.connect ~port () in
+        let ok = ref 0 in
+        for _ = 1 to n do
+          (match (Client.call c (Protocol.Echo { spin_ns = 0; payload = "" })).status with
+          | Protocol.Ok -> incr ok
+          | _ -> ());
+          Unix.sleepf 0.00025
+        done;
+        Client.close c;
+        !ok)
+  in
+  let ok = Domain.join client in
+  let words = Gc.minor_words () -. words0
+  and gcs = (Gc.quick_stat ()).Gc.minor_collections - gcs0 in
+  Server.stop srv;
+  Thread.join th;
+  check Alcotest.int "every echo answered" n ok;
+  let per_request = words /. float_of_int n in
+  if per_request > paced_words_bound then
+    Alcotest.failf "loop minor words per request %.0f > %.0f" per_request
+      paced_words_bound;
+  if gcs > paced_collections_bound then
+    Alcotest.failf "minor collections over %d paced echos: %d > %d" n gcs
+      paced_collections_bound
+
+let park_suite =
+  [
+    Alcotest.test_case "parked loop answers in-flight work" `Quick
+      test_parked_loop_answers;
+    Alcotest.test_case "paced echo garbage" `Quick test_paced_echo_garbage;
+  ]
+
+let suite = suite @ park_suite
