@@ -478,11 +478,11 @@ let run_parallel_bench () =
     (* Cache disabled: both runs recompute every point.  Compact first
        so the second run does not pay for the first one's heap. *)
     Gc.compact ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = Tq_util.Time_unit.now_ns () in
     let _, stats =
       Tq_par.Sweep.run ~jobs ~cache:(Tq_par.Result_cache.disabled ()) experiments
     in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = Tq_util.Time_unit.(to_s (now_ns () - t0)) in
     let computed = Array.fold_left ( + ) 0 stats.pool.per_domain_tasks in
     Printf.printf "jobs=%d: %.1f s, %d points computed\n%!" jobs wall computed;
     check (computed = points) "jobs=%d computed %d of %d points" jobs computed points;

@@ -15,11 +15,9 @@
      scheduler's stall detector reads to attribute a wall-clock gap to
      GC vs everything else.
 
-   Clock domains: Runtime_events stamps events from the monotonic
-   clock, spans use wall time ([Unix.gettimeofday]).  [start] calibrates
-   a single mono->wall offset by forcing a minor collection bracketed by
-   two wall readings and matching it to the first pause event polled —
-   good to a few microseconds, plenty for timeline alignment.
+   One clock: Runtime_events stamps events from [CLOCK_MONOTONIC], the
+   clock behind [Tq_util.Time_unit.now_ns] that stamps every live span,
+   so pause stamps go onto the timeline as they come.
 
    Ownership: the consumer thread is the single writer of the registry,
    the Gc-lane sinks and the begin-slot arrays; the cumulative pause
@@ -41,15 +39,12 @@ type t = {
   major_pause_ns : Counters.dist;
   pause_cum : int Atomic.t array;  (** per-domain cumulative pause ns *)
   sinks : Span.sink option array;  (** lazily registered, consumer-owned *)
-  minor_begin : int array;  (** mono ns of open EV_MINOR, -1 when none *)
+  minor_begin : int array;  (** stamp of the open EV_MINOR, -1 when none *)
   major_begin : int array;
-  mutable offset_ns : int;  (** mono ns + offset = wall ns *)
-  mutable calibrated : bool;
   stop_flag : bool Atomic.t;
   mutable thread : Thread.t option;
 }
 
-let wall_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 let mono_of_ts ts = Int64.to_int (Runtime_events.Timestamp.to_int64 ts)
 
 let counters t = t.counters
@@ -84,7 +79,7 @@ let on_pause t dom ~major ~begin_mono ~end_mono =
     if Span.enabled t.spans then
       Span.record (sink_for t dom) ~req_id:(-1)
         ~phase:(if major then Span.Gc_major else Span.Gc_minor)
-        ~start_ns:(begin_mono + t.offset_ns) ~dur_ns:dur ~arg:dom
+        ~start_ns:begin_mono ~dur_ns:dur ~arg:dom
   end
 
 let consumer_callbacks t =
@@ -115,36 +110,6 @@ let consumer_callbacks t =
   let lost_events _dom n = Counters.add t.events_lost n in
   Runtime_events.Callbacks.create ~runtime_begin ~runtime_end ~lost_events ()
 
-(* Pair one forced minor collection's mono stamp with the wall clock
-   bracketing it.  The cursor is drained first so the matched event is
-   ours, not a leftover from startup. *)
-let calibrate cursor =
-  let drain = Runtime_events.Callbacks.create () in
-  let rec flush () =
-    if Runtime_events.read_poll cursor drain None > 0 then flush ()
-  in
-  flush ();
-  let w0 = wall_ns () in
-  Gc.minor ();
-  let w1 = wall_ns () in
-  let seen = ref None in
-  let cb =
-    Runtime_events.Callbacks.create
-      ~runtime_end:(fun _dom ts phase ->
-        if phase = Runtime_events.EV_MINOR && !seen = None then
-          seen := Some (mono_of_ts ts))
-      ()
-  in
-  let attempts = ref 0 in
-  while !seen = None && !attempts < 50 do
-    ignore (Runtime_events.read_poll cursor cb None);
-    if !seen = None then Thread.delay 0.001;
-    incr attempts
-  done;
-  match !seen with
-  | Some mono -> Some (((w0 + w1) / 2) - mono)
-  | None -> None
-
 let start ?(spans = Span.null) ?(poll_interval_s = 0.001) () =
   Runtime_events.start ();
   let cursor = Runtime_events.create_cursor None in
@@ -162,17 +127,10 @@ let start ?(spans = Span.null) ?(poll_interval_s = 0.001) () =
       sinks = Array.make max_domains None;
       minor_begin = Array.make max_domains (-1);
       major_begin = Array.make max_domains (-1);
-      offset_ns = 0;
-      calibrated = false;
       stop_flag = Atomic.make false;
       thread = None;
     }
   in
-  (match calibrate cursor with
-  | Some off ->
-      t.offset_ns <- off;
-      t.calibrated <- true
-  | None -> ());
   let callbacks = consumer_callbacks t in
   let loop () =
     while not (Atomic.get t.stop_flag) do
@@ -185,8 +143,6 @@ let start ?(spans = Span.null) ?(poll_interval_s = 0.001) () =
   in
   t.thread <- Some (Thread.create loop ());
   t
-
-let calibrated t = t.calibrated
 
 let stop t =
   match t.thread with

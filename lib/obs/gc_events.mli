@@ -10,10 +10,10 @@
     that the scheduler's stall detector reads to attribute wall-clock
     gaps to GC rather than OS preemption.
 
-    Timestamps are calibrated once at {!start} from the runtime's
-    monotonic clock to the wall clock the span layer uses (a forced
-    minor collection bracketed by two wall readings) — alignment is
-    good to a few microseconds.
+    Runtime_events stamps on [CLOCK_MONOTONIC], the clock behind
+    {!Tq_util.Time_unit.now_ns} that stamps every live span, so pause
+    spans carry the runtime's stamps unchanged and line up with the
+    worker lanes exactly.
 
     One consumer per process: the thread owns the registry and the GC
     sinks (single-writer rule); everything exposed for cross-domain
@@ -23,10 +23,10 @@
 type t
 
 (** [start ?spans ?poll_interval_s ()] begins collection: enables
-    [Runtime_events] for this process, calibrates the clock offset and
-    spawns the consumer thread (polling every [poll_interval_s],
-    default 1 ms).  GC pause spans are recorded into [spans] when it is
-    an enabled collection (default {!Span.null} — counters only). *)
+    [Runtime_events] for this process and spawns the consumer thread
+    (polling every [poll_interval_s], default 1 ms).  GC pause spans
+    are recorded into [spans] when it is an enabled collection (default
+    {!Span.null} — counters only). *)
 val start : ?spans:Span.t -> ?poll_interval_s:float -> unit -> t
 
 (** [stop t] drains outstanding events, frees the cursor and joins the
@@ -55,8 +55,3 @@ val domain_pause_ns : t -> int -> int
     workload that churns hundreds of domains would need a real
     id-to-ring map. *)
 val self_pause_ns : t -> int
-
-(** [calibrated t] — whether the mono-to-wall offset was established at
-    start; when [false] (no pause event observed during calibration,
-    not expected in practice) GC spans stay on the monotonic timebase. *)
-val calibrated : t -> bool

@@ -2,7 +2,7 @@
 
    The span streams of the live serve path already carry every boundary
    a request crosses — parse start, dispatch decision, ring pickup,
-   each quantum, reply pop — each stamped from the same wall clock.
+   each quantum, reply pop — each stamped from the one live clock.
    This module folds a merged stream into per-stage latency histograms
    by telescoping consecutive boundaries:
 

@@ -4,7 +4,7 @@
     Folds a merged {!Span} stream into per-stage latency histograms by
     telescoping consecutive request boundaries (parse start, dispatch
     decision, ring pickup, quanta, reply pop), all stamped from the
-    same wall clock:
+    one live clock ({!Tq_util.Time_unit.now_ns}):
 
     {v
     parse -> dispatch -> ring_hop -> first_run_wait

@@ -98,7 +98,8 @@ type record = {
   req_id : int;
   phase : phase;
   lane : lane;
-  start_ns : int;  (** span start: wall clock live, virtual time simulated *)
+  start_ns : int;
+      (** span start: {!Tq_util.Time_unit.now_ns} live, virtual time simulated *)
   dur_ns : int;
   arg : int;
 }

@@ -12,6 +12,8 @@
    over their own state; see DESIGN.md "tq_par").  jobs=1 runs inline on
    the calling domain, so the sequential path has no Domain overhead. *)
 
+module Time_unit = Tq_util.Time_unit
+
 type stats = {
   jobs : int;
   per_domain_tasks : int array;
@@ -19,21 +21,19 @@ type stats = {
   wall_ns : int;
 }
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 let run ?jobs (tasks : (unit -> 'a) array) =
   let n = Array.length tasks in
   let jobs = match jobs with Some j -> j | None -> Domain.recommended_domain_count () in
   let jobs = max 1 (min jobs n) in
-  let started = now_ns () in
+  let started = Time_unit.now_ns () in
   let results : ('a, exn) result option array = Array.make n None in
   let per_domain_tasks = Array.make jobs 0 in
   let per_domain_busy_ns = Array.make jobs 0 in
   let run_task w idx =
-    let t0 = now_ns () in
+    let t0 = Time_unit.now_ns () in
     (results.(idx) <-
        Some (match tasks.(idx) () with v -> Ok v | exception e -> Error e));
-    per_domain_busy_ns.(w) <- per_domain_busy_ns.(w) + (now_ns () - t0);
+    per_domain_busy_ns.(w) <- per_domain_busy_ns.(w) + (Time_unit.now_ns () - t0);
     per_domain_tasks.(w) <- per_domain_tasks.(w) + 1
   in
   if jobs = 1 then Array.iteri (fun idx _ -> run_task 0 idx) tasks
@@ -59,7 +59,8 @@ let run ?jobs (tasks : (unit -> 'a) array) =
         | Some (Error e) -> raise e
         | None -> assert false (* every index claimed exactly once *))
   in
-  (out, { jobs; per_domain_tasks; per_domain_busy_ns; wall_ns = now_ns () - started })
+  let wall_ns = Time_unit.now_ns () - started in
+  (out, { jobs; per_domain_tasks; per_domain_busy_ns; wall_ns })
 
 let map ?jobs f arr =
   fst (run ?jobs (Array.map (fun x () -> f x) arr))

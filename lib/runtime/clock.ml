@@ -4,7 +4,7 @@ let wall () = Wall
 let virtual_ () = Virtual (ref 0)
 
 let now_ns = function
-  | Wall -> int_of_float (Unix.gettimeofday () *. 1e9)
+  | Wall -> Tq_util.Time_unit.now_ns ()
   | Virtual r -> !r
 
 let advance t ns =
@@ -13,5 +13,3 @@ let advance t ns =
   | Virtual r ->
       if ns < 0 then invalid_arg "Clock.advance: negative step";
       r := !r + ns
-
-let is_virtual = function Wall -> false | Virtual _ -> true

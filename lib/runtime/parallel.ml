@@ -292,10 +292,10 @@ let quantum_ns t ?class_idx () =
 
 let beats t ~worker = Atomic.get t.handles.(worker).beats
 
-let stall_worker t ~worker ~duration_ns ~now_ns =
+let stall_worker t ~worker ~duration_ns =
   if duration_ns > 0 then begin
     let h = t.handles.(worker) in
-    Atomic.set h.stall_until_ns (now_ns + duration_ns);
+    Atomic.set h.stall_until_ns (Tq_util.Time_unit.now_ns () + duration_ns);
     Park.wake h.park
   end
 

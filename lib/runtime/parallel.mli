@@ -4,10 +4,11 @@
     jobs over worker domains through per-worker SPSC inject rings,
     using JSQ-MSQ on the workers' atomic counters ({!pick}); each
     worker domain drains its ring straight into its fiber queue and
-    runs the forced-multitasking scheduler loop over those fibers with
-    a wall clock — the paper's per-core processor sharing.  As in TQ,
-    placement is the only load balancing: a job runs on the worker it
-    was submitted to (DESIGN.md explains why).
+    runs the forced-multitasking scheduler loop over those fibers on
+    the monotonic clock ({!Clock.wall}) — the paper's per-core
+    processor sharing.  As in TQ, placement is the only load balancing:
+    a job runs on the worker it was submitted to (DESIGN.md explains
+    why).
 
     The handle is persistent: {!create} builds every worker's state on
     the calling domain, {!start} spawns the worker domains, and they
@@ -154,11 +155,11 @@ val quantum_ns : t -> ?class_idx:int -> unit -> int
     and difference to detect progress. *)
 val beats : t -> worker:int -> int
 
-(** [stall_worker t ~worker ~duration_ns ~now_ns] — make the worker
-    busy-occupy its core (no service, no heartbeat) until
-    [now_ns + duration_ns] on its wall clock: a CPU antagonist /
+(** [stall_worker t ~worker ~duration_ns] — make the worker
+    busy-occupy its core (no service, no heartbeat) for [duration_ns]
+    from now, read on the clock its quanta run on: a CPU antagonist /
     stuck-worker fault.  The worker resumes by itself. *)
-val stall_worker : t -> worker:int -> duration_ns:int -> now_ns:int -> unit
+val stall_worker : t -> worker:int -> duration_ns:int -> unit
 
 (** [kill_worker t ~worker] — the worker domain exits at its next loop
     pass, abandoning its ring and run queue (jobs neither execute nor

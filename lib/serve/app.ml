@@ -39,16 +39,14 @@ let create ?(kv_keys = 1024) ~seed () =
     rng = Tq_util.Prng.create ~seed;
   }
 
-let now_wall_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 (* The synthetic spin kernel: busy work probed every iteration, like a
    loop instrumented by the TQ pass.  Yields whenever the quantum
    expires.  The probe heads the loop body, so a spin that reaches its
-   wall-clock deadline returns without yielding once more. *)
+   deadline returns without yielding once more. *)
 let spin ~spin_ns =
-  let deadline = now_wall_ns () + spin_ns in
+  let deadline = Tq_util.Time_unit.now_ns () + spin_ns in
   let x = ref 1 in
-  while now_wall_ns () < deadline do
+  while Tq_util.Time_unit.now_ns () < deadline do
     Probe_api.probe ();
     (* a handful of ALU ops per probe so the probe itself is not the
        whole loop body *)

@@ -1,4 +1,5 @@
 module Prng = Tq_util.Prng
+module Time_unit = Tq_util.Time_unit
 module Latency = Tq_obs.Latency
 module Slo = Tq_obs.Slo
 module Ascii_chart = Tq_util.Ascii_chart
@@ -81,8 +82,6 @@ type conn = {
   out : Protocol.Outbuf.t;
   scratch : Buffer.t;  (* one request frame at a time, blitted into [out] *)
 }
-
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
 let config_error c =
   let bad fmt = Printf.ksprintf Option.some fmt in
@@ -179,7 +178,7 @@ let run config =
   and errors = ref 0
   and measured_sent = ref 0
   and measured_ok = ref 0 in
-  let t0 = now_ns () in
+  let t0 = Time_unit.now_ns () in
   let warmup_end = t0 + int_of_float (config.warmup_s *. 1e9) in
   let measure_end = warmup_end + int_of_float (config.measure_s *. 1e9) in
   let interarrival = 1e9 /. config.rate_rps in
@@ -272,7 +271,7 @@ let run config =
                   | None -> ()
                   | Some (t_send, class_idx, measured) ->
                       Hashtbl.remove pending resp.Protocol.req_id;
-                      let now = now_ns () in
+                      let now = Time_unit.now_ns () in
                       (match resp.Protocol.status with
                       | Protocol.Ok ->
                           Slo.observe slo_mon ~now_ns:now (`Ok (now - t_send));
@@ -301,8 +300,10 @@ let run config =
   (* empty poll rounds since the last one that moved something *)
   let idle_rounds = ref 0 in
   (try
-     while !sending || (Hashtbl.length pending > 0 && now_ns () < !grace_deadline) do
-       let now = now_ns () in
+     while
+       !sending || (Hashtbl.length pending > 0 && Time_unit.now_ns () < !grace_deadline)
+     do
+       let now = Time_unit.now_ns () in
        if !sending then
          if now >= measure_end then begin
            sending := false;

@@ -30,6 +30,7 @@ module Latency = Tq_obs.Latency
 module Expo = Tq_obs.Expo
 module Profile = Tq_obs.Profile
 module Gc_events = Tq_obs.Gc_events
+module Time_unit = Tq_util.Time_unit
 module Reassembly = Protocol.Reassembly
 module Outbuf = Protocol.Outbuf
 
@@ -218,8 +219,6 @@ type t = {
   mutable ctl_next_ns : int;
   mutable tick_hook : (now_ns:int -> unit) option;
 }
-
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
 (* {2 The doorbell}
 
@@ -764,12 +763,12 @@ let controller_tick t ~now =
 (* {2 Live fault hooks} *)
 
 let inject_stall t ~worker ~duration_ns =
-  Parallel.stall_worker t.pool ~worker ~duration_ns ~now_ns:(now_ns ())
+  Parallel.stall_worker t.pool ~worker ~duration_ns
 
 let kill_worker t ~worker = Parallel.kill_worker t.pool ~worker
 
 let pause_dispatcher t ~duration_ns =
-  Atomic.set t.paused_until_ns (now_ns () + duration_ns)
+  Atomic.set t.paused_until_ns (Time_unit.now_ns () + duration_ns)
 
 let on_tick t f = t.tick_hook <- Some f
 let control_json t = Option.map Tq_control.Controller.state_json t.ctl
@@ -811,7 +810,7 @@ let adopt_fd t fd =
   t.fds_stale <- true;
   t.ledger.connections <- t.ledger.connections + 1;
   if t.spans_on then
-    Span.record t.sink ~req_id:(-1) ~phase:Span.Accept ~start_ns:(now_ns ())
+    Span.record t.sink ~req_id:(-1) ~phase:Span.Accept ~start_ns:(Time_unit.now_ns ())
       ~dur_ns:0 ~arg:cid
 
 (* A connection with output joins the loop's flush list once; a pass
@@ -877,7 +876,7 @@ let make_job t ~sid ~cid ~class_idx ~t0 ~req_id req =
         r_sid = sid;
         r_class = class_idx;
         r_t0 = t0;
-        r_done = (if t.spans_on then now_ns () else 0);
+        r_done = (if t.spans_on then Time_unit.now_ns () else 0);
         r_buf = buf;
         r_len = n;
       }
@@ -886,7 +885,7 @@ let shed t conn ~p0 ~class_idx req_id =
   bump t.ledger.shed class_idx;
   if t.spans_on then
     Span.record t.sink ~req_id:(-1) ~phase:Span.Shed ~start_ns:p0
-      ~dur_ns:(max 0 (now_ns () - p0))
+      ~dur_ns:(max 0 (Time_unit.now_ns () - p0))
       ~arg:class_idx;
   shed_response t conn req_id
 
@@ -932,7 +931,7 @@ let dispatch t conn ~p0 req_id req =
           Parallel.ring_depth t.pool ~worker:w )
       else (0, -1, 0)
     in
-    let t0 = now_ns () in
+    let t0 = Time_unit.now_ns () in
     let job = make_job t ~sid ~cid ~class_idx ~t0 ~req_id req in
     Hashtbl.replace t.pending sid
       {
@@ -949,7 +948,7 @@ let dispatch t conn ~p0 req_id req =
     (* The Dispatch span ends just before the push: once the job is on
        the ring the worker may stamp its pickup before this thread
        reads the clock again. *)
-    let t1 = if t.spans_on then now_ns () else 0 in
+    let t1 = if t.spans_on then Time_unit.now_ns () else 0 in
     if Parallel.submit_to t.pool ~tag:sid ~class_idx ~worker:w job then begin
       t.next_sid <- sid + 1;
       bump t.ledger.dispatched class_idx;
@@ -975,7 +974,7 @@ let rec parse_frames t conn =
         close_conn t conn
     | Ok None -> ()
     | Ok (Some payload) -> (
-        let p0 = if t.spans_on then now_ns () else 0 in
+        let p0 = if t.spans_on then Time_unit.now_ns () else 0 in
         match Protocol.decode_request payload with
         | Error _ ->
             t.ledger.protocol_errors <- t.ledger.protocol_errors + 1;
@@ -1016,7 +1015,7 @@ let complete t ~worker reply =
       t.ledger.duplicates <- t.ledger.duplicates + 1
   | Some p -> (
       Hashtbl.remove t.pending reply.r_sid;
-      let now = now_ns () in
+      let now = Time_unit.now_ns () in
       let sojourn = now - reply.r_t0 in
       bump (if sojourn <= t.ctl_latency_ns then t.ledger.good else t.ledger.late) reply.r_class;
       Admission.note_completion t.adm ~sojourn_ns:sojourn;
@@ -1275,7 +1274,7 @@ let serve t =
   let stop_deadline_ns = ref max_int in
   let running = ref true in
   while !running do
-    let now = now_ns () in
+    let now = Time_unit.now_ns () in
     (match t.tick_hook with Some f -> f ~now_ns:now | None -> ());
     (* the fault schedule above may have just paused the plane; the
        controller honours the pause like everything else *)

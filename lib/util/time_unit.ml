@@ -6,6 +6,7 @@ let ms f = int_of_float (Float.round (f *. float_of_int ns_per_ms))
 let s f = int_of_float (Float.round (f *. float_of_int ns_per_s))
 let to_us ns = float_of_int ns /. float_of_int ns_per_us
 let to_s ns = float_of_int ns /. float_of_int ns_per_s
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 let default_ghz = 2.1
 
 let cycles_to_ns ?(ghz = default_ghz) c =

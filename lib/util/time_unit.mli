@@ -26,6 +26,14 @@ val to_us : int -> float
 (** [to_s ns] converts nanoseconds to seconds as float. *)
 val to_s : int -> float
 
+(** [now_ns ()] reads [CLOCK_MONOTONIC] in nanoseconds: the one live
+    clock, the stand-in for the paper's cycle counter.  It never steps
+    with the calendar and counts from an unspecified origin (boot on
+    Linux), so only differences between readings mean anything.  The
+    same clock stamps OCaml's [Runtime_events], so GC pause stamps
+    compare with it directly.  Allocation-free. *)
+val now_ns : unit -> int
+
 (** Default simulated core frequency, GHz (paper: 2.1 GHz Xeon 8176). *)
 val default_ghz : float
 

@@ -853,6 +853,28 @@ let test_gc_events_smoke () =
   (* stop is idempotent *)
   Gc_events.stop g
 
+(* Gc_events publishes Runtime_events' own stamps, untranslated, so they
+   must already be on the live clock: a forced minor collection's pause
+   span lies between two [Time_unit.now_ns] reads around it. *)
+let test_gc_events_share_the_live_clock () =
+  let spans = Span.create () in
+  let g = Gc_events.start ~spans () in
+  let t0 = Tq_util.Time_unit.now_ns () in
+  Gc.minor ();
+  let t1 = Tq_util.Time_unit.now_ns () in
+  Gc_events.stop g;
+  let self = (Domain.self () :> int) in
+  let minors =
+    List.filter
+      (fun (r : Span.record) -> r.Span.lane = Span.Gc self && r.Span.phase = Span.Gc_minor)
+      (Span.merge spans)
+  in
+  let inside (r : Span.record) = t0 <= r.Span.start_ns && r.Span.start_ns + r.Span.dur_ns <= t1 in
+  if not (List.exists inside minors) then
+    Alcotest.failf "no minor pause inside [%d, %d]; pauses at %s" t0 t1
+      (String.concat ", "
+         (List.map (fun (r : Span.record) -> string_of_int r.Span.start_ns) minors))
+
 let profile_suite =
   [
     Alcotest.test_case "profile exact decomposition" `Quick test_profile_exact_decomposition;
@@ -860,6 +882,8 @@ let profile_suite =
     Alcotest.test_case "profile degrades gracefully" `Quick test_profile_degrades_without_crashing;
     test_profile_interleaving_prop;
     Alcotest.test_case "gc events smoke" `Quick test_gc_events_smoke;
+    Alcotest.test_case "gc events share the live clock" `Quick
+      test_gc_events_share_the_live_clock;
   ]
 
 let suite = suite @ profile_suite

@@ -7,6 +7,9 @@ module Server = Tq_serve.Server
 module Client = Tq_serve.Client
 module App = Tq_serve.App
 
+(* Seconds on the live monotonic clock, for the tests' deadlines. *)
+let now_s () = Tq_util.Time_unit.(to_s (now_ns ()))
+
 let check = Alcotest.check
 
 (* --- codec --- *)
@@ -131,7 +134,7 @@ let test_loopback_smoke () =
       let n = 3_000 and window = 64 in
       let client = Client.connect ~port:(Server.port srv) () in
       let answered = Array.make n false in
-      let t0 = Unix.gettimeofday () in
+      let t0 = now_s () in
       let recv_one () =
         let resp = Client.recv client in
         let id = resp.Protocol.req_id in
@@ -166,7 +169,7 @@ let test_loopback_smoke () =
         recv_one ();
         decr inflight
       done;
-      let elapsed = Unix.gettimeofday () -. t0 in
+      let elapsed = now_s () -. t0 in
       Client.close client;
       check Alcotest.bool "every request answered" true (Array.for_all Fun.id answered);
       (* sanity, not a benchmark: thousands of mixed requests should take
@@ -190,8 +193,8 @@ let test_drain_under_load () =
     Client.send client ~req_id:i (Protocol.Echo { spin_ns = 20_000; payload = "" })
   done;
   (* wait for the server to take ownership of every request... *)
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  while (Server.stats srv).Server.parsed < n && Unix.gettimeofday () < deadline do
+  let deadline = now_s () +. 30.0 in
+  while (Server.stats srv).Server.parsed < n && now_s () < deadline do
     Unix.sleepf 0.001
   done;
   check Alcotest.int "server accepted everything" n (Server.stats srv).Server.parsed;
@@ -600,9 +603,9 @@ let test_kill_worker_recovery () =
     Client.send client ~req_id:i (Protocol.Echo { spin_ns = 50_000; payload = "" })
   done;
   (* wait until the pool owns a good chunk, then pull a domain *)
-  let deadline = Unix.gettimeofday () +. 30.0 in
+  let deadline = now_s () +. 30.0 in
   while
-    (Server.stats srv).Server.dispatched < n / 4 && Unix.gettimeofday () < deadline
+    (Server.stats srv).Server.dispatched < n / 4 && now_s () < deadline
   do
     Unix.sleepf 0.0005
   done;
@@ -667,8 +670,8 @@ let test_stalled_worker_revives () =
   let th = Thread.create (fun () -> Server.serve srv) () in
   let client = Client.connect ~port:(Server.port srv) () in
   let wait_until what cond =
-    let deadline = Unix.gettimeofday () +. 5.0 in
-    while (not (cond ())) && Unix.gettimeofday () < deadline do
+    let deadline = now_s () +. 5.0 in
+    while (not (cond ())) && now_s () < deadline do
       Unix.sleepf 0.001
     done;
     check Alcotest.bool what true (cond ())
@@ -1505,7 +1508,7 @@ let stub_server ~stats_delay_s =
       ignore (Unix.write fd frame 0 (Bytes.length frame) : int)
     in
     while not (Atomic.get stop) do
-      let now = Unix.gettimeofday () in
+      let now = now_s () in
       let due, later = List.partition (fun (t, _, _) -> t <= now) !held in
       held := later;
       List.iter (fun (_, fd, resp) -> reply fd resp) due;
@@ -1600,8 +1603,8 @@ let drained config f =
   (r, Server.stats srv)
 
 let wait_until what holds =
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while (not (holds ())) && Unix.gettimeofday () < deadline do
+  let deadline = now_s () +. 10.0 in
+  while (not (holds ())) && now_s () < deadline do
     Unix.sleepf 0.001
   done;
   if not (holds ()) then Alcotest.failf "timed out waiting for %s" what
@@ -1696,9 +1699,9 @@ let test_unread_replies_drain_deadline () =
         done;
         write_all fd (Buffer.to_bytes b);
         wait_until "every request parsed" (fun () -> (Server.stats srv).Server.parsed = n);
-        (fd, Unix.gettimeofday ()))
+        (fd, now_s ()))
   in
-  let drain_s = Unix.gettimeofday () -. stopped_at in
+  let drain_s = now_s () -. stopped_at in
   check Alcotest.bool (Printf.sprintf "serve returned in %.2f s" drain_s) true (drain_s < 2.0);
   check Alcotest.int "dispatched = completed" s.Server.dispatched s.Server.completed;
   check Alcotest.int "none lost" 0 s.Server.lost;
@@ -1721,8 +1724,8 @@ let suite = suite @ misbehaving_suite
 (* --- The park: the loop waits on work, not on a timer --- *)
 
 let wait_for ?(seconds = 5.0) cond =
-  let deadline = Unix.gettimeofday () +. seconds in
-  while (not (cond ())) && Unix.gettimeofday () < deadline do
+  let deadline = now_s () +. seconds in
+  while (not (cond ())) && now_s () < deadline do
     Unix.sleepf 0.0002
   done;
   cond ()
@@ -1766,12 +1769,12 @@ let test_parked_loop_answers () =
       check Alcotest.bool "the loop parks with the long request in flight" true
         (wait_for (fun () ->
              (Server.stats srv).Server.in_flight = 1 && Server.parked srv));
-      let t0 = Unix.gettimeofday () in
+      let t0 = now_s () in
       let r =
         within srv ~seconds:5.0 "short request sent to a parked loop" (fun () ->
             Client.call short (Protocol.Echo { spin_ns = 0; payload = "s" }))
       in
-      let took = Unix.gettimeofday () -. t0 in
+      let took = now_s () -. t0 in
       check Alcotest.string "short reply" "s" r.Protocol.body;
       check Alcotest.bool
         (Printf.sprintf "short reply in %.1f ms, before the long one ends" (took *. 1e3))
