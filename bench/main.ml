@@ -224,23 +224,28 @@ let live_span_sink () =
     (Tq_obs.Span.Dispatcher 0)
 
 (* The tail reservoir's offer on the dispatcher's reply pop.  Sojourn
-   1 ns is far below a filled reservoir's floor, so an armed sink takes
-   the common-case reject branch. *)
-let test_tail_offer ~name sink =
+   1 ns is far below a filled reservoir's floor, so an armed reservoir
+   takes the common-case reject branch. *)
+let stages = Array.make (List.length Tq_obs.Profile.stages) 0
+
+let offer_tail tail ~seq ~sojourn_ns =
+  Tq_obs.Tail.offer tail ~now_ns:1 ~seq ~class_idx:0 ~worker:0 ~sojourn_ns
+    ~quantum_ns:100_000 ~cap:(-1) ~inject_depth:0 ~stages ~quanta:1 ~stalls:0
+    ~gc_pause_ns:0
+
+let test_tail_offer ~name tail =
   let seq = ref 0 in
   Test.make ~name
     (Staged.stage (fun () ->
          incr seq;
-         Tq_obs.Tail.offer sink ~now_ns:1 ~seq:!seq ~class_idx:0 ~worker:0
-           ~sojourn_ns:1 ~t0_ns:0 ~quantum_ns:100_000 ~cap:(-1) ~inject_depth:0))
+         offer_tail tail ~seq:!seq ~sojourn_ns:1))
 
-let filled_tail_sink () =
-  let sink = Tq_obs.Tail.register (Tq_obs.Tail.create ~k:16 ()) ~lane:0 in
+let filled_tail () =
+  let tail = Tq_obs.Tail.create ~k:16 () in
   for i = 1 to 16 do
-    Tq_obs.Tail.offer sink ~now_ns:1 ~seq:(-i) ~class_idx:0 ~worker:0
-      ~sojourn_ns:1_000_000 ~t0_ns:0 ~quantum_ns:100_000 ~cap:(-1) ~inject_depth:0
+    offer_tail tail ~seq:(-i) ~sojourn_ns:1_000_000
   done;
-  sink
+  tail
 
 (* A realistic span stream for [Profile.of_records]: per request parse
    500 ns, dispatch 300, the hop, wait 400, two quanta with a 250 ns
@@ -322,8 +327,8 @@ let run_microbenchmarks () =
       (test_choose_masked (), None);
       (test_span ~name:"span record (enabled)" (live_span_sink ()), Some 228.4);
       (test_span ~name:"span record (disabled)" Tq_obs.Span.null_sink, Some 41.2);
-      (test_tail_offer ~name:"tail offer (enabled, reject)" (filled_tail_sink ()), Some 87.1);
-      (test_tail_offer ~name:"tail offer (disabled)" Tq_obs.Tail.null_sink, Some 70.9);
+      (test_tail_offer ~name:"tail offer (enabled, reject)" (filled_tail ()), Some 87.1);
+      (test_tail_offer ~name:"tail offer (disabled)" Tq_obs.Tail.null, Some 70.9);
       (test_decompose stream, Some (15_386.0 *. float_of_int decompose_requests));
     ]
   in
@@ -416,11 +421,11 @@ let run_serve_bench () =
       ("completed", s.completed) ];
   check (r.outstanding = 0) "%s: %d requests unanswered" label r.outstanding
 
-(* The reservoir's marginal cost under the same offered load: spans on
-   in both rows (dossier attribution rides on them; the sinks hold the
-   whole run, so every retained outlier is still attributable), tail
-   sampling off vs k=16.  70k rps keeps the two workers busy below
-   their saturation cliff, where p99 is stable enough to hold to 5%. *)
+(* The reservoir's marginal cost under the same offered load: tail
+   sampling off vs k=16, on a traced server (spans on in both rows; a
+   dossier's stages come from the reply, not from them).  70k rps keeps
+   the two workers busy below their saturation cliff, where p99 is
+   stable enough to hold to 5%. *)
 let run_tail_bench () =
   let rate_rps = 70_000.0 and k = 16 in
   hr ();
@@ -445,27 +450,20 @@ let run_tail_bench () =
   let p99_on, dossiers = median3 ~tail_on:true in
   let penalty = if p99_off > 0.0 then (p99_on -. p99_off) /. p99_off else 0.0 in
   let retained = List.length dossiers in
-  let attributed = List.filter (fun d -> d.Tq_obs.Tail.d_attributed) dossiers in
-  let attributed_fraction =
-    if retained = 0 then 0.0
-    else float_of_int (List.length attributed) /. float_of_int retained
-  in
-  Printf.printf
-    "p99 off %.0f us, on %.0f us (penalty %+.1f%%); %d dossiers retained, %.3f attributed\n"
-    p99_off p99_on (100.0 *. penalty) retained attributed_fraction;
+  Printf.printf "p99 off %.0f us, on %.0f us (penalty %+.1f%%); %d dossiers retained\n"
+    p99_off p99_on (100.0 *. penalty) retained;
   check (penalty <= 0.05) "arming the reservoir moved p99 by %+.1f%% (> 5%%)"
     (100.0 *. penalty);
-  (* The lane keeps at most k per window, current and previous. *)
+  (* The loop keeps at most k per window, current and previous. *)
   check (retained >= 4 && retained <= 2 * k) "%d dossiers retained (want 4 to %d)" retained
     (2 * k);
-  check (attributed_fraction >= 0.9) "only %.3f of retained dossiers attributed"
-    attributed_fraction;
+  (* Every dossier telescopes: its stages sum to its sojourn exactly. *)
   List.iter
-    (fun (d : Tq_obs.Tail.dossier) ->
-      let sum = List.fold_left (fun acc (_, v) -> acc + v) 0 d.d_stages in
-      check (sum = d.d_sojourn_ns) "dossier %d: stage sum %d <> sojourn %d"
-        d.d_entry.Tq_obs.Tail.e_seq sum d.d_sojourn_ns)
-    attributed
+    (fun (e : Tq_obs.Tail.entry) ->
+      let sum = Array.fold_left ( + ) 0 e.e_stages in
+      check (sum = e.e_sojourn_ns) "dossier %d: stage sum %d <> sojourn %d" e.e_seq sum
+        e.e_sojourn_ns)
+    dossiers
 
 (* ------------------------------------------------------------------ *)
 (* Parallel sweep: jobs=1 vs jobs=max over every registry point        *)

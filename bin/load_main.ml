@@ -146,7 +146,7 @@ let run host port rate connections warmup measure grace seed mix_spec spin_us
               (String.length body))
         (fetch "trace" Tq_serve.Protocol.Stats_trace))
     trace_out;
-  (* Per-stage sojourn decomposition (server needs --obs). *)
+  (* Per-stage sojourn decomposition of every completed request. *)
   if breakdown then
     Option.iter print_string (fetch "breakdown" Tq_serve.Protocol.Stats_breakdown_text);
   Option.iter
@@ -266,14 +266,14 @@ let () =
          & info [ "breakdown" ]
              ~doc:"after the run, fetch the server's per-stage sojourn \
                    decomposition (parse/dispatch/ring-hop/first-run-wait/\
-                   service/preempt/reply-flush) and print the table (server \
-                   needs --obs)")
+                   service/preempt/reply-flush) of every completed request \
+                   and print the table")
   in
   let breakdown_json =
     Arg.(value & opt (some string) None
          & info [ "breakdown-json" ] ~docv:"FILE"
              ~doc:"write the per-stage decomposition as JSON \
-                   (BENCH_breakdown.json shape) to FILE (server needs --obs)")
+                   (BENCH_breakdown.json shape) to FILE")
   in
   let control =
     Arg.(value & flag

@@ -94,9 +94,9 @@ let serve host port cores lanes quantum_us ring rx_depth admission kv_keys pool_
     reject (Printf.sprintf "--obs-capacity must be positive (got %d)" obs_capacity);
   let tail_on = tail_k > 0 || tail_trace_out <> None in
   let spans =
-    (* Tail dossiers attribute stages from the span buffers, so tail
-       sampling pulls spans in with it. *)
-    if obs || trace_out <> None || tail_on then
+    (* The outlier-only trace is cut from the span buffers, so it pulls
+       spans in; dossiers and the breakdown need none. *)
+    if obs || trace_out <> None || tail_trace_out <> None then
       Tq_obs.Span.create ~capacity_per_sink:obs_capacity ()
     else Tq_obs.Span.null
   in
@@ -332,8 +332,8 @@ let () =
          & info [ "tail-k" ] ~docv:"K"
              ~doc:"always-on tail forensics: retain the K slowest requests per \
                    window as queryable dossiers (stats-RPC outliers \
-                   view, /outliers); 0 disables (zero per-request cost). \
-                   Implies spans for per-stage attribution")
+                   view, /outliers), each with its exact per-stage \
+                   attribution; 0 disables (zero per-request cost)")
   in
   let tail_threshold_us =
     Arg.(value & opt float 0.0
@@ -352,7 +352,8 @@ let () =
     Arg.(value & opt (some string) None
          & info [ "tail-trace-out" ] ~docv:"FILE"
              ~doc:"write a Chrome/Perfetto trace of only the retained outlier \
-                   requests on exit (implies --tail-k 16 if not set)")
+                   requests on exit (records spans; implies --tail-k 16 if \
+                   not set)")
   in
   let metrics_port =
     Arg.(value & opt (some int) None

@@ -34,7 +34,7 @@ let adopt r = r.owner <- self ()
 let record r ns =
   if !owner_check && self () <> r.owner then
     invalid_arg "Latency.record: recorder used off its owning domain";
-  Histogram.record r.hist (max 0 (min ns r.max_value))
+  Histogram.record r.hist (Int.max 0 (Int.min ns r.max_value))
 
 let count r = Histogram.count r.hist
 let percentile r p = if count r = 0 then 0 else Histogram.percentile r.hist p

@@ -1,10 +1,10 @@
 (** Per-request stage decomposition of the live serve path — where the
     milliseconds go.
 
-    Folds a merged {!Span} stream into per-stage latency histograms by
-    telescoping consecutive request boundaries (parse start, dispatch
-    decision, ring pickup, quanta, reply pop), all stamped from the
-    one live clock ({!Tq_util.Time_unit.now_ns}):
+    Telescopes consecutive request boundaries (parse start, dispatch
+    decision, ring push, worker pickup, first quantum, last quantum
+    end, reply pop), all stamped from the one live clock
+    ({!Tq_util.Time_unit.now_ns}), into per-stage latency histograms:
 
     {v
     parse -> dispatch -> ring_hop -> first_run_wait
@@ -14,11 +14,16 @@
     Because every stage is a difference of consecutive boundary stamps,
     a decomposed request's stages sum to its sojourn {e exactly} — the
     invariant behind the Stats RPC breakdown view, [tq_load
-    --breakdown] and the committed BENCH_breakdown.json.  Requests with
-    overwritten, out-of-order or missing spans degrade to an
-    [unattributed] bucket (never an exception); shed requests get a
-    [shed] stage; accepts are connection-scoped and excluded from the
-    per-request sum. *)
+    --breakdown] and the committed BENCH_breakdown.json.
+
+    {!record} is the one per-request path.  The live server calls it at
+    every completion, so its breakdown covers every completed request
+    with or without spans; {!of_records} calls it for each request it
+    rebuilds from a merged {!Span} stream (a trace, or the DES).  On
+    that path requests with overwritten, out-of-order or missing spans
+    degrade to an [unattributed] bucket (never an exception); shed
+    requests get a [shed] stage; accepts are connection-scoped and
+    excluded from the per-request sum. *)
 
 (** A per-request pipeline stage, in order. *)
 type stage =
@@ -40,21 +45,47 @@ val stages : stage list
 (** [stage_names] = [List.map stage_name stages]. *)
 val stage_names : string list
 
-(** A completed decomposition. *)
+(** A decomposition: built whole by {!of_records}, or grown one
+    request at a time by {!record}. *)
 type t
+
+(** An empty decomposition: ten histograms, each too large for the
+    minor heap, so creating one forces no minor collection. *)
+val create : unit -> t
+
+(** [record t ~p0 ~t0 ~t1 ~pickup ~first ~run_ns ~last_end ~pop]
+    decomposes one completed request from its boundaries: parse start,
+    dispatch start, ring push, worker pickup, first quantum start,
+    summed quantum time, last quantum end and reply pop.  The stages
+    sum to [pop - p0]; a negative one sends the request to the
+    unattributed bucket.  Allocates nothing.  Single writer. *)
+val record :
+  t ->
+  p0:int ->
+  t0:int ->
+  t1:int ->
+  pickup:int ->
+  first:int ->
+  run_ns:int ->
+  last_end:int ->
+  pop:int ->
+  unit
+
+(** [record_shed t ns] — one shed request, [ns] from parse start to
+    the shed decision. *)
+val record_shed : t -> int -> unit
+
+(** [record_accept t] — one connection accept. *)
+val record_accept : t -> unit
+
+(** [last t] — the seven stages of the request {!record} took last, in
+    {!stages} order; overwritten by the next call, so copy to keep. *)
+val last : t -> int array
 
 (** [of_records records] decomposes a merged span stream (see
     {!Span.merge}); total over all requests found in it.  Never
     raises on malformed streams. *)
 val of_records : Span.record list -> t
-
-(** [request_stages records] — per-request exact decompositions: for
-    every request in the stream whose boundaries telescope cleanly, its
-    id and the seven stage values in pipeline order (summing to the
-    request's sojourn exactly).  Requests that would land in the
-    unattributed bucket are omitted.  What {!Tail} uses to attach an
-    exact stage breakdown to each retained slow request. *)
-val request_stages : Span.record list -> (int * (stage * int) list) list
 
 (** [latency t] — the per-stage recorders keyed by {!stage_name} plus
     ["sojourn"], ["shed"] and ["unattributed"]; feed to
@@ -78,7 +109,8 @@ val sheds : t -> int
     bucket (overwritten / out-of-order / partial spans). *)
 val unattributed_count : t -> int
 
-(** [incomplete t] — requests still in flight at snapshot time. *)
+(** [incomplete t] — requests still in flight at snapshot time (span
+    path only: {!record} sees a request once it has completed). *)
 val incomplete : t -> int
 
 (** [accepts t] — connection accepts seen (excluded from request sums). *)

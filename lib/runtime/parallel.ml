@@ -97,29 +97,31 @@ let worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta
     in
     if q > 0 then q else Atomic.get base_quantum
   in
+  (* The pickup is an instant on the trace: when the request landed on
+     the core, stamped once by the worker and shared with its residency. *)
+  let on_pickup =
+    if spans_on then
+      Some
+        (fun ~task_id ~now_ns ->
+          Span.record sink ~req_id:task_id ~phase:Span.Ring_hop ~start_ns:now_ns
+            ~dur_ns:0 ~arg:wid)
+    else None
+  in
   let worker =
-    Task_worker.create ~obs ~wid ~track_probes ~on_quantum ~class_quantum ~clock
-      ~quantum_ns
-      ~on_finish:(fun _ ->
-        on_finish ~wid;
+    Task_worker.create ~obs ~wid ~track_probes ?on_pickup ~on_quantum ~class_quantum
+      ~stalls:c_stalls ?gc_pause_ns ~clock ~quantum_ns
+      ~on_finish:(fun residency ->
+        on_finish ~wid residency;
         Atomic.incr handle.finished;
         Park.wake drained)
       ()
   in
   (* Admission = handing a task to the fiber scheduler, which
-     multitasks everything admitted (per-core processor sharing).
-     Ring-hop latency is invisible (no enqueue stamp on the
-     disabled-cost path); mark the pickup as an instant so the trace
-     shows when the request landed on the core. *)
+     multitasks everything admitted (per-core processor sharing). *)
   let rec drain_inject () =
     match Spsc_ring.try_pop handle.inject with
     | None -> ()
     | Some task ->
-        if spans_on then begin
-          let now = Clock.now_ns clock in
-          Span.record sink ~req_id:task.Task_worker.task_id ~phase:Span.Ring_hop
-            ~start_ns:now ~dur_ns:0 ~arg:wid
-        end;
         Task_worker.submit worker task;
         drain_inject ()
   in
@@ -170,7 +172,7 @@ let worker_loop handle ~wid ~quantum_ns ~base_quantum ~class_quanta
 
 let create ?(workers = 4) ?(quantum_ns = 100_000) ?(ring_capacity = 256)
     ?(classes = 0) ?(spans = Span.null) ?worker_counters ?stall_threshold_ns
-    ?gc_pause_ns ?(on_finish = fun ~wid:_ -> ()) () =
+    ?gc_pause_ns ?(on_finish = fun ~wid:_ _ -> ()) () =
   if workers < 1 then invalid_arg "Parallel.create: need at least one worker";
   (match worker_counters with
   | Some regs when Array.length regs <> workers ->

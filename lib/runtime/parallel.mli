@@ -68,12 +68,16 @@ type t
       least half explained by GC pause growth bumps [runtime.stall_gc],
       otherwise [runtime.stall_other].  Without the hook every stall
       lands in [runtime.stall_unknown] and the quantum path pays one
-      extra branch, nothing else.
+      extra branch, nothing else.  Each job's residency also takes the
+      growth of this clock and of [runtime.stalls] over its stay.
     - [on_finish] — called on the worker's domain each time a job
-      finishes, with the worker's id: after the job's last slice has
-      been stamped and before the job counts as finished ({!in_flight},
-      {!drain}).  A job that leaves its result for this hook to publish
-      has it seen only after the slice that made it has ended. *)
+      finishes, with the worker's id and the job's
+      {!Task_worker.residency} (its pickup, first-run, summed-run and
+      last-end stamps, quanta, stalls and GC pause time): after the
+      job's last slice has been stamped and spanned, and before the job
+      counts as finished ({!in_flight}, {!drain}).  A job that leaves
+      its result for this hook to publish has it seen only after the
+      slice that made it has ended. *)
 val create :
   ?workers:int ->
   ?quantum_ns:int ->
@@ -83,7 +87,7 @@ val create :
   ?worker_counters:Tq_obs.Counters.t array ->
   ?stall_threshold_ns:int ->
   ?gc_pause_ns:(unit -> int) ->
-  ?on_finish:(wid:int -> unit) ->
+  ?on_finish:(wid:int -> Task_worker.residency -> unit) ->
   unit ->
   t
 

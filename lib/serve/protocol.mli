@@ -16,10 +16,10 @@
     metrics snapshot as JSON, the same snapshot as Prometheus text
     exposition ({!Tq_obs.Expo}), the merged request-span trace as
     Chrome trace-event JSON ({!Tq_obs.Span.to_chrome}), or the
-    per-stage sojourn decomposition ({!Tq_obs.Profile}) as JSON or as
-    the human-readable table.  The trace and breakdown views need the
-    server running with spans enabled ([--obs] / a trace file);
-    otherwise the breakdown views answer with an [Error] status. *)
+    per-stage sojourn decomposition ({!Tq_obs.Profile}) of every
+    completed request as JSON or as the human-readable table.  The trace
+    view needs the server running with spans enabled ([--obs] / a trace
+    file) and otherwise answers with an [Error] status. *)
 type stats_view =
   | Stats_json
   | Stats_text

@@ -9,7 +9,10 @@
    on every inject ring and the only consumer of every reply ring, so
    the SPSC contract holds with zero coordination, and every loop
    structure — connection table, pending table, ledger, latency
-   registry, span sink — is single-writer plain mutable state.
+   registry, stage profile, tail reservoir, span sink — is
+   single-writer plain mutable state.  Each completion computes the
+   request's seven stages once, from the pending entry and the worker's
+   residency the reply carries.
 
    This module also owns the pool and apps, the pooled framing buffers,
    the feedback controller (ticked by the loop), and the views of the
@@ -19,6 +22,7 @@
    consistent — and exact once [serve] has returned. *)
 
 module Parallel = Tq_runtime.Parallel
+module Task_worker = Tq_runtime.Task_worker
 module Park = Tq_runtime.Park
 module Spsc_ring = Tq_runtime.Spsc_ring
 module Admission = Tq_sched.Admission
@@ -88,26 +92,25 @@ type stats = {
   dead_workers : int;
 }
 
-(* Reply-ring payload: connection, span/request id, request class,
-   dispatch stamp, worker-side completion stamp (0 when spans are off),
-   and the encoded frame as a pooled buffer plus its live length. *)
+(* Reply-ring payload: the finished task's residency on its worker (its
+   id is the request's span id; its stamps are the worker's half of the
+   stage decomposition) and the encoded frame as a pooled buffer plus
+   its live length.  The connection, class and dispatch stamps stay in
+   the loop's pending entry. *)
 type reply = {
-  r_cid : int;
-  r_sid : int;
-  r_class : int;
-  r_t0 : int;
-  r_done : int;
+  r_res : Task_worker.residency;
   r_buf : bytes;  (* pooled: the loop releases it after blitting *)
   r_len : int;
 }
 
 (* The way back from the workers to the loop: per-worker reply rings,
-   the slot a finished job leaves its reply in until its slice ends,
-   and the doorbell.  Built before the pool, whose finish hook
+   the slots a finished job leaves its encoded frame in until its slice
+   ends, and the doorbell.  Built before the pool, whose finish hook
    publishes through it. *)
 type back = {
   rings : reply Spsc_ring.t array;  (* indexed by worker *)
-  outbox : reply array;
+  out_buf : bytes array;  (* [Bytes.empty] when the worker has no frame waiting *)
+  out_len : int array;
   space : Park.t array;  (* where a worker waits on its full reply ring *)
   parked : bool Atomic.t;  (* the loop is in, or about to enter, a blocking select *)
   bell_r : Unix.file_descr;  (* the doorbell: workers wake a parked loop *)
@@ -154,14 +157,18 @@ type ledger = {
 
 (* One admitted-but-unanswered request, keyed by span id: everything
    needed to re-dispatch to another worker if its current one is
-   declared dead.  First reply retires the entry; replies that
-   find no entry are duplicates and are dropped with a count. *)
+   declared dead, and the loop's half of the stage decomposition (parse
+   start, dispatch start, ring push).  First reply retires the entry;
+   replies that find no entry are duplicates and are dropped with a
+   count. *)
 type pending = {
   p_cid : int;
   p_req_id : int;
   p_req : Protocol.request;
   p_class : int;
+  p_p0 : int;
   p_t0 : int;
+  p_t1 : int;
   mutable p_worker : int;
   (* controller / queue state sampled at dispatch, for tail dossiers
      (all zero / -1 when tail sampling is off) *)
@@ -202,7 +209,7 @@ type t = {
   pending : (int, pending) Hashtbl.t;
   ledger : ledger;
   sink : Span.sink;
-  tail_sink : Tail.sink;
+  profile : Profile.t;  (* every completed request's stages, recorded by the loop *)
   latency : Latency.t;
   lat_all : Latency.recorder;
   lat_class : Latency.recorder array;
@@ -240,20 +247,18 @@ let ring_bell b =
     Mutex.unlock b.bell_lock
   end
 
-let no_reply =
-  { r_cid = -1; r_sid = -1; r_class = 0; r_t0 = 0; r_done = 0; r_buf = Bytes.empty; r_len = 0 }
-
 (* The pool's finish hook, on the worker's domain: it runs after the
-   finished job's last slice is stamped, so the loop cannot pop a reply
-   before the slice that made it has ended (the stage decomposition
-   needs that order), and before the job counts as finished, so a
-   drained pool has pushed every reply.  A full ring means the loop is
-   awake or paused (it parks only once every reply ring is empty), so
-   the worker parks until the loop's next pop wakes it. *)
-let publish b ~wid =
-  let reply = b.outbox.(wid) in
-  if reply != no_reply then begin
-    b.outbox.(wid) <- no_reply;
+   finished job's last slice is stamped, so the reply carries a complete
+   residency and the loop cannot pop it before the slice that made it
+   has ended, and before the job counts as finished, so a drained pool
+   has pushed every reply.  A full ring means the loop is awake or
+   paused (it parks only once every reply ring is empty), so the worker
+   parks until the loop's next pop wakes it. *)
+let publish b ~wid res =
+  let buf = b.out_buf.(wid) in
+  if buf != Bytes.empty then begin
+    b.out_buf.(wid) <- Bytes.empty;
+    let reply = { r_res = res; r_buf = buf; r_len = b.out_len.(wid) } in
     let ring = b.rings.(wid) in
     if not (Spsc_ring.try_push ring reply) then begin
       let has_space () = Spsc_ring.length ring < Spsc_ring.capacity ring in
@@ -323,7 +328,8 @@ let create ?(spans = Span.null) ?(tail = Tail.null) ?gc config =
       rings =
         Array.init config.workers (fun _ ->
             Spsc_ring.create ~capacity:(max 1024 (4 * config.ring_capacity)));
-      outbox = Array.make config.workers no_reply;
+      out_buf = Array.make config.workers Bytes.empty;
+      out_len = Array.make config.workers 0;
       space = Array.init config.workers (fun _ -> Park.create ());
       parked = Atomic.make false;
       bell_r;
@@ -411,7 +417,7 @@ let create ?(spans = Span.null) ?(tail = Tail.null) ?gc config =
           dead_workers = 0;
         };
       sink = Span.register spans (Span.Dispatcher 0);
-      tail_sink = Tail.register tail ~lane:0;
+      profile = Profile.create ();
       latency;
       lat_all = Latency.recorder latency "all";
       lat_class =
@@ -650,13 +656,12 @@ let snapshot_json t =
     (Printf.sprintf "  \"latency\": %s\n}\n" (Latency.to_json (latency t)));
   Buffer.contents b
 
-let breakdown t = Profile.of_records (Span.merge t.spans)
+let breakdown t = t.profile
 
 (* {2 Tail forensics views} *)
 
 let outlier_dossiers t ~limit =
-  let limit = if limit <= 0 then Tail.retained t.tail else limit in
-  Tail.dossiers t.tail ~records:(Span.merge t.spans) ~limit
+  if limit <= 0 then Tail.entries t.tail else Tail.top t.tail ~limit
 
 let tail_trace t = Tail.to_chrome t.tail (Span.merge t.spans)
 
@@ -673,13 +678,9 @@ let prometheus t =
   in
   Expo.render registries
   ^ Expo.render_latency ~name:"serve_latency_ns" (latency t)
-  ^
-  (* Per-stage series come from decomposing the live span buffers — a
-     merge per scrape, fine at scrape cadence, meaningless without
-     spans. *)
-  if t.spans_on then
-    Expo.render_latency ~name:"serve_stage_ns" (Profile.latency (breakdown t))
-  else ""
+  (* a copy, like [latency t], so each series is consistent in itself *)
+  ^ Expo.render_latency ~name:"serve_stage_ns"
+      (Latency.merge [ Profile.latency t.profile ])
 
 (* {2 The Stats RPC renderer}
 
@@ -697,15 +698,8 @@ let render_stats t view =
       match t.ctl with
       | Some c -> Ok (Tq_control.Controller.state_json c)
       | None -> Error "controller off: run the server with --adaptive")
-  | Protocol.Stats_breakdown | Protocol.Stats_breakdown_text ->
-      if not t.spans_on then
-        Error "stage breakdown needs spans: run the server with --obs"
-      else
-        let p = breakdown t in
-        Ok
-          (match view with
-          | Protocol.Stats_breakdown -> Profile.to_json p
-          | _ -> Profile.render p)
+  | Protocol.Stats_breakdown -> Ok (Profile.to_json t.profile)
+  | Protocol.Stats_breakdown_text -> Ok (Profile.render t.profile)
   | Protocol.Stats_outliers { limit } | Protocol.Stats_outliers_text { limit } ->
       if not t.tail_on then
         Error "tail forensics off: run the server with --tail-k > 0"
@@ -809,6 +803,7 @@ let adopt_fd t fd =
   Hashtbl.replace t.by_fd fd conn;
   t.fds_stale <- true;
   t.ledger.connections <- t.ledger.connections + 1;
+  Profile.record_accept t.profile;
   if t.spans_on then
     Span.record t.sink ~req_id:(-1) ~phase:Span.Accept ~start_ns:(Time_unit.now_ns ())
       ~dur_ns:0 ~arg:cid
@@ -859,41 +854,32 @@ let serve_stats t conn req_id view =
 (* {2 Dispatch} *)
 
 (* The worker-side closure for one request: execute on the running
-   worker's app, encode into a pooled buffer, and leave the reply in
-   that worker's outbox for [publish].  The app and outbox are looked
+   worker's app, encode into a pooled buffer, and leave the frame in
+   that worker's out slots for [publish].  The app and slots are looked
    up from the [wid] the pool passes at execution — the worker the job
    was submitted to — so the closure needs no placement argument and
    each reply ring keeps one producer, its own worker. *)
-let make_job t ~sid ~cid ~class_idx ~t0 ~req_id req =
+let make_job t ~req_id req =
   fun ~wid ->
     let resp = App.execute t.apps.(wid) ~req_id req in
     let len = Protocol.response_frame_len resp in
     let buf = Pool.acquire t.bufs ~len in
-    let n = Protocol.encode_response_into buf ~off:0 resp in
-    t.back.outbox.(wid) <-
-      {
-        r_cid = cid;
-        r_sid = sid;
-        r_class = class_idx;
-        r_t0 = t0;
-        r_done = (if t.spans_on then Time_unit.now_ns () else 0);
-        r_buf = buf;
-        r_len = n;
-      }
+    t.back.out_len.(wid) <- Protocol.encode_response_into buf ~off:0 resp;
+    t.back.out_buf.(wid) <- buf
 
 let shed t conn ~p0 ~class_idx req_id =
   bump t.ledger.shed class_idx;
+  let dur_ns = Time_unit.now_ns () - p0 in
+  Profile.record_shed t.profile dur_ns;
   if t.spans_on then
-    Span.record t.sink ~req_id:(-1) ~phase:Span.Shed ~start_ns:p0
-      ~dur_ns:(max 0 (Time_unit.now_ns () - p0))
-      ~arg:class_idx;
+    Span.record t.sink ~req_id:(-1) ~phase:Span.Shed ~start_ns:p0 ~dur_ns ~arg:class_idx;
   shed_response t conn req_id
 
-(* [p0] is the parse-start stamp from [parse_frames] (0 when spans are
-   off): the request's first boundary.  A dispatched request gets a
-   per-request [Parse] span [p0, t0) under its span id so the stage
-   decomposition can telescope from the very first touch; a shed
-   request gets a [Shed] span covering [p0, decision). *)
+(* [p0] is the parse-start stamp from [parse_frames]: the request's
+   first boundary, where its sojourn starts.  With spans on, a
+   dispatched request also gets a per-request [Parse] span [p0, t0)
+   under its span id, and a shed request a [Shed] span covering
+   [p0, decision). *)
 let dispatch t conn ~p0 req_id req =
   let class_idx = Protocol.class_of_request req in
   let pool_load = Parallel.in_flight t.pool in
@@ -932,29 +918,31 @@ let dispatch t conn ~p0 req_id req =
       else (0, -1, 0)
     in
     let t0 = Time_unit.now_ns () in
-    let job = make_job t ~sid ~cid ~class_idx ~t0 ~req_id req in
+    let job = make_job t ~req_id req in
+    (* The dispatch stage ends just before the push: once the job is on
+       the ring the worker may stamp its pickup before this thread
+       reads the clock again. *)
+    let t1 = Time_unit.now_ns () in
     Hashtbl.replace t.pending sid
       {
         p_cid = cid;
         p_req_id = req_id;
         p_req = req;
         p_class = class_idx;
+        p_p0 = p0;
         p_t0 = t0;
+        p_t1 = t1;
         p_worker = w;
         p_quantum_ns = q_ns;
         p_cap = cap;
         p_inject = inj;
       };
-    (* The Dispatch span ends just before the push: once the job is on
-       the ring the worker may stamp its pickup before this thread
-       reads the clock again. *)
-    let t1 = if t.spans_on then Time_unit.now_ns () else 0 in
     if Parallel.submit_to t.pool ~tag:sid ~class_idx ~worker:w job then begin
       t.next_sid <- sid + 1;
       bump t.ledger.dispatched class_idx;
       if t.spans_on then begin
         Span.record t.sink ~req_id:sid ~phase:Span.Parse ~start_ns:p0
-          ~dur_ns:(max 0 (t0 - p0)) ~arg:conn.cid;
+          ~dur_ns:(t0 - p0) ~arg:conn.cid;
         Span.record t.sink ~req_id:sid ~phase:Span.Dispatch ~start_ns:t0
           ~dur_ns:(t1 - t0) ~arg:w
       end
@@ -974,7 +962,7 @@ let rec parse_frames t conn =
         close_conn t conn
     | Ok None -> ()
     | Ok (Some payload) -> (
-        let p0 = if t.spans_on then Time_unit.now_ns () else 0 in
+        let p0 = Time_unit.now_ns () in
         match Protocol.decode_request payload with
         | Error _ ->
             t.ledger.protocol_errors <- t.ledger.protocol_errors + 1;
@@ -1006,36 +994,42 @@ let read_conn t chunk conn =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> close_conn t conn
 
+(* The request's stages are computed once, here: the pending entry
+   holds the loop's boundaries, the reply the worker's, and [now] is
+   the last.  The breakdown, /metrics and the tail reservoir all read
+   what [Profile.record] computed. *)
 let complete t ~worker reply =
-  match Hashtbl.find_opt t.pending reply.r_sid with
+  let res = reply.r_res in
+  let sid = res.Task_worker.task.Task_worker.task_id in
+  match Hashtbl.find_opt t.pending sid with
   | None ->
       (* Already answered by a re-dispatched copy (the original worker
          finished after being declared dead).  Count and drop — the
          client saw exactly one response. *)
       t.ledger.duplicates <- t.ledger.duplicates + 1
   | Some p -> (
-      Hashtbl.remove t.pending reply.r_sid;
+      Hashtbl.remove t.pending sid;
       let now = Time_unit.now_ns () in
-      let sojourn = now - reply.r_t0 in
-      bump (if sojourn <= t.ctl_latency_ns then t.ledger.good else t.ledger.late) reply.r_class;
+      let sojourn = now - p.p_p0 in
+      bump (if sojourn <= t.ctl_latency_ns then t.ledger.good else t.ledger.late) p.p_class;
       Admission.note_completion t.adm ~sojourn_ns:sojourn;
       Latency.record t.lat_all sojourn;
-      Latency.record t.lat_class.(reply.r_class) sojourn;
+      Latency.record t.lat_class.(p.p_class) sojourn;
+      Profile.record t.profile ~p0:p.p_p0 ~t0:p.p_t0 ~t1:p.p_t1 ~pickup:res.pickup_ns
+        ~first:res.first_ns ~run_ns:res.run_ns ~last_end:res.last_end_ns ~pop:now;
       if t.spans_on then
-        (* worker push -> loop pop-and-buffer: the reply ring hop plus
-           write buffering, the request's last leg *)
-        Span.record t.sink ~req_id:reply.r_sid ~phase:Span.Reply_flush
-          ~start_ns:reply.r_done
-          ~dur_ns:(max 0 (now - reply.r_done))
-          ~arg:reply.r_cid;
-      if t.tail_on then
-        (* [worker] is the ring owner, i.e. the worker that executed the
-           request — after a re-dispatch, the replacement rather than
-           the first placement *)
-        Tail.offer t.tail_sink ~now_ns:now ~seq:reply.r_sid ~class_idx:reply.r_class
-          ~worker ~sojourn_ns:sojourn ~t0_ns:reply.r_t0 ~quantum_ns:p.p_quantum_ns
-          ~cap:p.p_cap ~inject_depth:p.p_inject;
-      match Hashtbl.find t.conns reply.r_cid with
+        (* last quantum end -> loop pop-and-buffer: the reply ring hop
+           plus write buffering, the request's last leg *)
+        Span.record t.sink ~req_id:sid ~phase:Span.Reply_flush
+          ~start_ns:res.last_end_ns ~dur_ns:(now - res.last_end_ns) ~arg:p.p_cid;
+      (* [worker] is the ring owner, i.e. the worker that executed the
+         request — after a re-dispatch, the replacement rather than the
+         first placement *)
+      Tail.offer t.tail ~now_ns:now ~seq:sid ~class_idx:p.p_class ~worker
+        ~sojourn_ns:sojourn ~quantum_ns:p.p_quantum_ns ~cap:p.p_cap
+        ~inject_depth:p.p_inject ~stages:(Profile.last t.profile) ~quanta:res.quanta
+        ~stalls:res.stalls ~gc_pause_ns:res.gc_pause_ns;
+      match Hashtbl.find t.conns p.p_cid with
       | conn ->
           Outbuf.add_bytes conn.wb reply.r_buf ~off:0 ~len:reply.r_len;
           mark_dirty t conn
@@ -1220,10 +1214,7 @@ let redispatch_orphans t =
     List.iter
       (fun (sid, p) ->
         let w = Parallel.pick t.pool in
-        let job =
-          make_job t ~sid ~cid:p.p_cid ~class_idx:p.p_class ~t0:p.p_t0
-            ~req_id:p.p_req_id p.p_req
-        in
+        let job = make_job t ~req_id:p.p_req_id p.p_req in
         if Parallel.submit_to t.pool ~tag:sid ~class_idx:p.p_class ~worker:w job
         then begin
           p.p_worker <- w;
@@ -1270,6 +1261,7 @@ let serve t =
      server; the thread running the loop records into them from here on *)
   Latency.adopt t.lat_all;
   Array.iter Latency.adopt t.lat_class;
+  List.iter (fun (_, r) -> Latency.adopt r) (Latency.to_alist (Profile.latency t.profile));
   let chunk = Bytes.create 65536 in
   let stop_deadline_ns = ref max_int in
   let running = ref true in

@@ -134,18 +134,26 @@ val config_error : config -> string option
     snapshots merge in lock-free; the controller's [control.*] counters
     live in a registry of their own.
 
+    Every completed request is decomposed once, at completion, into the
+    seven {!Tq_obs.Profile} stages: the pending entry holds the loop's
+    boundaries and the reply carries the worker's
+    ({!Tq_runtime.Task_worker.residency}).  The breakdown view
+    ({!breakdown}), the [serve_stage_ns] series of {!prometheus} and the
+    tail dossiers all read that one record, with or without spans.
+
     [spans] (default disabled, zero per-request cost) turns on
     cross-domain request spans: the dispatcher records
     accept/parse/dispatch/shed/reply-flush on its own sink, workers
     record ring-hop/quantum/stall on theirs, all stitched by request id
-    ({!Tq_obs.Span.merge}) into one Perfetto timeline.
+    ({!Tq_obs.Span.merge}) into one Perfetto timeline, which
+    {!Tq_obs.Profile.of_records} decomposes exactly as the loop does.
 
     [tail] (default {!Tq_obs.Tail.null}, zero per-request cost) turns
-    on always-on tail forensics: the loop registers one bounded
-    reservoir sink that retains the K slowest completions per sliding
-    window plus every threshold breach, with controller state and queue
-    depths sampled at dispatch time.  Pair it with [spans] to get exact
-    per-stage attribution in the dossiers ({!outlier_dossiers}).
+    on always-on tail forensics: the loop owns the bounded reservoir
+    that retains the K slowest completions per sliding window plus
+    every threshold breach, each a complete dossier — stages, quanta,
+    stalls, GC pause time, and the controller state and queue depths
+    sampled at dispatch time ({!outlier_dossiers}).
 
     [gc] (a running {!Tq_obs.Gc_events} consumer) wires GC telemetry
     in: workers attribute wall-clock stalls to GC vs OS preemption
@@ -217,7 +225,7 @@ val ledger_violations : stats -> string list
     in the buffer. *)
 val span_dropped : t -> int
 
-(** Completion sojourn latencies (dispatch to reply-ring pop), per
+(** Completion sojourn latencies (parse start to reply-ring pop), per
     request class plus ["all"]: a copy of the registry the loop records
     as it polls replies (HDR percentiles at native resolution). *)
 val latency : t -> Tq_obs.Latency.t
@@ -236,8 +244,8 @@ val snapshot_json : t -> string
 
 (** The same snapshot as Prometheus text exposition — the [Stats_text]
     RPC body.  The loop renders as the [role="dispatcher"] series;
-    workers carry [role] / [worker] labels; with spans enabled the per-stage
-    decomposition renders as the [tq_serve_stage_ns] histogram
+    workers carry [role] / [worker] labels; the per-stage decomposition
+    ({!breakdown}) renders as the [tq_serve_stage_ns] histogram
     family. *)
 val prometheus : t -> string
 
@@ -247,18 +255,16 @@ val prometheus : t -> string
     {!Http_expo} serves [/metrics] and [/outliers] through it. *)
 val render_stats : t -> Protocol.stats_view -> (string, string) result
 
-(** [breakdown t] — the per-stage sojourn decomposition of the span
-    buffers as they stand ({!Tq_obs.Profile.of_records} over a live
-    merge): the [Stats_breakdown] RPC body, exposed for in-process
-    assertions.  Meaningful only with spans enabled and exact only
-    after drain. *)
+(** [breakdown t] — the loop's per-stage sojourn decomposition of every
+    completed request (and every shed), as {!create} describes: the
+    [Stats_breakdown] RPC body, exposed for in-process assertions.  The
+    loop's own record, not a copy: read live it is eventually
+    consistent, and exact once {!serve} has returned. *)
 val breakdown : t -> Tq_obs.Profile.t
 
 (** [outlier_dossiers t ~limit] — the [limit] slowest retained requests
-    ([limit <= 0] for all), enriched against the live span merge: exact
-    per-stage attribution, quantum/stall counts and overlapping
-    GC pauses ({!Tq_obs.Tail.dossiers}). *)
-val outlier_dossiers : t -> limit:int -> Tq_obs.Tail.dossier list
+    ([limit <= 0] for all), each a complete dossier. *)
+val outlier_dossiers : t -> limit:int -> Tq_obs.Tail.entry list
 
 (** [tail_trace t] — Chrome trace-event JSON restricted to the retained
     outliers (their spans plus overlapping stall/GC records): the

@@ -10,9 +10,16 @@ type t = {
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
+(* Floor of log2 by halving the width, not one bit per step: it runs
+   on every record, ten per completed live request. *)
 let log2_int n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
-  go 0 n
+  let r = ref 0 and n = ref n in
+  if !n >= 1 lsl 32 then begin n := !n lsr 32; r := 32 end;
+  if !n >= 1 lsl 16 then begin n := !n lsr 16; r := !r + 16 end;
+  if !n >= 1 lsl 8 then begin n := !n lsr 8; r := !r + 8 end;
+  if !n >= 1 lsl 4 then begin n := !n lsr 4; r := !r + 4 end;
+  if !n >= 1 lsl 2 then begin n := !n lsr 2; r := !r + 2 end;
+  if !n >= 2 then !r + 1 else !r
 
 (* Index layout: values < sub_buckets map identity to [0, sub_buckets);
    beyond that, each power-of-two range [2^k, 2^(k+1)) splits into
@@ -58,7 +65,7 @@ let create ?(sub_buckets = 32) ~max_value () =
 
 let record_n t v ~count =
   if count < 0 then invalid_arg "Histogram.record_n: negative count";
-  let v = max 0 (min v t.max_value) in
+  let v = Int.max 0 (Int.min v t.max_value) in
   let i = bucket_index t v in
   t.counts.(i) <- t.counts.(i) + count;
   t.total <- t.total + count;

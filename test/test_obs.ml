@@ -894,33 +894,32 @@ let suite = suite @ profile_suite
 
 module Tail = Tq_obs.Tail
 
-let offer ?(now = 1) ?(worker = 0) ?(t0 = 0) ?(quantum = 100_000) ?(cap = -1)
-    ?(inj = 0) sink ~seq ~sojourn =
-  Tail.offer sink ~now_ns:now ~seq ~class_idx:0 ~worker ~sojourn_ns:sojourn
-    ~t0_ns:t0 ~quantum_ns:quantum ~cap ~inject_depth:inj
+let no_stages = Array.make (List.length Profile.stages) 0
+
+let offer ?(now = 1) ?(worker = 0) ?(quantum = 100_000) ?(cap = -1) ?(inj = 0)
+    ?(stages = no_stages) ?(quanta = 1) ?(stalls = 0) ?(gc_pause_ns = 0) t ~seq ~sojourn =
+  Tail.offer t ~now_ns:now ~seq ~class_idx:0 ~worker ~sojourn_ns:sojourn ~quantum_ns:quantum
+    ~cap ~inject_depth:inj ~stages ~quanta ~stalls ~gc_pause_ns
 
 let test_tail_disabled_is_inert () =
-  Alcotest.(check bool) "null collection disabled" false (Tail.enabled Tail.null);
-  let sink = Tail.register Tail.null ~lane:0 in
+  Alcotest.(check bool) "null reservoir disabled" false (Tail.enabled Tail.null);
   for i = 1 to 100 do
-    offer sink ~seq:i ~sojourn:(i * 1_000)
+    offer Tail.null ~seq:i ~sojourn:(i * 1_000)
   done;
   check Alcotest.int "nothing offered" 0 (Tail.offered Tail.null);
   check Alcotest.int "nothing retained" 0 (Tail.retained Tail.null);
-  Alcotest.(check bool) "no dossiers" true
-    (Tail.dossiers Tail.null ~records:[] ~limit:10 = [])
+  Alcotest.(check bool) "no dossiers" true (Tail.top Tail.null ~limit:10 = [])
 
 let test_tail_admit_evict_floor () =
   let t = Tail.create ~k:4 () in
-  let sink = Tail.register t ~lane:0 in
-  List.iteri (fun i s -> offer sink ~seq:i ~sojourn:s) [ 10; 20; 30; 40 ];
+  List.iteri (fun i s -> offer t ~seq:i ~sojourn:s) [ 10; 20; 30; 40 ];
   check Alcotest.int "reservoir filled" 4 (Tail.retained t);
   (* the common case: a fast request bounces off the floor *)
-  offer sink ~seq:100 ~sojourn:5;
+  offer t ~seq:100 ~sojourn:5;
   check Alcotest.int "fast request rejected" 4 (Tail.retained t);
   check Alcotest.int "admitted only the four" 4 (Tail.admitted t);
   (* a slower one evicts the current minimum *)
-  offer sink ~seq:101 ~sojourn:50;
+  offer t ~seq:101 ~sojourn:50;
   let tops = List.map (fun e -> e.Tail.e_sojourn_ns) (Tail.entries t) in
   Alcotest.(check (list int)) "slowest-first, min evicted" [ 50; 40; 30; 20 ] tops;
   check Alcotest.int "offered counts everything" 6 (Tail.offered t);
@@ -930,25 +929,23 @@ let test_tail_admit_evict_floor () =
 
 let test_tail_window_roll () =
   let t = Tail.create ~k:2 ~window_ns:100 () in
-  let sink = Tail.register t ~lane:0 in
-  offer sink ~now:10 ~seq:1 ~sojourn:500;
+  offer t ~now:10 ~seq:1 ~sojourn:500;
   (* next window: the old top-K survives as the previous window *)
-  offer sink ~now:200 ~seq:2 ~sojourn:300;
+  offer t ~now:200 ~seq:2 ~sojourn:300;
   let seqs = List.map (fun e -> e.Tail.e_seq) (Tail.entries t) in
   Alcotest.(check (list int)) "both windows retained" [ 1; 2 ] seqs;
   (* a second roll forgets the first window entirely *)
-  offer sink ~now:400 ~seq:3 ~sojourn:100;
+  offer t ~now:400 ~seq:3 ~sojourn:100;
   let seqs = List.sort compare (List.map (fun e -> e.Tail.e_seq) (Tail.entries t)) in
   Alcotest.(check (list int)) "window 1 aged out" [ 2; 3 ] seqs
 
 let test_tail_breach_ring () =
   let t = Tail.create ~k:2 ~threshold_ns:1_000 () in
-  let sink = Tail.register t ~lane:0 in
   (* fill the top-K with slow requests so the floor is high *)
-  offer sink ~seq:1 ~sojourn:5_000;
-  offer sink ~seq:2 ~sojourn:6_000;
+  offer t ~seq:1 ~sojourn:5_000;
+  offer t ~seq:2 ~sojourn:6_000;
   (* below the floor but over the threshold: retained via the breach ring *)
-  offer sink ~seq:3 ~sojourn:1_500;
+  offer t ~seq:3 ~sojourn:1_500;
   let breached =
     List.filter (fun e -> e.Tail.e_breach) (Tail.entries t)
     |> List.map (fun e -> e.Tail.e_seq)
@@ -957,65 +954,45 @@ let test_tail_breach_ring () =
   Alcotest.(check (list int)) "all three breach the threshold" [ 1; 2; 3 ] breached;
   check Alcotest.int "breach kept despite losing the floor race" 3 (Tail.retained t);
   (* under the threshold and under the floor: gone *)
-  offer sink ~seq:4 ~sojourn:500;
+  offer t ~seq:4 ~sojourn:500;
   check Alcotest.int "fast request still rejected" 3 (Tail.retained t)
 
+(* A retained entry is a complete dossier: the stages, quanta, stalls
+   and GC pause time offered with it, telescoping to its sojourn. *)
 let test_tail_dossier_exactness () =
-  let records, expected, sojourn =
+  let _, expected, sojourn =
     synthetic_request ~req:7 ~p0:1_000 ~parse:500 ~dispatch:300 ~hop:100
       ~wait:4_000 ~d0:5_000 ~gap:250 ~d1:3_000 ~flush:600
   in
-  (* core-level context riding the same worker: one stall inside the
-     request's residency, one GC pause, plus decoys that do not overlap
-     and must not be counted *)
-  let t_end = 1_000 + sojourn in
-  let records =
-    records
-    @ [
-        sp ~req:(-1) ~lane:(Span.Worker 0) Span.Stall 3_000 200;
-        sp ~req:(-1) ~lane:(Span.Gc 0) Span.Gc_minor 4_000 300;
-        sp ~req:(-1) ~lane:(Span.Worker 1) Span.Stall 2_000 100;
-        (* other worker *)
-        sp ~req:(-1) ~lane:(Span.Worker 0) Span.Stall (t_end + 10_000) 100;
-        (* after the request left *)
-      ]
-  in
+  let stages = Array.of_list (List.map snd expected) in
   let t = Tail.create ~k:4 () in
-  let sink = Tail.register t ~lane:0 in
-  offer sink ~now:t_end ~t0:1_000 ~seq:7 ~sojourn ~inj:3;
-  (match Tail.dossiers t ~records ~limit:10 with
-  | [ d ] ->
-      Alcotest.(check bool) "attributed" true d.Tail.d_attributed;
+  offer t ~now:(1_000 + sojourn) ~seq:7 ~sojourn ~inj:3 ~stages ~quanta:2 ~stalls:1
+    ~gc_pause_ns:300;
+  (* the offered array is copied: reusing it cannot rewrite the dossier *)
+  Array.fill stages 0 (Array.length stages) 0;
+  match Tail.top t ~limit:10 with
+  | [ e ] ->
       check Alcotest.int "stages telescope to the sojourn" sojourn
-        (List.fold_left (fun acc (_, v) -> acc + v) 0 d.Tail.d_stages);
-      check Alcotest.int "exact sojourn" sojourn d.Tail.d_sojourn_ns;
-      List.iter
-        (fun (stage, v) ->
-          check Alcotest.int (Profile.stage_name stage) v
-            (List.assq stage d.Tail.d_stages))
+        (Array.fold_left ( + ) 0 e.Tail.e_stages);
+      List.iteri
+        (fun i (stage, v) ->
+          check Alcotest.int (Profile.stage_name stage) v e.Tail.e_stages.(i))
         expected;
-      check Alcotest.int "two quanta" 2 d.Tail.d_quanta;
-      check Alcotest.int "one overlapping stall" 1 d.Tail.d_stalls;
-      check Alcotest.int "one overlapping gc pause" 1 d.Tail.d_gc_pauses;
-      check Alcotest.int "gc pause time" 300 d.Tail.d_gc_pause_ns;
-      check Alcotest.int "inject depth sampled" 3
-        d.Tail.d_entry.Tail.e_inject_depth;
+      check Alcotest.int "two quanta" 2 e.Tail.e_quanta;
+      check Alcotest.int "one stall" 1 e.Tail.e_stalls;
+      check Alcotest.int "gc pause time" 300 e.Tail.e_gc_pause_ns;
+      check Alcotest.int "inject depth sampled" 3 e.Tail.e_inject_depth;
       (* the JSON view is well-formed and carries the stage map *)
-      let json = Tail.dossiers_json t [ d ] in
+      let json = Tail.dossiers_json t [ e ] in
       json_well_formed "dossiers json" json;
       Alcotest.(check bool) "json has stages" true (contains json "\"stages_ns\"");
-      Alcotest.(check bool) "json marks attribution" true
-        (contains json "\"attributed\": true");
+      Alcotest.(check bool) "json stage sum is the sojourn" true
+        (contains json (Printf.sprintf "\"stage_sum_ns\": %d" sojourn));
+      Alcotest.(check bool) "json arrival stamp" true (contains json "\"t0_ns\": 1000");
       (* the table renders the stage columns *)
-      let txt = Tail.render ~class_name:(fun _ -> "echo") [ d ] in
+      let txt = Tail.render ~class_name:(fun _ -> "echo") [ e ] in
       Alcotest.(check bool) "render mentions the class" true (contains txt "echo")
-  | ds -> Alcotest.failf "expected one dossier, got %d" (List.length ds));
-  (* without spans the dossier degrades to the admit-time sojourn *)
-  match Tail.dossiers t ~records:[] ~limit:10 with
-  | [ d ] ->
-      Alcotest.(check bool) "unattributed without spans" false d.Tail.d_attributed;
-      check Alcotest.int "falls back to admit sojourn" sojourn d.Tail.d_sojourn_ns
-  | ds -> Alcotest.failf "expected one dossier, got %d" (List.length ds)
+  | es -> Alcotest.failf "expected one dossier, got %d" (List.length es)
 
 let test_tail_outlier_trace_filter () =
   let keep, _, s_keep =
@@ -1030,9 +1007,8 @@ let test_tail_outlier_trace_filter () =
   let gc_out = sp ~req:(-1) ~lane:(Span.Gc 0) Span.Gc_minor 5_000_000 50 in
   let records = keep @ drop @ [ gc_in; gc_out ] in
   let t = Tail.create ~k:1 () in
-  let sink = Tail.register t ~lane:0 in
   (* only request 1 is retained *)
-  offer sink ~now:s_keep ~t0:0 ~seq:1 ~sojourn:s_keep;
+  offer t ~now:s_keep ~seq:1 ~sojourn:s_keep;
   let kept = Tail.filter_records t records in
   Alcotest.(check bool) "retained request's spans kept" true
     (List.exists (fun (r : Span.record) -> r.Span.req_id = 1) kept);
@@ -1093,9 +1069,9 @@ let test_tail_offer_null_sink_allocation_free () =
   check (Alcotest.float 0.0) "minor words per tail offer" 0.0
     (Test_util.minor_words_per_call (fun () ->
          incr seq;
-         Tail.offer Tail.null_sink ~now_ns:!seq ~seq:!seq ~class_idx:0 ~worker:0
-           ~sojourn_ns:1_000_000 ~t0_ns:0 ~quantum_ns:100_000 ~cap:(-1)
-           ~inject_depth:0))
+         Tail.offer Tail.null ~now_ns:!seq ~seq:!seq ~class_idx:0 ~worker:0
+           ~sojourn_ns:1_000_000 ~quantum_ns:100_000 ~cap:(-1) ~inject_depth:0
+           ~stages:no_stages ~quanta:1 ~stalls:0 ~gc_pause_ns:0))
 
 (* The enabled span record boxes one record in an option: 9 words
    (a 6-field record plus header, and the Some).  An upper bound, so a
@@ -1116,10 +1092,11 @@ let test_span_record_enabled_words () =
 (* The armed reservoir's common case: a request faster than a full
    reservoir's floor is rejected by one compare and allocates nothing. *)
 let test_tail_offer_reject_allocation_free () =
-  let sink = Tail.register (Tail.create ~k:16 ()) ~lane:0 in
+  let sink = Tail.create ~k:16 () in
   let offer ~seq ~sojourn_ns =
-    Tail.offer sink ~now_ns:1 ~seq ~class_idx:0 ~worker:0 ~sojourn_ns ~t0_ns:0
-      ~quantum_ns:100_000 ~cap:(-1) ~inject_depth:0
+    Tail.offer sink ~now_ns:1 ~seq ~class_idx:0 ~worker:0 ~sojourn_ns
+      ~quantum_ns:100_000 ~cap:(-1) ~inject_depth:0 ~stages:no_stages ~quanta:1
+      ~stalls:0 ~gc_pause_ns:0
   in
   for i = 1 to 16 do
     offer ~seq:(-i) ~sojourn_ns:1_000_000

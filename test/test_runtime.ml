@@ -206,7 +206,7 @@ let test_worker_ps_rotation () =
   let finished = ref [] in
   let w =
     Task_worker.create ~clock ~quantum_ns:1_000
-      ~on_finish:(fun task -> finished := task.Task_worker.task_id :: !finished)
+      ~on_finish:(fun r -> finished := r.Task_worker.task.task_id :: !finished)
       ()
   in
   Task_worker.submit w
@@ -230,6 +230,43 @@ let test_worker_counters () =
   Task_worker.run_until_idle w;
   check Alcotest.int "quanta released on finish" 0 (Task_worker.current_quanta w)
 
+(* A task's residency, on a virtual clock with a 1000 ns quantum: task
+   1 (2500 ns) runs 0-1000, task 2 (1000 ns) 1000-2000, task 1 again
+   2000-3000 and 3000-3500.  The stall counter is bumped once per slice
+   (before [on_finish]) and the GC clock by 7 per read, so their growth
+   over each stay is exact. *)
+let test_worker_residency () =
+  let clock = Clock.virtual_ () in
+  let stalls = Tq_obs.Counters.counter (Tq_obs.Counters.create ()) "runtime.stalls" in
+  let gc = ref 0 in
+  let done_ = ref [] in
+  let w =
+    Task_worker.create ~clock ~quantum_ns:1_000 ~stalls
+      ~on_quantum:(fun ~task_id:_ ~start_ns:_ ~end_ns:_ ~finished:_ ->
+        Tq_obs.Counters.incr stalls)
+      ~gc_pause_ns:(fun () ->
+        gc := !gc + 7;
+        !gc)
+      ~on_finish:(fun (r : Task_worker.residency) ->
+        done_ :=
+          [ r.task.task_id; r.pickup_ns; r.first_ns; r.run_ns; r.last_end_ns; r.quanta;
+            r.stalls; r.gc_pause_ns ]
+          :: !done_)
+      ()
+  in
+  List.iter
+    (fun (id, ns) ->
+      Task_worker.submit w
+        { Task_worker.task_id = id; class_idx = 0; work = (fun ~wid:_ -> work clock ns) })
+    [ (1, 2_500); (2, 1_000) ];
+  Task_worker.run_until_idle w;
+  (* id, pickup, first, run, last end, quanta, stalls, gc pause *)
+  check
+    Alcotest.(list (list int))
+    "residencies in finish order"
+    [ [ 2; 0; 1_000; 1_000; 2_000; 1; 2; 7 ]; [ 1; 0; 0; 2_500; 3_500; 3; 4; 21 ] ]
+    (List.rev !done_)
+
 (* --- Differential: live worker vs the DES worker model --- *)
 
 (* Per-job (id, completion time) in completion order, from one
@@ -239,7 +276,7 @@ let live_completions ~quantum_ns services =
   let done_ = ref [] in
   let w =
     Task_worker.create ~clock ~quantum_ns
-      ~on_finish:(fun task -> done_ := (task.Task_worker.task_id, Clock.now_ns clock) :: !done_)
+      ~on_finish:(fun r -> done_ := (r.Task_worker.task.task_id, Clock.now_ns clock) :: !done_)
       ()
   in
   List.iteri
@@ -750,7 +787,9 @@ let clock_suite =
       test_quantum_honoured_on_real_clock;
   ]
 
-let suite = suite @ stall_suite @ placement_suite @ clock_suite
+let suite =
+  suite @ stall_suite @ placement_suite @ clock_suite
+  @ [ Alcotest.test_case "worker residency" `Quick test_worker_residency ]
 
 (* --- Park and wake: no lost wake-up --- *)
 

@@ -486,22 +486,75 @@ let test_breakdown_rpc () =
     (Tq_obs.Profile.sum_rel_error p < 0.01);
   check Alcotest.int "nothing dropped at this volume" 0 (Tq_obs.Span.dropped spans)
 
-let test_breakdown_needs_spans () =
-  (* without span collection there is nothing to decompose: the RPC must
-     say so instead of returning an empty report *)
-  with_server base_config (fun srv ->
-      let client = Client.connect ~port:(Server.port srv) () in
-      run_batch client 10;
-      (match Client.stats ~view:Protocol.Stats_breakdown client with
-      | exception Failure msg ->
-          check Alcotest.bool "error names the fix" true (contains msg "--obs")
-      | body -> Alcotest.failf "expected an error response, got: %s" body);
-      Client.close client)
+let json_number body key =
+  match Result.map (Tq_util.Json.member key) (Tq_util.Json.of_string body) with
+  | Ok (Some v) -> (
+      match Tq_util.Json.number_opt v with
+      | Some x -> int_of_float x
+      | None -> Alcotest.failf "%s is not a number" key)
+  | Ok None -> Alcotest.failf "%s missing from %s" key body
+  | Error e -> Alcotest.failf "unreadable json: %s" e
+
+let stage_total p =
+  List.fold_left (fun acc s -> acc + Tq_obs.Profile.stage_sum_ns p s) 0 Tq_obs.Profile.stages
+
+(* Without spans the loop still decomposes every completed request: the
+   stages come from the reply, so the breakdown covers the whole batch,
+   exactly, and its stage sums total the dispatcher's sojourns. *)
+let test_breakdown_without_spans () =
+  let n = 400 in
+  let srv = Server.create base_config in
+  let th = Thread.create (fun () -> Server.serve srv) () in
+  let client = Client.connect ~port:(Server.port srv) () in
+  run_batch client n;
+  let body = Client.stats ~view:Protocol.Stats_breakdown client in
+  Client.close client;
+  Server.stop srv;
+  Thread.join th;
+  check Alcotest.int "the live view decomposed the batch" n (json_number body "requests");
+  check Alcotest.int "exactly" n (json_number body "exact");
+  let s = Server.stats srv in
+  let p = Server.breakdown srv in
+  check Alcotest.int "requests = completed" s.Server.completed (Tq_obs.Profile.requests p);
+  check (Alcotest.float 0.0) "exact_fraction" 1.0 (Tq_obs.Profile.exact_fraction p);
+  check Alcotest.int "nothing unattributed" 0 (Tq_obs.Profile.unattributed_count p);
+  let json = Tq_obs.Profile.to_json p in
+  check Alcotest.int "stage sums total the dispatcher's sojourn sum"
+    (json_number json "sojourn_sum_ns") (stage_total p);
+  let all = Tq_obs.Latency.recorder (Server.latency srv) "all" in
+  check Alcotest.int "one sojourn per completion" (Tq_obs.Latency.count all)
+    (Tq_obs.Profile.stage_count p Tq_obs.Profile.S_service)
+
+(* With a span sink that keeps every span, the trace decomposes exactly
+   as the loop did: both read the same stamps. *)
+let test_breakdown_matches_spans () =
+  let spans = Tq_obs.Span.create ~capacity_per_sink:16_384 () in
+  let srv = Server.create ~spans base_config in
+  let th = Thread.create (fun () -> Server.serve srv) () in
+  let client = Client.connect ~port:(Server.port srv) () in
+  run_batch client 400;
+  Client.close client;
+  Server.stop srv;
+  Thread.join th;
+  check Alcotest.int "every span kept" 0 (Tq_obs.Span.dropped spans);
+  let live = Server.breakdown srv in
+  let traced = Tq_obs.Profile.of_records (Tq_obs.Span.merge spans) in
+  check Alcotest.int "same requests" (Tq_obs.Profile.requests traced)
+    (Tq_obs.Profile.requests live);
+  List.iter
+    (fun stage ->
+      check Alcotest.int
+        (Tq_obs.Profile.stage_name stage ^ " sum")
+        (Tq_obs.Profile.stage_sum_ns traced stage)
+        (Tq_obs.Profile.stage_sum_ns live stage))
+    Tq_obs.Profile.stages
 
 let breakdown_suite =
   [
     Alcotest.test_case "breakdown rpc" `Quick test_breakdown_rpc;
-    Alcotest.test_case "breakdown needs spans" `Quick test_breakdown_needs_spans;
+    Alcotest.test_case "breakdown without spans" `Quick test_breakdown_without_spans;
+    Alcotest.test_case "breakdown matches the span decomposition" `Quick
+      test_breakdown_matches_spans;
   ]
 
 let suite = suite @ breakdown_suite
@@ -1022,15 +1075,9 @@ let test_outliers_rpc () =
   check Alcotest.bool "limit truncates" true
     (List.length (Server.outlier_dossiers srv ~limit:3) <= 3);
   List.iter
-    (fun d ->
-      check Alcotest.bool "attributed after drain" true d.Tq_obs.Tail.d_attributed;
-      let sum =
-        List.fold_left (fun acc (_, v) -> acc + v) 0 d.Tq_obs.Tail.d_stages
-      in
-      check Alcotest.int "stages telescope to the sojourn exactly" sum
-        d.Tq_obs.Tail.d_sojourn_ns;
-      let e = d.Tq_obs.Tail.d_entry in
-      check Alcotest.int "the lane's sink" 0 e.Tq_obs.Tail.e_lane;
+    (fun (e : Tq_obs.Tail.entry) ->
+      check Alcotest.int "stages telescope to the sojourn exactly" e.e_sojourn_ns
+        (Array.fold_left ( + ) 0 e.e_stages);
       check Alcotest.bool "worker in range" true
         (e.Tq_obs.Tail.e_worker >= 0 && e.Tq_obs.Tail.e_worker < 2);
       check Alcotest.bool "controller quantum sampled" true
@@ -1216,11 +1263,34 @@ let test_http_view_error () =
               check Alcotest.bool "body carries the rpc message" true (contains body msg)
           | Ok _ -> Alcotest.fail "outliers view rendered with tail forensics off"))
 
+(* Dossiers need no spans: with spans off, every retained request
+   carries its own stages, which telescope to its sojourn. *)
+let test_outliers_without_spans () =
+  let tail = Tq_obs.Tail.create ~k:4 () in
+  let srv = Server.create ~tail base_config in
+  let th = Thread.create (fun () -> Server.serve srv) () in
+  let client = Client.connect ~port:(Server.port srv) () in
+  run_batch client 200;
+  let body = Client.stats ~view:(Protocol.Stats_outliers { limit = 0 }) client in
+  Client.close client;
+  Server.stop srv;
+  Thread.join th;
+  check Alcotest.bool "served over the wire" true (contains body "\"stages_ns\"");
+  let ds = Server.outlier_dossiers srv ~limit:0 in
+  check Alcotest.bool "dossiers retained" true (ds <> []);
+  List.iter
+    (fun (e : Tq_obs.Tail.entry) ->
+      check Alcotest.bool "at least one quantum" true (e.e_quanta >= 1);
+      check Alcotest.int "stages sum to the sojourn" e.e_sojourn_ns
+        (Array.fold_left ( + ) 0 e.e_stages))
+    ds
+
 let tail_suite =
   [
     Alcotest.test_case "outlier codec roundtrip" `Quick test_outlier_codec_roundtrip;
     Alcotest.test_case "outliers rpc" `Quick test_outliers_rpc;
     Alcotest.test_case "outliers need tail sampling" `Quick test_outliers_need_tail;
+    Alcotest.test_case "outliers without spans" `Quick test_outliers_without_spans;
     Alcotest.test_case "http metrics plane" `Quick test_http_metrics_plane;
     Alcotest.test_case "http view error carries the rpc message" `Quick
       test_http_view_error;
