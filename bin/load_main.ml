@@ -5,8 +5,8 @@
    ladder, each request timed from its intended send time.  `--json
    FILE` writes the single-run benchmark report, with the generator's
    own lag; `--dashboard` renders SLO burn rates live; `--stats-interval SEC`
-   polls the server's Stats RPC; `--trace FILE` fetches the server's
-   span trace (server must run with --obs) for Perfetto. *)
+   polls the server's Stats RPC.  A span trace for Perfetto comes from
+   the server itself: `tq_serve --trace-out FILE` writes it on exit. *)
 
 open Cmdliner
 
@@ -23,7 +23,7 @@ let parse_slo s =
 
 let run host port rate connections warmup measure grace seed mix_spec spin_us
     heavy_frac heavy_spin_us json_out quiet slo_specs slo_strict stats_interval dashboard stats_json
-    trace_out breakdown breakdown_json control outliers_n =
+    breakdown breakdown_json control outliers_n =
   let mix =
     match mix_spec with
     | None -> Tq_serve.Load_gen.default_mix
@@ -136,16 +136,6 @@ let run host port rate connections warmup measure grace seed mix_spec spin_us
           if not quiet then Printf.printf "tq_load: wrote server stats to %s\n" path
       | [] -> Printf.eprintf "tq_load: no stats polls succeeded, %s not written\n" path)
   | None -> ());
-  Option.iter
-    (fun path ->
-      Option.iter
-        (fun body ->
-          write_file path body;
-          if not quiet then
-            Printf.printf "tq_load: wrote server span trace to %s (%d bytes)\n" path
-              (String.length body))
-        (fetch "trace" Tq_serve.Protocol.Stats_trace))
-    trace_out;
   (* Per-stage sojourn decomposition of every completed request. *)
   if breakdown then
     Option.iter print_string (fetch "breakdown" Tq_serve.Protocol.Stats_breakdown_text);
@@ -255,12 +245,6 @@ let () =
          & info [ "stats-json" ] ~docv:"FILE"
              ~doc:"write the last polled server stats snapshot to FILE")
   in
-  let trace =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"after the run, fetch the server's span trace (Stats RPC) and \
-                   write Chrome/Perfetto JSON to FILE (server needs --obs)")
-  in
   let breakdown =
     Arg.(value & flag
          & info [ "breakdown" ]
@@ -296,7 +280,7 @@ let () =
     :: Cmd.Exit.info 3 ~doc:"when $(b,--slo-strict) finds an SLO breached."
     :: Cmd.Exit.info 4
          ~doc:"when a post-run view that was asked for ($(b,--outliers), \
-               $(b,--trace), $(b,--breakdown), $(b,--breakdown-json), \
+               $(b,--breakdown), $(b,--breakdown-json), \
                $(b,--control)) could not be fetched; every view that was \
                fetched is still written first."
     :: Cmd.Exit.defaults
@@ -305,7 +289,7 @@ let () =
     Cmd.v (Cmd.info "tq_load" ~version:"1.3.0" ~doc ~exits)
       Term.(const run $ host $ port $ rate $ connections $ warmup $ measure $ grace
             $ seed $ mix $ spin $ heavy_frac $ heavy_spin $ json $ quiet $ slo $ slo_strict
-            $ stats_interval $ dashboard $ stats_json $ trace $ breakdown
+            $ stats_interval $ dashboard $ stats_json $ breakdown
             $ breakdown_json $ control $ outliers)
   in
   exit (Cmd.eval cmd)

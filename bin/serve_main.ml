@@ -270,7 +270,8 @@ let () =
     Arg.(value & flag
          & info [ "obs" ]
              ~doc:"enable cross-domain request spans (dispatch/quantum/stall \
-                   timelines, served by the Stats RPC trace view)")
+                   timelines; the stats snapshot counts them, --trace-out \
+                   writes them)")
   in
   let obs_capacity =
     Arg.(value & opt int 16_384

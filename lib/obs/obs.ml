@@ -14,10 +14,9 @@ type t = {
   sample_interval_ns : int;  (** time-series sampling period (virtual time) *)
 }
 
-(* A simulated 16-core system registers about 18 sinks, and each sink
-   allocates its whole ring at registration: 16384 records per sink
-   holds a 2 ms trace at 70% load whole and keeps a long traced run to
-   tens of MB. *)
+(* A simulated 16-core system registers about 18 sinks, each growing
+   to at most 16384 five-word records: a 2 ms trace at 70% load whole,
+   and about 12 MB of columns for a long traced run. *)
 let create ?(sample_interval_ns = 10_000) () =
   {
     spans = Span.create ~capacity_per_sink:16_384 ();

@@ -3,19 +3,19 @@
 
    The live server has a dispatcher thread plus N worker domains, so one
    shared ring would be a data race.  Every domain registers its own
-   bounded sink (single writer per sink; per-cell Atomics, because the
-   sink overwrites its oldest records and has no consumer cursor, so a
-   reader may read a cell while the writer replaces it) and a merge
-   step stitches the per-domain buffers into one timeline keyed by
-   request id.  Building a sink's cells with [Array.init] of fresh
-   Atomics forces a minor collection once a sink passes 256 cells.  A
-   simulated system registers one sink per lane it writes, on its single
-   domain, and stamps virtual ns.
+   bounded sink: plain arrays written only by their owner, plus an
+   atomic count (the [Spsc_ring] idiom, with no consumer).  Nothing
+   reads a sink's records while its writer runs: [merge] and the
+   exports run once every writer has stopped (a joined domain, a
+   stopped [Gc_events] consumer, the DES's single domain) and stitch
+   the sinks into one timeline keyed by request id.  A simulated system
+   registers one sink per lane it writes and stamps virtual ns.
 
    The hot-path contract: a sink of a disabled collection is
    [null_sink] (capacity 0), so a record call costs one branch and
-   allocates nothing — every argument is an immediate int.  Call sites
-   read [enabled] once when built and guard every record on it. *)
+   allocates nothing — every argument is an immediate int; an enabled
+   one writes five columns in place.  Call sites read [enabled] once
+   when built and guard every record on it. *)
 
 type lane = Global | Dispatcher of int | Worker of int | Gc of int
 
@@ -87,10 +87,21 @@ type record = {
   arg : int;
 }
 
+(* One column per field, one slot per record, written only by the
+   owner; the lane is the sink's own.  The columns start at 256 slots
+   (or the capacity, if smaller): [Max_young_wosize], so registration
+   builds them on the minor heap and adds no major-heap work to set-up.
+   Each doubling up to the capacity is built straight on the major
+   heap.  Full, they overwrite slot [seq mod capacity].
+   [next] is atomic, so [total] and [dropped] can be read live. *)
 type sink = {
   s_lane : lane;
-  cells : record option Atomic.t array;
-  s_capacity : int;
+  s_capacity : int;  (** 0 for [null_sink] *)
+  mutable req_ids : int array;
+  mutable phases : phase array;
+  mutable starts : int array;
+  mutable durs : int array;
+  mutable args : int array;
   next : int Atomic.t;  (** records ever written by the owning domain *)
 }
 
@@ -100,9 +111,12 @@ type t = {
   sinks : sink list Atomic.t;  (** registration order, newest first *)
 }
 
-let null_sink =
-  { s_lane = Global; cells = [||]; s_capacity = 0; next = Atomic.make 0 }
+let make_sink s_lane s_capacity len =
+  let ints () = Array.make len 0 in
+  { s_lane; s_capacity; req_ids = ints (); phases = Array.make len Accept;
+    starts = ints (); durs = ints (); args = ints (); next = Atomic.make 0 }
 
+let null_sink = make_sink Global 0 0
 let null = { enabled = false; capacity_per_sink = 0; sinks = Atomic.make [] }
 
 let create ?(capacity_per_sink = 65_536) () =
@@ -118,14 +132,8 @@ let enabled t = t.enabled
 let register t lane =
   if not t.enabled then null_sink
   else begin
-    let s =
-      {
-        s_lane = lane;
-        cells = Array.init t.capacity_per_sink (fun _ -> Atomic.make None);
-        s_capacity = t.capacity_per_sink;
-        next = Atomic.make 0;
-      }
-    in
+    let cap = t.capacity_per_sink in
+    let s = make_sink lane cap (min cap 256) in
     let rec add () =
       let cur = Atomic.get t.sinks in
       if not (Atomic.compare_and_set t.sinks cur (s :: cur)) then add ()
@@ -134,25 +142,42 @@ let register t lane =
     s
   end
 
+(* Top level, so a doubling builds no closure on the minor heap. *)
+let widen a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let grow s =
+  let n = min s.s_capacity (2 * Array.length s.starts) in
+  s.req_ids <- widen s.req_ids n 0;
+  s.phases <- widen s.phases n Accept;
+  s.starts <- widen s.starts n 0;
+  s.durs <- widen s.durs n 0;
+  s.args <- widen s.args n 0
+
 let record sink ~req_id ~phase ~start_ns ~dur_ns ~arg =
   if sink.s_capacity > 0 then begin
     let seq = Atomic.get sink.next in
-    Atomic.set
-      sink.cells.(seq mod sink.s_capacity)
-      (Some { req_id; phase; lane = sink.s_lane; start_ns; dur_ns; arg });
+    if seq = Array.length sink.starts && seq < sink.s_capacity then grow sink;
+    let i = seq mod Array.length sink.starts in
+    sink.req_ids.(i) <- req_id;
+    sink.phases.(i) <- phase;
+    sink.starts.(i) <- start_ns;
+    sink.durs.(i) <- dur_ns;
+    sink.args.(i) <- arg;
     Atomic.set sink.next (seq + 1)
   end
 
-let sink_records sink =
-  let next = Atomic.get sink.next in
-  let first = max 0 (next - sink.s_capacity) in
-  let acc = ref [] in
-  for seq = next - 1 downto first do
-    match Atomic.get sink.cells.(seq mod sink.s_capacity) with
-    | Some r -> acc := r :: !acc
-    | None -> ()
-  done;
-  !acc
+(* A sink's surviving records, oldest first: slot [seq mod length] for
+   each of the last [min next length] sequence numbers. *)
+let sink_records s =
+  let next = Atomic.get s.next and len = Array.length s.starts in
+  let first = max 0 (next - len) in
+  List.init (next - first) (fun k ->
+      let i = (first + k) mod len in
+      { req_id = s.req_ids.(i); phase = s.phases.(i); lane = s.s_lane;
+        start_ns = s.starts.(i); dur_ns = s.durs.(i); arg = s.args.(i) })
 
 let total t =
   List.fold_left (fun acc s -> acc + Atomic.get s.next) 0 (Atomic.get t.sinks)

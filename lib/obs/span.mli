@@ -4,18 +4,18 @@
     A span is one step of a request's journey — or one core-level event
     such as a stall — on one {!lane}.  The live server has a dispatcher
     thread plus N worker domains, so each domain registers its own
-    bounded, lock-free span buffer (the {!Tq_runtime.Spsc_ring} idiom:
-    per-cell [Atomic]s order record publication with the cursor update;
-    exactly one domain writes each sink), and {!merge} stitches the
-    per-sink buffers into one request timeline.  A simulated system
-    registers one sink per lane it writes and stamps spans with virtual
-    nanoseconds.
+    span buffer: plain arrays one domain writes, plus an atomic count
+    (the {!Tq_runtime.Spsc_ring} idiom).  {!merge} stitches the sinks
+    into one request timeline once every writer has stopped; only the
+    counts are read live.  A simulated system registers one sink per
+    lane it writes and stamps spans with virtual nanoseconds.
 
     The hot-path contract: every record argument is an immediate int,
     and a sink obtained from a disabled collection is {!null_sink}, so
-    the disabled record path is one branch with zero allocation.  Call
-    sites read {!enabled} once, when they are built, and guard every
-    record (and any clock read or payload computation) on that bool:
+    the disabled record path is one branch with zero allocation (the
+    enabled one allocates nothing either).  Call sites read {!enabled}
+    once, when they are built, and guard every record (and any clock
+    read or payload computation) on that bool:
 
     {[
       if t.spans_on then
@@ -107,7 +107,7 @@ type record = {
 (** A per-domain bounded span buffer.  Single-writer: one domain
     {!record}s into it — the one that {!register}ed it, or one it was
     handed to before its first record (a domain spawned after its sink
-    was built); when full the oldest records are overwritten. *)
+    was built); it grows to its capacity, then overwrites the oldest. *)
 type sink
 
 (** A collection of per-domain sinks. *)
@@ -131,13 +131,13 @@ val enabled : t -> bool
 
 (** [register t lane] — a fresh sink on [lane], owned by the calling
     domain until handed over (registration itself is thread-safe;
-    recording is not).
-    Returns {!null_sink} when [t] is disabled. *)
+    recording is not); it forces no minor collection.  Returns
+    {!null_sink} when [t] is disabled. *)
 val register : t -> lane -> sink
 
 (** [record sink ~req_id ~phase ~start_ns ~dur_ns ~arg] appends one
-    span.  All-int arguments: allocation happens only on the enabled
-    path. *)
+    span.  All-int arguments, written in place: no minor-heap
+    allocation on either path. *)
 val record :
   sink -> req_id:int -> phase:phase -> start_ns:int -> dur_ns:int -> arg:int -> unit
 
@@ -154,9 +154,9 @@ val sink_dropped : sink -> int
 
 (** [merge t] — every surviving record, stitched into one timeline:
     stable-sorted by [start_ns], ties keeping per-sink recording order
-    and sinks in registration order.  Call after the writers have
-    quiesced (server drained) for an exact cut; a live merge is a
-    best-effort snapshot. *)
+    and sinks in registration order.  Call it, and every export below,
+    only once every writer has stopped (domains joined, {!Gc_events}
+    stopped, or the simulator's single domain). *)
 val merge : t -> record list
 
 (** [to_chrome ~process t] — the merged timeline as Chrome trace-event

@@ -20,12 +20,12 @@
    disabled reservoir has K = 0, so an [offer] is a single branch,
    allocating nothing.
 
-   Single writer: only the loop offers.  Retained entries are published
-   through per-slot [Atomic.t]s holding immutable records, so another
-   thread's reader (the Stats RPC, the HTTP /outliers endpoint) never
-   sees a torn entry — only a slightly stale reservoir, which is fine:
-   the slow requests of the last window don't change under the
-   reader. *)
+   Single writer: only the loop offers.  Retained entries are immutable
+   records held in plain slots, and a reader (the Stats RPC on the loop
+   itself, the HTTP /outliers endpoint on a thread of the loop's
+   domain) loads each slot in one read, so it never sees a torn entry —
+   only a slightly stale reservoir, which is fine: the slow requests of
+   the last window don't change under the reader. *)
 
 type entry = {
   e_seq : int;
@@ -47,9 +47,9 @@ type t = {
   k : int;  (* 0 = disabled: offer is one branch *)
   threshold_ns : int;
   window_ns : int;
-  slots : entry option Atomic.t array;  (* current window's K slowest *)
-  prev : entry option Atomic.t array;  (* last full window, snapshotted *)
-  breaches : entry option Atomic.t array;  (* threshold ring, oldest overwritten *)
+  slots : entry option array;  (* current window's K slowest *)
+  prev : entry option array;  (* last full window, snapshotted *)
+  breaches : entry option array;  (* threshold ring, oldest overwritten *)
   mutable breach_next : int;
   mutable floor_ns : int;  (* min sojourn among filled slots; reject gate *)
   mutable filled : int;
@@ -59,14 +59,13 @@ type t = {
 }
 
 let make ~k ~threshold_ns ~window_ns =
-  let cells () = Array.init k (fun _ -> Atomic.make None) in
   {
     k;
     threshold_ns;
     window_ns;
-    slots = cells ();
-    prev = cells ();
-    breaches = cells ();
+    slots = Array.make k None;
+    prev = Array.make k None;
+    breaches = Array.make k None;
     breach_next = 0;
     floor_ns = 0;
     filled = 0;
@@ -92,27 +91,23 @@ let window_ns t = t.window_ns
    window's snapshot (still queryable until the next roll), the slots
    empty and the floor drops to zero.  Owner-only, like [offer]. *)
 let roll t ~now_ns =
-  for i = 0 to t.k - 1 do
-    Atomic.set t.prev.(i) (Atomic.get t.slots.(i));
-    Atomic.set t.slots.(i) None
-  done;
+  Array.blit t.slots 0 t.prev 0 t.k;
+  Array.fill t.slots 0 t.k None;
   t.filled <- 0;
   t.floor_ns <- 0;
   t.window_start_ns <- now_ns
 
 let min_sojourn t =
-  let m = ref max_int in
-  Array.iter
-    (fun c -> match Atomic.get c with Some e -> m := min !m e.e_sojourn_ns | None -> ())
-    t.slots;
-  !m
+  Array.fold_left
+    (fun m -> function Some e -> min m e.e_sojourn_ns | None -> m)
+    max_int t.slots
 
 (* O(K) with constant K: place the entry, then rescan for the new
    floor.  Only reached for entries that beat the floor — the common
    case never gets here. *)
 let insert_slot t e =
   if t.filled < t.k then begin
-    Atomic.set t.slots.(t.filled) (Some e);
+    t.slots.(t.filled) <- Some e;
     t.filled <- t.filled + 1;
     if t.filled = t.k then t.floor_ns <- min_sojourn t
   end
@@ -120,12 +115,11 @@ let insert_slot t e =
     (* evict the current minimum, then recompute the floor *)
     let min_i = ref 0 and min_v = ref max_int in
     Array.iteri
-      (fun i c ->
-        match Atomic.get c with
-        | Some e -> if e.e_sojourn_ns < !min_v then begin min_v := e.e_sojourn_ns; min_i := i end
-        | None -> ())
+      (fun i -> function
+        | Some e when e.e_sojourn_ns < !min_v -> min_v := e.e_sojourn_ns; min_i := i
+        | _ -> ())
       t.slots;
-    Atomic.set t.slots.(!min_i) (Some e);
+    t.slots.(!min_i) <- Some e;
     t.floor_ns <- min_sojourn t
   end
 
@@ -157,7 +151,7 @@ let offer t ~now_ns ~seq ~class_idx ~worker ~sojourn_ns ~quantum_ns ~cap ~inject
       in
       t.admitted <- t.admitted + 1;
       if breach then begin
-        Atomic.set t.breaches.(t.breach_next mod t.k) (Some e);
+        t.breaches.(t.breach_next mod t.k) <- Some e;
         t.breach_next <- t.breach_next + 1
       end;
       if t.filled < t.k || sojourn_ns > t.floor_ns then insert_slot t e
@@ -173,8 +167,7 @@ let admitted t = t.admitted
 let entries t =
   let seen = Hashtbl.create 64 in
   let acc = ref [] in
-  let take cell =
-    match Atomic.get cell with
+  let take = function
     | Some e when not (Hashtbl.mem seen e.e_seq) ->
         Hashtbl.add seen e.e_seq ();
         acc := e :: !acc

@@ -17,9 +17,9 @@
     the window's floor; admissions touch at most K slots — K a small
     configured constant — and are the only allocation.
 
-    Single-writer (the loop); retained entries are published through
-    per-slot [Atomic.t]s holding immutable records, so readers on other
-    threads (Stats RPC, HTTP [/outliers]) never see a torn entry. *)
+    Single-writer (the loop); retained entries are immutable records in
+    plain slots, each read in one load, so readers on the loop's domain
+    (Stats RPC, the HTTP [/outliers] thread) never see a torn entry. *)
 
 (** One retained slow request, a complete dossier: identity,
     residency, its stage decomposition and the controller and queue

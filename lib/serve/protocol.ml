@@ -6,15 +6,14 @@
        tag 1 Kv_get:  key...
        tag 2 Kv_set:  klen:u16  key  value...
        tag 3 Tpcc:    kind:u8
-       tag 4 Stats:   view:u8 (0 json, 1 text, 2 trace, 3/4 breakdown,
-                               5 control, 6/7 outliers)
+       tag 4 Stats:   view:u8 (0 json, 1 text, 3/4 breakdown,
+                               5 control, 6/7 outliers; 2 is retired)
      response: req_id:u64  status:u8  body
        status 0 Ok, 1 Shed, 2 Error (body = message) *)
 
 type stats_view =
   | Stats_json
   | Stats_text
-  | Stats_trace
   | Stats_breakdown
   | Stats_breakdown_text
   | Stats_control
@@ -31,8 +30,8 @@ type request =
 type status = Ok | Shed | Error of string
 type response = { req_id : int; status : status; body : string }
 
-(* Sized for Stats_trace bodies: a merged span trace of a few hundred
-   thousand records is several MB of JSON. *)
+(* A bound on what a peer may make the decoder buffer; every reply body
+   (a metrics snapshot, a dossier table) is far below it. *)
 let max_frame_bytes = 1 lsl 24
 let class_count = 5
 
@@ -58,7 +57,6 @@ let steering_key = function
 let view_tag = function
   | Stats_json -> 0
   | Stats_text -> 1
-  | Stats_trace -> 2
   | Stats_breakdown -> 3
   | Stats_breakdown_text -> 4
   | Stats_control -> 5
@@ -68,7 +66,6 @@ let view_tag = function
 let view_of_tag = function
   | 0 -> Some Stats_json
   | 1 -> Some Stats_text
-  | 2 -> Some Stats_trace
   | 3 -> Some Stats_breakdown
   | 4 -> Some Stats_breakdown_text
   | 5 -> Some Stats_control
@@ -126,7 +123,7 @@ let encode_request b ~req_id r =
           match view with
           | Stats_outliers { limit } | Stats_outliers_text { limit } ->
               Buffer.add_uint16_be body limit
-          | Stats_json | Stats_text | Stats_trace | Stats_breakdown
+          | Stats_json | Stats_text | Stats_breakdown
           | Stats_breakdown_text | Stats_control -> ()))
 
 let status_tag = function Ok -> 0 | Shed -> 1 | Error _ -> 2

@@ -14,16 +14,13 @@
 
 (** What a {!request.Stats} call asks the server to render: the live
     metrics snapshot as JSON, the same snapshot as Prometheus text
-    exposition ({!Tq_obs.Expo}), the merged request-span trace as
-    Chrome trace-event JSON ({!Tq_obs.Span.to_chrome}), or the
-    per-stage sojourn decomposition ({!Tq_obs.Profile}) of every
-    completed request as JSON or as the human-readable table.  The trace
-    view needs the server running with spans enabled ([--obs] / a trace
-    file) and otherwise answers with an [Error] status. *)
+    exposition ({!Tq_obs.Expo}), or the per-stage sojourn decomposition
+    ({!Tq_obs.Profile}) of every completed request as JSON or as the
+    human-readable table.  View tag 2, once a span-trace view, is
+    retired and decodes as a malformed frame. *)
 type stats_view =
   | Stats_json
   | Stats_text
-  | Stats_trace
   | Stats_breakdown
   | Stats_breakdown_text
   | Stats_control

@@ -691,9 +691,6 @@ let render_stats t view =
   match view with
   | Protocol.Stats_json -> Ok (snapshot_json t)
   | Protocol.Stats_text -> Ok (prometheus t)
-  | Protocol.Stats_trace ->
-      if not t.spans_on then Error "span trace needs spans: run the server with --obs"
-      else Ok (Span.to_chrome ~process:"tq_serve" t.spans)
   | Protocol.Stats_control -> (
       match t.ctl with
       | Some c -> Ok (Tq_control.Controller.state_json c)

@@ -146,7 +146,8 @@ val config_error : config -> string option
     accept/parse/dispatch/shed/reply-flush on its own sink, workers
     record ring-hop/quantum/stall on theirs, all stitched by request id
     ({!Tq_obs.Span.merge}) into one Perfetto timeline, which
-    {!Tq_obs.Profile.of_records} decomposes exactly as the loop does.
+    {!Tq_obs.Profile.of_records} decomposes exactly as the loop does,
+    once {!serve} has returned; only the span counts are read live.
 
     [tail] (default {!Tq_obs.Tail.null}, zero per-request cost) turns
     on always-on tail forensics: the loop owns the bounded reservoir
@@ -268,7 +269,8 @@ val outlier_dossiers : t -> limit:int -> Tq_obs.Tail.entry list
 
 (** [tail_trace t] — Chrome trace-event JSON restricted to the retained
     outliers (their spans plus overlapping stall/GC records): the
-    outlier-only Perfetto timeline ([tq_serve --tail-trace-out]). *)
+    outlier-only Perfetto timeline ([tq_serve --tail-trace-out]).  Call
+    it only after {!serve} has returned. *)
 val tail_trace : t -> string
 
 (** {2 Live fault plane}

@@ -374,17 +374,28 @@ let test_span_record_and_merge () =
     && List.mem (Span.Worker 1) lanes_of_req1)
 
 let test_span_overwrite_and_null () =
-  let spans = Span.create ~capacity_per_sink:2 () in
-  let sink = Span.register spans (Span.Worker 0) in
-  for i = 1 to 5 do
-    Span.record sink ~req_id:i ~phase:Span.Quantum ~start_ns:(i * 10) ~dur_ns:1 ~arg:0
-  done;
-  check Alcotest.int "total counts everything" 5 (Span.total spans);
-  check Alcotest.int "dropped = overwritten" 3 (Span.dropped spans);
-  check
-    Alcotest.(list int)
-    "newest records survive" [ 4; 5 ]
-    (List.map (fun (r : Span.record) -> r.Span.req_id) (Span.merge spans));
+  (* 2 fits the first chunk; 3000 wraps only after growing four times
+     (from 256 slots to 512, 1024, 2048, then to 3000) *)
+  List.iter
+    (fun (c, n) ->
+      let spans = Span.create ~capacity_per_sink:c () in
+      let sink = Span.register spans (Span.Worker 0) in
+      for i = 1 to n do
+        Span.record sink ~req_id:i ~phase:Span.Quantum ~start_ns:(i * 10) ~dur_ns:1 ~arg:i
+      done;
+      let tag what = Printf.sprintf "capacity %d: %s" c what in
+      check Alcotest.int (tag "total counts everything") n (Span.total spans);
+      check Alcotest.int (tag "dropped = overwritten") (n - c) (Span.dropped spans);
+      check
+        Alcotest.(list int)
+        (tag "the newest records survive, in order")
+        (List.init c (fun k -> n - c + 1 + k))
+        (List.map
+           (fun (r : Span.record) ->
+             if r.Span.arg <> r.Span.req_id then Alcotest.fail (tag "columns out of step");
+             r.Span.req_id)
+           (Span.merge spans)))
+    [ (2, 5); (3000, 7000) ];
   (* the disabled collection: registration hands out the null sink and
      recording is a no-op *)
   Alcotest.(check bool) "null disabled" false (Span.enabled Span.null);
@@ -1073,21 +1084,19 @@ let test_tail_offer_null_sink_allocation_free () =
            ~sojourn_ns:1_000_000 ~quantum_ns:100_000 ~cap:(-1) ~inject_depth:0
            ~stages:no_stages ~quanta:1 ~stalls:0 ~gc_pause_ns:0))
 
-(* The enabled span record boxes one record in an option: 9 words
-   (a 6-field record plus header, and the Some).  An upper bound, so a
-   cheaper record passes. *)
+(* The enabled span record writes five int columns in place: nothing
+   on the minor heap, across the sink's doublings (built on the major
+   heap) and its wrap-around alike. *)
 let test_span_record_enabled_words () =
   let sink =
     Span.register (Span.create ~capacity_per_sink:4096 ()) (Span.Dispatcher 0)
   in
   let seq = ref 0 in
-  let words =
-    Test_util.minor_words_per_call (fun () ->
-        incr seq;
-        Span.record sink ~req_id:!seq ~phase:Span.Dispatch ~start_ns:!seq ~dur_ns:10
-          ~arg:0)
-  in
-  if words > 9.0 then Alcotest.failf "span record allocates %g words (> 9)" words
+  check (Alcotest.float 0.0) "minor words per enabled span record" 0.0
+    (Test_util.minor_words_per_call (fun () ->
+         incr seq;
+         Span.record sink ~req_id:!seq ~phase:Span.Dispatch ~start_ns:!seq ~dur_ns:10
+           ~arg:0))
 
 (* The armed reservoir's common case: a request faster than a full
    reservoir's floor is rejected by one compare and allocates nothing. *)

@@ -383,11 +383,12 @@ let test_cross_domain_spans () =
   let n = 100 in
   let client = Client.connect ~port:(Server.port srv) () in
   run_batch client n;
-  let trace = Client.stats ~view:Protocol.Stats_trace client in
   Client.close client;
   Server.stop srv;
   Thread.join th;
-  check Alcotest.bool "trace view serves chrome json" true
+  (* the trace is read once every writer has stopped *)
+  let trace = Tq_obs.Span.to_chrome ~process:"tq_serve" spans in
+  check Alcotest.bool "trace renders chrome json" true
     (contains trace "\"traceEvents\"" && contains trace "\"name\":\"quantum\"");
   let records = Tq_obs.Span.merge spans in
   check Alcotest.bool "spans recorded" true (List.length records > 0);
@@ -635,15 +636,6 @@ let test_control_view_needs_adaptive () =
         (Server.control_json srv = None);
       Client.close client)
 
-let test_trace_view_needs_obs () =
-  with_server base_config (fun srv ->
-      let client = Client.connect ~port:(Server.port srv) () in
-      (match Client.stats ~view:Protocol.Stats_trace client with
-      | exception Failure msg ->
-          check Alcotest.bool "error names the fix" true (contains msg "--obs")
-      | body -> Alcotest.failf "expected an error response, got: %s" body);
-      Client.close client)
-
 (* Kill a worker domain mid-load: the heartbeat monitor must notice,
    re-dispatch its pending requests to the survivor, and the drain
    invariant (zero admitted requests lost) must hold end to end. *)
@@ -832,7 +824,6 @@ let fault_suite =
     Alcotest.test_case "adaptive controller live" `Quick test_adaptive_controller_live;
     Alcotest.test_case "control view needs --adaptive" `Quick
       test_control_view_needs_adaptive;
-    Alcotest.test_case "trace view needs --obs" `Quick test_trace_view_needs_obs;
     Alcotest.test_case "kill worker: zero-loss recovery" `Quick test_kill_worker_recovery;
     Alcotest.test_case "stall + pause ride through" `Quick
       test_stall_and_pause_ride_through;
@@ -1445,17 +1436,17 @@ let test_setup_gc_isolation () =
    heap; a collection inside it would come from [Array.init] making a
    long array whose first element is a fresh block (the runtime empties
    the minor heap first), or from filling the heap. *)
+let measured_setup f =
+  Gc.minor ();
+  let gcs = (Gc.quick_stat ()).Gc.minor_collections and words = Gc.minor_words () in
+  let x = f () in
+  (x, (Gc.quick_stat ()).Gc.minor_collections - gcs, Gc.minor_words () -. words)
+
 let test_setup_collects_nothing () =
-  let measured f =
-    Gc.minor ();
-    let gcs = (Gc.quick_stat ()).Gc.minor_collections and words = Gc.minor_words () in
-    let x = f () in
-    (x, (Gc.quick_stat ()).Gc.minor_collections - gcs, Gc.minor_words () -. words)
-  in
-  let _, gcs, _ = measured (fun () -> App.create ~kv_keys:1024 ~seed:1L ()) in
+  let _, gcs, _ = measured_setup (fun () -> App.create ~kv_keys:1024 ~seed:1L ()) in
   check Alcotest.int "App.create ~kv_keys:1024: minor collections" 0 gcs;
   let srv, gcs, words =
-    measured (fun () -> Server.create { base_config with workers = 2; kv_keys = 1024 })
+    measured_setup (fun () -> Server.create { base_config with workers = 2; kv_keys = 1024 })
   in
   Server.stop srv;
   Server.serve srv;
@@ -1464,10 +1455,25 @@ let test_setup_collects_nothing () =
     Alcotest.failf "Server.create (2 workers, 1024 keys) allocated %.0f minor words > 64k"
       words
 
+(* The same with spans on ([tq_serve --obs]): every domain's sink is
+   built too. *)
+let test_spans_setup_collects_nothing () =
+  let srv, gcs, _ =
+    measured_setup (fun () ->
+        Server.create
+          ~spans:(Tq_obs.Span.create ~capacity_per_sink:524_288 ())
+          { base_config with workers = 2 })
+  in
+  Server.stop srv;
+  Server.serve srv;
+  check Alcotest.int "Server.create ~spans (2 workers): minor collections" 0 gcs
+
 let setup_suite =
   [
     Alcotest.test_case "set-up collects nothing" `Quick test_setup_collects_nothing;
     Alcotest.test_case "prefill contents" `Quick test_prefill_contents;
+    Alcotest.test_case "set-up with spans collects nothing" `Quick
+      test_spans_setup_collects_nothing;
     Alcotest.test_case "bad config rejected before bind" `Quick test_config_rejected;
     Alcotest.test_case "set-up gc stops no worker" `Quick test_setup_gc_isolation;
   ]
@@ -1709,9 +1715,11 @@ let frames_until_eof fd =
   in
   go 0
 
-(* A length prefix over the frame cap, and a well-sized frame with an
-   unknown request tag: each closes its own connection with no reply
-   and counts one protocol error, while a third connection is served. *)
+(* A length prefix over the frame cap, a well-sized frame with an
+   unknown request tag, and a Stats request for the retired view tag 2
+   (once the span-trace view): each closes its own connection with no
+   reply and counts one protocol error, while a fourth connection is
+   served. *)
 let test_malformed_frames () =
   let oversized = Bytes.create 4 in
   Bytes.set_int32_be oversized 0 (Int32.of_int (Protocol.max_frame_bytes + 1));
@@ -1719,6 +1727,11 @@ let test_malformed_frames () =
   Bytes.set_int32_be unknown_tag 0 9l;
   Bytes.set_int64_be unknown_tag 4 7L;
   Bytes.set_uint8 unknown_tag 12 99;
+  let retired_view = Bytes.create 14 in
+  Bytes.set_int32_be retired_view 0 10l;
+  Bytes.set_int64_be retired_view 4 8L;
+  Bytes.set_uint8 retired_view 12 4;
+  Bytes.set_uint8 retired_view 13 2;
   let (), s =
     drained base_config (fun srv ->
         List.iter
@@ -1727,14 +1740,14 @@ let test_malformed_frames () =
             write_all fd frame;
             check Alcotest.int "closed with no reply" 0 (frames_until_eof fd);
             Unix.close fd)
-          [ oversized; unknown_tag ];
+          [ oversized; unknown_tag; retired_view ];
         let c = Client.connect ~port:(Server.port srv) () in
         let resp = Client.call c (Protocol.Echo { spin_ns = 0; payload = "still here" }) in
         Client.close c;
-        check Alcotest.bool "third connection served" true
+        check Alcotest.bool "fourth connection served" true
           (resp.Protocol.status = Protocol.Ok && resp.Protocol.body = "still here"))
   in
-  check Alcotest.int "two protocol errors" 2 s.Server.protocol_errors;
+  check Alcotest.int "three protocol errors" 3 s.Server.protocol_errors;
   check Alcotest.int "one request served" 1 s.Server.completed;
   check Alcotest.(list string) "ledger balanced" [] (Server.ledger_violations s)
 
